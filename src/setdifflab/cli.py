@@ -11,9 +11,7 @@ Exit codes: 0 success, 2 usage, 3 malformed input file, 4 domain error,
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -26,7 +24,7 @@ from .covering import (
 )
 from .errors import ContractViolationError, FormatError, ShapeMismatchError
 from .extremal import DEFAULT_VERTEX_CAP, max_avoiding_family
-from .fpforms import distribution, forms_from_text
+from .fpforms import _frac, distribution, forms_from_text
 from .increment import DEFAULT_FORM_BUDGET, quasirandomize
 from .patterns import CliqueDifference, PolynomialDifference, PowerDifference
 from .reductions import (
@@ -45,11 +43,6 @@ from .universe import (
     family_to_text,
     mask_to_hex,
 )
-
-
-def _frac(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _read(path: str) -> str:
@@ -91,15 +84,6 @@ def _emit(args, report: dict) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map; results do not depend on the thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _family_json(fam: Family) -> dict:
@@ -154,7 +138,7 @@ def cmd_phidist(args) -> None:
         return distribution(subject, mode=args.mode, samples=args.samples,
                             seed=args.seed)
 
-    tables = _parallel_map(table, forms, args.threads)
+    tables = [table(form) for form in forms]
     report = {
         "degree": args.degree,
         "tables": [
@@ -308,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH",
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: $SETDIFF_THREADS or 1)")
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 metavar="subcommand")
 
@@ -391,11 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact rationals such as the uniformity bound at p=7, degree 3 run to
+    # thousands of digits; lift the int-to-str limit (absent before 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is None:
-            args.threads = int(os.environ.get("SETDIFF_THREADS", "1"))
         args.func(args)
     except FormatError as exc:
         print(f"setdiff: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from .patterns import (
     PowerDifference,
     find_pattern_pair,
     find_witness,
-    union_of_powers,
+    pattern_index,
 )
 from .universe import Family, SubsetMask, UniverseShape
 
@@ -92,44 +92,43 @@ class ForbiddenPairGraph:
             neighbors=tuple(tuple(sorted(ns)) for ns in adj))
 
 
-def _power_bit_patterns(shape: UniverseShape) -> list[int]:
-    patterns = []
-    for size in range(1, shape.n + 1):
-        for S in itertools.combinations(range(1, shape.n + 1), size):
-            patterns.append(union_of_powers(shape, S).bits)
-    return patterns
-
-
-def _is_power_spec(shape: UniverseShape, spec: PatternSpec) -> bool:
-    if isinstance(spec, PowerDifference):
-        return shape.degrees == (spec.degree,)
-    if isinstance(spec, PolynomialDifference):
-        return shape.degrees == spec.degrees
-    return False
-
-
 def _oriented_successors(shape: UniverseShape, spec: PatternSpec,
-                         vertices: int) -> list[set[int]]:
-    up: list[set[int]] = [set() for _ in range(vertices)]
-    if _is_power_spec(shape, spec):
-        for pattern in _power_bit_patterns(shape):
-            for a in range(vertices):
-                if a & pattern == 0:
-                    up[a].add(a | pattern)
-    else:
+                         vertices: int) -> list[frozenset[int]]:
+    """For each vertex A, every B such that (A, B) admits a witness.
+
+    With a pattern table the successors of A are key(A) | P | f for each
+    table entry P disjoint from key(A) and each subset f of the free cells,
+    so vertices with the same key share one successor set.
+    """
+    index = pattern_index(shape, spec)
+    if index is None:
+        up = []
         for a in range(vertices):
             A = SubsetMask(shape, a)
-            for b in range(vertices):
-                if a != b and find_witness(A, SubsetMask(shape, b), spec):
-                    up[a].add(b)
+            up.append(frozenset(
+                b for b in range(vertices)
+                if a != b and find_witness(A, SubsetMask(shape, b), spec)))
+        return up
+    mask, table, _ = index
+    free = [f for f in range(vertices) if not f & mask]
+    by_key: dict[int, frozenset[int]] = {}
+    up = []
+    for a in range(vertices):
+        key = a & mask
+        if key not in by_key:
+            by_key[key] = frozenset(
+                key | P | f for P in table if not P & key for f in free)
+        up.append(by_key[key])
     return up
 
 
 def build_forbidden_graph(shape: UniverseShape, spec: PatternSpec,
                           vertex_cap: int = DEFAULT_VERTEX_CAP,
                           ) -> ForbiddenPairGraph:
-    """Edge set by witness checks; power specs use the direct neighborhood
-    {A u S^d : S^d disjoint from A} plus the reverse removals."""
+    """Edges {A, B} for every pair where one extends the other by a pattern.
+
+    Power, polynomial and clique specs generate each vertex's successors
+    from the pattern table; other specs check every ordered pair."""
     vertices = 1 << shape.cells
     if vertices > vertex_cap:
         raise CapExceededError(

@@ -19,6 +19,7 @@ from .errors import ContractViolationError, ShapeMismatchError, UniverseTooSmall
 from .fpforms import (
     BlockCell,
     LinearFormP,
+    _frac,
     build_block_partition,
     distribution,
     eval_on_bits,
@@ -67,11 +68,6 @@ class DistinguishingReport:
             "gap": _frac(self.gap),
             "scope": self.scope,
         }
-
-
-def _frac(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _vector_forms(p: int, n: int) -> Iterator[LinearFormP]:

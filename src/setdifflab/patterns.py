@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from .errors import ShapeMismatchError
@@ -181,17 +182,31 @@ def subsets_ascending(n: int) -> Iterator[frozenset[int]]:
         yield set_from_bits(b)
 
 
+def _power_bits(shape: UniverseShape, s: int) -> int:
+    """Bits of S^{d_1} u ... u S^{d_s} for S given as a bitmask over [n].
+
+    Within a part S^k fills only the low n^k bits, so multiplying it by
+    sum_{x in S} 2^((x-1) n^k) places one copy per x side by side with no
+    carries; the product is S^{k+1}.
+    """
+    n = shape.n
+    elems = [x for x in range(n) if s >> x & 1]
+    bits = 0
+    for part, d in enumerate(shape.degrees, start=1):
+        cube = 1
+        for k in range(d):
+            stride = n ** k
+            cube *= s if stride == 1 else sum(1 << x * stride for x in elems)
+        bits |= cube << shape.part_offset(part)
+    return bits
+
+
 def union_of_powers(shape: UniverseShape, S) -> SubsetMask:
     """S^{d_1} u ... u S^{d_s} as a mask."""
     elems = sorted(S)
     if any(not 1 <= x <= shape.n for x in elems):
         raise ValueError(f"S {elems} not inside [{shape.n}]")
-    bits = 0
-    for part in range(1, shape.s + 1):
-        d = shape.degrees[part - 1]
-        for coords in itertools.product(elems, repeat=d):
-            bits |= 1 << shape.index_of(part, coords)
-    return SubsetMask(shape, bits)
+    return SubsetMask(shape, _power_bits(shape, sum(1 << (x - 1) for x in elems)))
 
 
 def _same_shape(A: SubsetMask, B: SubsetMask) -> UniverseShape:
@@ -521,22 +536,103 @@ def verify_witness(
     raise TypeError(f"unknown witness {w!r}")
 
 
+# ---------------------------------------------------------------------------
+# pattern tables: the witness relation as a lookup on raw ints
+
+
+@lru_cache(maxsize=16)
+def pattern_index(
+    shape: UniverseShape, spec: PatternSpec
+) -> Optional[tuple[int, dict[int, int], type]]:
+    """(key mask, table, witness class) for specs whose witness is a lookup.
+
+    With key(X) = X & mask, the pair (A, B) admits a witness exactly when
+    P = key(B) ^ key(A) is a table entry disjoint from key(A); the witness
+    is the class applied to the set with bitmask table[P].  Cells outside
+    the mask are free.  Family and interval specs have no table (None).
+
+    Power specs key on every cell and P(S) = S^{d_1} u ... u S^{d_s},
+    which determines S through its part-1 diagonal.  Clique specs key on
+    the strictly increasing cells, and P(S) = K(S) is the part of S^{d_j}
+    on them: every d_j-subset of S.  A nonzero K(S) covers every vertex of
+    S, so it determines S as well.  The table is shared; do not mutate it.
+    """
+    if isinstance(spec, (PowerDifference, PolynomialDifference)):
+        witness = PowerWitness
+    elif isinstance(spec, CliqueDifference):
+        witness = CliqueWitness
+    else:
+        return None
+    _check_degrees(spec, shape)
+    mask = shape.full_bits()
+    if witness is CliqueWitness:
+        mask = 0
+        for i, (_, coords) in enumerate(shape.points()):
+            if all(x < y for x, y in zip(coords, coords[1:])):
+                mask |= 1 << i
+    table = {}
+    for s in range(1, 1 << shape.n):
+        P = _power_bits(shape, s) & mask
+        if P:
+            table[P] = s
+    return mask, table, witness
+
+
+def _first_indexed_pair(
+    members: list[int], mask: int, table: dict[int, int]
+) -> Optional[tuple[int, int, int]]:
+    """First (a, b, table[P]) in ascending (a, b) order; members ascending.
+
+    Each member does min(|table|, |members|) probes: a scan of the members
+    when the table is the larger, else one lookup per table entry.
+    """
+    if len(table) > len(members):
+        keyed = [(b, b & mask) for b in members]
+        for a, ka in keyed:
+            for b, kb in keyed:
+                if kb & ka == ka and (kb ^ ka) in table:
+                    return a, b, table[kb ^ ka]
+        return None
+    smallest: dict[int, int] = {}
+    for b in members:
+        smallest.setdefault(b & mask, b)
+    for a in members:
+        ka = a & mask
+        hits = [(smallest[ka | P], P) for P in table
+                if not P & ka and (ka | P) in smallest]
+        if hits:
+            b, P = min(hits)
+            return a, b, table[P]
+    return None
+
+
 def find_pattern_pair(
     fam: Family, spec: PatternSpec
 ) -> Optional[tuple[SubsetMask, SubsetMask, Witness]]:
     """First ordered pair of distinct members admitting a witness.
 
-    Pairs are scanned in ascending (A.bits, B.bits) order, so the result is
-    deterministic for a given family and spec.
+    Pairs are ranked in ascending (A.bits, B.bits) order, so the result is
+    deterministic for a given family and spec.  Power, polynomial and
+    clique specs look each member up in the spec's ``pattern_index``;
+    family and interval specs run ``find_witness`` on every ordered pair.
     """
+    shape = fam.shape
     members = sorted(fam.members)
-    for a in members:
-        A = SubsetMask(fam.shape, a)
-        for b in members:
-            if a == b:
-                continue
-            B = SubsetMask(fam.shape, b)
-            w = find_witness(A, B, spec)
-            if w is not None:
-                return A, B, w
-    return None
+    index = pattern_index(shape, spec)
+    if index is None:
+        for a in members:
+            A = SubsetMask(shape, a)
+            for b in members:
+                if a == b:
+                    continue
+                B = SubsetMask(shape, b)
+                w = find_witness(A, B, spec)
+                if w is not None:
+                    return A, B, w
+        return None
+    mask, table, witness = index
+    hit = _first_indexed_pair(members, mask, table)
+    if hit is None:
+        return None
+    a, b, s = hit
+    return SubsetMask(shape, a), SubsetMask(shape, b), witness(set_from_bits(s))

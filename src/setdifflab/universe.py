@@ -20,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, ShapeMismatchError
@@ -49,9 +49,17 @@ class UniverseShape:
     def s(self) -> int:
         return len(self.degrees)
 
-    @property
+    # cached in the instance __dict__; fields alone decide eq, hash and pickle
+    @cached_property
     def cells(self) -> int:
         return sum(self.n ** d for d in self.degrees)
+
+    @cached_property
+    def _full_bits(self) -> int:
+        return (1 << self.cells) - 1
+
+    def __getstate__(self) -> dict:
+        return {"degrees": self.degrees, "n": self.n}
 
     def part_cells(self, part: int) -> int:
         """Cell count of one part (1-based part index)."""
@@ -97,7 +105,7 @@ class UniverseShape:
                 yield part, coords
 
     def full_bits(self) -> int:
-        return (1 << self.cells) - 1
+        return self._full_bits
 
 
 @dataclass(frozen=True)

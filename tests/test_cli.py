@@ -1,10 +1,12 @@
 """End-to-end runs of the setdiff command line."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from setdifflab import cli
+from setdifflab.fpforms import uniformity_bound
 from setdifflab.universe import Family, UniverseShape, family_to_text
 
 
@@ -124,14 +126,22 @@ class TestPhidist:
         _, again, _ = run_cli(argv, capsys)
         assert json.loads(again) == doc
 
-    def test_thread_count_does_not_change_output(self, tmp_path, capsys):
+    def test_bound_with_thousands_of_digits(self, tmp_path, capsys):
+        # 14 nonzero p=7 coefficients lifted to degree 3 give the bound
+        # 7 * (48/49)^2744, whose denominator has over 4300 digits
         path = tmp_path / "forms.txt"
-        path.write_text("p=2\n1 0\n0 1\n1 1\n")
-        _, one, _ = run_cli(["phidist", "--forms", str(path),
-                             "--threads", "1"], capsys)
-        _, four, _ = run_cli(["phidist", "--forms", str(path),
-                              "--threads", "4"], capsys)
-        assert (json.loads(one)["report"] == json.loads(four)["report"])
+        path.write_text("p=7\n1 2 3 4 5 6 1 2 3 4 5 6 1 2\n")
+        doc = run_json(["phidist", "--forms", str(path), "--degree", "3"],
+                       capsys)
+        (table,) = doc["report"]["tables"]
+        bound = uniformity_bound(7, table["support_size"])
+        assert len(str(bound.denominator)) > 4300
+        assert table["uniformity_bound"] == (
+            f"{bound.numerator}/{bound.denominator}")
+        deviation = max(abs(Fraction(m) - Fraction(1, 7))
+                        for m in table["masses"])
+        assert Fraction(table["deviation"]) == deviation
+        assert table["within_bound"] == (deviation <= bound)
 
     def test_bad_form_file(self, tmp_path, capsys):
         path = tmp_path / "forms.txt"
@@ -290,11 +300,6 @@ class TestPlumbing:
         monkeypatch.setattr(cli, "cmd_verify_framework", boom)
         code, _, err = run_cli(["verify-framework", "--n", "3"], capsys)
         assert code == 5 and "contract violation" in err
-
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SETDIFF_THREADS", "3")
-        doc = run_json(["verify-framework", "--n", "3"], capsys)
-        assert doc["config"]["threads"] == 3
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -10,6 +10,7 @@ from setdifflab.errors import CapExceededError
 from setdifflab.extremal import (
     ExtremalRecord,
     ThresholdTable,
+    _oriented_successors,
     build_forbidden_graph,
     density_threshold_table,
     load_regression_table,
@@ -17,6 +18,7 @@ from setdifflab.extremal import (
     pattern_name,
 )
 from setdifflab.patterns import (
+    CliqueDifference,
     PolynomialDifference,
     PowerDifference,
     distance2_witness,
@@ -27,6 +29,14 @@ from setdifflab.universe import Family, SubsetMask, UniverseShape
 
 LINE = lambda n: UniverseShape(degrees=(1,), n=n)
 SQUARE = lambda n: UniverseShape(degrees=(2,), n=n)
+# every shape with at most 64 vertices, parts of degree <= 3, up to 3 parts
+SMALL_SHAPES = [
+    shape
+    for degrees in [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1),
+                    (2, 2), (1, 1, 1)]
+    for shape in (UniverseShape(degrees=degrees, n=n) for n in range(1, 7))
+    if shape.cells <= 6
+]
 
 
 def generic_edges(shape, spec):
@@ -62,6 +72,25 @@ class TestForbiddenPairGraph:
     def test_fast_path_matches_witness_scan(self, shape, spec):
         graph = build_forbidden_graph(shape, spec)
         assert set(graph.edges()) == generic_edges(shape, spec)
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+    def test_successors_match_witness_relation(self, shape):
+        vertices = 1 << shape.cells
+        specs = [CliqueDifference(shape.degrees),
+                 PolynomialDifference(shape.degrees)]
+        for spec in specs:
+            up = _oriented_successors(shape, spec, vertices)
+            for a in range(vertices):
+                A = SubsetMask(shape, a)
+                assert up[a] == {
+                    b for b in range(vertices)
+                    if a != b and find_witness(A, SubsetMask(shape, b), spec)}
+
+    def test_no_clique_edges_without_increasing_cells(self):
+        # no strictly increasing triple in [2]^3: every pair is clique-free
+        shape = UniverseShape(degrees=(3,), n=2)
+        graph = build_forbidden_graph(shape, CliqueDifference((3,)))
+        assert graph.vertex_count == 256 and graph.edge_count == 0
 
     def test_vertex_cap(self):
         with pytest.raises(CapExceededError):
@@ -176,15 +205,22 @@ class TestThresholdTable:
         assert not table.monotone_nondecreasing
 
 
+SPEC_OF_PATTERN = {
+    "power-difference": lambda degrees: PowerDifference(degree=degrees[0]),
+    "polynomial-difference": PolynomialDifference,
+    "clique-difference": CliqueDifference,
+}
+
+
 class TestRegressionTable:
     def test_entries_reproduce(self):
         table = load_regression_table()
-        assert len(table) == 6
+        assert len(table) == 14
         for entry in table:
-            assert entry["pattern"] == "power-difference"
-            shape = UniverseShape(degrees=tuple(entry["degrees"]),
-                                  n=entry["n"])
-            spec = PowerDifference(degree=entry["degrees"][0])
+            degrees = tuple(entry["degrees"])
+            shape = UniverseShape(degrees=degrees, n=entry["n"])
+            spec = SPEC_OF_PATTERN[entry["pattern"]](degrees)
+            assert pattern_name(spec) == entry["pattern"]
             record = max_avoiding_family(shape, spec)
             assert record.max_size == entry["max_size"]
             assert record.optimal

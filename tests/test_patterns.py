@@ -9,7 +9,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from setdifflab.errors import ShapeMismatchError
 from setdifflab.patterns import (
     DISJOINT_WINDOWS,
     NESTED,
@@ -185,6 +188,16 @@ def test_power_matches_oracle_exhaustively(shape):
             assert verify_witness(A, B, PolynomialDifference(shape.degrees), w)
         else:
             assert w is None
+
+
+@pytest.mark.parametrize("degrees,n", [
+    ((1,), 4), ((2,), 3), ((3,), 3), ((1, 2), 3), ((2, 1, 3), 2)])
+def test_union_of_powers_is_the_product_of_s(degrees, n):
+    sh = UniverseShape(degrees, n)
+    for S in subsets_ascending(n):
+        points = [(part, coords) for part, d in enumerate(degrees, start=1)
+                  for coords in itertools.product(sorted(S), repeat=d)]
+        assert union_of_powers(sh, S) == SubsetMask.from_points(sh, points)
 
 
 def test_intransitivity_exhibit():
@@ -414,6 +427,91 @@ def test_hyperedges_reading():
     m = SubsetMask.from_points(sh, [(1, (1, 2)), (1, (2, 1)), (1, (2, 2))])
     (edges,) = hyperedges_of(m)
     assert edges == frozenset({frozenset({1, 2})})
+
+
+# ---------------------------------------------------------------------------
+# indexed find_pattern_pair against the pairwise scan
+
+
+def pairwise_pattern_pair(fam, spec):
+    """Reference: find_witness on every ordered pair, ascending (a, b)."""
+    members = sorted(fam.members)
+    for a in members:
+        A = SubsetMask(fam.shape, a)
+        for b in members:
+            if a == b:
+                continue
+            B = SubsetMask(fam.shape, b)
+            w = find_witness(A, B, spec)
+            if w is not None:
+                return A, B, w
+    return None
+
+
+def pattern_bits(shape, spec, S):
+    """Cells B \\ A must be for witness S: powers, or all d_j-subsets of S."""
+    if not isinstance(spec, CliqueDifference):
+        return union_of_powers(shape, S).bits
+    bits = 0
+    for part, d in enumerate(shape.degrees, start=1):
+        for c in itertools.combinations(sorted(S), d):
+            bits |= 1 << shape.index_of(part, c)
+    return bits
+
+
+def free_bits(shape):
+    """Cells whose coordinates are not strictly increasing."""
+    bits = 0
+    for i, (_, coords) in enumerate(shape.points()):
+        if any(x >= y for x, y in zip(coords, coords[1:])):
+            bits |= 1 << i
+    return bits
+
+
+@st.composite
+def families(draw, shape, spec):
+    """Random members plus members extended by a pattern (and, for clique
+    specs, by arbitrary free cells), so that hits are common."""
+    full = (1 << shape.cells) - 1
+    base = draw(st.lists(st.integers(0, full), min_size=1, max_size=30))
+    free = free_bits(shape) if isinstance(spec, CliqueDifference) else 0
+    extensions = draw(st.lists(st.tuples(
+        st.sampled_from(base), st.integers(1, (1 << shape.n) - 1),
+        st.integers(0, full)), max_size=6))
+    members = set(base)
+    for a, s_bits, noise in extensions:
+        members.add(a | pattern_bits(shape, spec, set_from_bits(s_bits))
+                    | noise & free)
+    return Family(shape, frozenset(members))
+
+
+INDEXED_CASES = [
+    *[(UniverseShape((1,), n), PowerDifference(1)) for n in range(1, 6)],
+    (UniverseShape((2,), 2), PowerDifference(2)),
+    (UniverseShape((1, 2), 2), PolynomialDifference((1, 2))),
+    (UniverseShape((1, 3), 2), PolynomialDifference((1, 3))),
+    (UniverseShape((2,), 2), CliqueDifference((2,))),
+    (UniverseShape((2,), 3), CliqueDifference((2,))),
+    (UniverseShape((1, 2), 3), CliqueDifference((1, 2))),
+    (UniverseShape((3,), 2), CliqueDifference((3,))),
+]
+
+
+@pytest.mark.parametrize(
+    "shape,spec", INDEXED_CASES,
+    ids=[f"{type(sp).__name__}{sh.degrees}-n{sh.n}" for sh, sp in INDEXED_CASES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_indexed_pattern_pair_matches_pairwise_scan(shape, spec, data):
+    fam = data.draw(families(shape, spec))
+    assert find_pattern_pair(fam, spec) == pairwise_pattern_pair(fam, spec)
+
+
+def test_indexed_pattern_pair_rejects_mismatched_spec():
+    # raised even when the family has no pair to check
+    fam = Family(UniverseShape((2,), 2), frozenset({0}))
+    with pytest.raises(ShapeMismatchError):
+        find_pattern_pair(fam, CliqueDifference((1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -45,6 +46,15 @@ def test_multi_part_offsets():
     assert sh.cells == 6
     assert sh.index_of(2, (1, 2)) == 3
     assert sh.index_of(2, (2, 1)) == 4
+
+
+def test_cached_sizes_leave_equality_hash_and_pickle_alone():
+    used, fresh = UniverseShape((1, 2), 3), UniverseShape((1, 2), 3)
+    assert used.cells == 12 and used.full_bits() == (1 << 12) - 1
+    assert used == fresh and hash(used) == hash(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    again = pickle.loads(pickle.dumps(used))
+    assert again == used and again.cells == 12
 
 
 def test_index_point_roundtrip_exhaustive():
