@@ -133,12 +133,9 @@ def cmd_scan(args) -> None:
 def cmd_phidist(args) -> None:
     forms = forms_from_text(_read(args.forms))
 
-    def table(form):
-        subject = form.induced(args.degree) if args.degree > 1 else form
-        return distribution(subject, mode=args.mode, samples=args.samples,
-                            seed=args.seed)
-
-    tables = [table(form) for form in forms]
+    tables = [distribution(form.induced(args.degree), mode=args.mode,
+                           samples=args.samples, seed=args.seed)
+              for form in forms]
     report = {
         "degree": args.degree,
         "tables": [

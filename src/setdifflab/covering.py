@@ -304,10 +304,16 @@ class DemoCell:
         return bits in self.members
 
 
+DEMO_CELL_CAP = 1 << 17  # the most cells (n 2^n) the demo builds: n <= 13
+
+
 def interval_demo_cells(n: int) -> list[DemoCell]:
     """All n 2^n labeled cells, bases ascending then anchors ascending."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n > DEMO_CELL_CAP.bit_length() or n << n > DEMO_CELL_CAP:
+        raise CapExceededError(
+            f"the demo at n={n} has more than {DEMO_CELL_CAP} cells")
     out = []
     for base in range(1 << n):
         for y in range(1, n + 1):

@@ -4,9 +4,9 @@ zero-sum block partitions.
 A linear form ``phi(x) = a_1 x_1 + ... + a_n x_n`` acts on subsets of [n]
 through indicator vectors; its degree-d induced form ``Phi`` acts on subsets
 of [n]^d, the cell (i_1, ..., i_d) carrying the coefficient
-``a_{i_1} * ... * a_{i_d}``.  Output distributions over uniformly random
-subsets are computed exactly by convolving per-cell Bernoulli pushforwards,
-which stays cheap at side lengths where raw enumeration is hopeless.
+``a_{i_1} * ... * a_{i_d}``.  A form's only table is the cell bitmask of each
+nonzero coefficient value; exact output distributions over uniformly random
+subsets count subsets from its class sizes, where enumeration is hopeless.
 
 The block-partition construction splits [n] into rows of m pairwise disjoint
 blocks on which the form vanishes, plus a remainder.  On any cell that is
@@ -19,15 +19,15 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CapExceededError, FormatError, ShapeMismatchError, UniverseTooSmallError
-from .universe import SubsetMask, UniverseShape
+from .patterns import union_of_powers
+from .universe import SubsetMask, UniverseShape, single_part_degree
 
 DEFAULT_ENUMERATION_BUDGET = 24
 DEFAULT_SAMPLE_COUNT = 10_000
@@ -137,35 +137,34 @@ def support_size(form: AnyForm) -> int:
     return len(support(form))
 
 
-def cell_count(form: AnyForm) -> int:
-    if isinstance(form, InducedForm):
-        return form.n ** form.degree
-    return form.n
-
-
-@lru_cache(maxsize=None)
-def _cell_coefficients(form: AnyForm) -> tuple[int, ...]:
-    """Coefficient of every universe cell, in row-major cell order."""
-    if isinstance(form, LinearFormP):
-        return form.coeffs
-    p = form.p
-    coeffs = form.base.coeffs
-    out = []
-    for combo in itertools.product(range(form.n), repeat=form.degree):
-        term = 1
-        for i in combo:
-            term = term * coeffs[i] % p
-        out.append(term)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def coefficient_class_masks(form: AnyForm) -> tuple[tuple[int, int], ...]:
-    """(value, cell bitmask) per nonzero coefficient value, values ascending."""
-    masks: dict[int, int] = {}
-    for idx, c in enumerate(_cell_coefficients(form)):
-        if c:
-            masks[c] = masks.get(c, 0) | (1 << idx)
+    """(value, cell bitmask) per nonzero coefficient value, values ascending.
+
+    An induced form's classes are folded out of the base form's without
+    visiting cells: the cell (x, rest) of [n]^(k+1) has index
+    (x-1) n^k + index(rest) and the classes of [n]^k fill only the low n^k
+    bits, so multiplying the mask M_w by sum_{a_x = a} 2^((x-1) n^k) lays the
+    class a*w copies side by side with no carries.
+    """
+    if isinstance(form, InducedForm):
+        base, degree = form.base, form.degree
+    else:
+        base, degree = form, 1
+    n, p = base.n, base.p
+    first: dict[int, int] = {}
+    for x, a in enumerate(base.coeffs):
+        if a:
+            first[a] = first.get(a, 0) | 1 << x
+    masks = first
+    for k in range(1, degree):
+        folded: dict[int, int] = {}
+        for a, row in first.items():
+            spread = sum(1 << x * n ** k for x in range(n) if row >> x & 1)
+            for w, mask in masks.items():
+                value = a * w % p
+                folded[value] = folded.get(value, 0) | spread * mask
+        masks = folded
     return tuple(sorted(masks.items()))
 
 
@@ -237,25 +236,29 @@ def _frac(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _convolved_masses(p: int, coefficient_counts) -> tuple[Fraction, ...]:
-    """Distribution of ``sum(c * Bernoulli(1/2))`` mod p, exactly.
+def _convolved_masses(p: int, classes) -> tuple[Fraction, ...]:
+    """Value distribution of a uniform subset of the cells in ``classes``.
 
-    Cells sharing a nonzero coefficient value c contribute Binomial(k, 1/2)
-    copies of c; the values are folded in one at a time.  Zero coefficients
-    never move the sum, so the identity start vector absorbs them.
+    Of the k cells of value c in ``classes``, residue y gets as many subsets
+    as x^y has in (1 + x^c)^k mod (x^p - 1), by repeated squaring; the classes
+    multiply and the integer counts are divided by 2^cells once.
     """
-    masses = [Fraction(1)] + [Fraction(0)] * (p - 1)
-    for value in range(1, p):
-        k = coefficient_counts.get(value, 0)
-        if not k:
-            continue
-        scale = Fraction(1, 2 ** k)
-        weights = [math.comb(k, j) * scale for j in range(k + 1)]
-        masses = [
-            sum(w * masses[(y - j * value) % p] for j, w in enumerate(weights))
-            for y in range(p)
-        ]
-    return tuple(masses)
+    def times(u, v):
+        return [sum(u[i] * v[(y - i) % p] for i in range(p)) for y in range(p)]
+
+    counts = [1] + [0] * (p - 1)
+    cells = 0
+    for value, mask in classes:
+        k = mask.bit_count()
+        cells += k
+        factor = [0] * p
+        factor[0] = factor[value] = 1
+        while k:
+            if k & 1:
+                counts = times(counts, factor)
+            factor = times(factor, factor)
+            k >>= 1
+    return tuple(Fraction(c, 1 << cells) for c in counts)
 
 
 def distribution(form: AnyForm, mode: str = "exact",
@@ -263,7 +266,8 @@ def distribution(form: AnyForm, mode: str = "exact",
                  budget: int = DEFAULT_ENUMERATION_BUDGET) -> DistributionTable:
     """Distribution table of the form's value over uniform random subsets.
 
-    ``exact`` convolves per-coefficient-value binomials (no size limit),
+    ``exact`` counts subsets per residue from the coefficient class sizes
+    (no size limit),
     ``enumerate`` walks all ``2^cells`` subsets (cells capped by ``budget``)
     and exists as an independent cross-check, ``sampled`` draws subsets from
     a seeded generator.
@@ -272,10 +276,10 @@ def distribution(form: AnyForm, mode: str = "exact",
     zsize = support_size(form)
     bound = uniformity_bound(p, zsize)
     if mode == "exact":
-        masses = _convolved_masses(p, Counter(_cell_coefficients(form)))
+        masses = _convolved_masses(p, coefficient_class_masks(form))
         return DistributionTable(p=p, masses=masses, mode="exact",
                                  support_size=zsize, uniformity_bound=bound)
-    cells = cell_count(form)
+    cells = form.shape().cells if isinstance(form, InducedForm) else form.n
     if mode == "enumerate":
         if cells > budget:
             raise CapExceededError(
@@ -482,7 +486,7 @@ def _zero_sum_block(pool, coeffs, p):
 # Block-constant cells
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _product_table(partition: BlockPartition, row: int, degree: int) -> tuple[int, ...]:
     """Bitmask over [n]^degree of each complete block product of a row,
     indexed by the row-major cell index of the small universe [m]^degree."""
@@ -495,6 +499,23 @@ def _product_table(partition: BlockPartition, row: int, degree: int) -> tuple[in
             bits |= 1 << shape.index_of(1, cell)
         table.append(bits)
     return tuple(table)
+
+
+def lift_bits(table: Sequence[int], inside: int) -> Optional[int]:
+    """Small-universe bits of the block products that tile ``inside``, or
+    None when it is not block-constant.
+
+    ``table`` is a row's ``_product_table``; its products partition the row
+    region, which must contain ``inside``.
+    """
+    chosen = 0
+    for idx, product in enumerate(table):
+        hit = product & inside
+        if hit == product:
+            chosen |= 1 << idx
+        elif hit:
+            return None
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -513,8 +534,7 @@ class BlockCell:
 
     def __post_init__(self):
         shape = self.background.shape
-        if shape.s != 1:
-            raise ShapeMismatchError("cells live over a single-part power universe")
+        single_part_degree(shape)
         if shape.n != self.partition.n:
             raise ShapeMismatchError(
                 "background side length differs from the partition's")
@@ -531,10 +551,9 @@ class BlockCell:
         return UniverseShape(degrees=(self.degree,), n=self.partition.m)
 
     def region_bits(self) -> int:
-        bits = 0
-        for product in _product_table(self.partition, self.row, self.degree):
-            bits |= product
-        return bits
+        """The row region X_i^d."""
+        return union_of_powers(self.background.shape,
+                               self.partition.row_union(self.row)).bits
 
     def plant(self, small: SubsetMask) -> SubsetMask:
         """Map a subset of [m]^d to the corresponding cell member."""
@@ -557,15 +576,9 @@ class BlockCell:
         region = self.region_bits()
         if A.bits & ~region != self.background.bits:
             raise ValueError("mask does not extend this cell's background")
-        inside = A.bits & region
-        chosen = 0
-        covered = 0
-        for idx, product in enumerate(
-                _product_table(self.partition, self.row, self.degree)):
-            if product & inside == product:
-                chosen |= 1 << idx
-                covered |= product
-        if covered != inside:
+        chosen = lift_bits(_product_table(self.partition, self.row, self.degree),
+                           A.bits & region)
+        if chosen is None:
             raise ValueError("mask is not block-constant on the row region")
         return SubsetMask(shape=self.small_shape(), bits=chosen)
 
@@ -617,30 +630,23 @@ def cell_value_report(form: InducedForm, partition: BlockPartition) -> CellValue
     """Compare the constant cell values against the global distribution.
 
     The cell value equals the induced form on the background, so per row the
-    value of a uniform background is distributed as the convolution over the
-    coefficients living off that row's region; rows are then averaged.
+    value of a uniform background is distributed as the form's value on the
+    cells off that row's region X_i^d; rows are then averaged.
     """
     if form.n != partition.n or form.p != partition.p:
         raise ShapeMismatchError("form and partition disagree on n or p")
     if partition.t == 0:
         raise UniverseTooSmallError("partition has no rows to average over")
     p = form.p
-    total = Counter(_cell_coefficients(form))
+    classes = coefficient_class_masks(form)
     acc = [Fraction(0)] * p
     for row in range(1, partition.t + 1):
-        base = Counter(form.base.coeffs[z - 1] for z in partition.row_union(row))
-        counts = base.copy()
-        for _ in range(form.degree - 1):
-            folded: Counter = Counter()
-            for v, cv in counts.items():
-                for w, cw in base.items():
-                    folded[v * w % p] += cv * cw
-            counts = folded
-        masses = _convolved_masses(p, total - counts)
-        for y in range(p):
-            acc[y] += masses[y]
+        region = union_of_powers(form.shape(), partition.row_union(row)).bits
+        off = [(value, mask & ~region) for value, mask in classes]
+        for y, q in enumerate(_convolved_masses(p, off)):
+            acc[y] += q
     cell_masses = tuple(q / partition.t for q in acc)
-    global_masses = _convolved_masses(p, total)
+    global_masses = _convolved_masses(p, classes)
     gaps = tuple(abs(a - b) for a, b in zip(cell_masses, global_masses))
     return CellValueReport(cell_masses=cell_masses, global_masses=global_masses,
                            gaps=gaps)

@@ -20,22 +20,18 @@ from .fpforms import (
     BlockCell,
     LinearFormP,
     _frac,
+    _product_table,
     build_block_partition,
     distribution,
     eval_on_bits,
+    lift_bits,
 )
-from .patterns import PatternSpec, PowerDifference, find_pattern_pair
-from .universe import Family, SubsetMask, UniverseShape
+from .patterns import PatternSpec, PowerDifference, find_pattern_pair, union_of_powers
+from .universe import Family, SubsetMask, single_part_degree
 
 DEFAULT_FORM_BUDGET = 1 << 20
 
 Numeric = Union[int, Fraction]
-
-
-def _single_part_degree(shape: UniverseShape) -> int:
-    if shape.s != 1:
-        raise ShapeMismatchError("increment machinery runs on single-part universes")
-    return shape.degrees[0]
 
 
 def family_value_masses(fam: Family, form) -> tuple[Fraction, ...]:
@@ -111,7 +107,7 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     if not fam.members:
         raise ValueError("family is empty")
     eta = Fraction(eta)
-    degree = _single_part_degree(fam.shape)
+    degree = single_part_degree(fam.shape)
     n = fam.shape.n
     exhaustive = p ** n <= search_budget
     if exhaustive:
@@ -163,7 +159,7 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int,
     preconditions hold); with ``expect_guarantee`` a step that fails to beat
     the previous density at all raises ContractViolationError.
     """
-    _single_part_degree(fam.shape)
+    degree = single_part_degree(fam.shape)
     shape = fam.shape
     if report.form.n != shape.n:
         raise ShapeMismatchError("report's form lives on a different [n]")
@@ -173,36 +169,27 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int,
         raise UniverseTooSmallError(
             f"block partition of [{shape.n}] at m={m} produced no rows")
 
-    counters: dict[tuple[int, int], int] = {}
-    regions = {}
-    for row in range(1, partition.t + 1):
-        probe = BlockCell(partition=partition, row=row,
-                          background=SubsetMask.empty(shape))
-        regions[row] = probe.region_bits()
-    for bits in fam.members:
-        for row in range(1, partition.t + 1):
-            background = bits & ~regions[row]
-            cell = BlockCell(partition=partition, row=row,
-                             background=SubsetMask(shape, background))
-            if SubsetMask(shape, bits) in cell:
-                key = (row, background)
-                counters[key] = counters.get(key, 0) + 1
-
-    if counters:
-        row, background = max(counters, key=lambda k: (counters[k], -k[0], -k[1]))
-        count = counters[(row, background)]
-    else:
-        row, background, count = 1, 0, 0
+    # Each member is lifted once per row; only one row's cells are held, and
+    # a row's densest cell replaces the best so far only when strictly denser.
+    row, background, members = 1, 0, []
+    for r in range(1, partition.t + 1):
+        region = union_of_powers(shape, partition.row_union(r)).bits
+        table = _product_table(partition, r, degree)
+        cells: dict[int, list[int]] = {}
+        for bits in fam.members:
+            chosen = lift_bits(table, bits & region)
+            if chosen is not None:
+                cells.setdefault(bits & ~region, []).append(chosen)
+        densest = max(cells, key=lambda b: (len(cells[b]), -b), default=0)
+        if len(cells.get(densest, ())) > len(members):
+            row, background, members = r, densest, cells[densest]
     cell = BlockCell(partition=partition, row=row,
                      background=SubsetMask(shape, background))
-    density = Fraction(count, len(cell))
+    density = Fraction(len(members), len(cell))
     if expect_guarantee and density <= previous:
         raise ContractViolationError(
             f"no cell beats density {previous}; distinguishing gap {report.gap}")
-    lifted = Family(cell.small_shape(),
-                    frozenset(cell.lift(member).bits
-                              for member in (SubsetMask(shape, b) for b in fam.members)
-                              if member in cell))
+    lifted = Family(cell.small_shape(), frozenset(members))
     ratio = 1 + Fraction(report.gap) / 3
     return IncrementStep(
         cell=cell, family=lifted, density=density, previous_density=previous,
@@ -291,7 +278,7 @@ def quasirandomize(fam: Family, p: int, eta: Numeric,
     (final family, IncrementTrace, pattern pair or None).
     """
     eta = Fraction(eta)
-    degree = _single_part_degree(fam.shape)
+    degree = single_part_degree(fam.shape)
     if pattern is None:
         pattern = PowerDifference(degree=degree)
     initial_density = fam.density()

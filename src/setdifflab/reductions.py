@@ -25,15 +25,10 @@ from .universe import (
     SubsetMask,
     UniverseShape,
     plant_into_window,
+    single_part_degree,
 )
 
 Hyperedge = frozenset[int]
-
-
-def _single_part(shape: UniverseShape) -> int:
-    if shape.s != 1:
-        raise ShapeMismatchError("expected a single-part universe")
-    return shape.degrees[0]
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +64,7 @@ class SymmetricRegion:
 
 def is_symmetric(A: SubsetMask) -> bool:
     """Invariance under every coordinate permutation."""
-    _single_part(A.shape)
+    single_part_degree(A.shape)
     for part, coords in A.points():
         for perm in itertools.permutations(coords):
             if not A.contains(part, perm):
@@ -79,7 +74,7 @@ def is_symmetric(A: SubsetMask) -> bool:
 
 def symmetric_lift(A_sym: SubsetMask) -> SubsetMask:
     """Restrict a symmetric set to its sorted representatives."""
-    d = _single_part(A_sym.shape)
+    d = single_part_degree(A_sym.shape)
     if not is_symmetric(A_sym):
         raise ValueError("symmetric_lift needs a symmetric input")
     region = SymmetricRegion(d=d, n=A_sym.shape.n)
@@ -88,7 +83,7 @@ def symmetric_lift(A_sym: SubsetMask) -> SubsetMask:
 
 def symmetric_extend(B: SubsetMask) -> SubsetMask:
     """Orbit closure of a set of sorted representatives."""
-    d = _single_part(B.shape)
+    d = single_part_degree(B.shape)
     region = SymmetricRegion(d=d, n=B.shape.n)
     if not B.issubset(region.mask()):
         raise ValueError("symmetric_extend needs a subset of the sorted region")
@@ -108,7 +103,7 @@ def multiplex(fam: Family, s: int) -> Family:
     """Diagonal copies A |-> A u ... u A over s parts of the same degree."""
     if s < 1:
         raise ValueError("s must be at least 1")
-    d = _single_part(fam.shape)
+    d = single_part_degree(fam.shape)
     big = UniverseShape(degrees=(d,) * s, n=fam.shape.n)
     members = []
     for mask in fam.masks():
@@ -294,7 +289,7 @@ def _representative(combo: Sequence[int], comp: Sequence[int]) -> tuple[int, ...
 def beta_bijection(A_sym: SubsetMask) -> HypergraphBundle:
     """Symmetric set -> bundle: part (k,t) gets {a_1 < ... < a_k} iff the
     sorted point with a_i repeated per the t-th composition lies in the set."""
-    d = _single_part(A_sym.shape)
+    d = single_part_degree(A_sym.shape)
     if not is_symmetric(A_sym):
         raise ValueError("beta_bijection needs a symmetric input")
     n = A_sym.shape.n

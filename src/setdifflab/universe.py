@@ -108,6 +108,14 @@ class UniverseShape:
         return self._full_bits
 
 
+def single_part_degree(shape: UniverseShape) -> int:
+    """The degree d of a single-part universe [n]^d; other shapes raise."""
+    if shape.s != 1:
+        raise ShapeMismatchError(
+            f"expected a single-part universe, got degrees {shape.degrees}")
+    return shape.degrees[0]
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """A subset of the ground set, encoded as an int bitmask."""

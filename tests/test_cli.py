@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from setdifflab import cli
-from setdifflab.fpforms import uniformity_bound
+from setdifflab.fpforms import distribution, forms_from_text, uniformity_bound
 from setdifflab.universe import Family, UniverseShape, family_to_text
 
 
@@ -95,6 +95,14 @@ class TestDemoInterval:
                                 "--family", halfspace4], capsys)
         assert code == 4 and "n=3" in err
 
+    def test_cell_cap_refuses_before_building(self, tmp_path, capsys):
+        # 40 * 2^40 cells would never fit; the cap answers at once
+        path = tmp_path / "fam.txt"
+        path.write_text("shape s=1 d=1 n=40\n")
+        code, out, err = run_cli(["demo-interval", "--n", "40",
+                                  "--family", str(path)], capsys)
+        assert code == 4 and out == "" and "cells" in err
+
 
 class TestPhidist:
     def test_exact_tables(self, tmp_path, capsys):
@@ -142,6 +150,25 @@ class TestPhidist:
                         for m in table["masses"])
         assert Fraction(table["deviation"]) == deviation
         assert table["within_bound"] == (deviation <= bound)
+
+    @pytest.mark.parametrize("degree", ["0", "-2"])
+    def test_degree_below_one_is_domain_error(self, tmp_path, capsys, degree):
+        path = tmp_path / "forms.txt"
+        path.write_text("p=3\n1 2\n")
+        code, out, err = run_cli(["phidist", "--forms", str(path),
+                                  "--degree", degree], capsys)
+        assert code == 4 and out == "" and "degree" in err
+
+    @pytest.mark.parametrize("mode", ["exact", "enumerate", "sampled"])
+    def test_degree_one_is_the_linear_form(self, tmp_path, capsys, mode):
+        path = tmp_path / "forms.txt"
+        path.write_text("p=5\n1 2 0 4\n3 3 3 3\n")
+        doc = run_json(["phidist", "--forms", str(path), "--degree", "1",
+                        "--mode", mode, "--samples", "64"], capsys)
+        expected = [distribution(form, mode=mode, samples=64).to_json()
+                    for form in forms_from_text(path.read_text())]
+        assert [{k: v for k, v in t.items() if k != "form"}
+                for t in doc["report"]["tables"]] == expected
 
     def test_bad_form_file(self, tmp_path, capsys):
         path = tmp_path / "forms.txt"
@@ -210,6 +237,11 @@ class TestExtremal:
 
 
 class TestVerifyFramework:
+    @pytest.mark.parametrize("n", ["14", "40", "1000000000"])
+    def test_cell_cap_refuses_before_building(self, capsys, n):
+        code, out, err = run_cli(["verify-framework", "--n", n], capsys)
+        assert code == 4 and out == "" and "cells" in err
+
     def test_n3_accounting(self, capsys):
         doc = run_json(["verify-framework", "--n", "3"], capsys)
         assert doc["report"] == {

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from setdifflab.covering import (
+    DEMO_CELL_CAP,
     CoveringCell,
     WindowSystem,
     count_hits,
@@ -18,7 +19,11 @@ from setdifflab.covering import (
     scan_for_dense_cell,
     verify_framework_conditions,
 )
-from setdifflab.errors import UnsatisfiablePredicateError, UniverseTooSmallError
+from setdifflab.errors import (
+    CapExceededError,
+    UnsatisfiablePredicateError,
+    UniverseTooSmallError,
+)
 from setdifflab.universe import (
     Family,
     OrderedWindow,
@@ -270,6 +275,16 @@ def test_demo_cells_worked_example():
     # every subset lies in exactly n^2 = 9 labeled cells
     for a in range(8):
         assert sum(1 for c in cells if a in c.members) == 9
+
+
+def test_demo_cell_cap():
+    # the cap admits n = 13 and nothing larger, without building a cell
+    assert 13 << 13 <= DEMO_CELL_CAP < 14 << 14
+    for n in (14, 64, 10 ** 9):
+        with pytest.raises(CapExceededError):
+            interval_demo_cells(n)
+        with pytest.raises(CapExceededError):
+            demo_average_density(n, ())
 
 
 def test_demo_average_density_worked_example():

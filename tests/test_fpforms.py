@@ -7,11 +7,14 @@ greedy order.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
 from setdifflab.fpforms import (
@@ -21,14 +24,17 @@ from setdifflab.fpforms import (
     InducedForm,
     LinearFormP,
     Phi_eval,
+    _product_table,
     build_block_partition,
     cell_form_value,
     cell_value_report,
     check_block_partition,
+    coefficient_class_masks,
     distribution,
     eval_on_bits,
     forms_from_text,
     forms_to_text,
+    lift_bits,
     phi_eval,
     support,
     support_size,
@@ -358,6 +364,13 @@ def test_cell_rejects_bad_backgrounds_and_masks():
     assert stranger not in cell
 
 
+def test_cell_rejects_multi_part_background():
+    two_parts = UniverseShape(degrees=(1, 2), n=6)
+    with pytest.raises(ShapeMismatchError):
+        BlockCell(partition=small_partition(), row=1,
+                  background=SubsetMask.empty(two_parts))
+
+
 def test_lift_rejects_partial_blocks_at_sigma_p():
     form = LinearFormP(p=2, coeffs=(1,) * 16)
     part = build_block_partition(form, m=2)
@@ -454,3 +467,125 @@ def test_distribution_table_validation():
                           mode="exact", support_size=0,
                           uniformity_bound=Fraction(2))
     assert uniformity_bound(2, 3) == Fraction(27, 32)
+
+
+# ---------------------------------------------------------------------------
+# Class masks, counted distributions and lifts against pointwise oracles
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+ALL_SIZES = [(n, d) for n in range(1, 5) for d in range(1, 4)]
+ENUMERABLE = [(n, d) for n, d in ALL_SIZES if n ** d <= 9]
+
+
+@st.composite
+def induced_forms(draw, sizes=ALL_SIZES, sparse=False):
+    """A degree-d lift over [n]; ``sparse`` zeroes at least half the
+    coefficients, so the partition at m=1 has singleton rows."""
+    p = draw(PRIMES)
+    n, d = draw(st.sampled_from(sizes))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    if sparse:
+        for z in draw(st.sets(st.integers(0, n - 1), min_size=(n + 1) // 2)):
+            coeffs[z] = 0
+    return LinearFormP(p=p, coeffs=tuple(coeffs)).induced(d)
+
+
+def cell_products(form):
+    """The coefficient of every cell, point by point, mod p."""
+    shape = form.shape()
+    out = []
+    for idx in range(shape.cells):
+        term = 1
+        for i in shape.point_of(idx)[1]:
+            term *= form.base.coeffs[i - 1]
+        out.append(term % form.p)
+    return out
+
+
+def binomial_fold(p, values):
+    """Value distribution of a uniform subset of cells with these
+    coefficients: one Fraction-valued binomial convolution per value."""
+    masses = [Fraction(1)] + [Fraction(0)] * (p - 1)
+    for value, k in sorted(Counter(v for v in values if v).items()):
+        weights = [Fraction(math.comb(k, j), 2 ** k) for j in range(k + 1)]
+        masses = [sum(w * masses[(y - j * value) % p]
+                      for j, w in enumerate(weights)) for y in range(p)]
+    return tuple(masses)
+
+
+@settings(max_examples=80, deadline=None)
+@given(form=induced_forms())
+def test_class_masks_match_cell_products(form):
+    expected: dict[int, int] = {}
+    for idx, c in enumerate(cell_products(form)):
+        if c:
+            expected[c] = expected.get(c, 0) | 1 << idx
+    assert coefficient_class_masks(form) == tuple(sorted(expected.items()))
+    if form.degree == 1:
+        assert coefficient_class_masks(form.base) == coefficient_class_masks(form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=induced_forms(ENUMERABLE))
+def test_exact_distribution_matches_pointwise_oracle(form):
+    assert distribution(form).masses == oracle_masses(form)
+
+
+@settings(max_examples=80, deadline=None)
+@given(form=induced_forms())
+def test_exact_distribution_matches_binomial_fold(form):
+    assert distribution(form).masses == binomial_fold(form.p, cell_products(form))
+
+
+@settings(max_examples=40, deadline=None)
+@given(form=induced_forms(ENUMERABLE, sparse=True))
+def test_cell_value_report_matches_brute_force(form):
+    partition = build_block_partition(form.base, 1)
+    assert partition.t >= 1
+    shape = form.shape()
+    acc = [Fraction(0)] * form.p
+    for row in range(1, partition.t + 1):
+        X = partition.row_union(row)
+        off = [idx for idx in range(shape.cells)
+               if not set(shape.point_of(idx)[1]) <= X]
+        for chosen in range(1 << len(off)):
+            background = SubsetMask(shape, sum(
+                1 << idx for k, idx in enumerate(off) if chosen >> k & 1))
+            value = cell_form_value(form, partition, row, background)
+            acc[value] += Fraction(1, (1 << len(off)) * partition.t)
+    report = cell_value_report(form, partition)
+    assert report.cell_masses == tuple(acc)
+    assert report.global_masses == oracle_masses(form)
+    assert report.gaps == tuple(abs(a - b) for a, b in zip(acc, report.global_masses))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lift_bits_matches_pointwise_block_constancy(data):
+    # all-nonzero forms partition into zero-sum p-blocks, so a region can
+    # hold partial blocks
+    p = data.draw(st.sampled_from([2, 3]))
+    m = data.draw(st.sampled_from([1, 2]))
+    n = data.draw(st.integers(2 * p * m + 1, 14))
+    d = data.draw(st.sampled_from([1, 2]))
+    coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+    partition = build_block_partition(LinearFormP(p=p, coeffs=tuple(coeffs)), m)
+    row = data.draw(st.integers(1, partition.t))
+    shape = UniverseShape(degrees=(d,), n=n)
+    products = [
+        sum(1 << shape.index_of(1, cell) for cell in itertools.product(*combo))
+        for combo in itertools.product(
+            [sorted(b) for b in partition.rows[row - 1]], repeat=d)]
+    region = sum(products)
+    small = data.draw(st.integers(0, (1 << len(products)) - 1))
+    inside = sum(q for k, q in enumerate(products) if small >> k & 1)
+    if data.draw(st.booleans()):
+        inside ^= data.draw(st.integers(0, (1 << shape.cells) - 1)) & region
+    expected = 0
+    for k, q in enumerate(products):
+        if inside & q == q:
+            expected |= 1 << k
+        elif inside & q:
+            expected = None
+            break
+    assert lift_bits(_product_table(partition, row, d), inside) == expected

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setdifflab.errors import (
     ContractViolationError,
@@ -242,6 +244,106 @@ class TestIncrementStep:
             scope="exhaustive")
         with pytest.raises(ShapeMismatchError):
             increment_step(halfspace(LINE6), report, 1)
+
+
+def two_pass_increment(fam, report, m):
+    """The increment scan as first written, with the old BlockCell.lift loop
+    inlined over pointwise block products: a first pass counts every
+    (row, background) cell a member lies in, a second lifts the densest
+    cell's members.  Returns (cell, density, lifted family)."""
+    shape = fam.shape
+    partition = build_block_partition(report.form, m)
+    if partition.t == 0:
+        raise UniverseTooSmallError("no rows")
+    tables = {}
+    for row in range(1, partition.t + 1):
+        blocks = [sorted(b) for b in partition.rows[row - 1]]
+        tables[row] = [
+            sum(1 << shape.index_of(1, cell) for cell in itertools.product(*combo))
+            for combo in itertools.product(blocks, repeat=shape.degrees[0])]
+
+    def lift(row, bits):
+        """(background, small-universe bits) of the member's cell, or None."""
+        region = chosen = covered = 0
+        for idx, product in enumerate(tables[row]):
+            region |= product
+            if product & bits == product:
+                chosen |= 1 << idx
+                covered |= product
+        return (bits & ~region, chosen) if covered == bits & region else None
+
+    counters = {}
+    for bits in fam.members:
+        for row in tables:
+            lifted = lift(row, bits)
+            if lifted is not None:
+                key = (row, lifted[0])
+                counters[key] = counters.get(key, 0) + 1
+    if counters:
+        row, background = max(counters, key=lambda k: (counters[k], -k[0], -k[1]))
+        count = counters[(row, background)]
+    else:
+        row, background, count = 1, 0, 0
+    cell = BlockCell(partition=partition, row=row,
+                     background=SubsetMask(shape, background))
+    lifts = [lift(row, bits) for bits in fam.members]
+    lifted = Family(cell.small_shape(), frozenset(
+        small for back, small in filter(None, lifts) if back == background))
+    return cell, F(count, len(cell)), lifted
+
+
+@st.composite
+def increment_cases(draw, blocks):
+    """(family, report, m).  Without ``blocks``: n <= 4 and at least half the
+    coefficients zero, so rows are singletons.  With ``blocks``: every
+    coefficient nonzero, so rows hold zero-sum p-blocks that members can cut.
+    Members are random or planted into a random cell, then maybe perturbed."""
+    m = draw(st.sampled_from([1, 2]))
+    if blocks:
+        p = draw(st.sampled_from([2, 3]))
+        n = draw(st.integers(2 * p * m + 1, 14))
+        d = draw(st.sampled_from([1, 2]))
+        coeffs = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+    else:
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        n = draw(st.integers(1, 4))
+        d = draw(st.integers(1, 3))
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+        for z in draw(st.sets(st.integers(0, n - 1), min_size=(n + 1) // 2)):
+            coeffs[z] = 0
+    form = LinearFormP(p=p, coeffs=tuple(coeffs))
+    shape = UniverseShape(degrees=(d,), n=n)
+    partition = build_block_partition(form, m)
+    any_bits = st.integers(0, shape.full_bits())
+    members = set(draw(st.lists(any_bits, min_size=1, max_size=4)))
+    for _ in range(draw(st.integers(0, 12)) if partition.t else 0):
+        row = draw(st.integers(1, partition.t))
+        region = BlockCell(partition=partition, row=row,
+                           background=SubsetMask.empty(shape)).region_bits()
+        cell = BlockCell(partition=partition, row=row, background=SubsetMask(
+            shape, draw(st.sampled_from(sorted(members))) & ~region))
+        small = draw(st.integers(0, len(cell) - 1))
+        bits = cell.plant(SubsetMask(cell.small_shape(), small)).bits
+        if draw(st.booleans()):
+            bits ^= draw(any_bits) & draw(any_bits)
+        members.add(bits)
+    report = DistinguishingReport(form=form, y=0, gap=F(1, 2), scope="pool")
+    return Family(shape, frozenset(members)), report, m
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_increment_step_matches_two_pass_loop(blocks, data):
+    fam, report, m = data.draw(increment_cases(blocks))
+    try:
+        expected = two_pass_increment(fam, report, m)
+    except UniverseTooSmallError:
+        with pytest.raises(UniverseTooSmallError):
+            increment_step(fam, report, m)
+        return
+    step = increment_step(fam, report, m)
+    assert (step.cell, step.density, step.family) == expected
 
 
 class TestIterationCap:

@@ -21,6 +21,7 @@ from setdifflab.universe import (
     mask_to_hex,
     plant_into_window,
     restrict_and_relabel,
+    single_part_degree,
     window_region,
 )
 
@@ -55,6 +56,12 @@ def test_cached_sizes_leave_equality_hash_and_pickle_alone():
     assert pickle.dumps(used) == pickle.dumps(fresh)
     again = pickle.loads(pickle.dumps(used))
     assert again == used and again.cells == 12
+
+
+def test_single_part_degree():
+    assert single_part_degree(UniverseShape((3,), 2)) == 3
+    with pytest.raises(ShapeMismatchError):
+        single_part_degree(UniverseShape((1, 2), 2))
 
 
 def test_index_point_roundtrip_exhaustive():
