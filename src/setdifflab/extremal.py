@@ -10,15 +10,15 @@ package data.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError, ContractViolationError
+from .fpforms import _frac
 from .patterns import (
     CliqueDifference,
     FamilyDifference,
@@ -29,6 +29,7 @@ from .patterns import (
     find_pattern_pair,
     find_witness,
     pattern_index,
+    pattern_table,
 )
 from .universe import Family, SubsetMask, UniverseShape
 
@@ -47,30 +48,37 @@ def pattern_name(spec: PatternSpec) -> str:
     return names[type(spec)]
 
 
+def _bit_indices(bits: int) -> Iterator[int]:
+    """Positions of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 @dataclass(frozen=True)
 class ForbiddenPairGraph:
-    """All subsets as vertices; edges are witness-admitting pairs."""
+    """All subsets as vertices; edges are witness-admitting pairs.
+
+    ``adj[v]`` is the bitmask of the neighbours of vertex v.
+    """
 
     shape: UniverseShape
     spec: PatternSpec
-    neighbors: tuple[tuple[int, ...], ...]
+    adj: tuple[int, ...]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.neighbors)
+        return len(self.adj)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self.neighbors) // 2
+        return sum(bits.bit_count() for bits in self.adj) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for a, ns in enumerate(self.neighbors):
-            for b in ns:
-                if a < b:
-                    yield a, b
-
-    def mask(self, vertex: int) -> SubsetMask:
-        return SubsetMask(self.shape, vertex)
+        for a, bits in enumerate(self.adj):
+            for b in _bit_indices(bits >> a + 1 << a + 1):
+                yield a, b
 
     def distance2_closure(self) -> "ForbiddenPairGraph":
         """Pairs sharing a common lower set they both extend by a pattern.
@@ -81,20 +89,20 @@ class ForbiddenPairGraph:
         ``distance2_witness``, which the tests confirm pair by pair.
         """
         up = _oriented_successors(self.shape, self.spec, self.vertex_count)
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u in range(self.vertex_count):
-            reach = sorted(up[u] | {u})
-            for a, b in itertools.combinations(reach, 2):
-                adj[a].add(b)
-                adj[b].add(a)
+        adj = [0] * self.vertex_count
+        for u, successors in enumerate(up):
+            reach = successors | 1 << u
+            for a in _bit_indices(reach):
+                adj[a] |= reach
         return ForbiddenPairGraph(
             shape=self.shape, spec=self.spec,
-            neighbors=tuple(tuple(sorted(ns)) for ns in adj))
+            adj=tuple(bits & ~(1 << v) for v, bits in enumerate(adj)))
 
 
 def _oriented_successors(shape: UniverseShape, spec: PatternSpec,
-                         vertices: int) -> list[frozenset[int]]:
-    """For each vertex A, every B such that (A, B) admits a witness.
+                         vertices: int) -> list[int]:
+    """For each vertex A, the bitmask of every B such that (A, B) admits a
+    witness.
 
     With a pattern table the successors of A are key(A) | P | f for each
     table entry P disjoint from key(A) and each subset f of the free cells,
@@ -102,22 +110,21 @@ def _oriented_successors(shape: UniverseShape, spec: PatternSpec,
     """
     index = pattern_index(shape, spec)
     if index is None:
-        up = []
-        for a in range(vertices):
-            A = SubsetMask(shape, a)
-            up.append(frozenset(
-                b for b in range(vertices)
-                if a != b and find_witness(A, SubsetMask(shape, b), spec)))
-        return up
-    mask, table, _ = index
-    free = [f for f in range(vertices) if not f & mask]
-    by_key: dict[int, frozenset[int]] = {}
+        masks = [SubsetMask(shape, v) for v in range(vertices)]
+        return [sum(1 << b for b, B in enumerate(masks)
+                    if a != b and find_witness(A, B, spec))
+                for a, A in enumerate(masks)]
+    mask = index[0]
+    table = pattern_table(shape, spec)
+    # Bit f for each free subset f; shifted by key | P it holds key | P | f.
+    # Distinct P give disjoint shifted copies, so summing them ORs them.
+    free = sum(1 << f for f in range(vertices) if not f & mask)
+    by_key: dict[int, int] = {}
     up = []
     for a in range(vertices):
         key = a & mask
         if key not in by_key:
-            by_key[key] = frozenset(
-                key | P | f for P in table if not P & key for f in free)
+            by_key[key] = sum(free << (key | P) for P in table if not P & key)
         up.append(by_key[key])
     return up
 
@@ -133,22 +140,19 @@ def build_forbidden_graph(shape: UniverseShape, spec: PatternSpec,
     if vertices > vertex_cap:
         raise CapExceededError(
             f"{vertices} vertices exceed the cap {vertex_cap}")
-    adj: list[set[int]] = [set() for _ in range(vertices)]
     up = _oriented_successors(shape, spec, vertices)
-    for a in range(vertices):
-        for b in up[a]:
-            adj[a].add(b)
-            adj[b].add(a)
-    return ForbiddenPairGraph(
-        shape=shape, spec=spec,
-        neighbors=tuple(tuple(sorted(ns)) for ns in adj))
+    adj = list(up)
+    for a, successors in enumerate(up):
+        for b in _bit_indices(successors):
+            adj[b] |= 1 << a
+    return ForbiddenPairGraph(shape=shape, spec=spec, adj=tuple(adj))
 
 
 # ---------------------------------------------------------------------------
 # maximum independent set
 
 
-def _greedy_clique_cover_bound(candidates: int, adj: list[int]) -> int:
+def _greedy_clique_cover_bound(candidates: int, adj: Sequence[int]) -> int:
     bound = 0
     rest = candidates
     while rest:
@@ -167,7 +171,7 @@ def _greedy_clique_cover_bound(candidates: int, adj: list[int]) -> int:
     return bound
 
 
-def _solve_mis(adj: list[int], deadline: Optional[float]) -> tuple[int, int, bool]:
+def _solve_mis(adj: Sequence[int], deadline: Optional[float]) -> tuple[int, int, bool]:
     """Exact MIS by branch and bound; returns (size, member bits, optimal)."""
     n = len(adj)
     best_size = 0
@@ -214,7 +218,7 @@ def _solve_mis(adj: list[int], deadline: Optional[float]) -> tuple[int, int, boo
     return best_size, best_set, optimal
 
 
-def _exhaustive_mis(adj: list[int]) -> tuple[int, int]:
+def _exhaustive_mis(adj: Sequence[int]) -> tuple[int, int]:
     n = len(adj)
     if n > EXHAUSTIVE_VERTEX_CAP:
         raise CapExceededError(
@@ -255,19 +259,11 @@ class ExtremalRecord:
             "n": self.shape.n,
             "pattern": pattern_name(self.spec),
             "max_size": self.max_size,
-            "max_density": f"{self.max_density.numerator}/{self.max_density.denominator}",
+            "max_density": _frac(self.max_density),
             "witness_family": [m.to_hex() for m in self.witness_family.masks()],
             "method": self.method,
             "optimal": self.optimal,
         }
-
-
-def _dense_adjacency(graph: ForbiddenPairGraph) -> list[int]:
-    adj = [0] * graph.vertex_count
-    for a, ns in enumerate(graph.neighbors):
-        for b in ns:
-            adj[a] |= 1 << b
-    return adj
 
 
 def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
@@ -279,8 +275,7 @@ def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
     A time limit (seconds) turns the result into a best-known lower bound
     with ``optimal=False``; without one the search runs to completion.
     """
-    graph = build_forbidden_graph(shape, spec, vertex_cap=vertex_cap)
-    adj = _dense_adjacency(graph)
+    adj = build_forbidden_graph(shape, spec, vertex_cap=vertex_cap).adj
     if method == "branch-and-bound":
         deadline = None if time_limit is None else time.monotonic() + time_limit
         size, chosen, optimal = _solve_mis(adj, deadline)
@@ -289,9 +284,7 @@ def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
         optimal = True
     else:
         raise ValueError(f"unknown method {method!r}")
-    members = frozenset(
-        v for v in range(graph.vertex_count) if chosen >> v & 1)
-    family = Family(shape, members)
+    family = Family(shape, frozenset(_bit_indices(chosen)))
     if len(family) != size or find_pattern_pair(family, spec) is not None:
         raise ContractViolationError("solver produced an invalid record")
     return ExtremalRecord(shape=shape, spec=spec, max_size=size,
@@ -318,7 +311,7 @@ class ThresholdTable:
                 {
                     "n": r.shape.n,
                     "max_size": r.max_size,
-                    "max_density": f"{r.max_density.numerator}/{r.max_density.denominator}",
+                    "max_density": _frac(r.max_density),
                     "optimal": r.optimal,
                 }
                 for r in self.rows

@@ -176,6 +176,19 @@ def eval_on_bits(form: AnyForm, bits: int) -> int:
     return total % form.p
 
 
+def value_counts(form: AnyForm, subsets: Iterable[int]) -> list[int]:
+    """How many of the subsets (bitmasks over the form's universe) take
+    each value 0, ..., p-1."""
+    classes, p = coefficient_class_masks(form), form.p
+    counts = [0] * p
+    for bits in subsets:
+        total = 0
+        for value, mask in classes:
+            total += value * (bits & mask).bit_count()
+        counts[total % p] += 1
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # Output distributions
 
@@ -284,9 +297,7 @@ def distribution(form: AnyForm, mode: str = "exact",
         if cells > budget:
             raise CapExceededError(
                 f"enumeration over 2^{cells} subsets exceeds budget 2^{budget}")
-        counts = [0] * p
-        for bits in range(1 << cells):
-            counts[eval_on_bits(form, bits)] += 1
+        counts = value_counts(form, range(1 << cells))
         masses = tuple(Fraction(c, 1 << cells) for c in counts)
         return DistributionTable(p=p, masses=masses, mode="enumerate",
                                  support_size=zsize, uniformity_bound=bound)
@@ -294,9 +305,7 @@ def distribution(form: AnyForm, mode: str = "exact",
         if samples < 1:
             raise ValueError("need at least one sample")
         rng = Random(seed)
-        counts = [0] * p
-        for _ in range(samples):
-            counts[eval_on_bits(form, rng.getrandbits(cells))] += 1
+        counts = value_counts(form, (rng.getrandbits(cells) for _ in range(samples)))
         masses = tuple(Fraction(c, samples) for c in counts)
         return DistributionTable(p=p, masses=masses, mode="sampled",
                                  support_size=zsize, uniformity_bound=bound,

@@ -19,12 +19,13 @@ from .errors import ContractViolationError, ShapeMismatchError, UniverseTooSmall
 from .fpforms import (
     BlockCell,
     LinearFormP,
+    _convolved_masses,
     _frac,
     _product_table,
     build_block_partition,
-    distribution,
-    eval_on_bits,
+    coefficient_class_masks,
     lift_bits,
+    value_counts,
 )
 from .patterns import PatternSpec, PowerDifference, find_pattern_pair, union_of_powers
 from .universe import Family, SubsetMask, single_part_degree
@@ -38,9 +39,7 @@ def family_value_masses(fam: Family, form) -> tuple[Fraction, ...]:
     """Distribution of the (induced) form over the family's members."""
     if not fam.members:
         raise ValueError("family is empty")
-    counts = [0] * form.p
-    for bits in fam.members:
-        counts[eval_on_bits(form, bits)] += 1
+    counts = value_counts(form, fam.members)
     return tuple(Fraction(c, len(fam.members)) for c in counts)
 
 
@@ -122,7 +121,7 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
             raise ShapeMismatchError(f"candidate form {form} does not fit p={p}, n={n}")
         induced = form.induced(degree)
         fam_masses = family_value_masses(fam, induced)
-        global_masses = distribution(induced).masses
+        global_masses = _convolved_masses(p, coefficient_class_masks(induced))
         for y in range(p):
             gap = abs(fam_masses[y] - global_masses[y])
             if best is None or gap > best.gap:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import ShapeMismatchError
 from .universe import (
@@ -176,12 +176,6 @@ def set_from_bits(bits: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def subsets_ascending(n: int) -> Iterator[frozenset[int]]:
-    """All subsets of [n] in ascending bit order (the canonical scan order)."""
-    for b in range(1 << n):
-        yield set_from_bits(b)
-
-
 def _power_bits(shape: UniverseShape, s: int) -> int:
     """Bits of S^{d_1} u ... u S^{d_s} for S given as a bitmask over [n].
 
@@ -190,13 +184,12 @@ def _power_bits(shape: UniverseShape, s: int) -> int:
     carries; the product is S^{k+1}.
     """
     n = shape.n
-    elems = [x for x in range(n) if s >> x & 1]
+    elems = [x for x in range(n) if s >> x & 1] if max(shape.degrees) > 1 else ()
     bits = 0
     for part, d in enumerate(shape.degrees, start=1):
-        cube = 1
-        for k in range(d):
-            stride = n ** k
-            cube *= s if stride == 1 else sum(1 << x * stride for x in elems)
+        cube = s
+        for k in range(1, d):
+            cube *= sum(1 << x * n ** k for x in elems)
         bits |= cube << shape.part_offset(part)
     return bits
 
@@ -220,25 +213,9 @@ def _same_shape(A: SubsetMask, B: SubsetMask) -> UniverseShape:
 
 
 def power_difference_witness(A: SubsetMask, B: SubsetMask) -> Optional[PowerWitness]:
-    """S with B \\ A = S^{d_1} u ... u S^{d_s}, if the pair has one.
-
-    S is recovered from the diagonal points of part 1 (x in S iff the
-    all-x point of part 1 lies in B \\ A) and then verified against every
-    part, which also shows the witness is unique when it exists.
-    """
-    shape = _same_shape(A, B)
-    if A.bits == B.bits or not A.issubset(B):
-        return None
-    diff = B.difference(A)
-    d1 = shape.degrees[0]
-    S = frozenset(
-        x for x in range(1, shape.n + 1) if diff.contains(1, (x,) * d1)
-    )
-    if not S:
-        return None
-    if diff.bits != union_of_powers(shape, S).bits:
-        return None
-    return PowerWitness(S)
+    """S with B \\ A = S^{d_1} u ... u S^{d_s}, if the pair has one (it is
+    unique: S is the set of coordinates that B \\ A touches)."""
+    return _indexed_witness(A, B, PolynomialDifference(A.shape.degrees))
 
 
 def distance2_witness(
@@ -246,29 +223,26 @@ def distance2_witness(
 ) -> Optional[Distance2Witness]:
     """Common-subset certificate: U with A \\ U and B \\ U both power-form.
 
-    Scans candidate pairs (S_1, S_2) in ascending bit order; U is forced to
-    A minus the S_1-powers.  Empty S_i are allowed (then that side equals U);
-    A == B is rejected outright since the pair must be distinct.
+    Walks S_1 in ascending bit order; U = A minus the S_1-powers is forced,
+    and so is S_2, which the witness check reads off B \\ U.  Empty S_i are
+    allowed (then that side equals U); A == B is rejected outright since the
+    pair must be distinct.
     """
     shape = _same_shape(A, B)
     if A.bits == B.bits:
         raise ValueError("distance-2 witness needs a distinct pair")
     if spec is not None:
         _check_degrees(spec, shape)
-    powers = [union_of_powers(shape, S) for S in subsets_ascending(shape.n)]
-    for P1 in powers:
-        if not P1.issubset(A):
+    index = pattern_index(shape, PolynomialDifference(shape.degrees))
+    for s1 in range(1 << shape.n):
+        P1 = _power_bits(shape, s1)
+        if P1 & ~A.bits:
             continue
-        rest1 = A.bits & ~P1.bits
-        for P2 in powers:
-            if not P2.issubset(B):
-                continue
-            if rest1 == B.bits & ~P2.bits:
-                S1 = frozenset(x for x in range(1, shape.n + 1)
-                               if P1.contains(1, (x,) * shape.degrees[0]))
-                S2 = frozenset(x for x in range(1, shape.n + 1)
-                               if P2.contains(1, (x,) * shape.degrees[0]))
-                return Distance2Witness(SubsetMask(shape, rest1), S1, S2)
+        U = A.bits & ~P1
+        s2 = _witness_set(shape, index, U, B.bits)
+        if s2 or U == B.bits:
+            return Distance2Witness(
+                SubsetMask(shape, U), set_from_bits(s1), set_from_bits(s2))
     return None
 
 
@@ -424,27 +398,9 @@ def clique_difference_witness(
     """S with (edges of B) \\ (edges of A) = all d_j-subsets of S, per part.
 
     Only the strictly-increasing cells matter; the rest are free bits.  S is
-    recovered as the union of vertices over all difference edges, then
-    verified (parts with |S| < d_j must have empty difference).
+    the set of vertices the difference edges touch.
     """
-    shape = _same_shape(A, B)
-    H = hyperedges_of(A)
-    G = hyperedges_of(B)
-    if any(h - g for h, g in zip(H, G)):
-        return None
-    diffs = [g - h for h, g in zip(H, G)]
-    S: set[int] = set()
-    for dset in diffs:
-        for e in dset:
-            S |= e
-    if not S:
-        return None
-    for j, dset in enumerate(diffs):
-        d = shape.degrees[j]
-        want = {frozenset(c) for c in itertools.combinations(sorted(S), d)}
-        if dset != want:
-            return None
-    return CliqueWitness(frozenset(S))
+    return _indexed_witness(A, B, CliqueDifference(A.shape.degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +410,14 @@ def clique_difference_witness(
 def find_witness(A: SubsetMask, B: SubsetMask, spec: PatternSpec) -> Optional[Witness]:
     shape = _same_shape(A, B)
     _check_degrees(spec, shape)
-    if isinstance(spec, (PowerDifference, PolynomialDifference)):
-        return power_difference_witness(A, B)
+    if isinstance(spec, (PowerDifference, PolynomialDifference, CliqueDifference)):
+        return _indexed_witness(A, B, spec)
     if isinstance(spec, FamilyDifference):
         return family_difference_witness(A, B, spec.family, spec.mode)
     if isinstance(spec, IntervalModN):
         if A.bits == B.bits:
             return None
         return interval_mod_n_witness(A.bits, B.bits, shape.n)
-    if isinstance(spec, CliqueDifference):
-        return clique_difference_witness(A, B)
     raise TypeError(f"unknown pattern spec {spec!r}")
 
 
@@ -537,25 +491,23 @@ def verify_witness(
 
 
 # ---------------------------------------------------------------------------
-# pattern tables: the witness relation as a lookup on raw ints
+# power and clique witnesses: one check on raw ints
 
 
 @lru_cache(maxsize=16)
 def pattern_index(
     shape: UniverseShape, spec: PatternSpec
-) -> Optional[tuple[int, dict[int, int], type]]:
-    """(key mask, table, witness class) for specs whose witness is a lookup.
+) -> Optional[tuple[int, tuple[int, ...], type]]:
+    """(key mask, touch masks, witness class) for power and clique specs;
+    None for family and interval specs.  Built without enumerating S.
 
-    With key(X) = X & mask, the pair (A, B) admits a witness exactly when
-    P = key(B) ^ key(A) is a table entry disjoint from key(A); the witness
-    is the class applied to the set with bitmask table[P].  Cells outside
-    the mask are free.  Family and interval specs have no table (None).
-
-    Power specs key on every cell and P(S) = S^{d_1} u ... u S^{d_s},
-    which determines S through its part-1 diagonal.  Clique specs key on
-    the strictly increasing cells, and P(S) = K(S) is the part of S^{d_j}
-    on them: every d_j-subset of S.  A nonzero K(S) covers every vertex of
-    S, so it determines S as well.  The table is shared; do not mutate it.
+    Cells outside the key mask are free; ``touch[x - 1]`` holds the key cells
+    with x among their coordinates.  Power specs key on every cell and
+    P(S) = S^{d_1} u ... u S^{d_s}; clique specs key on the strictly
+    increasing cells, where P(S) = K(S) is every d_j-subset of S.  A nonzero
+    P(S) touches exactly the coordinates in S, so with key(X) = X & mask the
+    pair (A, B) has the witness S iff key(A) lies inside key(B) and
+    P = key(B) ^ key(A) is P(S) for the nonempty S that P touches.
     """
     if isinstance(spec, (PowerDifference, PolynomialDifference)):
         witness = PowerWitness
@@ -570,29 +522,71 @@ def pattern_index(
         for i, (_, coords) in enumerate(shape.points()):
             if all(x < y for x, y in zip(coords, coords[1:])):
                 mask |= 1 << i
+    everything = (1 << shape.n) - 1
+    # the cells avoiding x are ([n] - {x})^{d_j}
+    touch = tuple(mask & ~_power_bits(shape, everything & ~(1 << x))
+                  for x in range(shape.n))
+    return mask, touch, witness
+
+
+def _witness_set(shape: UniverseShape, index, ka: int, kb: int) -> int:
+    """Bitmask of the witness S for keys (ka, kb), or 0 if there is none."""
+    mask, touch, _ = index
+    if kb & ka != ka:
+        return 0
+    P = kb ^ ka
+    s = 0
+    for x, cells in enumerate(touch):
+        if P & cells:
+            s |= 1 << x
+    return s if s and _power_bits(shape, s) & mask == P else 0
+
+
+def _indexed_witness(A: SubsetMask, B: SubsetMask,
+                     spec: PatternSpec) -> Optional[Witness]:
+    shape = _same_shape(A, B)
+    index = pattern_index(shape, spec)
+    mask, _, witness = index
+    s = _witness_set(shape, index, A.bits & mask, B.bits & mask)
+    return witness(set_from_bits(s)) if s else None
+
+
+@lru_cache(maxsize=16)
+def pattern_table(shape: UniverseShape, spec: PatternSpec) -> dict[int, int]:
+    """P(S) -> bitmask of S for every S with nonzero P(S), in ascending S.
+
+    Enumerates all 2^n sets S, so only callers that already spend 2^n steps
+    build it.  The table is shared; do not mutate it.
+    """
+    mask = pattern_index(shape, spec)[0]
     table = {}
     for s in range(1, 1 << shape.n):
         P = _power_bits(shape, s) & mask
         if P:
             table[P] = s
-    return mask, table, witness
+    return table
 
 
 def _first_indexed_pair(
-    members: list[int], mask: int, table: dict[int, int]
+    shape: UniverseShape, spec: PatternSpec, members: list[int]
 ) -> Optional[tuple[int, int, int]]:
-    """First (a, b, table[P]) in ascending (a, b) order; members ascending.
+    """First (a, b, S bits) in ascending (a, b) order; members ascending.
 
-    Each member does min(|table|, |members|) probes: a scan of the members
-    when the table is the larger, else one lookup per table entry.
+    A family with fewer than 2^n members checks its ordered pairs; a larger
+    one does one lookup per ``pattern_table`` entry and member.
     """
-    if len(table) > len(members):
+    index = pattern_index(shape, spec)
+    mask = index[0]
+    if len(members) < 1 << shape.n:
         keyed = [(b, b & mask) for b in members]
         for a, ka in keyed:
             for b, kb in keyed:
-                if kb & ka == ka and (kb ^ ka) in table:
-                    return a, b, table[kb ^ ka]
+                if kb & ka == ka:  # cheap rejection before the full check
+                    s = _witness_set(shape, index, ka, kb)
+                    if s:
+                        return a, b, s
         return None
+    table = pattern_table(shape, spec)
     smallest: dict[int, int] = {}
     for b in members:
         smallest.setdefault(b & mask, b)
@@ -613,8 +607,9 @@ def find_pattern_pair(
 
     Pairs are ranked in ascending (A.bits, B.bits) order, so the result is
     deterministic for a given family and spec.  Power, polynomial and
-    clique specs look each member up in the spec's ``pattern_index``;
-    family and interval specs run ``find_witness`` on every ordered pair.
+    clique specs decide pairs on raw ints through the spec's
+    ``pattern_index``; family and interval specs run ``find_witness`` on
+    every ordered pair.
     """
     shape = fam.shape
     members = sorted(fam.members)
@@ -630,9 +625,8 @@ def find_pattern_pair(
                 if w is not None:
                     return A, B, w
         return None
-    mask, table, witness = index
-    hit = _first_indexed_pair(members, mask, table)
+    hit = _first_indexed_pair(shape, spec, members)
     if hit is None:
         return None
     a, b, s = hit
-    return SubsetMask(shape, a), SubsetMask(shape, b), witness(set_from_bits(s))
+    return SubsetMask(shape, a), SubsetMask(shape, b), index[2](set_from_bits(s))

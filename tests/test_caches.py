@@ -24,5 +24,6 @@ def test_every_lru_cache_is_bounded():
     caches = dict(lru_caches())
     assert "setdifflab.fpforms.coefficient_class_masks" in caches
     assert "setdifflab.fpforms._product_table" in caches
+    assert "setdifflab.patterns.pattern_table" in caches
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert unbounded == []

@@ -19,6 +19,7 @@ from setdifflab.extremal import (
 )
 from setdifflab.patterns import (
     CliqueDifference,
+    IntervalModN,
     PolynomialDifference,
     PowerDifference,
     distance2_witness,
@@ -73,6 +74,12 @@ class TestForbiddenPairGraph:
         graph = build_forbidden_graph(shape, spec)
         assert set(graph.edges()) == generic_edges(shape, spec)
 
+    def test_pairwise_spec_graph(self):
+        # interval specs have no pattern index: every ordered pair is checked
+        graph = build_forbidden_graph(LINE(3), IntervalModN())
+        assert set(graph.edges()) == generic_edges(LINE(3), IntervalModN())
+        assert graph.edge_count == 28  # every pair of subsets of Z_3
+
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
     def test_successors_match_witness_relation(self, shape):
         vertices = 1 << shape.cells
@@ -82,7 +89,7 @@ class TestForbiddenPairGraph:
             up = _oriented_successors(shape, spec, vertices)
             for a in range(vertices):
                 A = SubsetMask(shape, a)
-                assert up[a] == {
+                assert {b for b in range(vertices) if up[a] >> b & 1} == {
                     b for b in range(vertices)
                     if a != b and find_witness(A, SubsetMask(shape, b), spec)}
 
@@ -107,6 +114,7 @@ class TestDistance2Closure:
     def test_matches_pairwise_witness(self, shape, spec):
         closure = build_forbidden_graph(shape, spec).distance2_closure()
         closed = set(closure.edges())
+        assert closure.edge_count == len(closed)  # no self-loops
         for a in range(1 << shape.cells):
             for b in range(a + 1, 1 << shape.cells):
                 w = distance2_witness(

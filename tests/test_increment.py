@@ -13,9 +13,17 @@ from setdifflab.errors import (
     ShapeMismatchError,
     UniverseTooSmallError,
 )
-from setdifflab.fpforms import BlockCell, LinearFormP, build_block_partition
+from setdifflab.fpforms import (
+    BlockCell,
+    LinearFormP,
+    build_block_partition,
+    distribution,
+    eval_on_bits,
+)
 from setdifflab.increment import (
     DistinguishingReport,
+    _pool_forms,
+    _vector_forms,
     default_m_schedule,
     family_value_masses,
     find_distinguishing_form,
@@ -163,6 +171,53 @@ class TestFindDistinguishingForm:
         with pytest.raises(ValueError):
             find_distinguishing_form(
                 Family(LINE6, frozenset()), 2, F(1, 4))
+
+
+def fraction_loop_search(fam, p, eta, search_budget, extra_forms):
+    """The form search as first written: per-member evaluation counts
+    against the masses of each candidate's full distribution table."""
+    degree, n = fam.shape.degrees[0], fam.shape.n
+    if p ** n <= search_budget:
+        candidates, scope = _vector_forms(p, n), "exhaustive"
+    else:
+        candidates, scope = itertools.chain(_pool_forms(p, n), extra_forms), "pool"
+    best = None
+    for form in candidates:
+        induced = form.induced(degree)
+        counts = [0] * p
+        for bits in fam.members:
+            counts[eval_on_bits(induced, bits)] += 1
+        global_masses = distribution(induced).masses
+        for y in range(p):
+            gap = abs(F(counts[y], len(fam)) - global_masses[y])
+            if best is None or gap > best.gap:
+                best = DistinguishingReport(form=form, y=y, gap=gap, scope=scope)
+    return best if best is not None and best.gap >= eta else None
+
+
+@st.composite
+def search_cases(draw):
+    """(family, p, eta, budget, extra forms); the budget picks the scope."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([1, 2]))
+    shape = UniverseShape(degrees=(d,), n=n)
+    members = draw(st.sets(st.integers(0, shape.full_bits()), min_size=1, max_size=20))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    extra = [LinearFormP(p=p, coeffs=tuple(c))
+             for c in draw(st.lists(coeffs, max_size=3))]
+    budget = p ** n - draw(st.sampled_from([0, 1]))
+    eta = draw(st.sampled_from([F(0), F(1, 8), F(1, 4), F(1, 2)]))
+    return Family(shape, frozenset(members)), p, eta, budget, extra
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=search_cases())
+def test_find_distinguishing_form_matches_fraction_loop(case):
+    fam, p, eta, budget, extra = case
+    got = find_distinguishing_form(fam, p, eta, search_budget=budget,
+                                   extra_forms=extra)
+    assert got == fraction_loop_search(fam, p, eta, budget, extra)
 
 
 class TestIncrementStep:

@@ -18,10 +18,12 @@ from setdifflab.patterns import (
     NESTED,
     SAME_WINDOW,
     CliqueDifference,
+    CliqueWitness,
     FamilyDifference,
     IntervalModN,
     PolynomialDifference,
     PowerDifference,
+    PowerWitness,
     clique_difference_witness,
     cyclic_interval_bits,
     distance2_witness,
@@ -30,9 +32,9 @@ from setdifflab.patterns import (
     find_witness,
     hyperedges_of,
     interval_mod_n_witness,
+    pattern_table,
     power_difference_witness,
     set_from_bits,
-    subsets_ascending,
     union_of_powers,
     verify_witness,
 )
@@ -43,6 +45,12 @@ from setdifflab.universe import (
     UniverseShape,
     plant_into_window,
 )
+
+
+def subsets_ascending(n):
+    """All subsets of [n] in ascending bit order (the canonical scan order)."""
+    for b in range(1 << n):
+        yield set_from_bits(b)
 
 
 def masks(shape):
@@ -76,6 +84,52 @@ def oracle_power(A, B):
         if P.bits & A.bits == 0 and A.bits | P.bits == B.bits:
             out.append(S)
     return out
+
+
+def diagonal_power_witness(A, B):
+    """The S of B \\ A = powers(S), recovered from the part-1 diagonal and
+    verified against every part (the original extractor)."""
+    shape = A.shape
+    if A.bits == B.bits or not A.issubset(B):
+        return None
+    diff = B.difference(A)
+    d1 = shape.degrees[0]
+    S = frozenset(
+        x for x in range(1, shape.n + 1) if diff.contains(1, (x,) * d1))
+    if not S or diff.bits != union_of_powers(shape, S).bits:
+        return None
+    return PowerWitness(S)
+
+
+def hyperedge_clique_witness(A, B):
+    """The S whose d_j-subsets are exactly the new hyperedges, recovered as
+    their vertex union (the original extractor)."""
+    H, G = hyperedges_of(A), hyperedges_of(B)
+    if any(h - g for h, g in zip(H, G)):
+        return None
+    diffs = [g - h for h, g in zip(H, G)]
+    S = set().union(*(e for dset in diffs for e in dset))
+    if not S:
+        return None
+    for d, dset in zip(A.shape.degrees, diffs):
+        if dset != {frozenset(c) for c in itertools.combinations(sorted(S), d)}:
+            return None
+    return CliqueWitness(frozenset(S))
+
+
+def double_loop_distance2(A, B):
+    """(U, S1, S2) of the first (S1, S2) pair in ascending bit order whose
+    powers leave the same U on both sides (the original double loop)."""
+    shape = A.shape
+    powers = [(S, union_of_powers(shape, S)) for S in subsets_ascending(shape.n)]
+    for S1, P1 in powers:
+        if not P1.issubset(A):
+            continue
+        rest1 = A.bits & ~P1.bits
+        for S2, P2 in powers:
+            if P2.issubset(B) and rest1 == B.bits & ~P2.bits:
+                return rest1, S1, S2
+    return None
 
 
 def oracle_distance2(A, B):
@@ -183,6 +237,7 @@ def test_power_matches_oracle_exhaustively(shape):
         oracle = oracle_power(A, B)
         assert len(oracle) <= 1  # witness uniqueness
         w = power_difference_witness(A, B)
+        assert w == diagonal_power_witness(A, B)
         if oracle:
             assert w is not None and w.S == oracle[0]
             assert verify_witness(A, B, PolynomialDifference(shape.degrees), w)
@@ -262,6 +317,16 @@ def test_distance2_matches_oracle_exhaustively(shape):
         assert (got is None) == (want is None)
         if got is not None:
             assert verify_witness(A, B, PolynomialDifference(shape.degrees), got)
+
+
+@pytest.mark.parametrize(
+    "shape", [UniverseShape((1,), 4), UniverseShape((2,), 2), UniverseShape((1, 2), 2)],
+    ids=str)
+def test_distance2_matches_double_loop(shape):
+    for A, B in ordered_pairs(shape):
+        got = distance2_witness(A, B)
+        want = double_loop_distance2(A, B)
+        assert (None if got is None else (got.U.bits, got.S1, got.S2)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +487,34 @@ def test_clique_multi_part_bundle():
     assert clique_difference_witness(H1, bad) is None
 
 
+@pytest.mark.parametrize("shape", [
+    UniverseShape((2,), 2), UniverseShape((2,), 3), UniverseShape((1, 2), 2),
+    UniverseShape((3,), 2), UniverseShape((1, 1), 2), UniverseShape((1, 2), 3)],
+    ids=str)
+def test_clique_matches_hyperedge_extractor(shape):
+    """Every ordered pair up to 64 subsets; above that, random pairs and
+    random members extended by a clique bundle plus free-cell noise."""
+    spec = CliqueDifference(shape.degrees)
+    if shape.cells <= 6:
+        pairs = ordered_pairs(shape)
+    else:
+        rng = random.Random(shape.cells)
+        full, free = (1 << shape.cells) - 1, free_bits(shape)
+        pairs = []
+        for _ in range(1000):
+            a, noise = rng.getrandbits(shape.cells), rng.getrandbits(shape.cells)
+            S = set_from_bits(rng.randrange(1, 1 << shape.n))
+            for b in (rng.getrandbits(shape.cells),
+                      a | pattern_bits(shape, spec, S) | noise & free,
+                      a & ~pattern_bits(shape, spec, S) & full):
+                pairs += [(SubsetMask(shape, a), SubsetMask(shape, b)),
+                          (SubsetMask(shape, b), SubsetMask(shape, a))]
+    for A, B in pairs:
+        w = clique_difference_witness(A, B)
+        assert w == hyperedge_clique_witness(A, B)
+        assert w == find_witness(A, B, CliqueDifference(shape.degrees))
+
+
 def test_hyperedges_reading():
     sh = UniverseShape((2,), 3)
     m = SubsetMask.from_points(sh, [(1, (1, 2)), (1, (2, 1)), (1, (2, 2))])
@@ -434,7 +527,10 @@ def test_hyperedges_reading():
 
 
 def pairwise_pattern_pair(fam, spec):
-    """Reference: find_witness on every ordered pair, ascending (a, b)."""
+    """Reference: the original extractors on every ordered pair, ascending
+    (a, b)."""
+    extract = (hyperedge_clique_witness if isinstance(spec, CliqueDifference)
+               else diagonal_power_witness)
     members = sorted(fam.members)
     for a in members:
         A = SubsetMask(fam.shape, a)
@@ -442,7 +538,7 @@ def pairwise_pattern_pair(fam, spec):
             if a == b:
                 continue
             B = SubsetMask(fam.shape, b)
-            w = find_witness(A, B, spec)
+            w = extract(A, B)
             if w is not None:
                 return A, B, w
     return None
@@ -507,6 +603,21 @@ def test_indexed_pattern_pair_matches_pairwise_scan(shape, spec, data):
     assert find_pattern_pair(fam, spec) == pairwise_pattern_pair(fam, spec)
 
 
+@pytest.mark.parametrize("shape,spec,S", [
+    (UniverseShape((1,), 40), PowerDifference(1), {3, 17, 40}),
+    (UniverseShape((2,), 12), CliqueDifference((2,)), {2, 5, 12}),
+], ids=["power-n40", "clique-n12"])
+def test_small_family_over_large_universe_builds_no_table(shape, spec, S):
+    pattern_table.cache_clear()
+    a = SubsetMask(shape, (1 << 7) | (1 << 38 % shape.cells))
+    b = SubsetMask(shape, a.bits | pattern_bits(shape, spec, S))
+    c = SubsetMask(shape, (1 << 20) | 1)  # no pattern to or from a or b
+    fam = Family(shape, frozenset({a.bits, b.bits, c.bits}))
+    A, B, w = find_pattern_pair(fam, spec)
+    assert (A, B, w.S) == (a, b, frozenset(S))
+    assert pattern_table.cache_info().currsize == 0
+
+
 def test_indexed_pattern_pair_rejects_mismatched_spec():
     # raised even when the family has no pair to check
     fam = Family(UniverseShape((2,), 2), frozenset({0}))
@@ -547,8 +658,6 @@ def test_verify_rejects_corrupted_certificates():
     sh = UniverseShape((2,), 2)
     A, B = SubsetMask(sh, 0), union_of_powers(sh, {1})
     w = power_difference_witness(A, B)
-    from setdifflab.patterns import PowerWitness
-
     assert not verify_witness(A, B, PowerDifference(2), PowerWitness(frozenset({2})))
     assert not verify_witness(B, A, PowerDifference(2), w)
 
