@@ -13,17 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Collection, Hashable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError, ShapeMismatchError, UnsatisfiablePredicateError, UniverseTooSmallError
-from .patterns import cyclic_interval_bits, interval_mod_n_witness
+from .patterns import cyclic_interval_bits
 from .universe import (
     Family,
     OrderedWindow,
     SubsetMask,
     UniverseShape,
-    plant_into_window,
-    restrict_and_relabel,
+    _plant_bits,
+    _restrict_bits,
+    _window_runs,
     window_region,
 )
 
@@ -80,7 +82,9 @@ def count_hits(A: SubsetMask, ws: WindowSystem, pred: Predicate) -> int:
     """N(A): the number of windows whose relabeled restriction satisfies pred."""
     if A.shape != ws.shape:
         raise ShapeMismatchError("mask shape does not match the window system")
-    return sum(1 for w in ws.windows if pred(restrict_and_relabel(A, w)))
+    small = ws.small_shape
+    return sum(1 for w in ws.windows
+               if pred(SubsetMask(small, _restrict_bits(A.bits, _window_runs(A.shape, w)))))
 
 
 def satisfying_count(small_shape: UniverseShape, pred: Predicate) -> int:
@@ -153,16 +157,16 @@ class CoveringCell:
         return len(self.pattern_family)
 
     def members(self) -> Iterator[SubsetMask]:
-        shape = self.background.shape
-        for f in self.pattern_family.masks():
-            yield plant_into_window(f, self.window, shape).union(self.background)
+        shape, u = self.background.shape, self.background.bits
+        runs = _window_runs(shape, self.window)
+        for f in sorted(self.pattern_family.members):
+            yield SubsetMask(shape, _plant_bits(f, runs) | u)
 
     def __contains__(self, mask: SubsetMask) -> bool:
-        shape = self.background.shape
-        region = window_region(shape, self.window)
-        if mask.bits & ~region.bits != self.background.bits:
+        runs = _window_runs(self.background.shape, self.window)
+        if mask.bits & ~_plant_bits(-1, runs) != self.background.bits:
             return False
-        return restrict_and_relabel(mask, self.window) in self.pattern_family
+        return _restrict_bits(mask.bits, runs) in self.pattern_family.members
 
 
 def scan_for_dense_cell(
@@ -174,7 +178,7 @@ def scan_for_dense_cell(
     cells).  All cells share the size |pattern_family|, so the average over
     cells of |fam n C| / |C| equals a ratio of two incidence counts and the
     pigeonhole max >= average is exact.  Ties break to the smallest window
-    index, then the smallest background bit value.
+    index, then the smallest background bit value, so member order is free.
     """
     shape = fam.shape
     if pattern_family.shape.degrees != shape.degrees:
@@ -186,12 +190,12 @@ def scan_for_dense_cell(
     ws = WindowSystem.canonical(shape, m)
     pf = pattern_family.members
     counters: dict[tuple[int, int], int] = {}
-    regions = [window_region(shape, w).bits for w in ws.windows]
-    for b in sorted(fam.members):
-        A = SubsetMask(shape, b)
-        for r, w in enumerate(ws.windows):
-            if restrict_and_relabel(A, w).bits in pf:
-                key = (r, b & ~regions[r])
+    maps = [(r, _window_runs(shape, w), ~window_region(shape, w).bits)
+            for r, w in enumerate(ws.windows)]
+    for b in fam.members:
+        for r, runs, off in maps:
+            if _restrict_bits(b, runs) in pf:
+                key = (r, b & off)
                 counters[key] = counters.get(key, 0) + 1
     cell_size = len(pattern_family)
     off_cells = shape.cells - ws.small_shape.cells
@@ -239,7 +243,7 @@ def proof_chain_report(
         raise CapExceededError("full enumeration refused beyond 2^20 subsets")
     ws = WindowSystem.canonical(shape, m)
     pf = pattern_family.members
-    pred = lambda F: F.bits in pf
+    runs = [_window_runs(shape, w) for w in ws.windows]
     p = Fraction(len(pattern_family), 1 << ws.small_shape.cells)
     expectation = ws.t * p
     threshold = (1 - epsilon) * expectation
@@ -247,8 +251,7 @@ def proof_chain_report(
     window_counts = [0] * ws.t
     fam_window_counts = [0] * ws.t
     for b in range(1 << shape.cells):
-        A = SubsetMask(shape, b)
-        hits = [pred(restrict_and_relabel(A, w)) for w in ws.windows]
+        hits = [_restrict_bits(b, rt) in pf for rt in runs]
         N = sum(hits)
         sum_N += N
         for r, h in enumerate(hits):
@@ -307,29 +310,43 @@ class DemoCell:
 DEMO_CELL_CAP = 1 << 17  # the most cells (n 2^n) the demo builds: n <= 13
 
 
-def interval_demo_cells(n: int) -> list[DemoCell]:
-    """All n 2^n labeled cells, bases ascending then anchors ascending."""
+@lru_cache(maxsize=16)
+def _demo_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row y-1: the cyclic intervals starting at y of lengths 0..n-1.
+
+    Refused first when the demo's n 2^n cells exceed DEMO_CELL_CAP.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n > DEMO_CELL_CAP.bit_length() or n << n > DEMO_CELL_CAP:
         raise CapExceededError(
             f"the demo at n={n} has more than {DEMO_CELL_CAP} cells")
-    out = []
-    for base in range(1 << n):
-        for y in range(1, n + 1):
-            members = tuple(
-                base ^ cyclic_interval_bits(n, y, length) for length in range(n)
-            )
-            out.append(DemoCell(n, base, y, members))
-    return out
+    return tuple(tuple(cyclic_interval_bits(n, y, length) for length in range(n))
+                 for y in range(1, n + 1))
+
+
+@lru_cache(maxsize=16)
+def _cyclic_intervals(n: int) -> frozenset[int]:
+    """Every nonempty cyclic interval of Z_n, the full set included."""
+    return frozenset(i for row in _demo_rows(n) for i in row if i) | {(1 << n) - 1}
+
+
+def interval_demo_cells(n: int) -> list[DemoCell]:
+    """All n 2^n labeled cells, bases ascending then anchors ascending."""
+    rows = _demo_rows(n)
+    return [
+        DemoCell(n, base, y, tuple(base ^ i for i in row))
+        for base in range(1 << n)
+        for y, row in enumerate(rows, start=1)
+    ]
 
 
 def demo_average_density(n: int, fam_bits: Collection[int]) -> Fraction:
     """Average over labeled cells of |fam n C| / |C|, as an exact rational."""
-    fam = set(fam_bits)
-    cells = interval_demo_cells(n)
-    hits = sum(sum(1 for mbr in c.members if mbr in fam) for c in cells)
-    return Fraction(hits, len(cells) * n)
+    intervals = [i for row in _demo_rows(n) for i in row]
+    fam = frozenset(fam_bits)
+    hits = sum(base ^ i in fam for base in range(1 << n) for i in intervals)
+    return Fraction(hits, (n << n) * n)
 
 
 @dataclass(frozen=True)
@@ -400,9 +417,14 @@ def verify_framework_conditions(
 
 
 def demo_framework_report(n: int) -> FrameworkReport:
-    """The cyclic-shift demo run through the generic condition checker."""
+    """The cyclic-shift demo run through the generic condition checker.
+
+    The pattern is interval_mod_n_witness(a, b, n) is not None, read as one
+    lookup of a ^ b among the nonempty cyclic intervals.
+    """
+    intervals = _cyclic_intervals(n)
     return verify_framework_conditions(
         interval_demo_cells(n),
         range(1 << n),
-        pattern=lambda a, b: interval_mod_n_witness(a, b, n) is not None,
+        pattern=lambda a, b: a ^ b in intervals,
     )

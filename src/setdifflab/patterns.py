@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import ShapeMismatchError
+from .errors import CapExceededError, ShapeMismatchError
 from .universe import (
     Family,
     OrderedWindow,
@@ -218,6 +218,9 @@ def power_difference_witness(A: SubsetMask, B: SubsetMask) -> Optional[PowerWitn
     return _indexed_witness(A, B, PolynomialDifference(A.shape.degrees))
 
 
+DISTANCE2_CAP = 1 << 16  # the most sets S_1 distance2_witness walks: n <= 16
+
+
 def distance2_witness(
     A: SubsetMask, B: SubsetMask, spec: Optional[PatternSpec] = None
 ) -> Optional[Distance2Witness]:
@@ -226,11 +229,14 @@ def distance2_witness(
     Walks S_1 in ascending bit order; U = A minus the S_1-powers is forced,
     and so is S_2, which the witness check reads off B \\ U.  Empty S_i are
     allowed (then that side equals U); A == B is rejected outright since the
-    pair must be distinct.
+    pair must be distinct.  The walk is refused past DISTANCE2_CAP sets S_1.
     """
     shape = _same_shape(A, B)
     if A.bits == B.bits:
         raise ValueError("distance-2 witness needs a distinct pair")
+    if shape.n >= DISTANCE2_CAP.bit_length():
+        raise CapExceededError(
+            f"distance-2 search over 2^{shape.n} sets S_1 exceeds {DISTANCE2_CAP}")
     if spec is not None:
         _check_degrees(spec, shape)
     index = pattern_index(shape, PolynomialDifference(shape.degrees))
@@ -357,25 +363,20 @@ def interval_mod_n_witness(
 ) -> Optional[IntervalWitness]:
     """(start, length) if the symmetric difference is one cyclic interval.
 
-    The full set is an interval from any start; ties break to start 1.
+    The full set is an interval from any start; ties break to start 1.  A
+    difference with bits at or above n is no interval of Z_n.
     """
     diff = a_bits ^ b_bits
-    if diff == 0:
+    full = (1 << n) - 1
+    if diff == 0 or diff & ~full:
         return None
-    if diff == (1 << n) - 1:
+    if diff == full:
         return IntervalWitness(1, n)
-    k = diff.bit_count()
-    starts = []
-    for z in range(1, n + 1):
-        pred = n if z == 1 else z - 1
-        if diff >> (z - 1) & 1 and not diff >> (pred - 1) & 1:
-            starts.append(z)
-    if len(starts) != 1:
+    # z starts a run when z is in diff and z - 1 (mod n) is not
+    starts = diff & ~((diff << 1 | diff >> (n - 1)) & full)
+    if starts & (starts - 1):
         return None  # more than one run
-    y = starts[0]
-    if cyclic_interval_bits(n, y, k) != diff:
-        return None
-    return IntervalWitness(y, k)
+    return IntervalWitness(starts.bit_length(), diff.bit_count())
 
 
 # ---------------------------------------------------------------------------

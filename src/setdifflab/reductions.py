@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -62,14 +63,20 @@ class SymmetricRegion:
         return SubsetMask.from_points(self.shape(), pts)
 
 
+@lru_cache(maxsize=64)
+def _orbit_masks(shape: UniverseShape) -> tuple[int, ...]:
+    """One mask per coordinate-permutation orbit of [n]^d, C(n+d-1, d) in all,
+    in the order of their sorted representatives."""
+    d = single_part_degree(shape)
+    return tuple(
+        sum(1 << shape.index_of(1, perm) for perm in set(itertools.permutations(rep)))
+        for rep in itertools.combinations_with_replacement(range(1, shape.n + 1), d))
+
+
 def is_symmetric(A: SubsetMask) -> bool:
-    """Invariance under every coordinate permutation."""
-    single_part_degree(A.shape)
-    for part, coords in A.points():
-        for perm in itertools.permutations(coords):
-            if not A.contains(part, perm):
-                return False
-    return True
+    """Invariance under every coordinate permutation: each orbit is all in
+    or all out."""
+    return all(A.bits & orbit in (0, orbit) for orbit in _orbit_masks(A.shape))
 
 
 def symmetric_lift(A_sym: SubsetMask) -> SubsetMask:
@@ -87,12 +94,7 @@ def symmetric_extend(B: SubsetMask) -> SubsetMask:
     region = SymmetricRegion(d=d, n=B.shape.n)
     if not B.issubset(region.mask()):
         raise ValueError("symmetric_extend needs a subset of the sorted region")
-    pts = [
-        (1, perm)
-        for _part, coords in B.points()
-        for perm in set(itertools.permutations(coords))
-    ]
-    return SubsetMask.from_points(B.shape, pts)
+    return SubsetMask(B.shape, sum(o for o in _orbit_masks(B.shape) if B.bits & o))
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +107,9 @@ def multiplex(fam: Family, s: int) -> Family:
         raise ValueError("s must be at least 1")
     d = single_part_degree(fam.shape)
     big = UniverseShape(degrees=(d,) * s, n=fam.shape.n)
-    members = []
-    for mask in fam.masks():
-        pts = [
-            (part, coords)
-            for _p, coords in mask.points()
-            for part in range(1, s + 1)
-        ]
-        members.append(SubsetMask.from_points(big, pts).bits)
-    return Family(big, frozenset(members))
+    # a member fills only the low n^d bits, so this product has no carries
+    copies = sum(1 << k * fam.shape.cells for k in range(s))
+    return Family(big, frozenset(b * copies for b in fam.members))
 
 
 # ---------------------------------------------------------------------------
@@ -349,27 +345,20 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
     if n < 1:
         raise ValueError("n must be positive")
     shape = UniverseShape(degrees=(2,), n=n)
-    fixed_cells = [(x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1)]
-    if loopful:
-        fixed_cells += [(x, x) for x in range(1, n + 1)]
-    free_cells = [
-        (x, y)
-        for x in range(1, n + 1) for y in range(1, n + 1)
-        if (x, y) not in fixed_cells
-    ]
+    free = shape.full_bits()
+    for x in range(n):
+        for y in range(x if loopful else x + 1, n):
+            free &= ~(1 << x * n + y)
     members = set()
     for graph in graphs:
-        edge_set = _normalize_graph(graph, n, loopful)
-        base = 0
-        for x, y in fixed_cells:
-            if (frozenset({x, y}) if x != y else frozenset({x})) in edge_set:
-                base |= 1 << shape.index_of(1, (x, y))
-        for choice in range(1 << len(free_cells)):
-            bits = base
-            for i, cell in enumerate(free_cells):
-                if choice >> i & 1:
-                    bits |= 1 << shape.index_of(1, cell)
-            members.add(bits)
+        base = sum(1 << (min(e) - 1) * n + max(e) - 1
+                   for e in _normalize_graph(graph, n, loopful))
+        sub = 0  # the fibre: every subset of the free cells, ascending
+        while True:
+            members.add(base | sub)
+            sub = (sub - free) & free
+            if not sub:
+                break
     return Family(shape, frozenset(members))
 
 

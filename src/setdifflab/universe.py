@@ -295,19 +295,38 @@ def _normalize_windows(
 
 
 @lru_cache(maxsize=4096)
-def _window_index_table(
-    shape: UniverseShape, windows: tuple[OrderedWindow, ...]
-) -> tuple[int, ...]:
-    """Source cell index for each cell of the relabeled m-shape, in order."""
-    m = windows[0].m
-    small = UniverseShape(shape.degrees, m)
-    table = []
-    for part, coords in small.points():
+def _window_runs(
+    shape: UniverseShape, windows: OrderedWindow | tuple[OrderedWindow, ...]
+) -> tuple[tuple[int, int, int], ...]:
+    """The window map as maximal runs of consecutive source cells.
+
+    Cells of the relabeled m-shape, taken in order, map to source cells; each
+    run is (source index, small index, run mask) for a stretch where both
+    indices step by one.  An interval window gives m^(d-1) runs of m bits
+    per degree-d part.  The three window maps below read this table.
+    """
+    windows = _normalize_windows(shape, windows)
+    small = UniverseShape(shape.degrees, windows[0].m)
+    runs: list[list[int]] = []
+    for dst, (part, coords) in enumerate(small.points()):
         w = windows[part - 1].elements
-        src = tuple(w[c - 1] for c in coords)
-        table.append(shape.index_of(part, src))
-    assert len(table) == small.cells
-    return tuple(table)
+        src = shape.index_of(part, tuple(w[c - 1] for c in coords))
+        if runs and src == runs[-1][0] + runs[-1][2]:
+            runs[-1][2] += 1
+        else:
+            runs.append([src, dst, 1])
+    return tuple((src, dst, (1 << length) - 1) for src, dst, length in runs)
+
+
+def _restrict_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
+    """restrict_and_relabel on a raw member int, given its window runs."""
+    return sum((bits >> src & run) << dst for src, dst, run in runs)
+
+
+def _plant_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
+    """plant_into_window on a raw small-shape int, given its window runs
+    (all ones plant the whole window region)."""
+    return sum((bits >> dst & run) << src for src, dst, run in runs)
 
 
 def restrict_and_relabel(
@@ -319,13 +338,8 @@ def restrict_and_relabel(
     element (under the window's ordering) becomes the label k.
     """
     ws = _normalize_windows(mask.shape, windows)
-    table = _window_index_table(mask.shape, ws)
     small = UniverseShape(mask.shape.degrees, ws[0].m)
-    bits = 0
-    for small_idx, src_idx in enumerate(table):
-        if mask.bits >> src_idx & 1:
-            bits |= 1 << small_idx
-    return SubsetMask(small, bits)
+    return SubsetMask(small, _restrict_bits(mask.bits, _window_runs(mask.shape, ws)))
 
 
 def plant_into_window(
@@ -338,12 +352,7 @@ def plant_into_window(
     ws = _normalize_windows(shape, windows)
     if ws[0].m != small_mask.shape.n or small_mask.shape.degrees != shape.degrees:
         raise ShapeMismatchError("small mask does not match window size / degrees")
-    table = _window_index_table(shape, ws)
-    bits = 0
-    for small_idx, src_idx in enumerate(table):
-        if small_mask.bits >> small_idx & 1:
-            bits |= 1 << src_idx
-    return SubsetMask(shape, bits)
+    return SubsetMask(shape, _plant_bits(small_mask.bits, _window_runs(shape, ws)))
 
 
 def window_region(
@@ -351,10 +360,7 @@ def window_region(
 ) -> SubsetMask:
     """The region X_1^{d_1} u ... u X_s^{d_s} as a mask over the big shape."""
     ws = _normalize_windows(shape, windows)
-    bits = 0
-    for src_idx in _window_index_table(shape, ws):
-        bits |= 1 << src_idx
-    return SubsetMask(shape, bits)
+    return SubsetMask(shape, _plant_bits(-1, _window_runs(shape, ws)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +370,14 @@ def window_region(
 def _embed_point(coords: tuple[int, ...], d_target: int) -> tuple[int, ...]:
     reps = d_target - len(coords) + 1
     return (coords[0],) * reps + coords[1:]
+
+
+@lru_cache(maxsize=64)
+def _embed_table(source: UniverseShape, target: UniverseShape) -> tuple[int, ...]:
+    """Per source cell, the bit of its image cell."""
+    return tuple(
+        1 << target.index_of(part, _embed_point(coords, target.degrees[part - 1]))
+        for part, coords in source.points())
 
 
 def embed_lower_degree(
@@ -381,10 +395,8 @@ def embed_lower_degree(
     if any(t < d for t, d in zip(tdeg, src.degrees)):
         raise ValueError(f"target degrees {tdeg} below source {src.degrees}")
     target = UniverseShape(tdeg, src.n)
-    bits = 0
-    for part, coords in mask.points():
-        bits |= 1 << target.index_of(part, _embed_point(coords, tdeg[part - 1]))
-    return SubsetMask(target, bits)
+    table = _embed_table(src, target)
+    return SubsetMask(target, sum(table[i] for i in mask.indices()))
 
 
 def embedded_region(
@@ -406,12 +418,8 @@ def embed_preimage(
     region = embedded_region(source, mask.shape.degrees)
     if not mask.issubset(region):
         raise ValueError("mask is not contained in the embedded region")
-    bits = 0
-    for part, coords in SubsetMask.full(source).points():
-        img = _embed_point(coords, mask.shape.degrees[part - 1])
-        if mask.contains(part, img):
-            bits |= 1 << source.index_of(part, coords)
-    return SubsetMask(source, bits)
+    table = _embed_table(source, mask.shape)
+    return SubsetMask(source, sum(1 << i for i, b in enumerate(table) if mask.bits & b))
 
 
 # ---------------------------------------------------------------------------

@@ -25,5 +25,9 @@ def test_every_lru_cache_is_bounded():
     assert "setdifflab.fpforms.coefficient_class_masks" in caches
     assert "setdifflab.fpforms._product_table" in caches
     assert "setdifflab.patterns.pattern_table" in caches
+    for table in ("universe._window_runs", "universe._embed_table",
+                  "covering._demo_rows", "covering._cyclic_intervals",
+                  "reductions._orbit_masks"):
+        assert f"setdifflab.{table}" in caches
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert unbounded == []

@@ -1,6 +1,9 @@
 """End-to-end runs of the setdiff command line."""
 
+import hashlib
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -301,6 +304,87 @@ class TestReduce:
         code, _, _ = run_cli(["reduce", "--mode", "clique",
                               "--bundles", str(path)], capsys)
         assert code == 4
+
+
+class TestReportBytes:
+    """Reports of the covering and reduce subcommands on small fixed inputs,
+    pinned by the sha256 of their sorted-key JSON (the config is left out:
+    it holds the temporary file paths)."""
+
+    DIGESTS = {
+        "scan-d1":
+            "22115108ac1eb8b814e3a92e176f66c14d5cb7a06a59ae9d7bc14add6c4c3af0",
+        "scan-d12":
+            "bed68b308524286d07552a07bf721ba28e75775eb01f221a51c108bfb881f0ad",
+        "demo-interval":
+            "167a6aa1b843cd0fd3074fb493466449147e6efcff8246331c96472f729f86e8",
+        "verify-framework":
+            "90f01a84ca9945e4822a1256fef8a345545485cf110b6c3db65ee0fc9036371b",
+        "reduce-beta":
+            "06f6fbdd4569ed0d33f97cbf219089cf88421cc1ecc6f206c8623b7120cb8c1e",
+        "reduce-multiplex":
+            "57303b527262010fbdf8eb31c4e8a1f2a53aa2e3a82827e1f02ce5c0843bd328",
+        "reduce-embed":
+            "81e680a87e337a9a67a01f19dcdcf11f1e04a3975b4478bccc58972183db51d4",
+        "reduce-clique":
+            "8e4ccee4dec0899998b3c216f310f44fb5583d507f03f2f052b76814c8e2e5cc",
+        "reduce-clique-loopful":
+            "8b9a17e2c5a5edffb39c9454ab6411185d8fa94abc3cb8598dc9bce50a2c8d74",
+    }
+
+    @staticmethod
+    def jobs(tmp_path):
+        rng = random.Random(2024)
+
+        def fam(name, degrees, n, members):
+            path = tmp_path / name
+            path.write_text(family_to_text(
+                Family(UniverseShape(degrees, n), frozenset(members))))
+            return str(path)
+
+        def symmetric(n, d):
+            bits = 0
+            for rep in itertools.combinations_with_replacement(range(n), d):
+                if rng.random() < 0.5:
+                    for perm in set(itertools.permutations(rep)):
+                        bits |= 1 << sum(c * n ** (d - 1 - k)
+                                         for k, c in enumerate(perm))
+            return bits
+
+        graphs = tmp_path / "graphs.txt"
+        graphs.write_text("n=4 degrees=2\n1,2 2,3\n-\n1,3 1,4 2,4 3,4\n")
+        return {
+            "scan-d1": ["scan", "--m", "3",
+                        "--family", fam("d1.fam", (1,), 9, rng.sample(range(512), 150)),
+                        "--pattern-family", fam("d1.pat", (1,), 3, {1, 2, 5, 6})],
+            "scan-d12": ["scan", "--m", "2",
+                         "--family", fam("d12.fam", (1, 2), 4,
+                                         {rng.getrandbits(20) for _ in range(300)}),
+                         "--pattern-family", fam("d12.pat", (1, 2), 2,
+                                                 {3, 10, 17, 33, 60})],
+            "demo-interval": ["demo-interval", "--n", "6",
+                              "--family", fam("demo.fam", (1,), 6,
+                                              rng.sample(range(64), 25))],
+            "verify-framework": ["verify-framework", "--n", "5"],
+            "reduce-beta": ["reduce", "--mode", "beta", "--family",
+                            fam("sym.fam", (3,), 3, {symmetric(3, 3) for _ in range(20)})],
+            "reduce-multiplex": ["reduce", "--mode", "multiplex", "--s", "3",
+                                 "--family", fam("mux.fam", (2,), 3,
+                                                 rng.sample(range(512), 40))],
+            "reduce-embed": ["reduce", "--mode", "embed", "--degrees", "2", "3",
+                             "--family", fam("emb.fam", (1, 2), 3,
+                                             rng.sample(range(4096), 60))],
+            "reduce-clique": ["reduce", "--mode", "clique",
+                              "--bundles", str(graphs)],
+            "reduce-clique-loopful": ["reduce", "--mode", "clique", "--loopful",
+                                      "--bundles", str(graphs)],
+        }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_report_digest(self, name, tmp_path, capsys):
+        doc = run_json(self.jobs(tmp_path)[name], capsys)
+        text = json.dumps(doc["report"], sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]
 
 
 class TestPlumbing:

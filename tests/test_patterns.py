@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setdifflab.errors import ShapeMismatchError
+from setdifflab.errors import CapExceededError, ShapeMismatchError
 from setdifflab.patterns import (
     DISJOINT_WINDOWS,
+    DISTANCE2_CAP,
     NESTED,
     SAME_WINDOW,
     CliqueDifference,
@@ -327,6 +328,20 @@ def test_distance2_matches_double_loop(shape):
         got = distance2_witness(A, B)
         want = double_loop_distance2(A, B)
         assert (None if got is None else (got.U.bits, got.S1, got.S2)) == want
+
+
+def test_distance2_cap_refuses_before_walking():
+    # the cap admits n = 16 (2^16 sets S_1) and refuses n = 17 up front
+    assert DISTANCE2_CAP == 1 << 16
+    for n, refused in ((16, False), (17, True), (40, True)):
+        sh = UniverseShape((1,), n)
+        A, B = SubsetMask(sh, 0), SubsetMask(sh, 1)
+        if refused:
+            with pytest.raises(CapExceededError):
+                distance2_witness(A, B)
+        else:
+            w = distance2_witness(A, B)
+            assert (w.U.bits, w.S1, w.S2) == (0, frozenset(), frozenset({1}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,317 @@
+"""Raw-int window maps, interval checks and transports against per-cell loops.
+
+The references below are the per-cell and per-point loops these functions
+ran before they moved onto run tables, interval tables, orbit masks and
+carry-free products.  Results must be equal, bit for bit.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from setdifflab.covering import (
+    _cyclic_intervals,
+    demo_average_density,
+    interval_demo_cells,
+)
+from setdifflab.errors import ShapeMismatchError
+from setdifflab.patterns import cyclic_interval_bits, interval_mod_n_witness
+from setdifflab.reductions import (
+    _normalize_graph,
+    clique_square_correspondence,
+    is_symmetric,
+    multiplex,
+)
+from setdifflab.universe import (
+    Family,
+    OrderedWindow,
+    SubsetMask,
+    UniverseShape,
+    _window_runs,
+    embed_lower_degree,
+    plant_into_window,
+    restrict_and_relabel,
+    window_region,
+)
+
+
+# ---------------------------------------------------------------------------
+# references: the per-cell and per-point loops
+
+
+def ref_index_table(shape, windows):
+    """Source cell index of each cell of the relabeled m-shape, in order."""
+    small = UniverseShape(shape.degrees, windows[0].m)
+    return [
+        shape.index_of(part, tuple(windows[part - 1].elements[c - 1] for c in coords))
+        for part, coords in small.points()
+    ]
+
+
+def ref_restrict(bits, shape, windows):
+    out = 0
+    for small_idx, src_idx in enumerate(ref_index_table(shape, windows)):
+        if bits >> src_idx & 1:
+            out |= 1 << small_idx
+    return out
+
+
+def ref_plant(small_bits, shape, windows):
+    out = 0
+    for small_idx, src_idx in enumerate(ref_index_table(shape, windows)):
+        if small_bits >> small_idx & 1:
+            out |= 1 << src_idx
+    return out
+
+
+def ref_region(shape, windows):
+    return sum(1 << src_idx for src_idx in ref_index_table(shape, windows))
+
+
+def ref_interval_witness(a_bits, b_bits, n):
+    """The run scan: find every run start, accept exactly one full run."""
+    diff = a_bits ^ b_bits
+    if diff == 0:
+        return None
+    if diff == (1 << n) - 1:
+        return (1, n)
+    k = diff.bit_count()
+    starts = []
+    for z in range(1, n + 1):
+        pred = n if z == 1 else z - 1
+        if diff >> (z - 1) & 1 and not diff >> (pred - 1) & 1:
+            starts.append(z)
+    if len(starts) != 1:
+        return None
+    y = starts[0]
+    if cyclic_interval_bits(n, y, k) != diff:
+        return None
+    return (y, k)
+
+
+def ref_is_symmetric(A):
+    for part, coords in A.points():
+        for perm in itertools.permutations(coords):
+            if not A.contains(part, perm):
+                return False
+    return True
+
+
+def ref_multiplex(fam, s):
+    big = UniverseShape((fam.shape.degrees[0],) * s, fam.shape.n)
+    members = set()
+    for mask in fam.masks():
+        pts = [(part, coords) for _p, coords in mask.points()
+               for part in range(1, s + 1)]
+        members.add(SubsetMask.from_points(big, pts).bits)
+    return members
+
+
+def ref_embed(mask, target_degrees):
+    target = UniverseShape(tuple(target_degrees), mask.shape.n)
+    bits = 0
+    for part, coords in mask.points():
+        reps = target_degrees[part - 1] - len(coords) + 1
+        bits |= 1 << target.index_of(part, (coords[0],) * reps + coords[1:])
+    return bits
+
+
+def ref_clique_square(graphs, n, loopful):
+    shape = UniverseShape((2,), n)
+    fixed_cells = [(x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1)]
+    if loopful:
+        fixed_cells += [(x, x) for x in range(1, n + 1)]
+    free_cells = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)
+                  if (x, y) not in fixed_cells]
+    members = set()
+    for graph in graphs:
+        edge_set = _normalize_graph(graph, n, loopful)
+        base = 0
+        for x, y in fixed_cells:
+            if (frozenset({x, y}) if x != y else frozenset({x})) in edge_set:
+                base |= 1 << shape.index_of(1, (x, y))
+        for choice in range(1 << len(free_cells)):
+            bits = base
+            for i, cell in enumerate(free_cells):
+                if choice >> i & 1:
+                    bits |= 1 << shape.index_of(1, cell)
+            members.add(bits)
+    return members
+
+
+# ---------------------------------------------------------------------------
+# window maps
+
+
+@st.composite
+def windowed_shapes(draw):
+    """A shape of up to three parts of degree <= 3, one ordered window per
+    part (elements in any order, so runs break), and a member of each side."""
+    degrees = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n))
+    windows = tuple(
+        OrderedWindow(tuple(draw(st.permutations(range(1, n + 1)))[:m]))
+        for _ in degrees)
+    if draw(st.booleans()):
+        windows = (windows[0],) * len(degrees)
+    shape = UniverseShape(degrees, n)
+    small = UniverseShape(degrees, m)
+    bits = draw(st.integers(0, shape.full_bits()))
+    small_bits = draw(st.integers(0, small.full_bits()))
+    return shape, windows, bits, small_bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_shapes())
+def test_window_maps_match_per_cell_loops(case):
+    shape, windows, bits, small_bits = case
+    arg = windows[0] if len(set(windows)) == 1 else windows
+    small = UniverseShape(shape.degrees, windows[0].m)
+    got = restrict_and_relabel(SubsetMask(shape, bits), arg)
+    assert got.shape == small
+    assert got.bits == ref_restrict(bits, shape, windows)
+    planted = plant_into_window(SubsetMask(small, small_bits), arg, shape)
+    assert planted.bits == ref_plant(small_bits, shape, windows)
+    assert window_region(shape, arg).bits == ref_region(shape, windows)
+
+
+def test_interval_window_runs_are_rows_of_m_bits():
+    # an interval strictly inside [n]: m^(d-1) runs of m bits per part
+    for d in (1, 2, 3):
+        shape = UniverseShape((d,), 6)
+        runs = _window_runs(shape, OrderedWindow.interval(2, 3))
+        assert len(runs) == 3 ** (d - 1)
+        assert {run for _, _, run in runs} == {0b111}
+
+
+def test_permuted_window_breaks_runs():
+    shape = UniverseShape((1,), 3)
+    runs = _window_runs(shape, OrderedWindow((3, 1, 2)))
+    # label 1 reads cell 3, labels 2..3 read cells 1..2
+    assert runs == ((2, 0, 0b1), (0, 1, 0b11))
+    assert restrict_and_relabel(SubsetMask(shape, 0b100), OrderedWindow((3, 1, 2))).bits == 0b001
+
+
+def test_window_runs_reject_bad_windows():
+    shape = UniverseShape((1, 2), 4)
+    with pytest.raises(ValueError):
+        _window_runs(shape, OrderedWindow((5,)))
+    with pytest.raises(ValueError):
+        _window_runs(shape, (OrderedWindow((1, 2)),) * 3)
+    with pytest.raises(ShapeMismatchError):
+        plant_into_window(SubsetMask(UniverseShape((1, 2), 3), 0),
+                          OrderedWindow((1, 2)), shape)
+
+
+# ---------------------------------------------------------------------------
+# cyclic intervals
+
+
+def test_interval_witness_matches_run_scan_on_every_pair():
+    for n in range(1, 8):
+        for a in range(1 << n):
+            for b in range(1 << n):
+                got = interval_mod_n_witness(a, b, n)
+                want = ref_interval_witness(a, b, n)
+                assert (None if got is None else (got.start, got.length)) == want
+
+
+def test_interval_witness_rejects_bits_at_or_above_n():
+    # the run scan raised ValueError here when the difference had more than
+    # n bits and one run start below n, e.g. 0b1101 at n = 2
+    with pytest.raises(ValueError):
+        ref_interval_witness(0, 0b1101, 2)
+    for n in (1, 2, 3, 5):
+        for a in range(1 << n + 2):
+            for b in range(1 << n + 2):
+                if (a ^ b) >> n:
+                    assert interval_mod_n_witness(a, b, n) is None
+
+
+def test_demo_interval_set_is_the_witness_predicate():
+    for n in range(1, 9):
+        intervals = _cyclic_intervals(n)
+        for a in range(1 << n):
+            for b in range(1 << n):
+                assert (a ^ b in intervals) == (
+                    interval_mod_n_witness(a, b, n) is not None)
+
+
+def test_demo_cells_and_density_match_per_cell_loops():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        cells = interval_demo_cells(n)
+        assert [(c.base, c.anchor, c.members) for c in cells] == [
+            (base, y, tuple(base ^ cyclic_interval_bits(n, y, length)
+                            for length in range(n)))
+            for base in range(1 << n) for y in range(1, n + 1)]
+        fam = {rng.randrange(1 << n) for _ in range(rng.randrange(1, 1 << n))}
+        hits = sum(mbr in fam for c in cells for mbr in c.members)
+        assert demo_average_density(n, fam) == Fraction(hits, len(cells) * n)
+
+
+# ---------------------------------------------------------------------------
+# reductions
+
+
+def orbit_union(shape, rng):
+    """A random symmetric set: each permutation orbit taken or left whole."""
+    bits = 0
+    for rep in itertools.combinations_with_replacement(range(1, shape.n + 1),
+                                                       shape.degrees[0]):
+        if rng.random() < 0.5:
+            for perm in set(itertools.permutations(rep)):
+                bits |= 1 << shape.index_of(1, perm)
+    return bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 64), st.booleans())
+def test_is_symmetric_matches_per_point_loop(d, n, seed, symmetric):
+    shape = UniverseShape((d,), n)
+    rng = random.Random(seed)
+    bits = orbit_union(shape, rng) if symmetric else rng.getrandbits(shape.cells)
+    if symmetric and bits and rng.random() < 0.5:
+        bits ^= 1 << rng.randrange(shape.cells)  # knock one cell out of an orbit
+    A = SubsetMask(shape, bits)
+    assert is_symmetric(A) == ref_is_symmetric(A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 64))
+def test_multiplex_matches_per_point_loop(d, n, s, seed):
+    shape = UniverseShape((d,), n)
+    rng = random.Random(seed)
+    fam = Family(shape, frozenset(rng.getrandbits(shape.cells) for _ in range(rng.randrange(8))))
+    got = multiplex(fam, s)
+    assert got.shape == UniverseShape((d,) * s, n)
+    assert got.members == ref_multiplex(fam, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1)), min_size=1, max_size=3),
+       st.integers(1, 3), st.integers(0, 2 ** 64))
+def test_embed_matches_per_point_loop(parts, n, seed):
+    source = UniverseShape(tuple(d for d, _ in parts), n)
+    target = tuple(d + extra for d, extra in parts)
+    mask = SubsetMask(source, random.Random(seed).getrandbits(source.cells))
+    got = embed_lower_degree(mask, target)
+    assert got.shape == UniverseShape(target, n)
+    assert got.bits == ref_embed(mask, target)
+
+
+@pytest.mark.parametrize("loopful", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_clique_square_matches_per_point_loop(n, loopful):
+    rng = random.Random(n)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    loops = [(x,) for x in range(1, n + 1)] if loopful else []
+    graphs = [rng.sample(pairs + loops, rng.randrange(len(pairs + loops) + 1))
+              for _ in range(3)]
+    fam = clique_square_correspondence(graphs, n, loopful=loopful)
+    assert fam.members == ref_clique_square(graphs, n, loopful)
