@@ -39,6 +39,7 @@ from .universe import (
     Family,
     UniverseShape,
     embed_lower_degree,
+    embedded_region,
     family_from_text,
     family_to_text,
     mask_to_hex,
@@ -214,65 +215,36 @@ def cmd_demo_interval(args) -> None:
 
 def cmd_reduce(args) -> None:
     mode = args.mode
-    if mode in ("beta", "multiplex", "embed") and not args.family:
-        args.parser.error(f"--mode {mode} requires --family")
-    if mode in ("beta-inverse", "clique") and not args.bundles:
-        args.parser.error(f"--mode {mode} requires --bundles")
+    flags = ("bundles",) if mode in ("beta-inverse", "clique") else ("family",)
+    flags += {"multiplex": ("s",), "embed": ("degrees",)}.get(mode, ())
+    for flag in flags:
+        if getattr(args, flag) in (None, ""):
+            args.parser.error(f"--mode {mode} requires --{flag}")
+    text = _read(getattr(args, flags[0]))
 
     if mode == "beta":
-        fam = family_from_text(_read(args.family))
-        bundles = [beta_bijection(mask) for mask in fam.masks()]
-        report = {
-            "mode": mode,
-            "count": len(bundles),
-            "bundles_text": bundles_to_text(bundles),
-        }
-    elif mode == "beta-inverse":
-        bundles = bundles_from_text(_read(args.bundles))
-        fam = Family.from_masks(beta_inverse(b) for b in bundles)
-        report = {
-            "mode": mode,
-            "count": len(fam),
-            "family_text": family_to_text(fam),
-        }
+        bundles = [beta_bijection(mask) for mask in family_from_text(text).masks()]
+        _emit(args, {"mode": mode, "count": len(bundles),
+                     "bundles_text": bundles_to_text(bundles)})
+        return
+    if mode == "beta-inverse":
+        fam = Family.from_masks(beta_inverse(b) for b in bundles_from_text(text))
     elif mode == "multiplex":
-        if args.s is None:
-            args.parser.error("--mode multiplex requires --s")
-        fam = multiplex(family_from_text(_read(args.family)), args.s)
-        report = {
-            "mode": mode,
-            "count": len(fam),
-            "family_text": family_to_text(fam),
-        }
+        fam = multiplex(family_from_text(text), args.s)
     elif mode == "embed":
-        if not args.degrees:
-            args.parser.error("--mode embed requires --degrees")
-        fam = family_from_text(_read(args.family))
-        target = tuple(args.degrees)
-        images = [embed_lower_degree(mask, target) for mask in fam.masks()]
-        if images:
-            out = Family.from_masks(images)
-        else:
-            out = Family(UniverseShape(target, fam.shape.n), frozenset())
-        report = {
-            "mode": mode,
-            "count": len(out),
-            "family_text": family_to_text(out),
-        }
+        source = family_from_text(text)
+        target = embedded_region(source.shape, args.degrees).shape
+        fam = Family(target, frozenset(embed_lower_degree(mask, target.degrees).bits
+                                       for mask in source.masks()))
     else:  # clique
-        bundles = bundles_from_text(_read(args.bundles))
-        bad = [b for b in bundles if b.degrees != (2,)]
-        if bad:
+        bundles = bundles_from_text(text)
+        if bundles[0].degrees != (2,):  # one header per file
             raise ValueError(
-                f"--mode clique needs graphs (degrees=2), got {bad[0].degrees}")
+                f"--mode clique needs graphs (degrees=2), got {bundles[0].degrees}")
         fam = clique_square_correspondence(
             [b.parts[0] for b in bundles], bundles[0].n, loopful=args.loopful)
-        report = {
-            "mode": mode,
-            "count": len(fam),
-            "family_text": family_to_text(fam),
-        }
-    _emit(args, report)
+    _emit(args, {"mode": mode, "count": len(fam),
+                 "family_text": family_to_text(fam)})
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, ShapeMismatchError
+from .errors import CapExceededError, FormatError, ShapeMismatchError
 from .patterns import hyperedges_of
 from .universe import (
     Family,
@@ -30,6 +31,9 @@ from .universe import (
 )
 
 Hyperedge = frozenset[int]
+
+# most masks clique_square_correspondence walks over all its fibres
+CLIQUE_FIBRE_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -55,46 +59,52 @@ class SymmetricRegion:
         return UniverseShape(degrees=(self.d,), n=self.n)
 
     def mask(self) -> SubsetMask:
-        pts = [
-            (1, coords)
-            for coords in itertools.combinations_with_replacement(
-                range(1, self.n + 1), self.d)
-        ]
-        return SubsetMask.from_points(self.shape(), pts)
+        # a sorted representative is the lowest cell of its orbit
+        shape = self.shape()
+        return SubsetMask(shape, sum(o & -o for o in _orbits(shape).values()))
 
 
 @lru_cache(maxsize=64)
-def _orbit_masks(shape: UniverseShape) -> tuple[int, ...]:
-    """One mask per coordinate-permutation orbit of [n]^d, C(n+d-1, d) in all,
-    in the order of their sorted representatives."""
+def _orbits(shape: UniverseShape) -> MappingProxyType[tuple[int, tuple[int, ...]], int]:
+    """Coordinate-permutation orbits of [n]^d, C(n+d-1, d) masks in all, each
+    keyed by what its sorted representative encodes under beta: (part index,
+    hyperedge).  The hyperedge is the representative's distinct values, and
+    the part is the composition of d given by their run lengths."""
     d = single_part_degree(shape)
-    return tuple(
-        sum(1 << shape.index_of(1, perm) for perm in set(itertools.permutations(rep)))
-        for rep in itertools.combinations_with_replacement(range(1, shape.n + 1), d))
+    part_of = {comp: j for j, (_, comp) in
+               enumerate(IntervalPartitionCatalog(d=d).parts())}
+    orbits: dict[tuple[int, ...], int] = {}
+    for i, coords in enumerate(itertools.product(range(1, shape.n + 1), repeat=d)):
+        rep = tuple(sorted(coords))
+        orbits[rep] = orbits.get(rep, 0) | 1 << i
+    table = {}
+    for rep, orbit in orbits.items():
+        edge = tuple(sorted(set(rep)))
+        table[part_of[tuple(map(rep.count, edge))], edge] = orbit
+    return MappingProxyType(table)  # read-only: every caller shares it
 
 
 def is_symmetric(A: SubsetMask) -> bool:
     """Invariance under every coordinate permutation: each orbit is all in
     or all out."""
-    return all(A.bits & orbit in (0, orbit) for orbit in _orbit_masks(A.shape))
+    return all(A.bits & orbit in (0, orbit) for orbit in _orbits(A.shape).values())
 
 
 def symmetric_lift(A_sym: SubsetMask) -> SubsetMask:
     """Restrict a symmetric set to its sorted representatives."""
-    d = single_part_degree(A_sym.shape)
-    if not is_symmetric(A_sym):
+    if not is_symmetric(A_sym):  # raises for a multi-part shape
         raise ValueError("symmetric_lift needs a symmetric input")
-    region = SymmetricRegion(d=d, n=A_sym.shape.n)
+    region = SymmetricRegion(d=A_sym.shape.degrees[0], n=A_sym.shape.n)
     return A_sym.intersection(region.mask())
 
 
 def symmetric_extend(B: SubsetMask) -> SubsetMask:
     """Orbit closure of a set of sorted representatives."""
-    d = single_part_degree(B.shape)
-    region = SymmetricRegion(d=d, n=B.shape.n)
+    region = SymmetricRegion(d=single_part_degree(B.shape), n=B.shape.n)
     if not B.issubset(region.mask()):
         raise ValueError("symmetric_extend needs a subset of the sorted region")
-    return SubsetMask(B.shape, sum(o for o in _orbit_masks(B.shape) if B.bits & o))
+    return SubsetMask(B.shape,
+                      sum(o for o in _orbits(B.shape).values() if B.bits & o))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +192,7 @@ class HypergraphBundle:
         object.__setattr__(
             self, "parts",
             tuple(frozenset(frozenset(e) for e in part) for part in self.parts))
+        self.shape()  # n and every degree must be positive
         if len(self.parts) != len(self.degrees):
             raise ValueError("one hyperedge set per degree required")
         for deg, part in zip(self.degrees, self.parts):
@@ -275,44 +286,30 @@ def bundle_from_text(text: str) -> HypergraphBundle:
     return bundles[0]
 
 
-def _representative(combo: Sequence[int], comp: Sequence[int]) -> tuple[int, ...]:
-    coords: list[int] = []
-    for value, count in zip(combo, comp):
-        coords.extend([value] * count)
-    return tuple(coords)
-
-
 def beta_bijection(A_sym: SubsetMask) -> HypergraphBundle:
     """Symmetric set -> bundle: part (k,t) gets {a_1 < ... < a_k} iff the
     sorted point with a_i repeated per the t-th composition lies in the set."""
-    d = single_part_degree(A_sym.shape)
-    if not is_symmetric(A_sym):
-        raise ValueError("beta_bijection needs a symmetric input")
-    n = A_sym.shape.n
-    catalog = IntervalPartitionCatalog(d=d)
-    parts = []
-    for k, comp in catalog.parts():
-        edges = set()
-        for combo in itertools.combinations(range(1, n + 1), k):
-            if A_sym.contains(1, _representative(combo, comp)):
-                edges.add(frozenset(combo))
-        parts.append(frozenset(edges))
-    return HypergraphBundle(n=n, degrees=catalog.degrees, parts=tuple(parts))
+    degrees = IntervalPartitionCatalog(d=single_part_degree(A_sym.shape)).degrees
+    parts: list[set[tuple[int, ...]]] = [set() for _ in degrees]
+    for (j, edge), orbit in _orbits(A_sym.shape).items():
+        hit = A_sym.bits & orbit
+        if hit == orbit:
+            parts[j].add(edge)
+        elif hit:
+            raise ValueError("beta_bijection needs a symmetric input")
+    return HypergraphBundle(n=A_sym.shape.n, degrees=degrees, parts=tuple(parts))
 
 
 def beta_inverse(bundle: HypergraphBundle) -> SubsetMask:
     d = bundle.degrees[-1]
-    catalog = IntervalPartitionCatalog(d=d)
-    if bundle.degrees != catalog.degrees:
+    if bundle.degrees != IntervalPartitionCatalog(d=d).degrees:
         raise ValueError(
             f"degrees {bundle.degrees} do not match the catalog for d={d}")
     shape = UniverseShape(degrees=(d,), n=bundle.n)
-    pts = []
-    for (k, comp), part in zip(catalog.parts(), bundle.parts):
-        for edge in part:
-            base = _representative(sorted(edge), comp)
-            pts.extend((1, perm) for perm in set(itertools.permutations(base)))
-    return SubsetMask.from_points(shape, pts)
+    orbits = _orbits(shape)
+    return SubsetMask(shape, sum(orbits[j, tuple(sorted(edge))]
+                                 for j, part in enumerate(bundle.parts)
+                                 for edge in part))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +338,7 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
     each graph contributes a fiber of 2^(n^2 - C(n,2)) masks; in loopful
     mode the diagonal encodes loops and only the below-diagonal cells are
     free.  Distinct graphs have disjoint fibers, so density is preserved.
+    More than CLIQUE_FIBRE_CAP masks in all raise CapExceededError.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -349,6 +347,11 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
     for x in range(n):
         for y in range(x if loopful else x + 1, n):
             free &= ~(1 << x * n + y)
+    graphs = list(graphs)
+    if len(graphs) << free.bit_count() > CLIQUE_FIBRE_CAP:
+        raise CapExceededError(
+            f"{len(graphs)} graphs x 2^{free.bit_count()} fibre masks exceed "
+            f"the cap {CLIQUE_FIBRE_CAP}")
     members = set()
     for graph in graphs:
         base = sum(1 << (min(e) - 1) * n + max(e) - 1

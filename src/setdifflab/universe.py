@@ -435,6 +435,7 @@ def embed_preimage(
 _HEADER_RE = re.compile(
     r"^shape\s+s=(\d+)\s+d=([0-9,]+)\s+n=(\d+)\s*$"
 )
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def mask_to_hex(bits: int, cells: int) -> str:
@@ -444,7 +445,7 @@ def mask_to_hex(bits: int, cells: int) -> str:
 
 def mask_from_hex(text: str, cells: int) -> int:
     ndigits = max(1, (cells + 3) // 4)
-    if len(text) != ndigits or not re.fullmatch(r"[0-9a-f]+", text):
+    if len(text) != ndigits or not _HEX_DIGITS.issuperset(text):
         raise FormatError(f"bad member line {text!r} (want {ndigits} hex digits)")
     bits = int(text[::-1], 16)
     if bits >= 1 << cells:

@@ -27,7 +27,7 @@ def test_every_lru_cache_is_bounded():
     assert "setdifflab.patterns.pattern_table" in caches
     for table in ("universe._window_runs", "universe._embed_table",
                   "covering._demo_rows", "covering._cyclic_intervals",
-                  "reductions._orbit_masks"):
+                  "reductions._orbits"):
         assert f"setdifflab.{table}" in caches
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert unbounded == []

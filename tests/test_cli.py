@@ -305,6 +305,56 @@ class TestReduce:
                               "--bundles", str(path)], capsys)
         assert code == 4
 
+    def test_clique_fibre_cap(self, tmp_path, capsys):
+        # 2^28 free cells per graph at n = 7
+        path = tmp_path / "graph.txt"
+        path.write_text("n=7 degrees=2\n1,2\n")
+        code, out, err = run_cli(["reduce", "--mode", "clique",
+                                  "--bundles", str(path)], capsys)
+        assert code == 4 and out == "" and "cap" in err
+
+    @pytest.mark.parametrize("mode,header", [
+        ("beta-inverse", "n=0 degrees=1"), ("beta-inverse", "n=2 degrees=0"),
+        ("clique", "n=0 degrees=2"), ("clique", "n=2 degrees=0")])
+    def test_bad_bundle_header_is_format_error(self, mode, header, tmp_path,
+                                               capsys):
+        path = tmp_path / "bundles.txt"
+        path.write_text(header + "\n-\n")
+        code, out, _ = run_cli(["reduce", "--mode", mode,
+                                "--bundles", str(path)], capsys)
+        assert code == 3 and out == ""
+
+    @pytest.mark.parametrize("header,degrees", [
+        ("shape s=1 d=1 n=2", ["1", "2"]), ("shape s=1 d=2 n=2", ["1"])])
+    @pytest.mark.parametrize("members", ["", "1\n"])
+    def test_embed_rejects_bad_target_with_or_without_members(
+            self, header, degrees, members, tmp_path, capsys):
+        path = tmp_path / "fam.txt"
+        path.write_text(header + "\n" + members)
+        code, out, _ = run_cli(["reduce", "--mode", "embed", "--family",
+                                str(path), "--degrees", *degrees], capsys)
+        assert code == 4 and out == ""
+
+    def test_embed_empty_family(self, tmp_path, capsys):
+        path = tmp_path / "fam.txt"
+        path.write_text("shape s=2 d=1,2 n=2\n")
+        doc = run_json(["reduce", "--mode", "embed", "--family", str(path),
+                        "--degrees", "2", "3"], capsys)
+        assert doc["report"] == {"mode": "embed", "count": 0,
+                                 "family_text": "shape s=2 d=2,3 n=2\n"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "beta"], ["--mode", "beta-inverse"], ["--mode", "clique"],
+        ["--mode", "multiplex"], ["--mode", "embed"],
+        ["--mode", "multiplex", "--family", "f.txt"],
+        ["--mode", "embed", "--family", "f.txt"],
+        ["--mode", "clique", "--family", "f.txt"]])
+    def test_missing_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["reduce", *argv])
+        assert err.value.code == 2
+        assert "requires --" in capsys.readouterr().err
+
 
 class TestReportBytes:
     """Reports of the covering and reduce subcommands on small fixed inputs,

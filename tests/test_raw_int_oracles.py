@@ -1,7 +1,7 @@
 """Raw-int window maps, interval checks and transports against per-cell loops.
 
 The references below are the per-cell and per-point loops these functions
-ran before they moved onto run tables, interval tables, orbit masks and
+ran before they moved onto run tables, interval tables, the orbit table and
 carry-free products.  Results must be equal, bit for bit.
 """
 
@@ -21,7 +21,12 @@ from setdifflab.covering import (
 from setdifflab.errors import ShapeMismatchError
 from setdifflab.patterns import cyclic_interval_bits, interval_mod_n_witness
 from setdifflab.reductions import (
+    HypergraphBundle,
+    IntervalPartitionCatalog,
+    SymmetricRegion,
     _normalize_graph,
+    beta_bijection,
+    beta_inverse,
     clique_square_correspondence,
     is_symmetric,
     multiplex,
@@ -99,6 +104,46 @@ def ref_is_symmetric(A):
             if not A.contains(part, perm):
                 return False
     return True
+
+
+def ref_symmetric_region(d, n):
+    pts = [(1, coords) for coords in
+           itertools.combinations_with_replacement(range(1, n + 1), d)]
+    return SubsetMask.from_points(UniverseShape((d,), n), pts)
+
+
+def ref_representative(combo, comp):
+    coords = []
+    for value, count in zip(combo, comp):
+        coords.extend([value] * count)
+    return tuple(coords)
+
+
+def ref_beta_bijection(A_sym):
+    d, n = A_sym.shape.degrees[0], A_sym.shape.n
+    if not ref_is_symmetric(A_sym):
+        raise ValueError("beta_bijection needs a symmetric input")
+    catalog = IntervalPartitionCatalog(d=d)
+    parts = []
+    for k, comp in catalog.parts():
+        edges = set()
+        for combo in itertools.combinations(range(1, n + 1), k):
+            if A_sym.contains(1, ref_representative(combo, comp)):
+                edges.add(frozenset(combo))
+        parts.append(frozenset(edges))
+    return HypergraphBundle(n=n, degrees=catalog.degrees, parts=tuple(parts))
+
+
+def ref_beta_inverse(bundle):
+    d = bundle.degrees[-1]
+    catalog = IntervalPartitionCatalog(d=d)
+    shape = UniverseShape((d,), bundle.n)
+    pts = []
+    for (k, comp), part in zip(catalog.parts(), bundle.parts):
+        for edge in part:
+            base = ref_representative(sorted(edge), comp)
+            pts.extend((1, perm) for perm in set(itertools.permutations(base)))
+    return SubsetMask.from_points(shape, pts)
 
 
 def ref_multiplex(fam, s):
@@ -259,15 +304,17 @@ def test_demo_cells_and_density_match_per_cell_loops():
 # reductions
 
 
+def ref_orbits(shape):
+    """Each permutation orbit as a mask, built point by point."""
+    return [
+        sum(1 << shape.index_of(1, perm) for perm in set(itertools.permutations(rep)))
+        for rep in itertools.combinations_with_replacement(range(1, shape.n + 1),
+                                                           shape.degrees[0])]
+
+
 def orbit_union(shape, rng):
     """A random symmetric set: each permutation orbit taken or left whole."""
-    bits = 0
-    for rep in itertools.combinations_with_replacement(range(1, shape.n + 1),
-                                                       shape.degrees[0]):
-        if rng.random() < 0.5:
-            for perm in set(itertools.permutations(rep)):
-                bits |= 1 << shape.index_of(1, perm)
-    return bits
+    return sum(orbit for orbit in ref_orbits(shape) if rng.random() < 0.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -315,3 +362,48 @@ def test_clique_square_matches_per_point_loop(n, loopful):
               for _ in range(3)]
     fam = clique_square_correspondence(graphs, n, loopful=loopful)
     assert fam.members == ref_clique_square(graphs, n, loopful)
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (3, 2), (3, 3)])
+def test_beta_matches_per_point_loops_on_every_symmetric_mask(d, n):
+    shape = UniverseShape((d,), n)
+    orbits = ref_orbits(shape)
+    for pick in range(1 << len(orbits)):
+        A = SubsetMask(shape, sum(o for i, o in enumerate(orbits) if pick >> i & 1))
+        bundle = beta_bijection(A)
+        assert bundle == ref_beta_bijection(A)
+        assert beta_inverse(bundle) == ref_beta_inverse(bundle) == A
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (3, 2), (3, 3)])
+def test_beta_rejects_every_one_cell_break_of_symmetry(d, n):
+    shape = UniverseShape((d,), n)
+    rng = random.Random(d * 10 + n)
+    for orbit in ref_orbits(shape):
+        if orbit & (orbit - 1) == 0:
+            continue  # a one-cell orbit cannot be broken
+        A = SubsetMask(shape, orbit_union(shape, rng) ^ (orbit & -orbit))
+        for beta in (beta_bijection, ref_beta_bijection):
+            with pytest.raises(ValueError):
+                beta(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 64))
+def test_beta_matches_per_point_loops_on_random_bundles(d, n, seed):
+    rng = random.Random(seed)
+    catalog = IntervalPartitionCatalog(d=d)
+    parts = tuple(
+        frozenset(frozenset(e) for e in itertools.combinations(range(1, n + 1), k)
+                  if rng.random() < 0.5)
+        for k, _ in catalog.parts())
+    bundle = HypergraphBundle(n=n, degrees=catalog.degrees, parts=parts)
+    A = beta_inverse(bundle)
+    assert A == ref_beta_inverse(bundle)
+    assert beta_bijection(A) == ref_beta_bijection(A) == bundle
+
+
+def test_region_mask_matches_per_point_loop():
+    for d in range(1, 5):
+        for n in range(1, 6):
+            assert SymmetricRegion(d=d, n=n).mask() == ref_symmetric_region(d, n)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from setdifflab.errors import FormatError, ShapeMismatchError
+from setdifflab import reductions
+from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
 from setdifflab.patterns import (
     PolynomialDifference,
     clique_difference_witness,
@@ -280,6 +281,12 @@ class TestHypergraphBundle:
             bundles_from_text("n=2 degrees=1,2\n1,2\n1,2\n")  # degree 1 part
         with pytest.raises(FormatError):
             bundle_from_text("n=2 degrees=1,2\n1\n1,2\n2\n-\n")
+        with pytest.raises(FormatError):
+            bundles_from_text("n=0 degrees=2\n-\n")
+        with pytest.raises(FormatError):
+            bundles_from_text("n=3 degrees=0\n-\n")
+        with pytest.raises(FormatError):
+            bundles_from_text("n=3 degrees=1,0\n1\n-\n")
 
 
 def all_bundles(d, n):
@@ -385,6 +392,25 @@ class TestCliqueSquareCorrespondence:
     def test_loopful_mode(self):
         fam = clique_square_correspondence([[(1,), (1, 2)]], 2, loopful=True)
         assert fam.members == frozenset({3, 7})
+
+    def test_fibre_cap(self, monkeypatch):
+        # n = 3 has 2^6 free cells per graph, 2^3 in loopful mode
+        monkeypatch.setattr(reductions, "CLIQUE_FIBRE_CAP", 128)
+        assert len(clique_square_correspondence([[], [(1, 2)]], 3)) == 128
+        with pytest.raises(CapExceededError):
+            clique_square_correspondence([[], [(1, 2)], [(1, 3)]], 3)
+        fam = clique_square_correspondence([[]] * 16, 3, loopful=True)
+        assert len(fam) == 8  # sixteen copies of one fibre, within the cap
+        with pytest.raises(CapExceededError):
+            clique_square_correspondence([[]] * 17, 3, loopful=True)
+
+    def test_fibre_cap_refuses_n7(self):
+        assert reductions.CLIQUE_FIBRE_CAP == 1 << 20
+        with pytest.raises(CapExceededError):
+            clique_square_correspondence([[(1, 2)]], 7)
+        # 2^21 loopful members over two graphs: refused before the walk
+        with pytest.raises(CapExceededError):
+            clique_square_correspondence([[], [(1,)]], 7, loopful=True)
 
     def test_loopless_rejects_loops(self):
         with pytest.raises(ValueError):

@@ -267,6 +267,16 @@ def test_family_text_errors():
         family_from_text("shape s=1 d=1 n=3\n8\n")
     with pytest.raises(FormatError):
         family_from_text("shape s=1 d=1 n=3\n1\n1\n")
+    # three digits each, all of which int(_, 16) takes: upper case, a sign,
+    # an underscore, a 0x prefix and a non-ASCII digit (read reversed)
+    for line in ("A00", "10+", "0_1", "1x0", "1\u06610"):
+        assert 0 <= int(line[::-1], 16) < 1 << 12
+        with pytest.raises(FormatError):
+            family_from_text(f"shape s=1 d=1 n=12\n{line}\n")
+        with pytest.raises(FormatError):
+            mask_from_hex(line, 12)
+    with pytest.raises(FormatError):
+        mask_from_hex(" 10", 12)  # blanks around a line are stripped before
 
 
 def test_family_text_ignores_comments_and_blanks():
