@@ -2,7 +2,10 @@
 
 Builds the graph whose vertices are all subsets of a universe and whose edges
 are the pairs admitting a difference-pattern witness, then finds an exact
-maximum independent set.  These numbers are the ground truth the rest of the
+maximum independent set.  The solver takes isolated vertices outright and
+runs branch and bound on each other connected component once per
+order-preserving relabelling, from a greedy min-degree floor, with a
+clique-cover bound.  These numbers are the ground truth the rest of the
 package's tests calibrate against, so the solver re-verifies every record it
 emits and a small regression table of solved instances is shipped with the
 package data.
@@ -171,51 +174,113 @@ def _greedy_clique_cover_bound(candidates: int, adj: Sequence[int]) -> int:
     return bound
 
 
-def _solve_mis(adj: Sequence[int], deadline: Optional[float]) -> tuple[int, int, bool]:
-    """Exact MIS by branch and bound; returns (size, member bits, optimal)."""
-    n = len(adj)
-    best_size = 0
-    best_set = 0
-    optimal = True
-    full = (1 << n) - 1
+def _greedy_independent_set(adj: Sequence[int]) -> int:
+    """Min-degree greedy: take a candidate of least induced degree (lowest
+    index on ties), drop it and its neighbours, repeat."""
+    candidates = (1 << len(adj)) - 1
+    chosen = 0
+    while candidates:
+        pick, pick_degree = -1, len(adj)
+        for v in _bit_indices(candidates):
+            deg = (adj[v] & candidates).bit_count()
+            if deg < pick_degree:
+                pick, pick_degree = v, deg
+        chosen |= 1 << pick
+        candidates &= ~(1 << pick | adj[pick])
+    return chosen
 
-    def popcount(x: int) -> int:
-        return x.bit_count()
 
-    stack = [(full, 0, 0)]
+def _solve_component(adj: Sequence[int],
+                     deadline: Optional[float]) -> tuple[int, bool]:
+    """Branch and bound on one connected graph; returns (member bits, proven).
+
+    Branches on the max-degree candidate (lowest index on ties), include
+    before exclude, and records only strict improvements, so the record is
+    the first maximum leaf in DFS order: no valid bound prunes the subtree
+    holding it.  The greedy set of size h seeds the floor best_size = h - 1,
+    which that leaf still beats; the greedy set itself is returned only if
+    the deadline trips before anything is recorded.
+    """
+    best_set = _greedy_independent_set(adj)
+    best_size = best_set.bit_count() - 1
+    stack = [((1 << len(adj)) - 1, 0, 0)]
     while stack:
         if deadline is not None and time.monotonic() > deadline:
-            optimal = False
-            break
+            return best_set, False
         candidates, chosen, size = stack.pop()
-        if size + popcount(candidates) <= best_size:
+        if size + candidates.bit_count() <= best_size:
             continue
         if not candidates:
-            if size > best_size:
-                best_size, best_set = size, chosen
+            best_size, best_set = size, chosen
             continue
         if size + _greedy_clique_cover_bound(candidates, adj) <= best_size:
             continue
         # branch on the max-degree candidate vertex
         branch, branch_degree = -1, -1
-        scan = candidates
-        while scan:
-            v = (scan & -scan).bit_length() - 1
-            deg = popcount(adj[v] & candidates)
+        for v in _bit_indices(candidates):
+            deg = (adj[v] & candidates).bit_count()
             if deg > branch_degree:
                 branch, branch_degree = v, deg
-            scan &= scan - 1
         if branch_degree == 0:
             # the candidates form an independent set: take them all
-            total = size + popcount(candidates)
-            if total > best_size:
-                best_size, best_set = total, chosen | candidates
+            best_size = size + candidates.bit_count()
+            best_set = chosen | candidates
             continue
         v_bit = 1 << branch
         stack.append((candidates & ~v_bit, chosen, size))
         stack.append((candidates & ~v_bit & ~adj[branch],
                       chosen | v_bit, size + 1))
-    return best_size, best_set, optimal
+    return best_set, True
+
+
+def _components(adj: Sequence[int]) -> Iterator[int]:
+    """Vertex bitmask of each connected component, by lowest vertex."""
+    rest = (1 << len(adj)) - 1
+    while rest:
+        component = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~component
+            component |= new
+            frontier |= new
+        rest &= ~component
+        yield component
+
+
+def _solve_mis(adj: Sequence[int], deadline: Optional[float]) -> tuple[int, int, bool]:
+    """Exact MIS one component at a time; returns (size, member bits, optimal).
+
+    Isolated vertices are taken outright.  Every other component is solved
+    in vertex-rank order and the answer mapped back by rank, so components
+    equal up to an order-preserving relabelling are solved once; only proven
+    answers are memoised.  A whole-graph search with the same branching
+    rule decides each component's vertices in that component's own order,
+    so the union is the record it would return.
+    Past the deadline each unfinished component contributes its best set
+    so far; a deadline already passed returns the empty set.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        return 0, 0, False
+    chosen, optimal = 0, True
+    memo: dict[tuple[int, ...], int] = {}
+    for component in _components(adj):
+        if not component & component - 1:
+            chosen |= component
+            continue
+        vertices = list(_bit_indices(component))
+        rank = {v: i for i, v in enumerate(vertices)}
+        key = tuple(sum(1 << rank[u] for u in _bit_indices(adj[v]))
+                    for v in vertices)
+        bits = memo.get(key)
+        if bits is None:
+            bits, proven = _solve_component(key, deadline)
+            if proven:
+                memo[key] = bits
+            else:
+                optimal = False
+        chosen |= sum(1 << vertices[i] for i in _bit_indices(bits))
+    return chosen.bit_count(), chosen, optimal
 
 
 def _exhaustive_mis(adj: Sequence[int]) -> tuple[int, int]:

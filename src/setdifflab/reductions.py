@@ -145,11 +145,7 @@ class IntervalPartitionCatalog:
     def compositions(self, k: int) -> tuple[tuple[int, ...], ...]:
         if not 1 <= k <= self.d:
             raise ValueError(f"k must lie in [1, {self.d}]")
-        out = []
-        for cuts in itertools.combinations(range(1, self.d), k - 1):
-            bounds = (0,) + cuts + (self.d,)
-            out.append(tuple(bounds[i + 1] - bounds[i] for i in range(k)))
-        return tuple(out)
+        return _compositions(self.d)[k - 1]
 
     def intervals(self, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         out = []
@@ -176,7 +172,27 @@ class IntervalPartitionCatalog:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.parts())
+        return _part_degrees(self.d)
+
+
+@lru_cache(maxsize=32)
+def _compositions(d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry k-1 lists the compositions of d into k parts, lexicographic."""
+    table = []
+    for k in range(1, d + 1):
+        comps = []
+        for cuts in itertools.combinations(range(1, d), k - 1):
+            bounds = (0,) + cuts + (d,)
+            comps.append(tuple(bounds[i + 1] - bounds[i] for i in range(k)))
+        table.append(tuple(comps))
+    return tuple(table)
+
+
+@lru_cache(maxsize=32)
+def _part_degrees(d: int) -> tuple[int, ...]:
+    """The uniformity k of each part, in part order: a part into k
+    intervals is a composition with k entries."""
+    return tuple(len(comp) for comps in _compositions(d) for comp in comps)
 
 
 @dataclass(frozen=True)
