@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="form search pool: weight-<=2 vectors, all p^n "
                         "vectors, or the pool plus --forms")
     p.add_argument("--forms", metavar="FILE",
-                   help="extra forms for --pool file")
+                   help="extra forms for --pool file, over the input's "
+                        "[n]; only the first search uses them")
     p.add_argument("--m", type=int, nargs="+",
                    help="window sizes per step (default: adaptive)")
     p.add_argument("--max-steps", type=int)

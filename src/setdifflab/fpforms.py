@@ -176,16 +176,17 @@ def eval_on_bits(form: AnyForm, bits: int) -> int:
     return total % form.p
 
 
-def value_counts(form: AnyForm, subsets: Iterable[int]) -> list[int]:
-    """How many of the subsets (bitmasks over the form's universe) take
-    each value 0, ..., p-1."""
+def value_counts(form: AnyForm,
+                 weighted: Iterable[tuple[int, int]]) -> list[int]:
+    """Total multiplicity of the subsets taking each value 0, ..., p-1, read
+    from (bitmask over the form's universe, multiplicity) pairs."""
     classes, p = coefficient_class_masks(form), form.p
     counts = [0] * p
-    for bits in subsets:
+    for bits, weight in weighted:
         total = 0
         for value, mask in classes:
             total += value * (bits & mask).bit_count()
-        counts[total % p] += 1
+        counts[total % p] += weight
     return counts
 
 
@@ -249,21 +250,18 @@ def _frac(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _convolved_masses(p: int, classes) -> tuple[Fraction, ...]:
-    """Value distribution of a uniform subset of the cells in ``classes``.
+def _subset_counts(p: int, sizes) -> list[int]:
+    """Subsets of the cells per value, from (value, class size) pairs.
 
-    Of the k cells of value c in ``classes``, residue y gets as many subsets
-    as x^y has in (1 + x^c)^k mod (x^p - 1), by repeated squaring; the classes
-    multiply and the integer counts are divided by 2^cells once.
+    Of the k cells of value c, residue y gets as many subsets as x^y has in
+    (1 + x^c)^k mod (x^p - 1), by repeated squaring; the classes multiply,
+    and the counts add up to 2^cells.
     """
     def times(u, v):
         return [sum(u[i] * v[(y - i) % p] for i in range(p)) for y in range(p)]
 
     counts = [1] + [0] * (p - 1)
-    cells = 0
-    for value, mask in classes:
-        k = mask.bit_count()
-        cells += k
+    for value, k in sizes:
         factor = [0] * p
         factor[0] = factor[value] = 1
         while k:
@@ -271,7 +269,15 @@ def _convolved_masses(p: int, classes) -> tuple[Fraction, ...]:
                 counts = times(counts, factor)
             factor = times(factor, factor)
             k >>= 1
-    return tuple(Fraction(c, 1 << cells) for c in counts)
+    return counts
+
+
+def _convolved_masses(p: int, classes) -> tuple[Fraction, ...]:
+    """Value distribution of a uniform subset of the cells in ``classes``,
+    given as (value, cell mask) pairs."""
+    sizes = [(value, mask.bit_count()) for value, mask in classes]
+    cells = sum(k for _, k in sizes)
+    return tuple(Fraction(c, 1 << cells) for c in _subset_counts(p, sizes))
 
 
 def distribution(form: AnyForm, mode: str = "exact",
@@ -297,7 +303,7 @@ def distribution(form: AnyForm, mode: str = "exact",
         if cells > budget:
             raise CapExceededError(
                 f"enumeration over 2^{cells} subsets exceeds budget 2^{budget}")
-        counts = value_counts(form, range(1 << cells))
+        counts = value_counts(form, zip(range(1 << cells), itertools.repeat(1)))
         masses = tuple(Fraction(c, 1 << cells) for c in counts)
         return DistributionTable(p=p, masses=masses, mode="enumerate",
                                  support_size=zsize, uniformity_bound=bound)
@@ -305,7 +311,8 @@ def distribution(form: AnyForm, mode: str = "exact",
         if samples < 1:
             raise ValueError("need at least one sample")
         rng = Random(seed)
-        counts = value_counts(form, (rng.getrandbits(cells) for _ in range(samples)))
+        counts = value_counts(
+            form, ((rng.getrandbits(cells), 1) for _ in range(samples)))
         masses = tuple(Fraction(c, samples) for c in counts)
         return DistributionTable(p=p, masses=masses, mode="sampled",
                                  support_size=zsize, uniformity_bound=bound,

@@ -5,12 +5,18 @@ concentrate on a block-constant cell of the form's block partition; pulling
 the family back through that cell's product isomorphism yields a denser
 family over a smaller universe.  Iterating either certifies pool-uniformity,
 finds a pattern pair along the way, or runs out of room.
+
+The form search does not walk the members once per candidate form: it
+counts each form over the family's projections onto the form's support,
+weighted by how many members share each projection, and reads the global
+distribution from a per-search memo keyed by the class-size signature.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -19,9 +25,9 @@ from .errors import ContractViolationError, ShapeMismatchError, UniverseTooSmall
 from .fpforms import (
     BlockCell,
     LinearFormP,
-    _convolved_masses,
     _frac,
     _product_table,
+    _subset_counts,
     build_block_partition,
     coefficient_class_masks,
     lift_bits,
@@ -39,7 +45,7 @@ def family_value_masses(fam: Family, form) -> tuple[Fraction, ...]:
     """Distribution of the (induced) form over the family's members."""
     if not fam.members:
         raise ValueError("family is empty")
-    counts = value_counts(form, fam.members)
+    counts = value_counts(form, zip(fam.members, itertools.repeat(1)))
     return tuple(Fraction(c, len(fam.members)) for c in counts)
 
 
@@ -102,6 +108,10 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     falls back to the weight-<=2 pool plus any user-supplied forms, and a
     miss then only certifies "pool"-uniformity.  Returns the maximal-gap
     report (first form, then smallest y, on ties) or None below threshold.
+
+    The projection onto a form's support is rebuilt only when the support
+    changes (pool forms come grouped by support), and gaps are compared
+    exactly, as integers over |F| * 2^cells.
     """
     if not fam.members:
         raise ValueError("family is empty")
@@ -115,20 +125,35 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     else:
         candidates = itertools.chain(_pool_forms(p, n), extra_forms)
         scope = "pool"
-    best: Optional[DistinguishingReport] = None
+    size = len(fam.members)
+    support = projection = None
+    global_memo: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    best = None  # (form, y, num, cells) of the largest gap num / (size * 2^cells)
     for form in candidates:
         if form.p != p or form.n != n:
             raise ShapeMismatchError(f"candidate form {form} does not fit p={p}, n={n}")
         induced = form.induced(degree)
-        fam_masses = family_value_masses(fam, induced)
-        global_masses = _convolved_masses(p, coefficient_class_masks(induced))
+        classes = coefficient_class_masks(induced)
+        union = 0
+        for _, mask in classes:
+            union |= mask
+        if union != support:
+            support, cells = union, union.bit_count()
+            projection = Counter(map(support.__and__, fam.members))
+        counts = value_counts(induced, projection.items())
+        signature = tuple((value, mask.bit_count()) for value, mask in classes)
+        subsets = global_memo.get(signature)
+        if subsets is None:
+            subsets = global_memo[signature] = _subset_counts(p, signature)
         for y in range(p):
-            gap = abs(fam_masses[y] - global_masses[y])
-            if best is None or gap > best.gap:
-                best = DistinguishingReport(form=form, y=y, gap=gap, scope=scope)
-    if best is not None and best.gap >= eta:
-        return best
-    return None
+            num = abs((counts[y] << cells) - subsets[y] * size)
+            if best is None or num << best[3] > best[2] << cells:
+                best = (form, y, num, cells)
+    form, y, num, cells = best
+    gap = Fraction(num, size << cells)
+    if gap < eta:
+        return None
+    return DistinguishingReport(form=form, y=y, gap=gap, scope=scope)
 
 
 @dataclass(frozen=True)
@@ -274,7 +299,8 @@ def quasirandomize(fam: Family, p: int, eta: Numeric,
     Stops when no distinguishing form remains ("uniform"), when the current
     family exhibits a pattern pair after a step ("pattern-found"), or with an
     "inconclusive:*" status when the schedule or progress runs out.  Returns
-    (final family, IncrementTrace, pattern pair or None).
+    (final family, IncrementTrace, pattern pair or None).  ``extra_forms``
+    live over the input's [n], so only the first search offers them.
     """
     eta = Fraction(eta)
     degree = single_part_degree(fam.shape)
@@ -295,6 +321,7 @@ def quasirandomize(fam: Family, p: int, eta: Numeric,
         report = find_distinguishing_form(fam, p, threshold,
                                           search_budget=search_budget,
                                           extra_forms=extra_forms)
+        extra_forms = ()
         if report is None:
             status = "uniform"
             break

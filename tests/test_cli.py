@@ -213,6 +213,33 @@ class TestQuasirandomize:
                       "--p", "2", "--eta", "1/4", "--pool", "file"])
         assert err.value.code == 2
 
+    def test_file_pool_forms_only_in_first_search(self, tmp_path, capsys):
+        # the first step leaves a family over [1] with no pattern pair, so a
+        # second search runs there; the all-ones form over [4] must not
+        # reach it
+        fam = tmp_path / "fam.txt"
+        fam.write_text(family_to_text(
+            Family(UniverseShape((1,), 4), frozenset({3, 4, 9, 15}))))
+        forms = tmp_path / "forms.txt"
+        forms.write_text("p=2\n1 1 1 1\n")
+        doc = run_json(["quasirandomize", "--family", str(fam), "--p", "2",
+                        "--eta", "1/4", "--pool", "file",
+                        "--forms", str(forms)], capsys)
+        report = doc["report"]
+        assert report["iterations"] == 1
+        assert report["pattern_pair"] is None
+        assert report["status"] == "inconclusive:m-schedule"
+        assert report["final_family"]["shape"]["n"] == 1
+
+    def test_file_pool_misfit_forms(self, halfspace6, tmp_path, capsys):
+        forms = tmp_path / "forms.txt"
+        forms.write_text("p=2\n1 1 1\n")
+        code, _, err = run_cli(["quasirandomize", "--family", halfspace6,
+                                "--p", "2", "--eta", "1/4", "--pool", "file",
+                                "--forms", str(forms)], capsys)
+        assert code == 4
+        assert "does not fit p=2, n=6" in err
+
     def test_nonpositive_eta(self, halfspace6, capsys):
         code, _, _ = run_cli(["quasirandomize", "--family", halfspace6,
                               "--p", "2", "--eta", "0"], capsys)
@@ -357,9 +384,9 @@ class TestReduce:
 
 
 class TestReportBytes:
-    """Reports of the covering and reduce subcommands on small fixed inputs,
-    pinned by the sha256 of their sorted-key JSON (the config is left out:
-    it holds the temporary file paths)."""
+    """Reports of the covering, reduce and quasirandomize subcommands on
+    small fixed inputs, pinned by the sha256 of their sorted-key JSON (the
+    config is left out: it holds the temporary file paths)."""
 
     DIGESTS = {
         "scan-d1":
@@ -380,6 +407,12 @@ class TestReportBytes:
             "8e4ccee4dec0899998b3c216f310f44fb5583d507f03f2f052b76814c8e2e5cc",
         "reduce-clique-loopful":
             "8b9a17e2c5a5edffb39c9454ab6411185d8fa94abc3cb8598dc9bce50a2c8d74",
+        "quasi-pool-d1":
+            "3d4dbdff0ca7b975b51ead385319aab0654dae0b592dabbb14125b7e1b8bbcd7",
+        "quasi-pool-d2":
+            "075972f3d58f4612fdb2d1521429871ddcd1cd40da1234ba65c3e97813a9fcde",
+        "quasi-exhaustive-d2":
+            "9c55ca8ff9b1131b6fa970e55387e843968ec496255bf8807cc87606213de311",
     }
 
     @staticmethod
@@ -400,6 +433,21 @@ class TestReportBytes:
                         bits |= 1 << sum(c * n ** (d - 1 - k)
                                          for k, c in enumerate(perm))
             return bits
+
+        quasi_rng = random.Random(8)
+
+        def biased(d, n, size):
+            """Random members, about 40% of them holding every cell of
+            {1, 2}^d, so that a weight-2 form tells them apart."""
+            corner = sum(1 << sum(c * n ** (d - 1 - k) for k, c in enumerate(t))
+                         for t in itertools.product((0, 1), repeat=d))
+            members = set()
+            while len(members) < size:
+                bits = quasi_rng.getrandbits(n ** d)
+                if quasi_rng.random() < 0.4:
+                    bits |= corner
+                members.add(bits)
+            return members
 
         graphs = tmp_path / "graphs.txt"
         graphs.write_text("n=4 degrees=2\n1,2 2,3\n-\n1,3 1,4 2,4 3,4\n")
@@ -428,6 +476,13 @@ class TestReportBytes:
                               "--bundles", str(graphs)],
             "reduce-clique-loopful": ["reduce", "--mode", "clique", "--loopful",
                                       "--bundles", str(graphs)],
+            "quasi-pool-d1": ["quasirandomize", "--p", "3", "--eta", "1/4",
+                              "--family", fam("q1.fam", (1,), 9, biased(1, 9, 200))],
+            "quasi-pool-d2": ["quasirandomize", "--p", "3", "--eta", "1/4",
+                              "--family", fam("q2.fam", (2,), 6, biased(2, 6, 150))],
+            "quasi-exhaustive-d2": ["quasirandomize", "--p", "3", "--eta", "1/4",
+                                    "--pool", "exhaustive",
+                                    "--family", fam("q2x.fam", (2,), 5, biased(2, 5, 60))],
         }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))

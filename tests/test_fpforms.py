@@ -39,6 +39,7 @@ from setdifflab.fpforms import (
     support,
     support_size,
     uniformity_bound,
+    value_counts,
 )
 from setdifflab.universe import SubsetMask, UniverseShape
 
@@ -123,6 +124,25 @@ def test_eval_on_bits_matches_pointwise():
         bits = rng.getrandbits(shape.cells)
         assert eval_on_bits(form, bits) == Phi_eval(
             form, SubsetMask(shape=shape, bits=bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_weighted_value_counts_match_expanded_multiset(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 4))
+    form = LinearFormP(p=p, coeffs=tuple(
+        data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))))
+    form = form.induced(data.draw(st.integers(1, 3)))
+    cells = form.shape().cells
+    weighted = data.draw(st.lists(
+        st.tuples(st.integers(0, (1 << cells) - 1), st.integers(0, 5)),
+        max_size=12))
+    expected = [0] * p
+    for bits, weight in weighted:
+        for _ in range(weight):
+            expected[eval_on_bits(form, bits)] += 1
+    assert value_counts(form, weighted) == expected
 
 
 # ---------------------------------------------------------------------------

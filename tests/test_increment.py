@@ -211,8 +211,41 @@ def search_cases(draw):
     return Family(shape, frozenset(members)), p, eta, budget, extra
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=search_cases())
+@st.composite
+def projection_cases(draw):
+    """Cases whose members share their projections onto many supports: each
+    member is one of a few backgrounds, flipped only on a few noise cells.
+    The extra forms share the last pool form's support or repeat a pool
+    form, so the search meets a support again right after the pool."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 4 if d == 3 else 6))  # at most 64 cells
+    shape = UniverseShape(degrees=(d,), n=n)
+    any_bits = st.integers(0, shape.full_bits())
+    backgrounds = draw(st.lists(any_bits, min_size=1, max_size=3))
+    noise = draw(any_bits) & draw(any_bits) & draw(any_bits)
+    members = draw(st.sets(
+        st.builds(lambda b, x: b ^ (x & noise), st.sampled_from(backgrounds), any_bits),
+        min_size=1, max_size=64))
+    pool = list(_pool_forms(p, n))
+    last = [z for z, a in enumerate(pool[-1].coeffs) if a]
+
+    def on_last_support(values):
+        coeffs = [0] * n
+        for z, a in zip(last, values):
+            coeffs[z] = a
+        return LinearFormP(p=p, coeffs=tuple(coeffs))
+
+    shared = st.lists(st.integers(1, p - 1), min_size=len(last),
+                      max_size=len(last)).map(on_last_support)
+    extra = draw(st.lists(st.one_of(shared, st.sampled_from(pool)), max_size=4))
+    budget = draw(st.sampled_from([0, 243]))  # exhaustive only up to 3^5 forms
+    eta = draw(st.sampled_from([F(0), F(1, 8), F(1, 4), F(1, 2)]))
+    return Family(shape, frozenset(members)), p, eta, budget, extra
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(search_cases(), projection_cases()))
 def test_find_distinguishing_form_matches_fraction_loop(case):
     fam, p, eta, budget, extra = case
     got = find_distinguishing_form(fam, p, eta, search_budget=budget,
