@@ -24,7 +24,7 @@ from .covering import (
 )
 from .errors import ContractViolationError, FormatError, ShapeMismatchError
 from .extremal import DEFAULT_VERTEX_CAP, max_avoiding_family
-from .fpforms import _frac, distribution, forms_from_text
+from .fpforms import distribution, forms_from_text
 from .increment import DEFAULT_FORM_BUDGET, quasirandomize
 from .patterns import CliqueDifference, PolynomialDifference, PowerDifference
 from .reductions import (
@@ -38,6 +38,7 @@ from .reductions import (
 from .universe import (
     Family,
     UniverseShape,
+    _frac,
     embed_lower_degree,
     embedded_region,
     family_from_text,

@@ -21,7 +21,6 @@ from importlib import resources
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError, ContractViolationError
-from .fpforms import _frac
 from .patterns import (
     CliqueDifference,
     FamilyDifference,
@@ -34,7 +33,7 @@ from .patterns import (
     pattern_index,
     pattern_table,
 )
-from .universe import Family, SubsetMask, UniverseShape
+from .universe import Family, SubsetMask, UniverseShape, _bit_indices, _frac
 
 DEFAULT_VERTEX_CAP = 1 << 16
 EXHAUSTIVE_VERTEX_CAP = 20
@@ -49,14 +48,6 @@ def pattern_name(spec: PatternSpec) -> str:
         CliqueDifference: "clique-difference",
     }
     return names[type(spec)]
-
-
-def _bit_indices(bits: int) -> Iterator[int]:
-    """Positions of the set bits, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 @dataclass(frozen=True)

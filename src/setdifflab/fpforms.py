@@ -26,8 +26,15 @@ from random import Random
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CapExceededError, FormatError, ShapeMismatchError, UniverseTooSmallError
-from .patterns import union_of_powers
-from .universe import SubsetMask, UniverseShape, single_part_degree
+from .universe import (
+    SubsetMask,
+    UniverseShape,
+    _bit_indices,
+    _content_lines,
+    _cross_bits,
+    _frac,
+    single_part_degree,
+)
 
 DEFAULT_ENUMERATION_BUDGET = 24
 DEFAULT_SAMPLE_COUNT = 10_000
@@ -142,10 +149,8 @@ def coefficient_class_masks(form: AnyForm) -> tuple[tuple[int, int], ...]:
     """(value, cell bitmask) per nonzero coefficient value, values ascending.
 
     An induced form's classes are folded out of the base form's without
-    visiting cells: the cell (x, rest) of [n]^(k+1) has index
-    (x-1) n^k + index(rest) and the classes of [n]^k fill only the low n^k
-    bits, so multiplying the mask M_w by sum_{a_x = a} 2^((x-1) n^k) lays the
-    class a*w copies side by side with no carries.
+    visiting cells: on [n]^(k+1) the class a*w holds the products
+    {x : a_x = a} x M_w of a base class and a class of [n]^k.
     """
     if isinstance(form, InducedForm):
         base, degree = form.base, form.degree
@@ -160,10 +165,9 @@ def coefficient_class_masks(form: AnyForm) -> tuple[tuple[int, int], ...]:
     for k in range(1, degree):
         folded: dict[int, int] = {}
         for a, row in first.items():
-            spread = sum(1 << x * n ** k for x in range(n) if row >> x & 1)
             for w, mask in masks.items():
                 value = a * w % p
-                folded[value] = folded.get(value, 0) | spread * mask
+                folded[value] = folded.get(value, 0) | _cross_bits(n, row, mask, k)
         masks = folded
     return tuple(sorted(masks.items()))
 
@@ -243,11 +247,6 @@ class DistributionTable:
             report["sample_count"] = self.sample_count
             report["seed"] = self.seed
         return report
-
-
-def _frac(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _subset_counts(p: int, sizes) -> list[int]:
@@ -427,14 +426,10 @@ def _large_support_partition(form: LinearFormP, m: int) -> BlockPartition:
     while len(pool) >= p * p + m * p:
         row = []
         for _ in range(m):
+            # at least p^2 + p elements in at most p - 1 nonzero classes: one has p
             block = _equal_coefficient_block(pool, coeffs, p)
-            if block is None:  # unreachable while the pool is thick; guard anyway
-                break
             row.append(block)
             pool = [z for z in pool if z not in block]
-        if len(row) < m:
-            pool = sorted(set(pool).union(*row))
-            break
         rows.append(tuple(row))
 
     # Top up with zero-sum blocks drawn from everything still unused until
@@ -505,15 +500,12 @@ def _zero_sum_block(pool, coeffs, p):
 @lru_cache(maxsize=256)
 def _product_table(partition: BlockPartition, row: int, degree: int) -> tuple[int, ...]:
     """Bitmask over [n]^degree of each complete block product of a row,
-    indexed by the row-major cell index of the small universe [m]^degree."""
-    shape = UniverseShape(degrees=(degree,), n=partition.n)
-    blocks = [sorted(b) for b in partition.rows[row - 1]]
-    table = []
-    for combo in itertools.product(range(partition.m), repeat=degree):
-        bits = 0
-        for cell in itertools.product(*(blocks[j] for j in combo)):
-            bits |= 1 << shape.index_of(1, cell)
-        table.append(bits)
+    indexed by the row-major cell index of the small universe [m]^degree.
+    The products tile the row region X_i^degree."""
+    blocks = [sum(1 << z - 1 for z in b) for b in partition.rows[row - 1]]
+    table = blocks
+    for k in range(1, degree):
+        table = [_cross_bits(partition.n, b, t, k) for b in blocks for t in table]
     return tuple(table)
 
 
@@ -568,8 +560,7 @@ class BlockCell:
 
     def region_bits(self) -> int:
         """The row region X_i^d."""
-        return union_of_powers(self.background.shape,
-                               self.partition.row_union(self.row)).bits
+        return sum(_product_table(self.partition, self.row, self.degree))
 
     def plant(self, small: SubsetMask) -> SubsetMask:
         """Map a subset of [m]^d to the corresponding cell member."""
@@ -577,12 +568,7 @@ class BlockCell:
             raise ShapeMismatchError(
                 f"expected a mask over [{self.partition.m}]^{self.degree}")
         table = _product_table(self.partition, self.row, self.degree)
-        bits = self.background.bits
-        rest = small.bits
-        while rest:
-            low = rest & -rest
-            bits |= table[low.bit_length() - 1]
-            rest ^= low
+        bits = self.background.bits | sum(table[i] for i in _bit_indices(small.bits))
         return SubsetMask(shape=self.background.shape, bits=bits)
 
     def lift(self, A: SubsetMask) -> SubsetMask:
@@ -657,7 +643,7 @@ def cell_value_report(form: InducedForm, partition: BlockPartition) -> CellValue
     classes = coefficient_class_masks(form)
     acc = [Fraction(0)] * p
     for row in range(1, partition.t + 1):
-        region = union_of_powers(form.shape(), partition.row_union(row)).bits
+        region = sum(_product_table(partition, row, form.degree))
         off = [(value, mask & ~region) for value, mask in classes]
         for y, q in enumerate(_convolved_masses(p, off)):
             acc[y] += q
@@ -681,10 +667,7 @@ def forms_from_text(text: str) -> list[LinearFormP]:
     Blank lines and ``#`` comments are skipped; coefficients may be arbitrary
     integers and are reduced mod p.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise FormatError("empty form file")
+    lines = _content_lines(text, "form")
     match = _FORM_HEADER.fullmatch(lines[0])
     if not match:
         raise FormatError(f"bad form header {lines[0]!r}, expected p=<prime>")

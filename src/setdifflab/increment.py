@@ -25,7 +25,6 @@ from .errors import ContractViolationError, ShapeMismatchError, UniverseTooSmall
 from .fpforms import (
     BlockCell,
     LinearFormP,
-    _frac,
     _product_table,
     _subset_counts,
     build_block_partition,
@@ -33,8 +32,8 @@ from .fpforms import (
     lift_bits,
     value_counts,
 )
-from .patterns import PatternSpec, PowerDifference, find_pattern_pair, union_of_powers
-from .universe import Family, SubsetMask, single_part_degree
+from .patterns import PatternSpec, PowerDifference, find_pattern_pair
+from .universe import Family, SubsetMask, _frac, single_part_degree
 
 DEFAULT_FORM_BUDGET = 1 << 20
 
@@ -197,8 +196,8 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int,
     # a row's densest cell replaces the best so far only when strictly denser.
     row, background, members = 1, 0, []
     for r in range(1, partition.t + 1):
-        region = union_of_powers(shape, partition.row_union(r)).bits
         table = _product_table(partition, r, degree)
+        region = sum(table)
         cells: dict[int, list[int]] = {}
         for bits in fam.members:
             chosen = lift_bits(table, bits & region)
@@ -225,21 +224,28 @@ def iteration_cap(delta: Numeric, eta: Numeric, p: int) -> int:
     """Smallest q with delta * (1 + eta/3p)^q >= 1, computed exactly.
 
     This equals ceil(log(1/delta) / log(1 + eta/3p)) away from boundary
-    cases, but avoids floating logs entirely.
+    cases, but avoids floating logs entirely.  With delta = a/b and the ratio
+    A/B it compares a A^q with b B^q on integers, doubling q, then bisecting.
     """
     delta = Fraction(delta)
     eta = Fraction(eta)
     if not 0 < delta <= 1:
         raise ValueError("density must lie in (0, 1]")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if eta <= 0 or p < 1:  # else the ratio is at most 1 and no q exists
+        raise ValueError("eta and p must be positive")
+    if delta == 1:
+        return 0
     ratio = 1 + eta / (3 * p)
-    q = 0
-    value = delta
-    while value < 1:
-        value *= ratio
-        q += 1
-    return q
+    a, b, A, B = delta.numerator, delta.denominator, ratio.numerator, ratio.denominator
+    step = 1  # doubled until delta * ratio^step >= 1
+    while a * A ** step < b * B ** step:
+        step *= 2
+    q = 0  # the largest q with delta * ratio^q < 1, built bit by bit
+    while step > 1:
+        step //= 2
+        if a * A ** (q + step) < b * B ** (q + step):
+            q += step
+    return q + 1
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .universe import (
     OrderedWindow,
     SubsetMask,
     UniverseShape,
+    _bit_indices,
+    _cross_bits,
     plant_into_window,
     restrict_and_relabel,
     window_region,
@@ -166,30 +168,16 @@ Witness = Union[
 
 
 def set_from_bits(bits: int) -> frozenset[int]:
-    out = []
-    z = 1
-    while bits:
-        if bits & 1:
-            out.append(z)
-        bits >>= 1
-        z += 1
-    return frozenset(out)
+    return frozenset(i + 1 for i in _bit_indices(bits))
 
 
 def _power_bits(shape: UniverseShape, s: int) -> int:
-    """Bits of S^{d_1} u ... u S^{d_s} for S given as a bitmask over [n].
-
-    Within a part S^k fills only the low n^k bits, so multiplying it by
-    sum_{x in S} 2^((x-1) n^k) places one copy per x side by side with no
-    carries; the product is S^{k+1}.
-    """
-    n = shape.n
-    elems = [x for x in range(n) if s >> x & 1] if max(shape.degrees) > 1 else ()
+    """Bits of S^{d_1} u ... u S^{d_s} for S given as a bitmask over [n]."""
     bits = 0
     for part, d in enumerate(shape.degrees, start=1):
         cube = s
         for k in range(1, d):
-            cube *= sum(1 << x * n ** k for x in elems)
+            cube = _cross_bits(shape.n, s, cube, k)
         bits |= cube << shape.part_offset(part)
     return bits
 

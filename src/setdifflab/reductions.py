@@ -20,12 +20,13 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, FormatError, ShapeMismatchError
-from .patterns import hyperedges_of
+from .patterns import CliqueDifference, hyperedges_of, pattern_index
 from .universe import (
     Family,
     OrderedWindow,
     SubsetMask,
     UniverseShape,
+    _content_lines,
     plant_into_window,
     single_part_degree,
 )
@@ -74,7 +75,7 @@ def _orbits(shape: UniverseShape) -> MappingProxyType[tuple[int, tuple[int, ...]
     part_of = {comp: j for j, (_, comp) in
                enumerate(IntervalPartitionCatalog(d=d).parts())}
     orbits: dict[tuple[int, ...], int] = {}
-    for i, coords in enumerate(itertools.product(range(1, shape.n + 1), repeat=d)):
+    for i, (_, coords) in enumerate(shape.points()):
         rep = tuple(sorted(coords))
         orbits[rep] = orbits.get(rep, 0) | 1 << i
     table = {}
@@ -260,12 +261,7 @@ def bundles_to_text(bundles: Sequence[HypergraphBundle]) -> str:
 
 
 def bundles_from_text(text: str) -> list[HypergraphBundle]:
-    lines = [
-        ln.strip() for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise FormatError("empty bundle file")
+    lines = _content_lines(text, "bundle")
     header = _HEADER.fullmatch(lines[0])
     if header is None:
         raise FormatError(f"bad header {lines[0]!r}")
@@ -359,10 +355,10 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
     if n < 1:
         raise ValueError("n must be positive")
     shape = UniverseShape(degrees=(2,), n=n)
-    free = shape.full_bits()
-    for x in range(n):
-        for y in range(x if loopful else x + 1, n):
-            free &= ~(1 << x * n + y)
+    read = SymmetricRegion(2, n).mask().bits  # x <= y
+    if not loopful:
+        read &= pattern_index(shape, CliqueDifference((2,)))[0]  # x < y
+    free = shape.full_bits() & ~read
     graphs = list(graphs)
     if len(graphs) << free.bit_count() > CLIQUE_FIBRE_CAP:
         raise CapExceededError(
@@ -370,7 +366,7 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
             f"the cap {CLIQUE_FIBRE_CAP}")
     members = set()
     for graph in graphs:
-        base = sum(1 << (min(e) - 1) * n + max(e) - 1
+        base = sum(1 << shape.index_of(1, (min(e), max(e)))
                    for e in _normalize_graph(graph, n, loopful))
         sub = 0  # the fibre: every subset of the free cells, ascending
         while True:

@@ -108,6 +108,24 @@ class UniverseShape:
         return self._full_bits
 
 
+def _bit_indices(bits: int) -> Iterator[int]:
+    """Positions of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _cross_bits(n: int, xs: int, tail: int, k: int) -> int:
+    """Bits of X x T in [n]^(k+1) for X a bitmask over [n], T one over [n]^k.
+
+    T fills the low n^k bits and (x, rest) has index (x-1) n^k + index(rest),
+    so T * sum_{x in X} 2^((x-1) n^k) lays one copy per x with no carries.
+    """
+    stride = n ** k
+    return tail * sum(1 << i * stride for i in _bit_indices(xs))
+
+
 def single_part_degree(shape: UniverseShape) -> int:
     """The degree d of a single-part universe [n]^d; other shapes raise."""
     if shape.s != 1:
@@ -134,18 +152,10 @@ class SubsetMask:
         return bool(self.bits >> self.shape.index_of(part, coords) & 1)
 
     def points(self) -> Iterator[Point]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield self.shape.point_of(low.bit_length() - 1)
-            bits ^= low
+        return map(self.shape.point_of, _bit_indices(self.bits))
 
     def indices(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return _bit_indices(self.bits)
 
     def _check(self, other: "SubsetMask") -> None:
         if self.shape != other.shape:
@@ -430,12 +440,27 @@ def embed_preimage(
 # followed by one line per member: lowercase hex of the cell bit array with
 # the most significant cell LAST (hex digit j encodes cells 4j..4j+3).
 # Members are written in ascending bit order; blank lines and #-comments are
-# ignored on input.
+# ignored on input, here and in the bundle and form files (_content_lines).
 
 _HEADER_RE = re.compile(
     r"^shape\s+s=(\d+)\s+d=([0-9,]+)\s+n=(\d+)\s*$"
 )
 _HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _frac(q) -> str:
+    """An exact rational as the report string "num/den"."""
+    q = Fraction(q)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def _content_lines(text: str, what: str) -> list[str]:
+    """Stripped lines, blanks and ``#`` comments dropped; none left is an error."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise FormatError(f"empty {what} file")
+    return lines
 
 
 def mask_to_hex(bits: int, cells: int) -> str:
@@ -461,13 +486,7 @@ def family_to_text(fam: Family) -> str:
 
 
 def family_from_text(text: str) -> Family:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise FormatError("empty family file")
+    lines = _content_lines(text, "family")
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise FormatError(f"bad family header {lines[0]!r}")

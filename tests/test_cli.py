@@ -245,6 +245,12 @@ class TestQuasirandomize:
                               "--p", "2", "--eta", "0"], capsys)
         assert code == 4
 
+    def test_negative_p_is_refused_before_the_cap(self, halfspace6, capsys):
+        code, _, err = run_cli(["quasirandomize", "--family", halfspace6,
+                                "--p", "-3", "--eta", "1/2"], capsys)
+        assert code == 4
+        assert "p must be positive" in err
+
 
 class TestExtremal:
     def test_two_element_record(self, capsys):

@@ -587,7 +587,7 @@ def test_lift_bits_matches_pointwise_block_constancy(data):
     p = data.draw(st.sampled_from([2, 3]))
     m = data.draw(st.sampled_from([1, 2]))
     n = data.draw(st.integers(2 * p * m + 1, 14))
-    d = data.draw(st.sampled_from([1, 2]))
+    d = data.draw(st.sampled_from([1, 2, 3]))
     coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
     partition = build_block_partition(LinearFormP(p=p, coeffs=tuple(coeffs)), m)
     row = data.draw(st.integers(1, partition.t))

@@ -434,9 +434,36 @@ def test_increment_step_matches_two_pass_loop(blocks, data):
     assert (step.cell, step.density, step.family) == expected
 
 
+def stepwise_iteration_cap(delta, eta, p) -> int:
+    """The cap by one Fraction product per step, the reference."""
+    ratio = 1 + F(eta) / (3 * p)
+    q, value = 0, F(delta)
+    while value < 1:
+        value *= ratio
+        q += 1
+    return q
+
+
 class TestIterationCap:
     def test_frozen_example(self):
         assert iteration_cap(F(1, 2), F(1, 2), 2) == 9
+
+    def test_exact_boundary(self):
+        # ratio 3/2: delta * ratio^q is exactly 1 at q = 2 and at q = 3
+        assert iteration_cap(F(4, 9), F(3), 2) == 2
+        assert iteration_cap(F(8, 27), F(3), 2) == 3
+
+    def test_tiny_densities(self):
+        assert iteration_cap(F(2000, 2 ** 100), F(1, 4), 3) == 2253
+        assert iteration_cap(F(1, 2 ** 400), F(1, 4), 5) == 16774
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.integers(1, 1 << 16), b=st.integers(0, 1 << 16),
+           eta=st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16),
+           p=st.sampled_from([2, 3, 5, 7]))
+    def test_matches_stepwise_loop(self, a, b, eta, p):
+        delta = F(a, a + b)
+        assert iteration_cap(delta, eta, p) == stepwise_iteration_cap(delta, eta, p)
 
     def test_full_density_needs_no_steps(self):
         assert iteration_cap(F(1), F(1, 2), 2) == 0
@@ -459,6 +486,9 @@ class TestIterationCap:
             iteration_cap(F(3, 2), F(1, 2), 2)
         with pytest.raises(ValueError):
             iteration_cap(F(1, 2), F(0), 2)
+        for p in (0, -3):
+            with pytest.raises(ValueError):
+                iteration_cap(F(1, 2), F(1, 2), p)
 
 
 class TestDefaultSchedule:

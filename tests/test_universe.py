@@ -5,13 +5,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setdifflab.errors import FormatError, ShapeMismatchError
+from setdifflab.fpforms import forms_from_text
+from setdifflab.reductions import bundles_from_text
 from setdifflab.universe import (
     Family,
     OrderedWindow,
     SubsetMask,
     UniverseShape,
+    _cross_bits,
     embed_lower_degree,
     embed_preimage,
     embedded_region,
@@ -89,6 +94,19 @@ def test_index_validation():
         UniverseShape((0,), 3)
     with pytest.raises(ValueError):
         UniverseShape((1,), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cross_bits_matches_point_product(data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 3))
+    xs = data.draw(st.integers(0, (1 << n) - 1))
+    tail = SubsetMask(UniverseShape((k,), n), data.draw(st.integers(0, (1 << n ** k) - 1)))
+    product = SubsetMask.from_points(UniverseShape((k + 1,), n), [
+        (1, (x, *rest)) for x in range(1, n + 1) if xs >> x - 1 & 1
+        for _, rest in tail.points()])
+    assert _cross_bits(n, xs, tail.bits, k) == product.bits
 
 
 def test_mask_set_algebra():
@@ -282,3 +300,11 @@ def test_family_text_errors():
 def test_family_text_ignores_comments_and_blanks():
     fam = family_from_text("# comment\nshape s=1 d=1 n=3\n\n1\n# another\n5\n")
     assert sorted(fam.members) == [1, 5]
+
+
+@pytest.mark.parametrize("parse, what", [
+    (family_from_text, "family"), (bundles_from_text, "bundle"), (forms_from_text, "form")])
+def test_text_parsers_share_the_content_filter(parse, what):
+    for text in ("", "\n  \n", "# only\n  # comments\n\n"):
+        with pytest.raises(FormatError, match=f"^empty {what} file$"):
+            parse(text)
