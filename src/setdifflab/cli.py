@@ -5,6 +5,10 @@ envelope {tool, version, config, seed, report}.  Rationals appear as
 "num/den" strings throughout so reports stay exact, and serialization sorts
 keys, making repeated runs byte-identical for a fixed config.
 
+Every job is a fresh process, so start-up is paid once per report: this
+module imports only the standard library and ``errors`` at module level, and
+each ``cmd_*`` imports the layers it calls (``--version`` loads none).
+
 Exit codes: 0 success, 2 usage, 3 malformed input file, 4 domain error,
 5 internal contract violation.
 """
@@ -12,39 +16,10 @@ Exit codes: 0 success, 2 usage, 3 malformed input file, 4 domain error,
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
-from .covering import (
-    demo_average_density,
-    demo_framework_report,
-    guarantee_threshold,
-    scan_for_dense_cell,
-)
 from .errors import ContractViolationError, FormatError, ShapeMismatchError
-from .extremal import DEFAULT_VERTEX_CAP, max_avoiding_family
-from .fpforms import distribution, forms_from_text
-from .increment import DEFAULT_FORM_BUDGET, quasirandomize
-from .patterns import CliqueDifference, PolynomialDifference, PowerDifference
-from .reductions import (
-    beta_bijection,
-    beta_inverse,
-    bundles_from_text,
-    bundles_to_text,
-    clique_square_correspondence,
-    multiplex,
-)
-from .universe import (
-    Family,
-    UniverseShape,
-    _frac,
-    embed_lower_degree,
-    embedded_region,
-    family_from_text,
-    family_to_text,
-    mask_to_hex,
-)
 
 
 def _read(path: str) -> str:
@@ -57,6 +32,7 @@ def _read(path: str) -> str:
 
 def _jsonable(value):
     if isinstance(value, Fraction):
+        from .universe import _frac
         return _frac(value)
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
@@ -88,7 +64,8 @@ def _emit(args, report: dict) -> None:
         sys.stdout.write(text)
 
 
-def _family_json(fam: Family) -> dict:
+def _family_json(fam) -> dict:
+    from .universe import mask_to_hex
     return {
         "shape": {"degrees": list(fam.shape.degrees), "n": fam.shape.n},
         "size": len(fam),
@@ -101,6 +78,8 @@ def _family_json(fam: Family) -> dict:
 
 
 def cmd_scan(args) -> None:
+    from .covering import guarantee_threshold, scan_for_dense_cell
+    from .universe import _frac, family_from_text
     fam = family_from_text(_read(args.family))
     pattern_family = family_from_text(_read(args.pattern_family))
     if (args.epsilon is None) != (args.delta is None):
@@ -133,6 +112,7 @@ def cmd_scan(args) -> None:
 
 
 def cmd_phidist(args) -> None:
+    from .fpforms import distribution, forms_from_text
     forms = forms_from_text(_read(args.forms))
 
     tables = [distribution(form.induced(args.degree), mode=args.mode,
@@ -149,6 +129,9 @@ def cmd_phidist(args) -> None:
 
 
 def cmd_quasirandomize(args) -> None:
+    from .fpforms import forms_from_text
+    from .increment import DEFAULT_FORM_BUDGET, quasirandomize
+    from .universe import family_from_text
     fam = family_from_text(_read(args.family))
     if args.eta <= 0:
         raise ValueError("eta must be positive")
@@ -181,6 +164,11 @@ def cmd_quasirandomize(args) -> None:
 
 
 def cmd_extremal(args) -> None:
+    from .extremal import DEFAULT_VERTEX_CAP, max_avoiding_family
+    from .patterns import CliqueDifference, PolynomialDifference, PowerDifference
+    from .universe import UniverseShape
+    if args.vertex_cap is None:
+        args.vertex_cap = DEFAULT_VERTEX_CAP  # echoed in the report config
     degrees = tuple(args.d)
     shape = UniverseShape(degrees, args.n)
     if args.pattern == "clique":
@@ -196,10 +184,13 @@ def cmd_extremal(args) -> None:
 
 
 def cmd_verify_framework(args) -> None:
-    _emit(args, asdict(demo_framework_report(args.n)))
+    from .covering import demo_framework_report
+    _emit(args, vars(demo_framework_report(args.n)))
 
 
 def cmd_demo_interval(args) -> None:
+    from .covering import demo_average_density
+    from .universe import _frac, family_from_text
     fam = family_from_text(_read(args.family))
     if fam.shape.degrees != (1,) or fam.shape.n != args.n:
         raise ShapeMismatchError(
@@ -215,6 +206,10 @@ def cmd_demo_interval(args) -> None:
 
 
 def cmd_reduce(args) -> None:
+    from .reductions import (beta_bijection, beta_inverse, bundles_from_text,
+                             bundles_to_text, clique_square_correspondence, multiplex)
+    from .universe import (Family, embed_lower_degree, embedded_region,
+                           family_from_text, family_to_text)
     mode = args.mode
     flags = ("bundles",) if mode in ("beta-inverse", "clique") else ("family",)
     flags += {"multiplex": ("s",), "embed": ("degrees",)}.get(mode, ())
@@ -311,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=("power", "clique"), default="power")
     p.add_argument("--method", choices=("branch-and-bound", "exhaustive"),
                    default="branch-and-bound")
-    p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
+    p.add_argument("--vertex-cap", type=int)
     p.add_argument("--time-limit", type=float)
     p.set_defaults(func=cmd_extremal, parser=p)
 

@@ -11,7 +11,6 @@ covering conditions over Z_2^{Z_n}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Collection, Hashable, Iterator, Optional, Sequence
@@ -21,6 +20,7 @@ from .patterns import cyclic_interval_bits
 from .universe import (
     Family,
     OrderedWindow,
+    Record,
     SubsetMask,
     UniverseShape,
     _plant_bits,
@@ -32,14 +32,12 @@ from .universe import (
 Predicate = Callable[[SubsetMask], bool]
 
 
-@dataclass(frozen=True)
-class WindowSystem:
+class WindowSystem(Record):
     shape: UniverseShape
     windows: tuple[OrderedWindow, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.windows, tuple):
-            object.__setattr__(self, "windows", tuple(self.windows))
+        object.__setattr__(self, "windows", tuple(self.windows))
         if not self.windows:
             raise ValueError("need at least one window")
         m = self.windows[0].m
@@ -96,8 +94,7 @@ def satisfying_count(small_shape: UniverseShape, pred: Predicate) -> int:
     return sum(1 for b in range(1 << small_shape.cells) if pred(SubsetMask(small_shape, b)))
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Record):
     t: int
     p_P: Fraction
     expectation: Fraction
@@ -144,8 +141,7 @@ def guarantee_threshold(m: int, degrees: Sequence[int], epsilon: Fraction) -> Fr
     return (1 << exponent) * epsilon**-3 * m
 
 
-@dataclass(frozen=True)
-class CoveringCell:
+class CoveringCell(Record):
     """The cell C(I_r, U): subsets agreeing with U off the window power region
     whose relabeled window part lies in the pattern family."""
 
@@ -213,8 +209,7 @@ def scan_for_dense_cell(
     return cell, Fraction(best_count, cell_size), average
 
 
-@dataclass(frozen=True)
-class ProofChainReport:
+class ProofChainReport(Record):
     """Exact accounting behind the dense-cell guarantee, over all subsets."""
 
     epsilon: Fraction
@@ -296,8 +291,7 @@ def proof_chain_report(
 # labels, which is what makes |Omega| L = |W| K come out exactly.
 
 
-@dataclass(frozen=True)
-class DemoCell:
+class DemoCell(Record):
     n: int
     base: int
     anchor: int
@@ -349,8 +343,7 @@ def demo_average_density(n: int, fam_bits: Collection[int]) -> Fraction:
     return Fraction(hits, (n << n) * n)
 
 
-@dataclass(frozen=True)
-class FrameworkReport:
+class FrameworkReport(Record):
     omega_size: int
     num_cells: int
     K: Optional[int]            # common cell size, None if not uniform

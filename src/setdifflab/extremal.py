@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Sequence
@@ -33,7 +32,7 @@ from .patterns import (
     pattern_index,
     pattern_table,
 )
-from .universe import Family, SubsetMask, UniverseShape, _bit_indices, _frac
+from .universe import Family, Record, SubsetMask, UniverseShape, _bit_indices, _frac
 
 DEFAULT_VERTEX_CAP = 1 << 16
 EXHAUSTIVE_VERTEX_CAP = 20
@@ -50,8 +49,7 @@ def pattern_name(spec: PatternSpec) -> str:
     return names[type(spec)]
 
 
-@dataclass(frozen=True)
-class ForbiddenPairGraph:
+class ForbiddenPairGraph(Record):
     """All subsets as vertices; edges are witness-admitting pairs.
 
     ``adj[v]`` is the bitmask of the neighbours of vertex v.
@@ -296,8 +294,7 @@ def _exhaustive_mis(adj: Sequence[int]) -> tuple[int, int]:
     return best_size, best_set
 
 
-@dataclass(frozen=True)
-class ExtremalRecord:
+class ExtremalRecord(Record):
     shape: UniverseShape
     spec: PatternSpec
     max_size: int
@@ -352,8 +349,7 @@ def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
 # threshold tables and regression data
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
+class ThresholdTable(Record):
     rows: tuple[ExtremalRecord, ...]
 
     @property

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -27,6 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CapExceededError, FormatError, ShapeMismatchError, UniverseTooSmallError
 from .universe import (
+    Record,
     SubsetMask,
     UniverseShape,
     _bit_indices,
@@ -47,8 +47,7 @@ def _is_prime(p: int) -> bool:
     return all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
-@dataclass(frozen=True)
-class LinearFormP:
+class LinearFormP(Record):
     """``phi(x) = a_1 x_1 + ... + a_n x_n`` over F_p, applied to subsets of [n]."""
 
     p: int
@@ -70,8 +69,7 @@ class LinearFormP:
         return InducedForm(base=self, degree=degree)
 
 
-@dataclass(frozen=True)
-class InducedForm:
+class InducedForm(Record):
     """Degree-d lift of a linear form to subsets of [n]^d.
 
     Never stores its own coefficients: the cell (i_1, ..., i_d) always
@@ -165,9 +163,10 @@ def coefficient_class_masks(form: AnyForm) -> tuple[tuple[int, int], ...]:
     for k in range(1, degree):
         folded: dict[int, int] = {}
         for a, row in first.items():
+            spread = _cross_bits(n, row, 1, k)  # X x {first cell}; mask * spread is X x M
             for w, mask in masks.items():
                 value = a * w % p
-                folded[value] = folded.get(value, 0) | _cross_bits(n, row, mask, k)
+                folded[value] = folded.get(value, 0) | mask * spread
         masks = folded
     return tuple(sorted(masks.items()))
 
@@ -203,8 +202,7 @@ def uniformity_bound(p: int, zsize: int) -> Fraction:
     return p * (1 - Fraction(1, p * p)) ** zsize
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(Record):
     """Distribution of a form's value over a uniformly random subset."""
 
     p: int
@@ -323,8 +321,7 @@ def distribution(form: AnyForm, mode: str = "exact",
 # Block partitions
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(Record):
     """t rows of m pairwise disjoint form-null blocks plus a remainder.
 
     Every block has the common size sigma (1 in the small-support case, p
@@ -526,8 +523,7 @@ def lift_bits(table: Sequence[int], inside: int) -> Optional[int]:
     return chosen
 
 
-@dataclass(frozen=True)
-class BlockCell:
+class BlockCell(Record):
     """Subsets of [n]^d pinned to a background off a row's region X_i^d and
     block-constant on it.
 
@@ -615,8 +611,7 @@ def cell_form_value(form: InducedForm, partition: BlockPartition, row: int,
     return Phi_eval(form, background)
 
 
-@dataclass(frozen=True)
-class CellValueReport:
+class CellValueReport(Record):
     """Cell-value distribution (uniform row, uniform background) vs global."""
 
     cell_masses: tuple[Fraction, ...]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -33,7 +32,7 @@ from .fpforms import (
     value_counts,
 )
 from .patterns import PatternSpec, PowerDifference, find_pattern_pair
-from .universe import Family, SubsetMask, _frac, single_part_degree
+from .universe import Family, Record, SubsetMask, _frac, single_part_degree
 
 DEFAULT_FORM_BUDGET = 1 << 20
 
@@ -48,8 +47,7 @@ def family_value_masses(fam: Family, form) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, len(fam.members)) for c in counts)
 
 
-@dataclass(frozen=True)
-class DistinguishingReport:
+class DistinguishingReport(Record):
     """A form whose induced distribution on the family strays from global."""
 
     form: LinearFormP
@@ -155,8 +153,7 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     return DistinguishingReport(form=form, y=y, gap=gap, scope=scope)
 
 
-@dataclass(frozen=True)
-class IncrementStep:
+class IncrementStep(Record):
     """Result of one increment: the chosen cell and the pulled-back family."""
 
     cell: BlockCell
@@ -248,8 +245,7 @@ def iteration_cap(delta: Numeric, eta: Numeric, p: int) -> int:
     return q + 1
 
 
-@dataclass(frozen=True)
-class IncrementTrace:
+class IncrementTrace(Record):
     """What the quasirandomization loop did, step by step."""
 
     steps: tuple[tuple[DistinguishingReport, IncrementStep], ...]

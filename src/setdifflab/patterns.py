@@ -12,7 +12,6 @@ to plain JSON objects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -20,6 +19,7 @@ from .errors import CapExceededError, ShapeMismatchError
 from .universe import (
     Family,
     OrderedWindow,
+    Record,
     SubsetMask,
     UniverseShape,
     _bit_indices,
@@ -39,22 +39,18 @@ _MODES = (SAME_WINDOW, DISJOINT_WINDOWS, NESTED)
 # pattern specs
 
 
-@dataclass(frozen=True)
-class PowerDifference:
+class PowerDifference(Record):
     degree: int
 
 
-@dataclass(frozen=True)
-class PolynomialDifference:
+class PolynomialDifference(Record):
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.degrees, tuple):
-            object.__setattr__(self, "degrees", tuple(self.degrees))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
 
 
-@dataclass(frozen=True)
-class FamilyDifference:
+class FamilyDifference(Record):
     family: Family
     mode: str = SAME_WINDOW
 
@@ -63,18 +59,15 @@ class FamilyDifference:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class IntervalModN:
+class IntervalModN(Record):
     pass
 
 
-@dataclass(frozen=True)
-class CliqueDifference:
+class CliqueDifference(Record):
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.degrees, tuple):
-            object.__setattr__(self, "degrees", tuple(self.degrees))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
 
 
 PatternSpec = Union[
@@ -87,16 +80,14 @@ PatternSpec = Union[
 # witnesses
 
 
-@dataclass(frozen=True)
-class PowerWitness:
+class PowerWitness(Record):
     S: frozenset[int]
 
     def to_json(self) -> dict:
         return {"kind": "power-difference", "S": sorted(self.S)}
 
 
-@dataclass(frozen=True)
-class Distance2Witness:
+class Distance2Witness(Record):
     U: SubsetMask
     S1: frozenset[int]
     S2: frozenset[int]
@@ -110,8 +101,7 @@ class Distance2Witness:
         }
 
 
-@dataclass(frozen=True)
-class FamilyWitness:
+class FamilyWitness(Record):
     """Certificate (windows, U, F_1, F_2) for a template-family difference.
 
     F1/F2 are the planted sets inside the window power region of the big
@@ -141,8 +131,7 @@ class FamilyWitness:
         }
 
 
-@dataclass(frozen=True)
-class IntervalWitness:
+class IntervalWitness(Record):
     start: int
     length: int
 
@@ -150,8 +139,7 @@ class IntervalWitness:
         return {"kind": "interval-mod-n", "start": self.start, "length": self.length}
 
 
-@dataclass(frozen=True)
-class CliqueWitness:
+class CliqueWitness(Record):
     S: frozenset[int]
 
     def to_json(self) -> dict:

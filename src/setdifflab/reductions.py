@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
@@ -24,6 +23,7 @@ from .patterns import CliqueDifference, hyperedges_of, pattern_index
 from .universe import (
     Family,
     OrderedWindow,
+    Record,
     SubsetMask,
     UniverseShape,
     _content_lines,
@@ -41,8 +41,7 @@ CLIQUE_FIBRE_CAP = 1 << 20
 # symmetric region
 
 
-@dataclass(frozen=True)
-class SymmetricRegion:
+class SymmetricRegion(Record):
     """Sorted-coordinate representatives {x_1 <= ... <= x_d} inside [n]^d."""
 
     d: int
@@ -127,8 +126,7 @@ def multiplex(fam: Family, s: int) -> Family:
 # interval partitions and the hypergraph bijection
 
 
-@dataclass(frozen=True)
-class IntervalPartitionCatalog:
+class IntervalPartitionCatalog(Record):
     """Partitions of [d] into k consecutive intervals, for every k.
 
     A partition into k intervals is the same thing as a composition
@@ -196,8 +194,7 @@ def _part_degrees(d: int) -> tuple[int, ...]:
     return tuple(len(comp) for comps in _compositions(d) for comp in comps)
 
 
-@dataclass(frozen=True)
-class HypergraphBundle:
+class HypergraphBundle(Record):
     """One k_j-uniform hypergraph on [n] per part."""
 
     n: int

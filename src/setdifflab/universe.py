@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, ShapeMismatchError
@@ -28,16 +28,81 @@ from .errors import FormatError, ShapeMismatchError
 Point = tuple[int, tuple[int, ...]]  # (part, coordinates), both 1-based
 
 
-@dataclass(frozen=True)
-class UniverseShape:
+class Record:
+    """Base of the immutable value types: a frozen dataclass without the
+    generated code, which would cost start-up in every process.
+
+    The fields, ``_fields``, are the subclass's own annotations in order; a
+    class value is a default.  Fields come by position or keyword, then
+    ``__post_init__`` runs (it may normalise a field through
+    ``object.__setattr__``).  Records equal only same-class records with
+    equal fields and hash as the field tuple; assigning or deleting an
+    attribute raises AttributeError.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        count = len(names)
+        if count == 1:  # attrgetter of one name returns the bare value
+            get = attrgetter(names[0])
+            values = lambda record: (get(record),)
+        else:
+            values = attrgetter(*names) if names else lambda record: ()
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != count:
+                args = self._bind(args, kwargs)
+            for name, value in zip(names, args):  # keeps the compact instance dict
+                object.__setattr__(self, name, value)
+            self.__post_init__()
+
+        def __eq__(self, other):
+            same = other.__class__ is self.__class__
+            return values(self) == values(other) if same else NotImplemented
+
+        def __hash__(self):
+            return hash(values(self))
+
+        cls._fields = names
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values in order, from positions, keywords and defaults."""
+        names = cls._fields
+        if not args and kwargs.keys() == set(names):
+            return list(map(kwargs.__getitem__, names))
+        given = dict(zip(names, args), **kwargs)
+        if (len(args) <= len(names) and len(given) == len(args) + len(kwargs)
+                and all(name in given or name in cls.__dict__ for name in names)):
+            values = [given.pop(name) if name in given else cls.__dict__[name] for name in names]
+            if not given:  # every keyword named a field
+                return values
+        raise TypeError(f"{cls.__name__} takes fields {names}, got {args} {kwargs}")
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class UniverseShape(Record):
     """Shape descriptor: part degrees (d_1, ..., d_s) and side n."""
 
     degrees: tuple[int, ...]
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degrees, tuple):
-            object.__setattr__(self, "degrees", tuple(self.degrees))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
         if len(self.degrees) < 1:
             raise ValueError("need at least one part")
         if any(not isinstance(d, int) or d < 1 for d in self.degrees):
@@ -134,8 +199,7 @@ def single_part_degree(shape: UniverseShape) -> int:
     return shape.degrees[0]
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class SubsetMask(Record):
     """A subset of the ground set, encoded as an int bitmask."""
 
     shape: UniverseShape
@@ -203,16 +267,14 @@ class SubsetMask:
         return cls(shape, shape.full_bits())
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A set of subsets of one universe.  Members stored as raw bit values."""
 
     shape: UniverseShape
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
+        object.__setattr__(self, "members", frozenset(self.members))
         full = self.shape.full_bits()
         for b in self.members:
             if not 0 <= b <= full:
@@ -250,8 +312,7 @@ class Family:
         return Fraction(len(self.members), 1 << self.shape.cells)
 
 
-@dataclass(frozen=True)
-class OrderedWindow:
+class OrderedWindow(Record):
     """An ordered m-subset of [n]; position in the tuple is the ordering.
 
     ``relabel`` sends elements[k-1] to k, i.e. the k-th element under the
@@ -261,8 +322,7 @@ class OrderedWindow:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.elements, tuple):
-            object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "elements", tuple(self.elements))
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"window elements not distinct: {self.elements}")
         if not self.elements:

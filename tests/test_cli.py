@@ -271,6 +271,31 @@ class TestExtremal:
                               "--vertex-cap", "16"], capsys)
         assert code == 4
 
+    def test_config_echoes_the_vertex_cap(self, capsys):
+        doc = run_json(["extremal", "--d", "1", "--n", "2"], capsys)
+        assert doc["config"]["vertex_cap"] == 65536
+        doc = run_json(["extremal", "--d", "1", "--n", "2",
+                        "--vertex-cap", "1024"], capsys)
+        assert doc["config"]["vertex_cap"] == 1024
+
+    # whole documents, config included (they name no file), pinned by sha256
+    DOCUMENTS = {
+        "extremal --d 1 2 --n 2":
+            "c6d98cb6914e63d5f3f204cb222b384aaa2bd337411e35dc002f779ce9f8404c",
+        "extremal --d 2 --n 2 --pattern clique":
+            "bee4af5b5e215beba0fc136e73b0140a0e5d75a7cfd17a8ed8c385ed8cb9b302",
+        "extremal --d 1 --n 4 --vertex-cap 1024 --method exhaustive":
+            "c0eb53a54da0592321c11bd8216cc9770e40e96ff511bcc1571fd19ea597a403",
+        "verify-framework --n 4":
+            "78b1d558752139b12f404f0bd0ccef4555afb408c735cc96e65afbce042b419b",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(DOCUMENTS))
+    def test_document_digest(self, argv, capsys):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DOCUMENTS[argv]
+
 
 class TestVerifyFramework:
     @pytest.mark.parametrize("n", ["14", "40", "1000000000"])

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -9,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setdifflab.errors import FormatError, ShapeMismatchError
-from setdifflab.fpforms import forms_from_text
+from setdifflab.fpforms import DistributionTable, forms_from_text
+from setdifflab.patterns import (
+    SAME_WINDOW,
+    CliqueDifference,
+    FamilyDifference,
+    IntervalModN,
+    PolynomialDifference,
+)
 from setdifflab.reductions import bundles_from_text
 from setdifflab.universe import (
     Family,
@@ -308,3 +317,190 @@ def test_text_parsers_share_the_content_filter(parse, what):
     for text in ("", "\n  \n", "# only\n  # comments\n\n"):
         with pytest.raises(FormatError, match=f"^empty {what} file$"):
             parse(text)
+
+
+# ---------------------------------------------------------------------------
+# Record against frozen dataclasses: each twin declares a record's fields and
+# defaults by hand and borrows its __post_init__, so the two must agree on
+# construction, normalisation, equality, hash, repr and set order.
+
+
+@dataclasses.dataclass(frozen=True)
+class ShapeTwin:
+    degrees: tuple
+    n: int
+    __post_init__ = UniverseShape.__post_init__
+
+
+@dataclasses.dataclass(frozen=True)
+class MaskTwin:
+    shape: UniverseShape
+    bits: int
+    __post_init__ = SubsetMask.__post_init__
+
+
+@dataclasses.dataclass(frozen=True)
+class TableTwin:
+    p: int
+    masses: tuple
+    mode: str
+    support_size: int
+    uniformity_bound: Fraction
+    sample_count: object = None
+    seed: object = None
+    __post_init__ = DistributionTable.__post_init__
+
+
+@dataclasses.dataclass(frozen=True)
+class FamilyDifferenceTwin:
+    family: Family
+    mode: str = SAME_WINDOW
+    __post_init__ = FamilyDifference.__post_init__
+
+
+@dataclasses.dataclass(frozen=True)
+class PolynomialTwin:
+    degrees: tuple
+    __post_init__ = PolynomialDifference.__post_init__
+
+
+@dataclasses.dataclass(frozen=True)
+class IntervalTwin:
+    pass
+
+
+TWINS = {UniverseShape: ShapeTwin, SubsetMask: MaskTwin,
+         DistributionTable: TableTwin, FamilyDifference: FamilyDifferenceTwin,
+         PolynomialDifference: PolynomialTwin, IntervalModN: IntervalTwin}
+
+degree_lists = st.lists(st.integers(0, 3), max_size=3)
+FIELD_VALUES = {
+    UniverseShape: st.tuples(st.one_of(degree_lists, degree_lists.map(tuple)),
+                             st.integers(0, 4)),
+    SubsetMask: st.tuples(st.sampled_from(SMALL_SHAPES), st.integers(-1, 1 << 9)),
+    DistributionTable: st.tuples(
+        st.integers(1, 3),
+        st.lists(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+                 min_size=1, max_size=3).map(tuple),
+        st.sampled_from(["exact", "sampled"]), st.integers(0, 4),
+        st.sampled_from([Fraction(1, 3), Fraction(2)]),
+        st.sampled_from([None, 10]), st.sampled_from([None, 0, 7])),
+    FamilyDifference: st.tuples(
+        st.sets(st.integers(0, 7), max_size=3).map(
+            lambda members: Family(UniverseShape((1,), 3), frozenset(members))),
+        st.sampled_from([SAME_WINDOW, "nested", "sideways"])),
+    PolynomialDifference: st.tuples(st.one_of(degree_lists, degree_lists.map(tuple))),
+    IntervalModN: st.just(()),
+}
+
+
+@st.composite
+def record_calls(draw, cls):
+    """(args, kwargs) for one constructor call of ``cls``: the first k fields
+    by position, the rest by keyword, trailing defaults sometimes left out."""
+    fields = dataclasses.fields(TWINS[cls])
+    values = draw(FIELD_VALUES[cls])
+    k = draw(st.integers(0, len(fields)))
+    kwargs = {}
+    for field, value in zip(fields[k:], values[k:]):
+        has_default = field.default is not dataclasses.MISSING
+        if not (has_default and draw(st.booleans())):
+            kwargs[field.name] = value
+    return tuple(values[:k]), kwargs
+
+
+def build(cls, call):
+    """The instance, or the ValueError message it raised."""
+    args, kwargs = call
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def field_values(obj) -> tuple:
+    twin = TWINS.get(type(obj), type(obj))
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(twin))
+
+
+@st.composite
+def record_cases(draw):
+    cls = draw(st.sampled_from(sorted(TWINS, key=lambda c: c.__name__)))
+    calls = draw(st.lists(record_calls(cls), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        calls.append(calls[0])  # an equal pair, built again
+    return cls, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_cases())
+def test_record_matches_frozen_dataclass(case):
+    cls, calls = case
+    twin = TWINS[cls]
+    records = [build(cls, call) for call in calls]
+    twins = [build(twin, call) for call in calls]
+    for rec, ref in zip(records, twins):
+        if isinstance(ref, str):
+            assert rec == ref  # the same ValueError message
+            continue
+        assert type(rec) is cls
+        assert field_values(rec) == field_values(ref)
+        assert hash(rec) == hash(ref)
+        assert repr(rec) == repr(ref).replace(twin.__qualname__, cls.__qualname__, 1)
+    built = [(rec, ref) for rec, ref in zip(records, twins) if not isinstance(ref, str)]
+    for (a, a_ref), (b, b_ref) in itertools.product(built, repeat=2):
+        assert (a == b) == (a_ref == b_ref) and (a != b) == (a_ref != b_ref)
+    # equal hashes and equality give the same set and dict order
+    assert [field_values(r) for r in {rec: 0 for rec, _ in built}] == \
+        [field_values(r) for r in {ref: 0 for _, ref in built}]
+    assert [field_values(r) for r in set(rec for rec, _ in built)] == \
+        [field_values(r) for r in set(ref for _, ref in built)]
+
+
+def test_record_normalises_and_defaults():
+    assert UniverseShape([1], 3).degrees == (1,)
+    assert UniverseShape(n=3, degrees=[1, 2]) == UniverseShape((1, 2), 3)
+    assert PolynomialDifference([1, 2]).degrees == (1, 2)
+    fam = Family(UniverseShape((1,), 2), [1, 2])
+    assert fam.members == frozenset({1, 2})
+    assert FamilyDifference(fam).mode == SAME_WINDOW
+    table = DistributionTable(2, (Fraction(1, 2),) * 2, "exact", 1, Fraction(1))
+    assert (table.sample_count, table.seed) == (None, None)
+
+
+def test_record_refuses_bad_calls():
+    for args, kwargs in [((), {}), (((1,),), {}), (((1,), 2, 3), {}),
+                         (((1,), 2), {"n": 2}), (((1,),), {"n": 2, "side": 2})]:
+        with pytest.raises(TypeError):
+            ShapeTwin(*args, **kwargs)
+        with pytest.raises(TypeError):
+            UniverseShape(*args, **kwargs)
+
+
+def test_record_is_frozen():
+    shape = UniverseShape((1, 2), 2)
+    assert shape.cells == 6  # cached_property still writes its cache
+    for obj in (shape, ShapeTwin((1, 2), 2)):
+        with pytest.raises(AttributeError):
+            obj.n = 3
+        with pytest.raises(AttributeError):
+            del obj.n
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        with pytest.raises(AttributeError):
+            obj.cells = 7
+    assert shape.n == 2 and shape.cells == 6
+
+
+def test_records_of_different_classes_differ():
+    assert PolynomialDifference((1, 2)) != CliqueDifference((1, 2))
+    assert hash(PolynomialDifference((1, 2))) == hash(CliqueDifference((1, 2)))
+    assert len({PolynomialDifference((1, 2)), CliqueDifference((1, 2))}) == 2
+    assert UniverseShape((1,), 2) != ((1,), 2)
+    assert IntervalModN() == IntervalModN() and hash(IntervalModN()) == hash(())
+
+
+def test_record_copies_and_pickles():
+    mask = SubsetMask(UniverseShape((2,), 2), 0b0110)
+    for again in (copy.copy(mask), copy.deepcopy(mask), pickle.loads(pickle.dumps(mask))):
+        assert again == mask and hash(again) == hash(mask) and again is not mask
