@@ -36,27 +36,34 @@ def biased_family(d, n, size, seed):
     return Family(UniverseShape(degrees=(d,), n=n), frozenset(members))
 
 
-P = 3
-ETA = Fraction(1, 12)  # the quasirandomize threshold eta/p at eta = 1/4
 CASES = {
-    # the weight-<=2 pool: 1 + 14*2 + 91*4 = 393 forms over 2000 members
-    "pool-d1-n14": (biased_family(1, 14, 2000, seed=1), 0),
-    # all 3^7 = 2187 forms, each lifted to the 49 cells of [7]^2
-    "exhaustive-d2-n7": (biased_family(2, 7, 150, seed=2), P ** 7),
+    # the weight-<=2 pool at p=3: 1 + 14*2 + 91*4 = 393 forms in 197 classes
+    # over 2000 members
+    "pool-d1-n14": (biased_family(1, 14, 2000, seed=1), 3, 0),
+    # the pool at p=5: 1 + 12*4 + 66*16 = 1105 forms in 277 classes
+    "pool-d1-n12-p5": (biased_family(1, 12, 1000, seed=3), 5, 0),
+    # all 3^7 = 2187 forms in 1094 classes, each lifted to the 49 cells of
+    # [7]^2
+    "exhaustive-d2-n7": (biased_family(2, 7, 150, seed=2), 3, 3 ** 7),
 }
+
+
+def threshold(p):
+    """The quasirandomize threshold eta/p at eta = 1/4."""
+    return Fraction(1, 4 * p)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_find_distinguishing_form(benchmark, case):
-    fam, budget = CASES[case]
-    report = benchmark(find_distinguishing_form, fam, P, ETA,
+    fam, p, budget = CASES[case]
+    report = benchmark(find_distinguishing_form, fam, p, threshold(p),
                        search_budget=budget)
-    assert report is not None and report.gap >= ETA
+    assert report is not None and report.gap >= threshold(p)
 
 
 def test_increment_step(benchmark):
-    fam, budget = CASES["pool-d1-n14"]
-    report = find_distinguishing_form(fam, P, ETA, search_budget=budget)
+    fam, p, budget = CASES["pool-d1-n14"]
+    report = find_distinguishing_form(fam, p, threshold(p), search_budget=budget)
     step = benchmark(increment_step, fam, report,
-                     default_m_schedule(fam.shape.n, P))
+                     default_m_schedule(fam.shape.n, p))
     assert step.density > step.previous_density

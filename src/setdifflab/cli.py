@@ -132,6 +132,10 @@ def cmd_quasirandomize(args) -> None:
     from .fpforms import forms_from_text
     from .increment import DEFAULT_FORM_BUDGET, quasirandomize
     from .universe import family_from_text
+    if args.pool == "file" and not args.forms:
+        args.parser.error("--pool file requires --forms")
+    if args.forms and args.pool != "file":
+        args.parser.error("--forms requires --pool file")
     fam = family_from_text(_read(args.family))
     if args.eta <= 0:
         raise ValueError("eta must be positive")
@@ -146,8 +150,6 @@ def cmd_quasirandomize(args) -> None:
         budget = 0  # force the weight-<=2 pool
     extra = ()
     if args.pool == "file":
-        if not args.forms:
-            args.parser.error("--pool file requires --forms")
         extra = tuple(forms_from_text(_read(args.forms)))
     schedule = tuple(args.m) if args.m else None
     final, trace, pair = quasirandomize(

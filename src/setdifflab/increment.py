@@ -6,10 +6,12 @@ the family back through that cell's product isomorphism yields a denser
 family over a smaller universe.  Iterating either certifies pool-uniformity,
 finds a pattern pair along the way, or runs out of room.
 
-The form search does not walk the members once per candidate form: it
-counts each form over the family's projections onto the form's support,
-weighted by how many members share each projection, and reads the global
-distribution from a per-search memo keyed by the class-size signature.
+The form search counts one form per projective class {c*phi : c != 0}:
+scaling by c permutes the residues of the induced form, so the whole class
+shares one gap.  Classes are walked grouped by support; each representative
+is counted over the family's projections onto that support, weighted by how
+many members share each projection, against the global distribution read
+from a per-search memo keyed by the class-size signature.
 """
 
 from __future__ import annotations
@@ -68,31 +70,22 @@ class DistinguishingReport(Record):
         }
 
 
-def _vector_forms(p: int, n: int) -> Iterator[LinearFormP]:
-    """All p^n coefficient vectors, first coordinate fastest."""
-    for index in range(p ** n):
-        coeffs = []
-        rest = index
-        for _ in range(n):
-            coeffs.append(rest % p)
-            rest //= p
-        yield LinearFormP(p=p, coeffs=tuple(coeffs))
+def _representatives(p: int, n: int, weight: int) -> Iterator[tuple[int, ...]]:
+    """One coefficient vector per projective class {c*a : c != 0} of weight
+    at most ``weight``: the zero vector, then each support (by size, then in
+    combinations order) with its vectors whose first nonzero coefficient is 1.
 
-
-def _pool_forms(p: int, n: int) -> Iterator[LinearFormP]:
-    """Weight <= 2 coefficient vectors (the documented default pool)."""
-    yield LinearFormP(p=p, coeffs=(0,) * n)
-    for z in range(n):
-        for a in range(1, p):
-            coeffs = [0] * n
-            coeffs[z] = a
-            yield LinearFormP(p=p, coeffs=tuple(coeffs))
-    for z1, z2 in itertools.combinations(range(n), 2):
-        for a1 in range(1, p):
-            for a2 in range(1, p):
+    Up to weight 2 this lists the classes in the order of their first
+    members in the weight-<=2 pool, which are these representatives.
+    """
+    yield (0,) * n
+    for k in range(1, weight + 1):
+        for zs in itertools.combinations(range(n), k):
+            for rest in itertools.product(range(1, p), repeat=k - 1):
                 coeffs = [0] * n
-                coeffs[z1], coeffs[z2] = a1, a2
-                yield LinearFormP(p=p, coeffs=tuple(coeffs))
+                for z, a in zip(zs, (1, *rest)):
+                    coeffs[z] = a
+                yield tuple(coeffs)
 
 
 def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
@@ -106,9 +99,19 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     miss then only certifies "pool"-uniformity.  Returns the maximal-gap
     report (first form, then smallest y, on ties) or None below threshold.
 
-    The projection onto a form's support is rebuilt only when the support
-    changes (pool forms come grouped by support), and gaps are compared
-    exactly, as integers over |F| * 2^cells.
+    Scaling a form by c != 0 scales its degree-d lift by c^d, which permutes
+    the residues: c*phi takes c^d * y wherever phi takes y.  So the search
+    counts one representative per class {c*phi} (first nonzero coefficient
+    1), walking the classes grouped by support so that the projection of
+    the family onto a support is built once.  The winner is the largest
+    gap, then the earliest position in the search order, then the smallest
+    y.  Exhaustive order reads a form as the base-p number sum a_z p^z,
+    first coordinate fastest, so a class's earliest member is the multiple
+    whose last nonzero coefficient is 1.  The pool lists a support's forms
+    by ascending first coefficient, so there the representative comes first
+    and the walk visits classes in order; user forms follow the pool in the
+    order given, each counted as itself.  Gaps are compared exactly, as
+    integers over |F| * 2^cells.
     """
     if not fam.members:
         raise ValueError("family is empty")
@@ -116,17 +119,19 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     degree = single_part_degree(fam.shape)
     n = fam.shape.n
     exhaustive = p ** n <= search_budget
-    if exhaustive:
-        candidates: Iterable[LinearFormP] = _vector_forms(p, n)
-        scope = "exhaustive"
-    else:
-        candidates = itertools.chain(_pool_forms(p, n), extra_forms)
-        scope = "pool"
+    scope = "exhaustive" if exhaustive else "pool"
+    # The first representative is the zero form, whose LinearFormP refuses a
+    # composite p before any class is counted.
+    candidates: Iterable[LinearFormP] = (
+        LinearFormP(p=p, coeffs=coeffs)
+        for coeffs in _representatives(p, n, n if exhaustive else 2))
+    if not exhaustive:
+        candidates = itertools.chain(candidates, extra_forms)
     size = len(fam.members)
     support = projection = None
     global_memo: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    best = None  # (form, y, num, cells) of the largest gap num / (size * 2^cells)
-    for form in candidates:
+    best = None  # (num, cells, position, y, form) of the largest gap num / (size * 2^cells)
+    for index, form in enumerate(candidates):
         if form.p != p or form.n != n:
             raise ShapeMismatchError(f"candidate form {form} does not fit p={p}, n={n}")
         induced = form.induced(degree)
@@ -142,11 +147,23 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
         subsets = global_memo.get(signature)
         if subsets is None:
             subsets = global_memo[signature] = _subset_counts(p, signature)
-        for y in range(p):
-            num = abs((counts[y] << cells) - subsets[y] * size)
-            if best is None or num << best[3] > best[2] << cells:
-                best = (form, y, num, cells)
-    form, y, num, cells = best
+        nums = [abs((c << cells) - s * size) for c, s in zip(counts, subsets)]
+        top = max(nums)
+        if best is not None:
+            above, below = top << best[1], best[0] << cells
+            if above < below:
+                continue
+        scale, position = 1, index  # the pool walk runs in search order
+        if exhaustive:
+            scale = pow(next((a for a in reversed(form.coeffs) if a), 1), -1, p)
+            position = sum(scale * a % p * p ** z for z, a in enumerate(form.coeffs))
+        if best is None or above > below or position < best[2]:
+            power = pow(scale, degree, p)
+            y = min(power * r % p for r, num in enumerate(nums) if num == top)
+            if scale != 1:
+                form = LinearFormP(p=p, coeffs=tuple(scale * a % p for a in form.coeffs))
+            best = (top, cells, position, y, form)
+    num, cells, _, y, form = best
     gap = Fraction(num, size << cells)
     if gap < eta:
         return None

@@ -213,6 +213,23 @@ class TestQuasirandomize:
                       "--p", "2", "--eta", "1/4", "--pool", "file"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("pool", ["small", "exhaustive"])
+    def test_forms_require_file_pool(self, halfspace6, tmp_path, capsys, pool):
+        forms = tmp_path / "forms.txt"
+        forms.write_text("p=2\n1 1 1 1 1 1\n")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["quasirandomize", "--family", halfspace6, "--p", "2",
+                      "--eta", "1/4", "--pool", pool, "--forms", str(forms)])
+        assert err.value.code == 2
+        assert "--forms requires --pool file" in capsys.readouterr().err
+
+    def test_composite_modulus(self, halfspace6, capsys):
+        code, _, err = run_cli(["quasirandomize", "--family", halfspace6,
+                                "--p", "4", "--eta", "1/4",
+                                "--pool", "exhaustive"], capsys)
+        assert code == 4
+        assert "modulus 4 is not prime" in err
+
     def test_file_pool_forms_only_in_first_search(self, tmp_path, capsys):
         # the first step leaves a family over [1] with no pattern pair, so a
         # second search runs there; the all-ones form over [4] must not

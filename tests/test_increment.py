@@ -22,8 +22,7 @@ from setdifflab.fpforms import (
 )
 from setdifflab.increment import (
     DistinguishingReport,
-    _pool_forms,
-    _vector_forms,
+    _representatives,
     default_m_schedule,
     family_value_masses,
     find_distinguishing_form,
@@ -172,10 +171,100 @@ class TestFindDistinguishingForm:
             find_distinguishing_form(
                 Family(LINE6, frozenset()), 2, F(1, 4))
 
+    def test_exhaustive_winner_is_the_earliest_multiple(self):
+        # {Ø, {1}, {1,2}} at p=3: the class {(1,2), (2,1)} has the largest
+        # gap, and exhaustive order lists (2,1) at index 5 before the
+        # representative (1,2) at index 7; 2x1 + x2 takes 1 where x1 + 2x2
+        # takes 2.
+        fam = Family(UniverseShape(degrees=(1,), n=2), {0, 1, 3})
+        report = find_distinguishing_form(fam, 3, F(1, 8))
+        assert report.scope == "exhaustive"
+        assert report.form == LinearFormP(p=3, coeffs=(2, 1))
+        assert (report.y, report.gap) == (1, F(1, 4))
+
+    def test_pool_winner_is_the_representative(self):
+        # the same family in pool scope: the pool lists (1,2) first, and the
+        # later extra multiple (2,1) does not displace it
+        fam = Family(UniverseShape(degrees=(1,), n=2), {0, 1, 3})
+        report = find_distinguishing_form(
+            fam, 3, F(1, 8), search_budget=0,
+            extra_forms=(LinearFormP(p=3, coeffs=(2, 1)),))
+        assert report.scope == "pool"
+        assert report.form == LinearFormP(p=3, coeffs=(1, 2))
+        assert (report.y, report.gap) == (2, F(1, 4))
+
+    @pytest.mark.parametrize("p, d, members, coeffs, y, gap", [
+        # 2 * (1,3) at p=5: 2^2 = 4 moves y = 1 of the representative to 4
+        (5, 2, {1}, (2, 1), 4, F(13, 16)),
+        # 5 * (1,3) at p=7: 5^3 = 6 moves y = 4 of the representative to 3
+        (7, 3, {72, 183}, (5, 1), 3, F(55, 64)),
+    ])
+    def test_scaled_winner_permutes_residues(self, p, d, members, coeffs, y, gap):
+        fam = Family(UniverseShape(degrees=(d,), n=2), members)
+        report = find_distinguishing_form(fam, p, F(1, 2))
+        assert report.form == LinearFormP(p=p, coeffs=coeffs)
+        assert (report.y, report.gap) == (y, gap)
+        assert report == fraction_loop_search(fam, p, F(1, 2), p ** 2, ())
+
+    def test_extra_forms_count_as_given(self):
+        # {Ø, [3]} at p=3: every weight-<=2 gap is at most 1/2, the all-twos
+        # and all-ones forms reach 3/4, and the first one given wins
+        fam = Family(UniverseShape(degrees=(1,), n=3), {0, 7})
+        twos, ones = LinearFormP(p=3, coeffs=(2, 2, 2)), LinearFormP(p=3, coeffs=(1, 1, 1))
+        for extra in ((twos, ones), (ones, twos)):
+            report = find_distinguishing_form(
+                fam, 3, F(1, 4), search_budget=0, extra_forms=extra)
+            assert report.form == extra[0]
+            assert (report.y, report.gap) == (0, F(3, 4))
+
+    def test_composite_modulus_rejected(self):
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            find_distinguishing_form(halfspace(LINE6), 4, F(1, 4))
+
+    @pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 3), (7, 2)])
+    def test_representatives_cover_each_class_once(self, p, n):
+        # every nonzero multiple of the representatives, listed once each,
+        # is the whole search space in either scope
+        for weight, space in ((n, _vector_forms(p, n)), (2, _pool_forms(p, n))):
+            reps = list(_representatives(p, n, weight))
+            assert reps[0] == (0,) * n
+            multiples = [reps[0]] + [tuple(c * a % p for a in rep)
+                                     for rep in reps[1:] for c in range(1, p)]
+            assert sorted(multiples) == sorted(f.coeffs for f in space)
+            assert all(next(a for a in rep if a) == 1 for rep in reps[1:])
+
+
+def _vector_forms(p, n):
+    """All p^n coefficient vectors, first coordinate fastest."""
+    for index in range(p ** n):
+        coeffs = []
+        rest = index
+        for _ in range(n):
+            coeffs.append(rest % p)
+            rest //= p
+        yield LinearFormP(p=p, coeffs=tuple(coeffs))
+
+
+def _pool_forms(p, n):
+    """Weight <= 2 coefficient vectors (the documented default pool)."""
+    yield LinearFormP(p=p, coeffs=(0,) * n)
+    for z in range(n):
+        for a in range(1, p):
+            coeffs = [0] * n
+            coeffs[z] = a
+            yield LinearFormP(p=p, coeffs=tuple(coeffs))
+    for z1, z2 in itertools.combinations(range(n), 2):
+        for a1 in range(1, p):
+            for a2 in range(1, p):
+                coeffs = [0] * n
+                coeffs[z1], coeffs[z2] = a1, a2
+                yield LinearFormP(p=p, coeffs=tuple(coeffs))
+
 
 def fraction_loop_search(fam, p, eta, search_budget, extra_forms):
-    """The form search as first written: per-member evaluation counts
-    against the masses of each candidate's full distribution table."""
+    """The form search as first written: every form of the search order
+    counted on its own, per-member evaluation counts against the masses of
+    its full distribution table."""
     degree, n = fam.shape.degrees[0], fam.shape.n
     if p ** n <= search_budget:
         candidates, scope = _vector_forms(p, n), "exhaustive"
@@ -198,9 +287,9 @@ def fraction_loop_search(fam, p, eta, search_budget, extra_forms):
 @st.composite
 def search_cases(draw):
     """(family, p, eta, budget, extra forms); the budget picks the scope."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, 4))
-    d = draw(st.sampled_from([1, 2]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3 if p == 7 else 4))  # at most 625 forms
+    d = draw(st.sampled_from([1, 2, 3]))
     shape = UniverseShape(degrees=(d,), n=n)
     members = draw(st.sets(st.integers(0, shape.full_bits()), min_size=1, max_size=20))
     coeffs = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
@@ -217,7 +306,7 @@ def projection_cases(draw):
     member is one of a few backgrounds, flipped only on a few noise cells.
     The extra forms share the last pool form's support or repeat a pool
     form, so the search meets a support again right after the pool."""
-    p = draw(st.sampled_from([2, 3, 5]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
     d = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(1, 4 if d == 3 else 6))  # at most 64 cells
     shape = UniverseShape(degrees=(d,), n=n)
@@ -244,7 +333,7 @@ def projection_cases(draw):
     return Family(shape, frozenset(members)), p, eta, budget, extra
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(case=st.one_of(search_cases(), projection_cases()))
 def test_find_distinguishing_form_matches_fraction_loop(case):
     fam, p, eta, budget, extra = case
