@@ -17,7 +17,7 @@ import json
 import time
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, ContractViolationError
 from .patterns import (
@@ -346,41 +346,7 @@ def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
 
 
 # ---------------------------------------------------------------------------
-# threshold tables and regression data
-
-
-class ThresholdTable(Record):
-    rows: tuple[ExtremalRecord, ...]
-
-    @property
-    def monotone_nondecreasing(self) -> bool:
-        sizes = [r.max_size for r in self.rows]
-        return all(a <= b for a, b in zip(sizes, sizes[1:]))
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "n": r.shape.n,
-                    "max_size": r.max_size,
-                    "max_density": _frac(r.max_density),
-                    "optimal": r.optimal,
-                }
-                for r in self.rows
-            ],
-            "monotone_nondecreasing": self.monotone_nondecreasing,
-        }
-
-
-def density_threshold_table(degrees: tuple[int, ...], ns: Iterable[int],
-                            spec: PatternSpec,
-                            vertex_cap: int = DEFAULT_VERTEX_CAP,
-                            ) -> ThresholdTable:
-    rows = []
-    for n in ns:
-        shape = UniverseShape(degrees=tuple(degrees), n=n)
-        rows.append(max_avoiding_family(shape, spec, vertex_cap=vertex_cap))
-    return ThresholdTable(rows=tuple(rows))
+# regression data
 
 
 def load_regression_table() -> list[dict]:

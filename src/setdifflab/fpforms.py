@@ -30,6 +30,7 @@ from .universe import (
     SubsetMask,
     UniverseShape,
     _bit_indices,
+    _cell_count,
     _content_lines,
     _cross_bits,
     _frac,
@@ -82,6 +83,7 @@ class InducedForm(Record):
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
+        _cell_count(self.base.n, (self.degree,))  # refuses [n]^d past CELL_CAP
 
     @property
     def p(self) -> int:
@@ -142,7 +144,6 @@ def support_size(form: AnyForm) -> int:
     return len(support(form))
 
 
-@lru_cache(maxsize=256)
 def coefficient_class_masks(form: AnyForm) -> tuple[tuple[int, int], ...]:
     """(value, cell bitmask) per nonzero coefficient value, values ascending.
 
@@ -171,19 +172,11 @@ def coefficient_class_masks(form: AnyForm) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(masks.items()))
 
 
-def eval_on_bits(form: AnyForm, bits: int) -> int:
-    """Evaluate the form on a subset given as a bitmask over its universe."""
-    total = 0
-    for value, mask in coefficient_class_masks(form):
-        total += value * (bits & mask).bit_count()
-    return total % form.p
-
-
-def value_counts(form: AnyForm,
+def value_counts(p: int, classes: Sequence[tuple[int, int]],
                  weighted: Iterable[tuple[int, int]]) -> list[int]:
-    """Total multiplicity of the subsets taking each value 0, ..., p-1, read
-    from (bitmask over the form's universe, multiplicity) pairs."""
-    classes, p = coefficient_class_masks(form), form.p
+    """Total multiplicity of the subsets taking each value 0, ..., p-1 under
+    the form with these ``coefficient_class_masks``, read from (bitmask over
+    the form's universe, multiplicity) pairs."""
     counts = [0] * p
     for bits, weight in weighted:
         total = 0
@@ -218,9 +211,6 @@ class DistributionTable(Record):
             raise ValueError("need exactly one mass per residue")
         if sum(self.masses) != 1:
             raise ValueError("masses must sum to 1")
-
-    def mass(self, y: int) -> Fraction:
-        return self.masses[y % self.p]
 
     @property
     def deviation(self) -> Fraction:
@@ -291,16 +281,17 @@ def distribution(form: AnyForm, mode: str = "exact",
     p = form.p
     zsize = support_size(form)
     bound = uniformity_bound(p, zsize)
+    cells = form.shape().cells if isinstance(form, InducedForm) else form.n
+    if mode == "enumerate" and cells > budget:
+        raise CapExceededError(
+            f"enumeration over 2^{cells} subsets exceeds budget 2^{budget}")
+    classes = coefficient_class_masks(form)
     if mode == "exact":
-        masses = _convolved_masses(p, coefficient_class_masks(form))
+        masses = _convolved_masses(p, classes)
         return DistributionTable(p=p, masses=masses, mode="exact",
                                  support_size=zsize, uniformity_bound=bound)
-    cells = form.shape().cells if isinstance(form, InducedForm) else form.n
     if mode == "enumerate":
-        if cells > budget:
-            raise CapExceededError(
-                f"enumeration over 2^{cells} subsets exceeds budget 2^{budget}")
-        counts = value_counts(form, zip(range(1 << cells), itertools.repeat(1)))
+        counts = value_counts(p, classes, zip(range(1 << cells), itertools.repeat(1)))
         masses = tuple(Fraction(c, 1 << cells) for c in counts)
         return DistributionTable(p=p, masses=masses, mode="enumerate",
                                  support_size=zsize, uniformity_bound=bound)
@@ -309,7 +300,7 @@ def distribution(form: AnyForm, mode: str = "exact",
             raise ValueError("need at least one sample")
         rng = Random(seed)
         counts = value_counts(
-            form, ((rng.getrandbits(cells), 1) for _ in range(samples)))
+            p, classes, ((rng.getrandbits(cells), 1) for _ in range(samples)))
         masses = tuple(Fraction(c, samples) for c in counts)
         return DistributionTable(p=p, masses=masses, mode="sampled",
                                  support_size=zsize, uniformity_bound=bound,
@@ -347,12 +338,6 @@ class BlockPartition(Record):
     def blocks(self) -> Iterator[frozenset[int]]:
         for row in self.rows:
             yield from row
-
-    def row_union(self, row_index: int) -> frozenset[int]:
-        """The union X_i of the blocks in row i (1-based)."""
-        if not 1 <= row_index <= self.t:
-            raise ValueError(f"row {row_index} outside [1, {self.t}]")
-        return frozenset().union(*self.rows[row_index - 1])
 
 
 def check_block_partition(partition: BlockPartition, form: LinearFormP) -> None:
@@ -679,15 +664,3 @@ def forms_from_text(text: str) -> list[LinearFormP]:
     if not forms:
         raise FormatError("form file has no coefficient rows")
     return forms
-
-
-def forms_to_text(forms: Iterable[LinearFormP]) -> str:
-    forms = list(forms)
-    if not forms:
-        raise ValueError("nothing to serialize")
-    moduli = {f.p for f in forms}
-    if len(moduli) != 1:
-        raise ValueError("all forms in one file must share a modulus")
-    lines = [f"p={moduli.pop()}"]
-    lines.extend(" ".join(str(a) for a in f.coeffs) for f in forms)
-    return "\n".join(lines) + "\n"

@@ -41,14 +41,6 @@ DEFAULT_FORM_BUDGET = 1 << 20
 Numeric = Union[int, Fraction]
 
 
-def family_value_masses(fam: Family, form) -> tuple[Fraction, ...]:
-    """Distribution of the (induced) form over the family's members."""
-    if not fam.members:
-        raise ValueError("family is empty")
-    counts = value_counts(form, zip(fam.members, itertools.repeat(1)))
-    return tuple(Fraction(c, len(fam.members)) for c in counts)
-
-
 class DistinguishingReport(Record):
     """A form whose induced distribution on the family strays from global."""
 
@@ -142,7 +134,7 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
         if union != support:
             support, cells = union, union.bit_count()
             projection = Counter(map(support.__and__, fam.members))
-        counts = value_counts(induced, projection.items())
+        counts = value_counts(p, classes, projection.items())
         signature = tuple((value, mask.bit_count()) for value, mask in classes)
         subsets = global_memo.get(signature)
         if subsets is None:

@@ -185,13 +185,7 @@ def _same_shape(A: SubsetMask, B: SubsetMask) -> UniverseShape:
 
 
 # ---------------------------------------------------------------------------
-# power / polynomial difference
-
-
-def power_difference_witness(A: SubsetMask, B: SubsetMask) -> Optional[PowerWitness]:
-    """S with B \\ A = S^{d_1} u ... u S^{d_s}, if the pair has one (it is
-    unique: S is the set of coordinates that B \\ A touches)."""
-    return _indexed_witness(A, B, PolynomialDifference(A.shape.degrees))
+# distance-2 certificates
 
 
 DISTANCE2_CAP = 1 << 16  # the most sets S_1 distance2_witness walks: n <= 16
@@ -367,17 +361,6 @@ def hyperedges_of(mask: SubsetMask) -> tuple[frozenset[frozenset[int]], ...]:
         if all(coords[i] < coords[i + 1] for i in range(len(coords) - 1)):
             out[part - 1].add(frozenset(coords))
     return tuple(frozenset(e) for e in out)
-
-
-def clique_difference_witness(
-    A: SubsetMask, B: SubsetMask
-) -> Optional[CliqueWitness]:
-    """S with (edges of B) \\ (edges of A) = all d_j-subsets of S, per part.
-
-    Only the strictly-increasing cells matter; the rest are free bits.  S is
-    the set of vertices the difference edges touch.
-    """
-    return _indexed_witness(A, B, CliqueDifference(A.shape.degrees))
 
 
 # ---------------------------------------------------------------------------

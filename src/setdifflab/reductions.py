@@ -18,7 +18,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, FormatError, ShapeMismatchError
+from .errors import CapExceededError, FormatError
 from .patterns import CliqueDifference, hyperedges_of, pattern_index
 from .universe import (
     Family,
@@ -26,6 +26,7 @@ from .universe import (
     Record,
     SubsetMask,
     UniverseShape,
+    _cell_count,
     _content_lines,
     plant_into_window,
     single_part_degree,
@@ -116,6 +117,7 @@ def multiplex(fam: Family, s: int) -> Family:
     if s < 1:
         raise ValueError("s must be at least 1")
     d = single_part_degree(fam.shape)
+    _cell_count(fam.shape.n, itertools.repeat(d, s))  # refused before the s-tuple
     big = UniverseShape(degrees=(d,) * s, n=fam.shape.n)
     # a member fills only the low n^d bits, so this product has no carries
     copies = sum(1 << k * fam.shape.cells for k in range(s))
@@ -234,9 +236,6 @@ class HypergraphBundle(Record):
         return cls(n=mask.shape.n, degrees=mask.shape.degrees,
                    parts=hyperedges_of(mask))
 
-    def to_text(self) -> str:
-        return bundles_to_text([self])
-
 
 _HEADER = re.compile(r"n=(\d+) degrees=(\d+(?:,\d+)*)")
 
@@ -283,16 +282,11 @@ def bundles_from_text(text: str) -> list[HypergraphBundle]:
         try:
             bundles.append(
                 HypergraphBundle(n=n, degrees=degrees, parts=tuple(parts)))
+        except CapExceededError:
+            raise
         except ValueError as exc:
             raise FormatError(str(exc)) from None
     return bundles
-
-
-def bundle_from_text(text: str) -> HypergraphBundle:
-    bundles = bundles_from_text(text)
-    if len(bundles) != 1:
-        raise FormatError(f"expected one bundle, found {len(bundles)}")
-    return bundles[0]
 
 
 def beta_bijection(A_sym: SubsetMask) -> HypergraphBundle:
@@ -372,13 +366,6 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
             if not sub:
                 break
     return Family(shape, frozenset(members))
-
-
-def graph_of_square_mask(mask: SubsetMask) -> frozenset[Hyperedge]:
-    """Read the encoded edge set back off the strictly-increasing cells."""
-    if mask.shape.degrees != (2,):
-        raise ShapeMismatchError("expected a mask over [n]^2")
-    return hyperedges_of(mask)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,13 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, ShapeMismatchError
+from .errors import CapExceededError, FormatError, ShapeMismatchError
 
 Point = tuple[int, tuple[int, ...]]  # (part, coordinates), both 1-based
+
+# the most cells a universe may have, e.g. [64]^3 or [512]^2: a larger one is
+# refused before any of its masks or tables is built
+CELL_CAP = 1 << 18
 
 
 class Record:
@@ -109,6 +113,7 @@ class UniverseShape(Record):
             raise ValueError(f"degrees must be positive ints, got {self.degrees}")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"side n must be a positive int, got {self.n}")
+        _cell_count(self.n, self.degrees)  # refuses a universe past CELL_CAP
 
     @property
     def s(self) -> int:
@@ -117,7 +122,7 @@ class UniverseShape(Record):
     # cached in the instance __dict__; fields alone decide eq, hash and pickle
     @cached_property
     def cells(self) -> int:
-        return sum(self.n ** d for d in self.degrees)
+        return _cell_count(self.n, self.degrees)
 
     @cached_property
     def _full_bits(self) -> int:
@@ -171,6 +176,21 @@ class UniverseShape(Record):
 
     def full_bits(self) -> int:
         return self._full_bits
+
+
+def _cell_count(n: int, degrees: Iterable[int]) -> int:
+    """Cells of the parts [n]^d, one per listed degree d; past CELL_CAP it
+    raises CapExceededError, multiplying no power out beyond the cap."""
+    total = 0
+    for d in degrees:
+        cells = n
+        while d > 1 and 1 < cells <= CELL_CAP:
+            cells, d = cells * n, d - 1
+        total += cells
+        if total > CELL_CAP:
+            raise CapExceededError(
+                f"a universe over [{n}] with more than {CELL_CAP} cells is refused")
+    return total
 
 
 def _bit_indices(bits: int) -> Iterator[int]:
@@ -476,22 +496,6 @@ def embedded_region(
     return embed_lower_degree(SubsetMask.full(source_shape), target_degrees)
 
 
-def embed_preimage(
-    mask: SubsetMask, source_degrees: Sequence[int]
-) -> SubsetMask:
-    """Inverse of the embedding on its image region E.
-
-    ``mask`` must be contained in E (raises ValueError otherwise).
-    """
-    sdeg = tuple(source_degrees)
-    source = UniverseShape(sdeg, mask.shape.n)
-    region = embedded_region(source, mask.shape.degrees)
-    if not mask.issubset(region):
-        raise ValueError("mask is not contained in the embedded region")
-    table = _embed_table(source, mask.shape)
-    return SubsetMask(source, sum(1 << i for i, b in enumerate(table) if mask.bits & b))
-
-
 # ---------------------------------------------------------------------------
 # text serialization
 #
@@ -559,6 +563,8 @@ def family_from_text(text: str) -> Family:
         raise FormatError(f"header says s={s} but lists {len(degrees)} degrees")
     try:
         shape = UniverseShape(degrees, n)
+    except CapExceededError:
+        raise
     except ValueError as e:
         raise FormatError(str(e)) from e
     members = set()

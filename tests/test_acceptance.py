@@ -33,8 +33,8 @@ from setdifflab.fpforms import (
     build_block_partition,
     cell_form_value,
     check_block_partition,
+    coefficient_class_masks,
     distribution,
-    eval_on_bits,
 )
 from setdifflab.increment import (
     find_distinguishing_form,
@@ -43,13 +43,13 @@ from setdifflab.increment import (
     quasirandomize,
 )
 from setdifflab.patterns import (
+    CliqueDifference,
     PowerDifference,
-    clique_difference_witness,
     distance2_witness,
     find_pattern_pair,
+    find_witness,
     hyperedges_of,
     interval_mod_n_witness,
-    power_difference_witness,
 )
 from setdifflab.reductions import (
     IntervalPartitionCatalog,
@@ -86,6 +86,14 @@ def _power_bits(shape: UniverseShape, S) -> int:
 def _nonempty_subsets(n: int):
     for size in range(1, n + 1):
         yield from (set(c) for c in itertools.combinations(range(1, n + 1), size))
+
+
+def _eval_on_bits(form, bits: int) -> int:
+    """The form's value on one subset, given as a bitmask over its universe."""
+    total = 0
+    for value, mask in coefficient_class_masks(form):
+        total += value * (bits & mask).bit_count()
+    return total % form.p
 
 
 def _submasks(mask: int):
@@ -266,8 +274,8 @@ def test_criterion_06_witness_oracle_equivalence():
         size = 1 << shape.cells
         for a in range(size):
             for b in range(size):
-                got = power_difference_witness(
-                    SubsetMask(shape, a), SubsetMask(shape, b))
+                got = find_witness(
+                    SubsetMask(shape, a), SubsetMask(shape, b), spec)
                 expect = None
                 if a != b and a & b == a:
                     diff = b ^ a
@@ -317,7 +325,7 @@ def test_criterion_06_witness_oracle_equivalence():
     for a in range(1 << 4):
         for b in range(1 << 4):
             A, B = SubsetMask(sq, a), SubsetMask(sq, b)
-            got = clique_difference_witness(A, B)
+            got = find_witness(A, B, CliqueDifference((2,)))
             (ea,), (eb,) = hyperedges_of(A), hyperedges_of(B)
             expect = None
             if ea <= eb:
@@ -384,8 +392,8 @@ def test_criterion_07_fp_machinery():
                         phi_s = sum(coeffs[x - 1] for x in S) % p
                         want = pow(phi_s, d, p)
                         for bg in _submasks(full & ~sbits):
-                            lo = eval_on_bits(induced, bg)
-                            hi = eval_on_bits(induced, bg | sbits)
+                            lo = _eval_on_bits(induced, bg)
+                            hi = _eval_on_bits(induced, bg | sbits)
                             assert (hi - lo) % p == want
                             assert hi == Phi_eval(
                                 induced, SubsetMask(shape, bg | sbits))
@@ -414,7 +422,7 @@ def test_criterion_07_fp_machinery():
                         background = SubsetMask(big, bg)
                         cell = BlockCell(partition=partition, row=row,
                                          background=background)
-                        values = {eval_on_bits(induced, mbr.bits)
+                        values = {_eval_on_bits(induced, mbr.bits)
                                   for mbr in cell.members()}
                         assert values == {
                             cell_form_value(induced, partition, row, background)}
@@ -544,8 +552,8 @@ def test_criterion_10_reduction_roundtrips():
                 expect = next(
                     (frozenset(S) for S in _nonempty_subsets(2)
                      if _power_bits(shape22, S) == diff), None)
-            w = clique_difference_witness(
-                beta_bijection(A).to_mask(), beta_bijection(B).to_mask())
+            w = find_witness(beta_bijection(A).to_mask(),
+                             beta_bijection(B).to_mask(), CliqueDifference((1, 2)))
             assert (w.S if w else None) == expect
             if expect is not None:
                 transferred += 1

@@ -22,7 +22,6 @@ def lru_caches():
 
 def test_every_lru_cache_is_bounded():
     caches = dict(lru_caches())
-    assert "setdifflab.fpforms.coefficient_class_masks" in caches
     assert "setdifflab.fpforms._product_table" in caches
     assert "setdifflab.patterns.pattern_table" in caches
     for table in ("universe._window_runs", "universe._embed_table",

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,15 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_refused(argv, capsys):
+    """Run a command the cell cap must refuse: exit 4, nothing on stdout,
+    and no time spent building the universe first."""
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4 and out == "" and "cells" in err
+    assert time.perf_counter() - start < 5
 
 
 def run_json(argv, capsys):
@@ -172,6 +182,13 @@ class TestPhidist:
                     for form in forms_from_text(path.read_text())]
         assert [{k: v for k, v in t.items() if k != "form"}
                 for t in doc["report"]["tables"]] == expected
+
+    @pytest.mark.parametrize("degree", ["20", "60"])
+    def test_cell_cap_refuses_a_high_degree(self, tmp_path, capsys, degree):
+        # 3^20 cells exhaust memory; at 3^60 the uniformity bound never ends
+        path = tmp_path / "forms.txt"
+        path.write_text("p=3\n1 2 0\n")
+        run_refused(["phidist", "--forms", str(path), "--degree", degree], capsys)
 
     def test_bad_form_file(self, tmp_path, capsys):
         path = tmp_path / "forms.txt"
@@ -365,6 +382,18 @@ class TestReduce:
         doc = run_json(["reduce", "--mode", "embed", "--family", str(path),
                         "--degrees", "2"], capsys)
         assert doc["report"]["family_text"] == "shape s=1 d=2 n=2\n1\n9\n"
+
+    def test_cell_cap_refuses_embed_degree(self, tmp_path, capsys):
+        # 5^40 target cells: the cell table would overflow
+        path = tmp_path / "fam.txt"
+        path.write_text("shape s=1 d=1 n=5\n10\nc0\n")
+        run_refused(["reduce", "--mode", "embed", "--family", str(path),
+                     "--degrees", "40"], capsys)
+
+    def test_cell_cap_refuses_multiplex_copies(self, symmetric22, capsys):
+        # 10^8 parts: the degree tuple alone would take most of a gigabyte
+        run_refused(["reduce", "--mode", "multiplex", "--family", symmetric22,
+                     "--s", "100000000"], capsys)
 
     def test_clique(self, tmp_path, capsys):
         path = tmp_path / "graph.txt"

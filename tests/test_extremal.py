@@ -13,15 +13,12 @@ from hypothesis import strategies as st
 from setdifflab import extremal
 from setdifflab.errors import CapExceededError
 from setdifflab.extremal import (
-    ExtremalRecord,
-    ThresholdTable,
     _bit_indices,
     _greedy_clique_cover_bound,
     _greedy_independent_set,
     _oriented_successors,
     _solve_mis,
     build_forbidden_graph,
-    density_threshold_table,
     load_regression_table,
     max_avoiding_family,
     pattern_name,
@@ -35,7 +32,7 @@ from setdifflab.patterns import (
     find_pattern_pair,
     find_witness,
 )
-from setdifflab.universe import Family, SubsetMask, UniverseShape
+from setdifflab.universe import SubsetMask, UniverseShape
 
 LINE = lambda n: UniverseShape(degrees=(1,), n=n)
 SQUARE = lambda n: UniverseShape(degrees=(2,), n=n)
@@ -298,29 +295,12 @@ class TestMaxAvoidingFamily:
         }
 
 
-class TestThresholdTable:
-    def test_line_table(self):
-        table = density_threshold_table((1,), range(1, 5),
-                                        PowerDifference(degree=1))
-        assert [r.max_size for r in table.rows] == [1, 2, 3, 6]
-        assert [r.max_density for r in table.rows] == [
-            Fraction(1, 2), Fraction(1, 2), Fraction(3, 8), Fraction(3, 8)]
-        assert table.monotone_nondecreasing
-
-    def test_empty_range(self):
-        table = density_threshold_table((1,), [], PowerDifference(degree=1))
-        assert table.rows == ()
-        assert table.monotone_nondecreasing
-        assert table.to_json() == {"rows": [], "monotone_nondecreasing": True}
-
-    def test_monotonicity_is_reported_not_assumed(self):
-        # fabricated rows with a drop: the flag must just report it
-        shape = LINE(1)
-        fake = lambda size: ExtremalRecord(
-            shape=shape, spec=PowerDifference(degree=1), max_size=size,
-            witness_family=Family(shape, frozenset()), method="exhaustive")
-        table = ThresholdTable(rows=(fake(3), fake(2)))
-        assert not table.monotone_nondecreasing
+def test_line_thresholds_over_n():
+    rows = [max_avoiding_family(LINE(n), PowerDifference(degree=1))
+            for n in range(1, 5)]
+    assert [r.max_size for r in rows] == [1, 2, 3, 6]
+    assert [r.max_density for r in rows] == [
+        Fraction(1, 2), Fraction(1, 2), Fraction(3, 8), Fraction(3, 8)]
 
 
 class TestComponentSolver:

@@ -17,20 +17,20 @@ from setdifflab.fpforms import (
     BlockCell,
     LinearFormP,
     build_block_partition,
+    coefficient_class_masks,
     distribution,
-    eval_on_bits,
+    value_counts,
 )
 from setdifflab.increment import (
     DistinguishingReport,
     _representatives,
     default_m_schedule,
-    family_value_masses,
     find_distinguishing_form,
     increment_step,
     iteration_cap,
     quasirandomize,
 )
-from setdifflab.patterns import PowerDifference, power_difference_witness
+from setdifflab.patterns import PowerDifference, find_witness
 from setdifflab.universe import Family, SubsetMask, UniverseShape
 
 F = Fraction
@@ -42,6 +42,21 @@ def halfspace(shape: UniverseShape, element: int = 1) -> Family:
     bit = 1 << shape.index_of(1, (element,))
     return Family(shape, frozenset(
         b for b in range(1 << shape.cells) if b & bit))
+
+
+def eval_on_bits(form, bits: int) -> int:
+    """The form's value on one subset, given as a bitmask over its universe."""
+    total = 0
+    for value, mask in coefficient_class_masks(form):
+        total += value * (bits & mask).bit_count()
+    return total % form.p
+
+
+def member_masses(fam: Family, form) -> tuple[Fraction, ...]:
+    """Distribution of the (induced) form over the family's members."""
+    counts = value_counts(form.p, coefficient_class_masks(form),
+                          zip(fam.members, itertools.repeat(1)))
+    return tuple(Fraction(c, len(fam.members)) for c in counts)
 
 
 def even_family() -> Family:
@@ -70,28 +85,22 @@ def no_progress_family() -> Family:
     return Family(shape, frozenset({A.bits, B.bits}))
 
 
-class TestFamilyValueMasses:
+class TestMemberMasses:
     def test_halfspace_is_all_ones_under_e1(self):
         form = LinearFormP(p=2, coeffs=(1, 0, 0, 0, 0, 0)).induced(1)
-        assert family_value_masses(halfspace(LINE6), form) == (0, 1)
+        assert member_masses(halfspace(LINE6), form) == (0, 1)
 
     def test_full_power_set_is_balanced(self):
         shape = UniverseShape(degrees=(1,), n=2)
         form = LinearFormP(p=2, coeffs=(1, 0)).induced(1)
-        masses = family_value_masses(Family.full_power_set(shape), form)
+        masses = member_masses(Family.full_power_set(shape), form)
         assert masses == (F(1, 2), F(1, 2))
 
     def test_degree_two_point_mass(self):
         shape = UniverseShape(degrees=(2,), n=2)
         corner = SubsetMask.from_points(shape, [(1, (1, 1))])
         form = LinearFormP(p=2, coeffs=(1, 0)).induced(2)
-        assert family_value_masses(Family(shape, {corner.bits}), form) == (0, 1)
-
-    def test_empty_family_rejected(self):
-        form = LinearFormP(p=2, coeffs=(1, 0)).induced(1)
-        with pytest.raises(ValueError):
-            family_value_masses(
-                Family(UniverseShape(degrees=(1,), n=2), frozenset()), form)
+        assert member_masses(Family(shape, {corner.bits}), form) == (0, 1)
 
 
 class TestDistinguishingReport:
@@ -701,8 +710,8 @@ class TestPlantedPatternConservation:
         small_shape = cell.small_shape()
         masks = [SubsetMask(small_shape, b) for b in range(1 << small_shape.cells)]
         for a, b in itertools.product(masks, repeat=2):
-            small_w = power_difference_witness(a, b)
-            big_w = power_difference_witness(cell.plant(a), cell.plant(b))
+            small_w = find_witness(a, b, PowerDifference(cell.degree))
+            big_w = find_witness(cell.plant(a), cell.plant(b), PowerDifference(cell.degree))
             if small_w is None:
                 assert big_w is None
             else:

@@ -25,7 +25,6 @@ from setdifflab.patterns import (
     PolynomialDifference,
     PowerDifference,
     PowerWitness,
-    clique_difference_witness,
     cyclic_interval_bits,
     distance2_witness,
     family_difference_witness,
@@ -34,7 +33,6 @@ from setdifflab.patterns import (
     hyperedges_of,
     interval_mod_n_witness,
     pattern_table,
-    power_difference_witness,
     set_from_bits,
     union_of_powers,
     verify_witness,
@@ -200,28 +198,28 @@ def test_power_worked_examples():
     sh = UniverseShape((2,), 3)
     A = SubsetMask.from_points(sh, [(1, (3, 3))])
     B = A.union(union_of_powers(sh, {1, 2}))
-    w = power_difference_witness(A, B)
+    w = find_witness(A, B, PowerDifference(2))
     assert w is not None and w.S == frozenset({1, 2})
     assert verify_witness(A, B, PowerDifference(2), w)
 
     sh2 = UniverseShape((2,), 2)
     A2 = SubsetMask(sh2, 0)
     B2 = SubsetMask.from_points(sh2, [(1, (1, 2))])
-    assert power_difference_witness(A2, B2) is None
+    assert find_witness(A2, B2, PowerDifference(2)) is None
 
     sh3 = UniverseShape((1, 2), 2)
     A3 = SubsetMask(sh3, 0)
     B3 = SubsetMask.from_points(sh3, [(1, (1,)), (2, (1, 1))])
-    w3 = power_difference_witness(A3, B3)
+    w3 = find_witness(A3, B3, PolynomialDifference((1, 2)))
     assert w3 is not None and w3.S == frozenset({1})
 
 
 def test_power_rejects_non_difference_pairs():
     sh = UniverseShape((2,), 2)
     full = SubsetMask.full(sh)
-    assert power_difference_witness(full, full) is None  # not distinct
+    assert find_witness(full, full, PowerDifference(2)) is None  # not distinct
     A = SubsetMask.from_points(sh, [(1, (1, 2))])
-    assert power_difference_witness(A, SubsetMask(sh, 0)) is None  # not nested
+    assert find_witness(A, SubsetMask(sh, 0), PowerDifference(2)) is None  # not nested
 
 
 @pytest.mark.parametrize(
@@ -237,7 +235,7 @@ def test_power_matches_oracle_exhaustively(shape):
     for A, B in ordered_pairs(shape):
         oracle = oracle_power(A, B)
         assert len(oracle) <= 1  # witness uniqueness
-        w = power_difference_witness(A, B)
+        w = find_witness(A, B, PolynomialDifference(shape.degrees))
         assert w == diagonal_power_witness(A, B)
         if oracle:
             assert w is not None and w.S == oracle[0]
@@ -262,9 +260,9 @@ def test_intransitivity_exhibit():
     A = SubsetMask(sh, 0)
     B = union_of_powers(sh, {1})
     C = B.union(union_of_powers(sh, {2}))
-    assert power_difference_witness(A, B) is not None
-    assert power_difference_witness(B, C) is not None
-    assert power_difference_witness(A, C) is None
+    assert find_witness(A, B, PowerDifference(2)) is not None
+    assert find_witness(B, C, PowerDifference(2)) is not None
+    assert find_witness(A, C, PowerDifference(2)) is None
 
 
 def test_counterexample_family_has_no_power_pairs():
@@ -465,12 +463,12 @@ def test_clique_worked_example():
     sh = UniverseShape((2,), 3)
     H = graph_mask(sh, [])
     G = graph_mask(sh, [(1, 2), (1, 3), (2, 3)])
-    w = clique_difference_witness(H, G)
+    w = find_witness(H, G, CliqueDifference((2,)))
     assert w is not None and w.S == frozenset({1, 2, 3})
     assert verify_witness(H, G, CliqueDifference((2,)), w)
     # an edge already present in H breaks the complete-difference requirement
     H2 = graph_mask(sh, [(1, 2)])
-    assert clique_difference_witness(H2, G) is None
+    assert find_witness(H2, G, CliqueDifference((2,))) is None
 
 
 def test_clique_ignores_free_bits():
@@ -478,7 +476,7 @@ def test_clique_ignores_free_bits():
     diag = SubsetMask.from_points(sh, [(1, (1, 1)), (1, (3, 1))]).bits
     H = graph_mask(sh, [], extra_bits=diag)
     G = graph_mask(sh, [(1, 2)])
-    w = clique_difference_witness(H, G)
+    w = find_witness(H, G, CliqueDifference((2,)))
     assert w is not None and w.S == frozenset({1, 2})
 
 
@@ -491,15 +489,15 @@ def test_clique_multi_part_bundle():
     bits |= 1 << sh.index_of(2, (1, 3))
     H = SubsetMask(sh, 0)
     G = SubsetMask(sh, bits)
-    w = clique_difference_witness(H, G)
+    w = find_witness(H, G, CliqueDifference((1, 2)))
     assert w is not None and w.S == frozenset(S)
     # singleton S: degree-2 part must stay empty
     H1 = SubsetMask(sh, 0)
     G1 = SubsetMask(sh, 1 << sh.index_of(1, (2,)))
-    w1 = clique_difference_witness(H1, G1)
+    w1 = find_witness(H1, G1, CliqueDifference((1, 2)))
     assert w1 is not None and w1.S == frozenset({2})
     bad = SubsetMask(sh, G1.bits | 1 << sh.index_of(2, (1, 2)))
-    assert clique_difference_witness(H1, bad) is None
+    assert find_witness(H1, bad, CliqueDifference((1, 2))) is None
 
 
 @pytest.mark.parametrize("shape", [
@@ -525,9 +523,7 @@ def test_clique_matches_hyperedge_extractor(shape):
                 pairs += [(SubsetMask(shape, a), SubsetMask(shape, b)),
                           (SubsetMask(shape, b), SubsetMask(shape, a))]
     for A, B in pairs:
-        w = clique_difference_witness(A, B)
-        assert w == hyperedge_clique_witness(A, B)
-        assert w == find_witness(A, B, CliqueDifference(shape.degrees))
+        assert find_witness(A, B, spec) == hyperedge_clique_witness(A, B)
 
 
 def test_hyperedges_reading():
@@ -660,7 +656,7 @@ def test_find_witness_dispatch_and_shape_checks():
 
 def test_witness_json_shapes():
     sh = UniverseShape((2,), 2)
-    w = power_difference_witness(SubsetMask(sh, 0), union_of_powers(sh, {1, 2}))
+    w = find_witness(SubsetMask(sh, 0), union_of_powers(sh, {1, 2}), PowerDifference(2))
     assert w.to_json() == {"kind": "power-difference", "S": [1, 2]}
     d2 = distance2_witness(union_of_powers(sh, {1}), union_of_powers(sh, {2}))
     j = d2.to_json()
@@ -672,7 +668,7 @@ def test_witness_json_shapes():
 def test_verify_rejects_corrupted_certificates():
     sh = UniverseShape((2,), 2)
     A, B = SubsetMask(sh, 0), union_of_powers(sh, {1})
-    w = power_difference_witness(A, B)
+    w = find_witness(A, B, PowerDifference(2))
     assert not verify_witness(A, B, PowerDifference(2), PowerWitness(frozenset({2})))
     assert not verify_witness(B, A, PowerDifference(2), w)
 

@@ -9,11 +9,11 @@ import pytest
 from setdifflab import reductions
 from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
 from setdifflab.patterns import (
+    CliqueDifference,
     PolynomialDifference,
-    clique_difference_witness,
+    PowerDifference,
     find_witness,
     hyperedges_of,
-    power_difference_witness,
     union_of_powers,
 )
 from setdifflab.reductions import (
@@ -22,12 +22,10 @@ from setdifflab.reductions import (
     SymmetricRegion,
     beta_bijection,
     beta_inverse,
-    bundle_from_text,
     bundles_from_text,
     bundles_to_text,
     clique_square_correspondence,
     diagonal_block_family,
-    graph_of_square_mask,
     is_symmetric,
     multiplex,
     symmetric_extend,
@@ -129,8 +127,8 @@ class TestSymmetricLiftExtend:
                 for S, diff_bits in restricted.items():
                     if b.difference(a).bits == diff_bits:
                         expected = S
-            w = power_difference_witness(
-                symmetric_extend(a), symmetric_extend(b))
+            w = find_witness(
+                symmetric_extend(a), symmetric_extend(b), PowerDifference(2))
             if expected is None:
                 assert w is None
             else:
@@ -172,8 +170,8 @@ class TestMultiplex:
             for bits in range(4)
         }
         for a, b in itertools.product(range(4), repeat=2):
-            small = power_difference_witness(
-                SubsetMask(shape, a), SubsetMask(shape, b))
+            small = find_witness(
+                SubsetMask(shape, a), SubsetMask(shape, b), PowerDifference(1))
             big = find_witness(image[a], image[b], spec)
             if small is None:
                 assert big is None
@@ -242,16 +240,17 @@ class TestHypergraphBundle:
         assert HypergraphBundle.from_mask(mask) == EXAMPLE_BUNDLE
 
     def test_text_roundtrip(self):
-        text = EXAMPLE_BUNDLE.to_text()
+        text = bundles_to_text([EXAMPLE_BUNDLE])
         assert text == "n=2 degrees=1,2\n1\n1,2\n"
-        assert bundle_from_text(text) == EXAMPLE_BUNDLE
+        assert bundles_from_text(text) == [EXAMPLE_BUNDLE]
 
     def test_empty_part_dash(self):
         bundle = HypergraphBundle(
             n=2, degrees=(1, 2),
             parts=(frozenset(), frozenset({frozenset({1, 2})})))
-        assert bundle.to_text() == "n=2 degrees=1,2\n-\n1,2\n"
-        assert bundle_from_text(bundle.to_text()) == bundle
+        text = bundles_to_text([bundle])
+        assert text == "n=2 degrees=1,2\n-\n1,2\n"
+        assert bundles_from_text(text) == [bundle]
 
     def test_multiple_bundles_per_file(self):
         other = HypergraphBundle(
@@ -279,8 +278,6 @@ class TestHypergraphBundle:
             bundles_from_text("n=2 degrees=1,2\n1,a\n1,2\n")
         with pytest.raises(FormatError):
             bundles_from_text("n=2 degrees=1,2\n1,2\n1,2\n")  # degree 1 part
-        with pytest.raises(FormatError):
-            bundle_from_text("n=2 degrees=1,2\n1\n1,2\n2\n-\n")
         with pytest.raises(FormatError):
             bundles_from_text("n=0 degrees=2\n-\n")
         with pytest.raises(FormatError):
@@ -341,9 +338,9 @@ class TestBetaBijection:
         symmetric = all_symmetric_masks(shape)
         bundle_masks = {A.bits: beta_bijection(A).to_mask() for A in symmetric}
         for A, B in itertools.product(symmetric, repeat=2):
-            power = power_difference_witness(A, B)
-            clique = clique_difference_witness(
-                bundle_masks[A.bits], bundle_masks[B.bits])
+            power = find_witness(A, B, PowerDifference(2))
+            clique = find_witness(
+                bundle_masks[A.bits], bundle_masks[B.bits], CliqueDifference((1, 2)))
             if power is None:
                 assert clique is None
             else:
@@ -420,7 +417,7 @@ class TestCliqueSquareCorrespondence:
 
     def test_graph_readback(self):
         member = next(iter(clique_square_correspondence([[(1, 2)]], 2).masks()))
-        assert graph_of_square_mask(member) == frozenset({frozenset({1, 2})})
+        assert hyperedges_of(member)[0] == frozenset({frozenset({1, 2})})
 
     def test_transfer_on_random_families(self):
         # brute force both directions at n = 3: every square power pair in
@@ -442,10 +439,10 @@ class TestCliqueSquareCorrespondence:
                 for B in masks:
                     if A.bits & ~B.bits or A.bits == B.bits:
                         continue
-                    w = power_difference_witness(A, B)
+                    w = find_witness(A, B, PowerDifference(2))
                     if w is None:
                         continue
-                    g, h = graph_of_square_mask(A), graph_of_square_mask(B)
+                    g, h = hyperedges_of(A)[0], hyperedges_of(B)[0]
                     if len(w.S) >= 2:
                         assert g <= h
                         assert h - g == {
@@ -467,7 +464,7 @@ class TestCliqueSquareCorrespondence:
                 A = square_mask(3, [tuple(sorted(e)) for e in g], 0)
                 diff = union_of_powers(SQUARE3, vertices)
                 B = SubsetMask(SQUARE3, A.bits | diff.bits)
-                w = power_difference_witness(A, B)
+                w = find_witness(A, B, PowerDifference(2))
                 assert w is not None and w.S == vertices
 
 

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setdifflab.errors import FormatError, ShapeMismatchError
-from setdifflab.fpforms import DistributionTable, forms_from_text
+from setdifflab import universe
+from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
+from setdifflab.fpforms import DistributionTable, LinearFormP, forms_from_text
 from setdifflab.patterns import (
     SAME_WINDOW,
     CliqueDifference,
@@ -19,7 +20,7 @@ from setdifflab.patterns import (
     IntervalModN,
     PolynomialDifference,
 )
-from setdifflab.reductions import bundles_from_text
+from setdifflab.reductions import bundles_from_text, multiplex
 from setdifflab.universe import (
     Family,
     OrderedWindow,
@@ -27,7 +28,6 @@ from setdifflab.universe import (
     UniverseShape,
     _cross_bits,
     embed_lower_degree,
-    embed_preimage,
     embedded_region,
     family_from_text,
     family_to_text,
@@ -225,23 +225,56 @@ def test_embed_injective_and_region_size():
     assert len(images) == src.cells
 
 
-def test_embed_preimage_roundtrip_and_difference_transfer():
+def test_cell_cap_admits_the_degree3_n40_baseline():
+    assert universe.CELL_CAP == 64 ** 3 == 512 ** 2
+    assert UniverseShape((3,), 40).cells == 64000
+    LinearFormP(p=5, coeffs=(1,) * 40).induced(3)
+
+
+def test_cell_cap_boundary(monkeypatch):
+    monkeypatch.setattr(universe, "CELL_CAP", 64)
+    assert UniverseShape((3,), 4).cells == UniverseShape((6,), 2).cells == 64
+    assert UniverseShape((1, 2), 7).cells == 56
+    assert UniverseShape((10 ** 9,), 1).cells == 1
+    for degrees, n in [((2,), 9), ((1, 2), 8), ((7,), 2), ((10 ** 9,), 2)]:
+        with pytest.raises(CapExceededError):
+            UniverseShape(degrees, n)
+    form = LinearFormP(p=2, coeffs=(1, 1))
+    assert form.induced(6).shape().cells == 64
+    for degree in (7, 10 ** 9):
+        with pytest.raises(CapExceededError):
+            form.induced(degree)
+    fam = Family(UniverseShape((2,), 4), frozenset({1, 6}))
+    assert multiplex(fam, 4).shape.cells == 64
+    for s in (5, 10 ** 9):  # refused before the s-part degree tuple is built
+        with pytest.raises(CapExceededError):
+            multiplex(fam, s)
+    # a file header past the cap is refused as such, not as malformed
+    with pytest.raises(CapExceededError):
+        family_from_text("shape s=1 d=2 n=9\n")
+    with pytest.raises(CapExceededError):
+        bundles_from_text("n=9 degrees=2\n-\n")
+
+
+def test_embedding_is_injective_and_transfers_differences():
     src = UniverseShape((2,), 3)
     rng = random.Random(11)
+    source_of = {}  # image bits -> the one mask that has this image
     for _ in range(50):
         a = rng.randrange(1 << src.cells)
         b = rng.randrange(1 << src.cells)
         A, B = SubsetMask(src, a), SubsetMask(src, b)
         iA, iB = embed_lower_degree(A, (3,)), embed_lower_degree(B, (3,))
-        assert embed_preimage(iA, (2,)) == A
+        for X, image in ((A, iA), (B, iB)):
+            assert len(image) == len(X)
+            assert source_of.setdefault(image.bits, X.bits) == X.bits
         assert iB.difference(iA) == embed_lower_degree(B.difference(A), (3,))
 
 
-def test_embed_preimage_rejects_offregion_mask():
+def test_embedded_region_and_degree_drop():
     target = UniverseShape((2,), 2)
     stray = SubsetMask.from_points(target, [(1, (1, 2))])  # not of the form (x, x)
-    with pytest.raises(ValueError):
-        embed_preimage(stray, (1,))
+    assert not stray.issubset(embedded_region(UniverseShape((1,), 2), (2,)))
     with pytest.raises(ValueError):
         embed_lower_degree(SubsetMask(target, 0), (1,))  # degrees must not drop
 
