@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Collection, Hashable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError, ShapeMismatchError, UnsatisfiablePredicateError, UniverseTooSmallError
-from .patterns import cyclic_interval_bits
 from .universe import (
     Family,
     OrderedWindow,
@@ -26,6 +25,7 @@ from .universe import (
     _plant_bits,
     _restrict_bits,
     _window_runs,
+    cyclic_interval_bits,
     window_region,
 )
 
@@ -291,16 +291,6 @@ def proof_chain_report(
 # labels, which is what makes |Omega| L = |W| K come out exactly.
 
 
-class DemoCell(Record):
-    n: int
-    base: int
-    anchor: int
-    members: tuple[int, ...]
-
-    def __contains__(self, bits: int) -> bool:
-        return bits in self.members
-
-
 DEMO_CELL_CAP = 1 << 17  # the most cells (n 2^n) the demo builds: n <= 13
 
 
@@ -325,14 +315,11 @@ def _cyclic_intervals(n: int) -> frozenset[int]:
     return frozenset(i for row in _demo_rows(n) for i in row if i) | {(1 << n) - 1}
 
 
-def interval_demo_cells(n: int) -> list[DemoCell]:
-    """All n 2^n labeled cells, bases ascending then anchors ascending."""
-    rows = _demo_rows(n)
-    return [
-        DemoCell(n, base, y, tuple(base ^ i for i in row))
-        for base in range(1 << n)
-        for y, row in enumerate(rows, start=1)
-    ]
+def interval_demo_cells(n: int) -> list[tuple[int, ...]]:
+    """The members of all n 2^n labeled cells, bases ascending then anchors
+    ascending: cell (C, y) is entry C n + y - 1."""
+    rows = _demo_rows(n)  # refuses an n past the cap before 2^n is formed
+    return [tuple(base ^ i for i in row) for base in range(1 << n) for row in rows]
 
 
 def demo_average_density(n: int, fam_bits: Collection[int]) -> Fraction:
@@ -364,11 +351,9 @@ def verify_framework_conditions(
     (i) every ordered pair of distinct members within a cell satisfies the
     pattern, (ii) cells share a common size K, (iii) every universe element
     lies in a common number L of cells, and the label accounting
-    |Omega| L = |W| K.  Cells may be DemoCells or plain member collections.
+    |Omega| L = |W| K.  Each cell is a collection of its members.
     """
-    member_lists = [
-        tuple(c.members) if isinstance(c, DemoCell) else tuple(c) for c in cells
-    ]
+    member_lists = [tuple(c) for c in cells]
     if not member_lists:
         raise ValueError("need at least one cell")
     sizes = {len(ms) for ms in member_lists}

@@ -149,13 +149,11 @@ def _greedy_clique_cover_bound(candidates: int, adj: Sequence[int]) -> int:
     rest = candidates
     while rest:
         v = (rest & -rest).bit_length() - 1
-        clique = 1 << v
         common = adj[v] & rest
         rest &= ~(1 << v)
         scan = common
         while scan:
             u = (scan & -scan).bit_length() - 1
-            clique |= 1 << u
             rest &= ~(1 << u)
             common &= adj[u]
             scan = common & ~((1 << (u + 1)) - 1)

@@ -40,6 +40,9 @@ from .universe import (
 DEFAULT_ENUMERATION_BUDGET = 24
 DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_SEED = 0
+# the largest modulus a form may have: a larger one is refused before the
+# primality test or any table with p entries
+MODULUS_CAP = 1 << 8
 
 
 def _is_prime(p: int) -> bool:
@@ -55,6 +58,8 @@ class LinearFormP(Record):
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        if self.p > MODULUS_CAP:
+            raise CapExceededError(f"modulus {self.p} exceeds the cap {MODULUS_CAP}")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
         coeffs = tuple(int(a) for a in self.coeffs)
@@ -652,6 +657,8 @@ def forms_from_text(text: str) -> list[LinearFormP]:
     if not match:
         raise FormatError(f"bad form header {lines[0]!r}, expected p=<prime>")
     p = int(match.group(1))
+    if p > MODULUS_CAP:
+        raise CapExceededError(f"modulus {p} exceeds the cap {MODULUS_CAP}")
     if not _is_prime(p):
         raise FormatError(f"modulus {p} is not prime")
     forms = []

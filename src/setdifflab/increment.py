@@ -22,8 +22,10 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import ContractViolationError, ShapeMismatchError, UniverseTooSmallError
+from .errors import (CapExceededError, ContractViolationError, ShapeMismatchError,
+                     UniverseTooSmallError)
 from .fpforms import (
+    MODULUS_CAP,
     BlockCell,
     LinearFormP,
     _product_table,
@@ -239,6 +241,8 @@ def iteration_cap(delta: Numeric, eta: Numeric, p: int) -> int:
         raise ValueError("density must lie in (0, 1]")
     if eta <= 0 or p < 1:  # else the ratio is at most 1 and no q exists
         raise ValueError("eta and p must be positive")
+    if p > MODULUS_CAP:  # the integers compared grow with p
+        raise CapExceededError(f"modulus {p} exceeds the cap {MODULUS_CAP}")
     if delta == 1:
         return 0
     ratio = 1 + eta / (3 * p)

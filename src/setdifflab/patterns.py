@@ -24,7 +24,9 @@ from .universe import (
     UniverseShape,
     _bit_indices,
     _cross_bits,
-    plant_into_window,
+    _plant_bits,
+    _window_runs,
+    cyclic_interval_bits,
     restrict_and_relabel,
     window_region,
 )
@@ -263,69 +265,37 @@ def family_difference_witness(
     n = shape.n
     if m > n:
         raise ValueError(f"template side m={m} exceeds n={n}")
-    if A.bits == B.bits:
+    a, b, small = A.bits, B.bits, template.shape
+    if a == b:
         return None
-    members = list(template.masks())
-
-    def planted(I: OrderedWindow) -> list[tuple[SubsetMask, SubsetMask]]:
-        return [(f, plant_into_window(f, I, shape)) for f in members]
-
-    if mode in (SAME_WINDOW, NESTED):
-        for start in range(1, n - m + 2):
-            I = OrderedWindow.interval(start, m)
-            for f1, F1 in planted(I):
-                if not F1.issubset(A):
-                    continue
-                rest = A.bits & ~F1.bits
-                for f2, F2 in planted(I):
-                    if F1.bits == F2.bits or not F2.issubset(B):
-                        continue
-                    if rest != B.bits & ~F2.bits:
-                        continue
-                    if mode == NESTED and F2.bits & ~F1.bits:
-                        continue
-                    return FamilyWitness(
-                        mode, (I,), SubsetMask(shape, rest), F1, F2, f1, f2
-                    )
-        return None
-
-    # disjoint-windows
-    for s1 in range(1, n - m + 2):
-        I1 = OrderedWindow.interval(s1, m)
-        for s2 in range(1, n - m + 2):
-            if abs(s1 - s2) < m:
+    windows = [OrderedWindow.interval(start, m) for start in range(1, n - m + 2)]
+    members = sorted(template.members)
+    planted = [[(f, _plant_bits(f, _window_runs(shape, I))) for f in members]
+               for I in windows]
+    starts = range(len(windows))
+    if mode == DISJOINT_WINDOWS:
+        pairs = [(i, j) for i in starts for j in starts if abs(i - j) >= m]
+    else:
+        pairs = [(i, i) for i in starts]
+    for i, j in pairs:
+        for f1, F1 in planted[i]:
+            if F1 & ~a:
                 continue
-            I2 = OrderedWindow.interval(s2, m)
-            for f1, F1 in planted(I1):
-                if not F1.issubset(A):
+            rest = a & ~F1
+            for f2, F2 in planted[j]:
+                if F1 == F2 or F2 & ~b or rest != b & ~F2:
                     continue
-                rest = A.bits & ~F1.bits
-                for f2, F2 in planted(I2):
-                    if not F2.issubset(B):
-                        continue
-                    if rest == B.bits & ~F2.bits:
-                        return FamilyWitness(
-                            mode, (I1, I2), SubsetMask(shape, rest), F1, F2, f1, f2
-                        )
+                if mode == NESTED and F2 & ~F1:
+                    continue
+                return FamilyWitness(
+                    mode, (windows[i],) if i == j else (windows[i], windows[j]),
+                    SubsetMask(shape, rest), SubsetMask(shape, F1), SubsetMask(shape, F2),
+                    SubsetMask(small, f1), SubsetMask(small, f2))
     return None
 
 
 # ---------------------------------------------------------------------------
 # cyclic intervals over Z_n
-
-
-def cyclic_interval_bits(n: int, start: int, length: int) -> int:
-    """Bits of {start, start+1, ..., start+length-1} mod n, elements 1..n."""
-    if not 1 <= start <= n:
-        raise ValueError(f"start {start} not in 1..{n}")
-    if not 0 <= length <= n:
-        raise ValueError(f"length {length} not in 0..{n}")
-    bits = 0
-    z = start
-    for _ in range(length):
-        bits |= 1 << (z - 1)
-        z = z % n + 1
-    return bits
 
 
 def interval_mod_n_witness(

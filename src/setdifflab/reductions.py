@@ -19,8 +19,8 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, FormatError
-from .patterns import CliqueDifference, hyperedges_of, pattern_index
 from .universe import (
+    CELL_CAP,
     Family,
     OrderedWindow,
     Record,
@@ -142,6 +142,9 @@ class IntervalPartitionCatalog(Record):
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be positive")
+        if self.d > CELL_CAP.bit_length():  # 2^(d-1) parts: refuse before listing
+            raise CapExceededError(
+                f"the catalog for d={self.d} has more than {CELL_CAP} parts")
 
     def compositions(self, k: int) -> tuple[tuple[int, ...], ...]:
         if not 1 <= k <= self.d:
@@ -230,11 +233,6 @@ class HypergraphBundle(Record):
             for edge in part
         ]
         return SubsetMask.from_points(self.shape(), pts)
-
-    @classmethod
-    def from_mask(cls, mask: SubsetMask) -> "HypergraphBundle":
-        return cls(n=mask.shape.n, degrees=mask.shape.degrees,
-                   parts=hyperedges_of(mask))
 
 
 _HEADER = re.compile(r"n=(\d+) degrees=(\d+(?:,\d+)*)")
@@ -346,9 +344,10 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
     if n < 1:
         raise ValueError("n must be positive")
     shape = UniverseShape(degrees=(2,), n=n)
-    read = SymmetricRegion(2, n).mask().bits  # x <= y
-    if not loopful:
-        read &= pattern_index(shape, CliqueDifference((2,)))[0]  # x < y
+    # an orbit's lowest cell is its sorted point; an edge of two vertices
+    # sits at x < y, a loop (kept only when loopful) at x = y
+    read = sum(o & -o for (_, edge), o in _orbits(shape).items()
+               if loopful or len(edge) == 2)
     free = shape.full_bits() & ~read
     graphs = list(graphs)
     if len(graphs) << free.bit_count() > CLIQUE_FIBRE_CAP:

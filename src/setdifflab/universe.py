@@ -211,6 +211,20 @@ def _cross_bits(n: int, xs: int, tail: int, k: int) -> int:
     return tail * sum(1 << i * stride for i in _bit_indices(xs))
 
 
+def cyclic_interval_bits(n: int, start: int, length: int) -> int:
+    """Bits of {start, start+1, ..., start+length-1} mod n, elements 1..n."""
+    if not 1 <= start <= n:
+        raise ValueError(f"start {start} not in 1..{n}")
+    if not 0 <= length <= n:
+        raise ValueError(f"length {length} not in 0..{n}")
+    bits = 0
+    z = start
+    for _ in range(length):
+        bits |= 1 << (z - 1)
+        z = z % n + 1
+    return bits
+
+
 def single_part_degree(shape: UniverseShape) -> int:
     """The degree d of a single-part universe [n]^d; other shapes raise."""
     if shape.s != 1:
@@ -364,29 +378,9 @@ class OrderedWindow(Record):
         return all(e[i + 1] == e[i] + 1 for i in range(len(e) - 1))
 
 
-def _normalize_windows(
-    shape: UniverseShape, windows: OrderedWindow | Sequence[OrderedWindow]
-) -> tuple[OrderedWindow, ...]:
-    if isinstance(windows, OrderedWindow):
-        ws = (windows,) * shape.s
-    else:
-        ws = tuple(windows)
-        if len(ws) == 1:
-            ws = ws * shape.s
-        if len(ws) != shape.s:
-            raise ValueError(f"need 1 or {shape.s} windows, got {len(ws)}")
-    m = ws[0].m
-    for w in ws:
-        if w.m != m:
-            raise ValueError("windows must share a common size")
-        if any(x > shape.n for x in w.elements):
-            raise ValueError(f"window {w.elements} exceeds side n={shape.n}")
-    return ws
-
-
 @lru_cache(maxsize=4096)
 def _window_runs(
-    shape: UniverseShape, windows: OrderedWindow | tuple[OrderedWindow, ...]
+    shape: UniverseShape, window: OrderedWindow
 ) -> tuple[tuple[int, int, int], ...]:
     """The window map as maximal runs of consecutive source cells.
 
@@ -395,11 +389,11 @@ def _window_runs(
     indices step by one.  An interval window gives m^(d-1) runs of m bits
     per degree-d part.  The three window maps below read this table.
     """
-    windows = _normalize_windows(shape, windows)
-    small = UniverseShape(shape.degrees, windows[0].m)
+    w = window.elements
+    if max(w) > shape.n:
+        raise ValueError(f"window {w} exceeds side n={shape.n}")
     runs: list[list[int]] = []
-    for dst, (part, coords) in enumerate(small.points()):
-        w = windows[part - 1].elements
+    for dst, (part, coords) in enumerate(UniverseShape(shape.degrees, window.m).points()):
         src = shape.index_of(part, tuple(w[c - 1] for c in coords))
         if runs and src == runs[-1][0] + runs[-1][2]:
             runs[-1][2] += 1
@@ -419,38 +413,26 @@ def _plant_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
     return sum((bits >> dst & run) << src for src, dst, run in runs)
 
 
-def restrict_and_relabel(
-    mask: SubsetMask, windows: OrderedWindow | Sequence[OrderedWindow]
-) -> SubsetMask:
-    """Keep points with all coordinates in the window, relabel into [m].
-
-    One window may be given for all parts, or one per part.  The k-th window
-    element (under the window's ordering) becomes the label k.
-    """
-    ws = _normalize_windows(mask.shape, windows)
-    small = UniverseShape(mask.shape.degrees, ws[0].m)
-    return SubsetMask(small, _restrict_bits(mask.bits, _window_runs(mask.shape, ws)))
+def restrict_and_relabel(mask: SubsetMask, window: OrderedWindow) -> SubsetMask:
+    """Keep points with all coordinates in the window, relabel into [m]:
+    the k-th window element (under the window's ordering) becomes label k."""
+    small = UniverseShape(mask.shape.degrees, window.m)
+    return SubsetMask(small, _restrict_bits(mask.bits, _window_runs(mask.shape, window)))
 
 
 def plant_into_window(
-    small_mask: SubsetMask,
-    windows: OrderedWindow | Sequence[OrderedWindow],
-    shape: UniverseShape,
+    small_mask: SubsetMask, window: OrderedWindow, shape: UniverseShape
 ) -> SubsetMask:
     """Right inverse of restrict_and_relabel: place an [m]-shape subset into
     the window power region of the big universe (all other cells empty)."""
-    ws = _normalize_windows(shape, windows)
-    if ws[0].m != small_mask.shape.n or small_mask.shape.degrees != shape.degrees:
+    if window.m != small_mask.shape.n or small_mask.shape.degrees != shape.degrees:
         raise ShapeMismatchError("small mask does not match window size / degrees")
-    return SubsetMask(shape, _plant_bits(small_mask.bits, _window_runs(shape, ws)))
+    return SubsetMask(shape, _plant_bits(small_mask.bits, _window_runs(shape, window)))
 
 
-def window_region(
-    shape: UniverseShape, windows: OrderedWindow | Sequence[OrderedWindow]
-) -> SubsetMask:
-    """The region X_1^{d_1} u ... u X_s^{d_s} as a mask over the big shape."""
-    ws = _normalize_windows(shape, windows)
-    return SubsetMask(shape, _plant_bits(-1, _window_runs(shape, ws)))
+def window_region(shape: UniverseShape, window: OrderedWindow) -> SubsetMask:
+    """The region X^{d_1} u ... u X^{d_s} as a mask over the big shape."""
+    return SubsetMask(shape, _plant_bits(-1, _window_runs(shape, window)))
 
 
 # ---------------------------------------------------------------------------

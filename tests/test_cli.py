@@ -20,12 +20,12 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def run_refused(argv, capsys):
-    """Run a command the cell cap must refuse: exit 4, nothing on stdout,
-    and no time spent building the universe first."""
+def run_refused(argv, capsys, cap="cells"):
+    """Run a command a cap must refuse: exit 4, nothing on stdout, the cap
+    named on stderr, and no time spent building the input first."""
     start = time.perf_counter()
     code, out, err = run_cli(argv, capsys)
-    assert code == 4 and out == "" and "cells" in err
+    assert code == 4 and out == "" and cap in err
     assert time.perf_counter() - start < 5
 
 
@@ -190,6 +190,11 @@ class TestPhidist:
         path.write_text("p=3\n1 2 0\n")
         run_refused(["phidist", "--forms", str(path), "--degree", degree], capsys)
 
+    def test_modulus_cap_refuses_before_the_primality_test(self, tmp_path, capsys):
+        path = tmp_path / "forms.txt"
+        path.write_text("p=1000000000000000003\n1 2\n")
+        run_refused(["phidist", "--forms", str(path)], capsys, cap="modulus")
+
     def test_bad_form_file(self, tmp_path, capsys):
         path = tmp_path / "forms.txt"
         path.write_text("q=2\n1 0\n")
@@ -278,6 +283,11 @@ class TestQuasirandomize:
         code, _, _ = run_cli(["quasirandomize", "--family", halfspace6,
                               "--p", "2", "--eta", "0"], capsys)
         assert code == 4
+
+    @pytest.mark.parametrize("p", ["1000003", "1000000000000000003"])
+    def test_modulus_cap(self, halfspace6, capsys, p):
+        run_refused(["quasirandomize", "--family", halfspace6, "--p", p,
+                     "--eta", "1/4"], capsys, cap="modulus")
 
     def test_negative_p_is_refused_before_the_cap(self, halfspace6, capsys):
         code, _, err = run_cli(["quasirandomize", "--family", halfspace6,
@@ -394,6 +404,19 @@ class TestReduce:
         # 10^8 parts: the degree tuple alone would take most of a gigabyte
         run_refused(["reduce", "--mode", "multiplex", "--family", symmetric22,
                      "--s", "100000000"], capsys)
+
+    def test_catalog_cap_refuses_beta(self, tmp_path, capsys):
+        # [1]^40 has one cell, but its catalog would list 2^39 compositions
+        path = tmp_path / "fam.txt"
+        path.write_text("shape s=1 d=40 n=1\n0\n1\n")
+        run_refused(["reduce", "--mode", "beta", "--family", str(path)],
+                    capsys, cap="parts")
+
+    def test_catalog_cap_refuses_beta_inverse(self, tmp_path, capsys):
+        path = tmp_path / "bundles.txt"
+        path.write_text("n=1 degrees=1,40\n-\n-\n")
+        run_refused(["reduce", "--mode", "beta-inverse", "--bundles", str(path)],
+                    capsys, cap="parts")
 
     def test_clique(self, tmp_path, capsys):
         path = tmp_path / "graph.txt"

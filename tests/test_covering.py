@@ -265,16 +265,17 @@ def test_proof_chain_random_instances():
 
 
 def test_demo_cells_worked_example():
-    cells = interval_demo_cells(3)
+    n = 3
+    cells = interval_demo_cells(n)
     assert len(cells) == 24
-    first = cells[0]
-    assert (first.base, first.anchor) == (0, 1)
-    assert first.members == (0b000, 0b001, 0b011)
+    # cell (C, y) is entry C n + y - 1
+    assert cells[0 * n + 1 - 1] == (0b000, 0b001, 0b011)
+    assert cells[0b101 * n + 2 - 1] == (0b101, 0b111, 0b011)
     for c in cells:
-        assert len(set(c.members)) == 3
+        assert len(set(c)) == 3
     # every subset lies in exactly n^2 = 9 labeled cells
     for a in range(8):
-        assert sum(1 for c in cells if a in c.members) == 9
+        assert sum(1 for c in cells if a in c) == 9
 
 
 def test_demo_cell_cap():

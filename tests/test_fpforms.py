@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
 from setdifflab.fpforms import (
+    MODULUS_CAP,
     BlockCell,
     BlockPartition,
     DistributionTable,
@@ -39,6 +40,7 @@ from setdifflab.fpforms import (
     uniformity_bound,
     value_counts,
 )
+from setdifflab.increment import iteration_cap
 from setdifflab.universe import SubsetMask, UniverseShape
 
 
@@ -458,6 +460,21 @@ def test_cell_value_report_examples():
 
 # ---------------------------------------------------------------------------
 # Form files
+
+
+def test_modulus_cap_boundary():
+    # 251 is the largest prime the cap admits, 257 the smallest it refuses
+    assert 251 < MODULUS_CAP < 257
+    assert LinearFormP(p=251, coeffs=(1, 250)).p == 251
+    assert forms_from_text("p=251\n1 2\n")[0].p == 251
+    assert iteration_cap(Fraction(1, 2), Fraction(1, 2), 251) > 0
+    for p in (257, 10 ** 18 + 3):
+        with pytest.raises(CapExceededError):
+            LinearFormP(p=p, coeffs=(1,))
+        with pytest.raises(CapExceededError):
+            forms_from_text(f"p={p}\n1 2\n")
+        with pytest.raises(CapExceededError):
+            iteration_cap(Fraction(1, 2), Fraction(1, 2), p)
 
 
 def test_forms_file_rows():

@@ -19,7 +19,7 @@ from setdifflab.covering import (
     interval_demo_cells,
 )
 from setdifflab.errors import ShapeMismatchError
-from setdifflab.patterns import cyclic_interval_bits, interval_mod_n_witness
+from setdifflab.patterns import interval_mod_n_witness
 from setdifflab.reductions import (
     HypergraphBundle,
     IntervalPartitionCatalog,
@@ -37,6 +37,7 @@ from setdifflab.universe import (
     SubsetMask,
     UniverseShape,
     _window_runs,
+    cyclic_interval_bits,
     embed_lower_degree,
     plant_into_window,
     restrict_and_relabel,
@@ -48,33 +49,33 @@ from setdifflab.universe import (
 # references: the per-cell and per-point loops
 
 
-def ref_index_table(shape, windows):
+def ref_index_table(shape, window):
     """Source cell index of each cell of the relabeled m-shape, in order."""
-    small = UniverseShape(shape.degrees, windows[0].m)
+    small = UniverseShape(shape.degrees, window.m)
     return [
-        shape.index_of(part, tuple(windows[part - 1].elements[c - 1] for c in coords))
+        shape.index_of(part, tuple(window.elements[c - 1] for c in coords))
         for part, coords in small.points()
     ]
 
 
-def ref_restrict(bits, shape, windows):
+def ref_restrict(bits, shape, window):
     out = 0
-    for small_idx, src_idx in enumerate(ref_index_table(shape, windows)):
+    for small_idx, src_idx in enumerate(ref_index_table(shape, window)):
         if bits >> src_idx & 1:
             out |= 1 << small_idx
     return out
 
 
-def ref_plant(small_bits, shape, windows):
+def ref_plant(small_bits, shape, window):
     out = 0
-    for small_idx, src_idx in enumerate(ref_index_table(shape, windows)):
+    for small_idx, src_idx in enumerate(ref_index_table(shape, window)):
         if small_bits >> small_idx & 1:
             out |= 1 << src_idx
     return out
 
 
-def ref_region(shape, windows):
-    return sum(1 << src_idx for src_idx in ref_index_table(shape, windows))
+def ref_region(shape, window):
+    return sum(1 << src_idx for src_idx in ref_index_table(shape, window))
 
 
 def ref_interval_witness(a_bits, b_bits, n):
@@ -194,35 +195,30 @@ def ref_clique_square(graphs, n, loopful):
 
 @st.composite
 def windowed_shapes(draw):
-    """A shape of up to three parts of degree <= 3, one ordered window per
-    part (elements in any order, so runs break), and a member of each side."""
+    """A shape of up to three parts of degree <= 3, one ordered window
+    (elements in any order, so runs break), and a member of each side."""
     degrees = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, n))
-    windows = tuple(
-        OrderedWindow(tuple(draw(st.permutations(range(1, n + 1)))[:m]))
-        for _ in degrees)
-    if draw(st.booleans()):
-        windows = (windows[0],) * len(degrees)
+    window = OrderedWindow(tuple(draw(st.permutations(range(1, n + 1)))[:m]))
     shape = UniverseShape(degrees, n)
     small = UniverseShape(degrees, m)
     bits = draw(st.integers(0, shape.full_bits()))
     small_bits = draw(st.integers(0, small.full_bits()))
-    return shape, windows, bits, small_bits
+    return shape, window, bits, small_bits
 
 
 @settings(max_examples=300, deadline=None)
 @given(windowed_shapes())
 def test_window_maps_match_per_cell_loops(case):
-    shape, windows, bits, small_bits = case
-    arg = windows[0] if len(set(windows)) == 1 else windows
-    small = UniverseShape(shape.degrees, windows[0].m)
-    got = restrict_and_relabel(SubsetMask(shape, bits), arg)
+    shape, window, bits, small_bits = case
+    small = UniverseShape(shape.degrees, window.m)
+    got = restrict_and_relabel(SubsetMask(shape, bits), window)
     assert got.shape == small
-    assert got.bits == ref_restrict(bits, shape, windows)
-    planted = plant_into_window(SubsetMask(small, small_bits), arg, shape)
-    assert planted.bits == ref_plant(small_bits, shape, windows)
-    assert window_region(shape, arg).bits == ref_region(shape, windows)
+    assert got.bits == ref_restrict(bits, shape, window)
+    planted = plant_into_window(SubsetMask(small, small_bits), window, shape)
+    assert planted.bits == ref_plant(small_bits, shape, window)
+    assert window_region(shape, window).bits == ref_region(shape, window)
 
 
 def test_interval_window_runs_are_rows_of_m_bits():
@@ -246,8 +242,6 @@ def test_window_runs_reject_bad_windows():
     shape = UniverseShape((1, 2), 4)
     with pytest.raises(ValueError):
         _window_runs(shape, OrderedWindow((5,)))
-    with pytest.raises(ValueError):
-        _window_runs(shape, (OrderedWindow((1, 2)),) * 3)
     with pytest.raises(ShapeMismatchError):
         plant_into_window(SubsetMask(UniverseShape((1, 2), 3), 0),
                           OrderedWindow((1, 2)), shape)
@@ -291,12 +285,13 @@ def test_demo_cells_and_density_match_per_cell_loops():
     rng = random.Random(5)
     for n in range(1, 7):
         cells = interval_demo_cells(n)
-        assert [(c.base, c.anchor, c.members) for c in cells] == [
-            (base, y, tuple(base ^ cyclic_interval_bits(n, y, length)
-                            for length in range(n)))
-            for base in range(1 << n) for y in range(1, n + 1)]
+        assert len(cells) == n << n
+        for base in range(1 << n):
+            for y in range(1, n + 1):
+                assert cells[base * n + y - 1] == tuple(
+                    base ^ cyclic_interval_bits(n, y, length) for length in range(n))
         fam = {rng.randrange(1 << n) for _ in range(rng.randrange(1, 1 << n))}
-        hits = sum(mbr in fam for c in cells for mbr in c.members)
+        hits = sum(mbr in fam for c in cells for mbr in c)
         assert demo_average_density(n, fam) == Fraction(hits, len(cells) * n)
 
 

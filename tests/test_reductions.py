@@ -31,7 +31,7 @@ from setdifflab.reductions import (
     symmetric_extend,
     symmetric_lift,
 )
-from setdifflab.universe import Family, SubsetMask, UniverseShape
+from setdifflab.universe import CELL_CAP, Family, SubsetMask, UniverseShape
 
 from math import comb
 
@@ -216,6 +216,13 @@ class TestIntervalPartitionCatalog:
         with pytest.raises(ValueError):
             IntervalPartitionCatalog(2).compositions(3)
 
+    def test_part_cap(self):
+        # 2^(d-1) parts: d = 19 reaches CELL_CAP, d = 20 is refused unlisted
+        assert IntervalPartitionCatalog(19).s == CELL_CAP
+        for d in (20, 40, 10 ** 9):
+            with pytest.raises(CapExceededError):
+                IntervalPartitionCatalog(d)
+
 
 EXAMPLE_BUNDLE = HypergraphBundle(
     n=2, degrees=(1, 2),
@@ -237,7 +244,7 @@ class TestHypergraphBundle:
         mask = EXAMPLE_BUNDLE.to_mask()
         assert mask.shape == UniverseShape(degrees=(1, 2), n=2)
         assert set(mask.points()) == {(1, (1,)), (2, (1, 2))}
-        assert HypergraphBundle.from_mask(mask) == EXAMPLE_BUNDLE
+        assert hyperedges_of(mask) == EXAMPLE_BUNDLE.parts
 
     def test_text_roundtrip(self):
         text = bundles_to_text([EXAMPLE_BUNDLE])
