@@ -10,12 +10,12 @@ Kept out of the tier-1 ``testpaths``; run from the repository root with
 import pytest
 
 from setdifflab.extremal import build_forbidden_graph, max_avoiding_family
-from setdifflab.patterns import PolynomialDifference, PowerDifference
+from setdifflab.patterns import PolynomialDifference
 from setdifflab.universe import UniverseShape
 
 CASES = {
     # one 256-vertex component; Sperner anchor C(8, 4) = 70
-    "d1-n8": (UniverseShape(degrees=(1,), n=8), PowerDifference(degree=1), 70),
+    "d1-n8": (UniverseShape(degrees=(1,), n=8), PolynomialDifference((1,)), 70),
     # 1024 vertices in 575 components
     "d13-n2": (UniverseShape(degrees=(1, 3), n=2),
                PolynomialDifference((1, 3)), 640),

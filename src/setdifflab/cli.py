@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import ContractViolationError, FormatError, ShapeMismatchError
+from .errors import (CapExceededError, ContractViolationError, FormatError,
+                     ShapeMismatchError)
 
 
 def _read(path: str) -> str:
@@ -142,7 +143,7 @@ def cmd_quasirandomize(args) -> None:
     if args.pool == "exhaustive":
         total = args.p ** fam.shape.n
         if total > DEFAULT_FORM_BUDGET:
-            raise ValueError(
+            raise CapExceededError(
                 f"exhaustive pool of {args.p}^{fam.shape.n} forms exceeds "
                 f"the budget {DEFAULT_FORM_BUDGET}")
         budget = total
@@ -167,18 +168,13 @@ def cmd_quasirandomize(args) -> None:
 
 def cmd_extremal(args) -> None:
     from .extremal import DEFAULT_VERTEX_CAP, max_avoiding_family
-    from .patterns import CliqueDifference, PolynomialDifference, PowerDifference
+    from .patterns import CliqueDifference, PolynomialDifference
     from .universe import UniverseShape
     if args.vertex_cap is None:
         args.vertex_cap = DEFAULT_VERTEX_CAP  # echoed in the report config
-    degrees = tuple(args.d)
-    shape = UniverseShape(degrees, args.n)
-    if args.pattern == "clique":
-        spec = CliqueDifference(degrees)
-    elif len(degrees) == 1:
-        spec = PowerDifference(degree=degrees[0])
-    else:
-        spec = PolynomialDifference(degrees)
+    shape = UniverseShape(tuple(args.d), args.n)
+    pattern = CliqueDifference if args.pattern == "clique" else PolynomialDifference
+    spec = pattern(shape.degrees)
     record = max_avoiding_family(
         shape, spec, method=args.method, vertex_cap=args.vertex_cap,
         time_limit=args.time_limit)

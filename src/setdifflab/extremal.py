@@ -26,7 +26,6 @@ from .patterns import (
     IntervalModN,
     PatternSpec,
     PolynomialDifference,
-    PowerDifference,
     find_pattern_pair,
     find_witness,
     pattern_index,
@@ -39,8 +38,9 @@ EXHAUSTIVE_VERTEX_CAP = 20
 
 
 def pattern_name(spec: PatternSpec) -> str:
+    if isinstance(spec, PolynomialDifference) and len(spec.degrees) == 1:
+        return "power-difference"
     names = {
-        PowerDifference: "power-difference",
         PolynomialDifference: "polynomial-difference",
         FamilyDifference: "family-difference",
         IntervalModN: "interval-mod-n",
@@ -126,7 +126,7 @@ def build_forbidden_graph(shape: UniverseShape, spec: PatternSpec,
                           ) -> ForbiddenPairGraph:
     """Edges {A, B} for every pair where one extends the other by a pattern.
 
-    Power, polynomial and clique specs generate each vertex's successors
+    Polynomial and clique specs generate each vertex's successors
     from the pattern table; other specs check every ordered pair."""
     vertices = 1 << shape.cells
     if vertices > vertex_cap:
@@ -271,12 +271,8 @@ def _solve_mis(adj: Sequence[int], deadline: Optional[float]) -> tuple[int, int,
 
 
 def _exhaustive_mis(adj: Sequence[int]) -> tuple[int, int]:
-    n = len(adj)
-    if n > EXHAUSTIVE_VERTEX_CAP:
-        raise CapExceededError(
-            f"exhaustive search over 2^{n} subsets refused")
     best_size, best_set = 0, 0
-    for subset in range(1 << n):
+    for subset in range(1 << len(adj)):
         if subset.bit_count() <= best_size:
             continue
         scan = subset
@@ -324,8 +320,14 @@ def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
     """Exact largest family with no witnessed pair; re-verified before return.
 
     A time limit (seconds) turns the result into a best-known lower bound
-    with ``optimal=False``; without one the search runs to completion.
+    with ``optimal=False``; without one the search runs to completion.  The
+    exhaustive method is refused before the graph is built when its 2^cells
+    vertices exceed EXHAUSTIVE_VERTEX_CAP.
     """
+    if method == "exhaustive" and shape.cells >= EXHAUSTIVE_VERTEX_CAP.bit_length():
+        raise CapExceededError(
+            f"exhaustive search over 2^{shape.cells} vertices exceeds the cap "
+            f"{EXHAUSTIVE_VERTEX_CAP}")
     adj = build_forbidden_graph(shape, spec, vertex_cap=vertex_cap).adj
     if method == "branch-and-bound":
         deadline = None if time_limit is None else time.monotonic() + time_limit

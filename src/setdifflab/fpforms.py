@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError, FormatError, ShapeMismatchError, UniverseTooSmallError
 from .universe import (
@@ -102,9 +102,6 @@ class InducedForm(Record):
         return UniverseShape(degrees=(self.degree,), n=self.base.n)
 
 
-AnyForm = Union[LinearFormP, InducedForm]
-
-
 def phi_eval(form: LinearFormP, S: Iterable[int]) -> int:
     """Sum of the coefficients over a subset of [n], mod p."""
     total = 0
@@ -138,35 +135,26 @@ def support(form: LinearFormP) -> frozenset[int]:
     return frozenset(z for z, a in enumerate(form.coeffs, start=1) if a)
 
 
-def support_size(form: AnyForm) -> int:
-    """Number of universe cells with nonzero coefficient.
-
-    For an induced form this is |Z|^d: a product of field elements vanishes
-    exactly when some factor does.
-    """
-    if isinstance(form, InducedForm):
-        return len(support(form.base)) ** form.degree
-    return len(support(form))
+def support_size(form: InducedForm) -> int:
+    """Number of universe cells with nonzero coefficient: |Z|^d, since a
+    product of field elements vanishes exactly when some factor does."""
+    return len(support(form.base)) ** form.degree
 
 
-def coefficient_class_masks(form: AnyForm) -> tuple[tuple[int, int], ...]:
+def coefficient_class_masks(form: InducedForm) -> tuple[tuple[int, int], ...]:
     """(value, cell bitmask) per nonzero coefficient value, values ascending.
 
-    An induced form's classes are folded out of the base form's without
-    visiting cells: on [n]^(k+1) the class a*w holds the products
-    {x : a_x = a} x M_w of a base class and a class of [n]^k.
+    The classes are folded out of the base form's without visiting cells:
+    on [n]^(k+1) the class a*w holds the products {x : a_x = a} x M_w of a
+    base class and a class of [n]^k.
     """
-    if isinstance(form, InducedForm):
-        base, degree = form.base, form.degree
-    else:
-        base, degree = form, 1
-    n, p = base.n, base.p
+    n, p = form.n, form.p
     first: dict[int, int] = {}
-    for x, a in enumerate(base.coeffs):
+    for x, a in enumerate(form.base.coeffs):
         if a:
             first[a] = first.get(a, 0) | 1 << x
     masks = first
-    for k in range(1, degree):
+    for k in range(1, form.degree):
         folded: dict[int, int] = {}
         for a, row in first.items():
             spread = _cross_bits(n, row, 1, k)  # X x {first cell}; mask * spread is X x M
@@ -272,24 +260,25 @@ def _convolved_masses(p: int, classes) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, 1 << cells) for c in _subset_counts(p, sizes))
 
 
-def distribution(form: AnyForm, mode: str = "exact",
-                 samples: int = DEFAULT_SAMPLE_COUNT, seed: int = DEFAULT_SEED,
-                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> DistributionTable:
+def distribution(form: InducedForm, mode: str = "exact",
+                 samples: int = DEFAULT_SAMPLE_COUNT,
+                 seed: int = DEFAULT_SEED) -> DistributionTable:
     """Distribution table of the form's value over uniform random subsets.
 
     ``exact`` counts subsets per residue from the coefficient class sizes
-    (no size limit),
-    ``enumerate`` walks all ``2^cells`` subsets (cells capped by ``budget``)
-    and exists as an independent cross-check, ``sampled`` draws subsets from
-    a seeded generator.
+    (no size limit), ``enumerate`` walks all ``2^cells`` subsets (cells
+    capped by ``DEFAULT_ENUMERATION_BUDGET``) and exists as an independent
+    cross-check, ``sampled`` draws subsets from a seeded generator.  A
+    linear form is evaluated as its degree-1 lift ``form.induced(1)``.
     """
     p = form.p
     zsize = support_size(form)
     bound = uniformity_bound(p, zsize)
-    cells = form.shape().cells if isinstance(form, InducedForm) else form.n
-    if mode == "enumerate" and cells > budget:
+    cells = form.shape().cells
+    if mode == "enumerate" and cells > DEFAULT_ENUMERATION_BUDGET:
         raise CapExceededError(
-            f"enumeration over 2^{cells} subsets exceeds budget 2^{budget}")
+            f"enumeration over 2^{cells} subsets exceeds budget "
+            f"2^{DEFAULT_ENUMERATION_BUDGET}")
     classes = coefficient_class_masks(form)
     if mode == "exact":
         masses = _convolved_masses(p, classes)

@@ -35,7 +35,7 @@ from .fpforms import (
     lift_bits,
     value_counts,
 )
-from .patterns import PatternSpec, PowerDifference, find_pattern_pair
+from .patterns import PolynomialDifference, find_pattern_pair
 from .universe import Family, Record, SubsetMask, _frac, single_part_degree
 
 DEFAULT_FORM_BUDGET = 1 << 20
@@ -306,21 +306,18 @@ def quasirandomize(fam: Family, p: int, eta: Numeric,
                    m_schedule: Optional[Sequence[int]] = None,
                    search_budget: int = DEFAULT_FORM_BUDGET,
                    extra_forms: Sequence[LinearFormP] = (),
-                   max_steps: Optional[int] = None,
-                   pattern: Optional[PatternSpec] = None,
-                   ):
+                   max_steps: Optional[int] = None):
     """Iterate distinguishing-form search (threshold eta/p) and increment.
 
     Stops when no distinguishing form remains ("uniform"), when the current
-    family exhibits a pattern pair after a step ("pattern-found"), or with an
-    "inconclusive:*" status when the schedule or progress runs out.  Returns
-    (final family, IncrementTrace, pattern pair or None).  ``extra_forms``
-    live over the input's [n], so only the first search offers them.
+    family exhibits a power-difference pair after a step ("pattern-found"),
+    or with an "inconclusive:*" status when the schedule or progress runs
+    out.  Returns (final family, IncrementTrace, pattern pair or None).
+    ``extra_forms`` live over the input's [n], so only the first search
+    offers them.
     """
     eta = Fraction(eta)
-    degree = single_part_degree(fam.shape)
-    if pattern is None:
-        pattern = PowerDifference(degree=degree)
+    pattern = PolynomialDifference((single_part_degree(fam.shape),))
     initial_density = fam.density()
     cap = iteration_cap(initial_density, eta, p) if initial_density > 0 else 0
     if max_steps is None:

@@ -41,11 +41,9 @@ _MODES = (SAME_WINDOW, DISJOINT_WINDOWS, NESTED)
 # pattern specs
 
 
-class PowerDifference(Record):
-    degree: int
-
-
 class PolynomialDifference(Record):
+    """B \\ A = S^{d_1} u ... u S^{d_s}; one degree is a power difference."""
+
     degrees: tuple[int, ...]
 
     def __post_init__(self):
@@ -73,8 +71,7 @@ class CliqueDifference(Record):
 
 
 PatternSpec = Union[
-    PowerDifference, PolynomialDifference, FamilyDifference, IntervalModN,
-    CliqueDifference,
+    PolynomialDifference, FamilyDifference, IntervalModN, CliqueDifference,
 ]
 
 
@@ -225,10 +222,6 @@ def distance2_witness(
 
 
 def _check_degrees(spec: PatternSpec, shape: UniverseShape) -> None:
-    if isinstance(spec, PowerDifference) and shape.degrees != (spec.degree,):
-        raise ShapeMismatchError(
-            f"pattern wants a single part of degree {spec.degree}, shape has {shape.degrees}"
-        )
     if isinstance(spec, (PolynomialDifference, CliqueDifference)) and (
         shape.degrees != spec.degrees
     ):
@@ -340,7 +333,7 @@ def hyperedges_of(mask: SubsetMask) -> tuple[frozenset[frozenset[int]], ...]:
 def find_witness(A: SubsetMask, B: SubsetMask, spec: PatternSpec) -> Optional[Witness]:
     shape = _same_shape(A, B)
     _check_degrees(spec, shape)
-    if isinstance(spec, (PowerDifference, PolynomialDifference, CliqueDifference)):
+    if isinstance(spec, (PolynomialDifference, CliqueDifference)):
         return _indexed_witness(A, B, spec)
     if isinstance(spec, FamilyDifference):
         return family_difference_witness(A, B, spec.family, spec.mode)
@@ -439,7 +432,7 @@ def pattern_index(
     pair (A, B) has the witness S iff key(A) lies inside key(B) and
     P = key(B) ^ key(A) is P(S) for the nonempty S that P touches.
     """
-    if isinstance(spec, (PowerDifference, PolynomialDifference)):
+    if isinstance(spec, PolynomialDifference):
         witness = PowerWitness
     elif isinstance(spec, CliqueDifference):
         witness = CliqueWitness
@@ -536,8 +529,8 @@ def find_pattern_pair(
     """First ordered pair of distinct members admitting a witness.
 
     Pairs are ranked in ascending (A.bits, B.bits) order, so the result is
-    deterministic for a given family and spec.  Power, polynomial and
-    clique specs decide pairs on raw ints through the spec's
+    deterministic for a given family and spec.  Polynomial and clique
+    specs decide pairs on raw ints through the spec's
     ``pattern_index``; family and interval specs run ``find_witness`` on
     every ordered pair.
     """

@@ -44,7 +44,7 @@ from setdifflab.increment import (
 )
 from setdifflab.patterns import (
     CliqueDifference,
-    PowerDifference,
+    PolynomialDifference,
     distance2_witness,
     find_pattern_pair,
     find_witness,
@@ -268,7 +268,7 @@ def test_criterion_06_witness_oracle_equivalence():
     shapes = [UniverseShape((1,), n) for n in (1, 2, 3)]
     shapes += [UniverseShape((2,), n) for n in (1, 2)]
     for shape in shapes:
-        spec = PowerDifference(degree=shape.degrees[0])
+        spec = PolynomialDifference((shape.degrees[0],))
         powers = {frozenset(S): _power_bits(shape, S)
                   for S in _nonempty_subsets(shape.n)}
         size = 1 << shape.cells
@@ -350,7 +350,7 @@ def test_criterion_07_fp_machinery():
             covered = 0
             if n <= 6:
                 for coeffs in itertools.product(range(p), repeat=n):
-                    assert distribution(LinearFormP(p, coeffs)).within_bound
+                    assert distribution(LinearFormP(p, coeffs).induced(1)).within_bound
                     covered += 1
             else:
                 for ks in itertools.product(range(n + 1), repeat=p - 1):
@@ -359,7 +359,7 @@ def test_criterion_07_fp_machinery():
                     coeffs = tuple(itertools.chain(
                         *([v] * k for v, k in zip(nonzero, ks)),
                         [0] * (n - sum(ks))))
-                    assert distribution(LinearFormP(p, coeffs)).within_bound
+                    assert distribution(LinearFormP(p, coeffs).induced(1)).within_bound
                     weight = 1
                     left = n
                     for k in ks:
@@ -374,8 +374,8 @@ def test_criterion_07_fp_machinery():
             coeffs = [rng.randrange(p) for _ in range(9)]
             shuffled = coeffs[:]
             rng.shuffle(shuffled)
-            assert (distribution(LinearFormP(p, tuple(coeffs))).masses
-                    == distribution(LinearFormP(p, tuple(shuffled))).masses)
+            assert (distribution(LinearFormP(p, tuple(coeffs)).induced(1)).masses
+                    == distribution(LinearFormP(p, tuple(shuffled)).induced(1)).masses)
 
     # (b) induced difference identity on every power pair, n <= 3, d <= 2
     for p in (2, 3):
@@ -574,7 +574,7 @@ def test_criterion_11_extremal_anchors():
     expected = (1, 2, 3, 6)
     for n in range(1, 5):
         shape = UniverseShape((1,), n)
-        record = max_avoiding_family(shape, PowerDifference(degree=1))
+        record = max_avoiding_family(shape, PolynomialDifference((1,)))
         assert record.max_size == expected[n - 1] == comb(n, n // 2)
         assert record.optimal
         members = sorted(record.witness_family.members)

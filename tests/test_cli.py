@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from setdifflab import cli
+from setdifflab import cli, extremal
+from setdifflab.errors import CapExceededError
 from setdifflab.fpforms import distribution, forms_from_text, uniformity_bound
 from setdifflab.universe import Family, UniverseShape, family_to_text
 
@@ -178,7 +179,7 @@ class TestPhidist:
         path.write_text("p=5\n1 2 0 4\n3 3 3 3\n")
         doc = run_json(["phidist", "--forms", str(path), "--degree", "1",
                         "--mode", mode, "--samples", "64"], capsys)
-        expected = [distribution(form, mode=mode, samples=64).to_json()
+        expected = [distribution(form.induced(1), mode=mode, samples=64).to_json()
                     for form in forms_from_text(path.read_text())]
         assert [{k: v for k, v in t.items() if k != "form"}
                 for t in doc["report"]["tables"]] == expected
@@ -289,6 +290,18 @@ class TestQuasirandomize:
         run_refused(["quasirandomize", "--family", halfspace6, "--p", p,
                      "--eta", "1/4"], capsys, cap="modulus")
 
+    def test_exhaustive_pool_budget(self, tmp_path, capsys):
+        # 3^13 forms exceed the 2^20 form budget
+        path = tmp_path / "fam13.txt"
+        fam = Family(UniverseShape((1,), 13), frozenset({0, 1}))
+        path.write_text(family_to_text(fam))
+        argv = ["quasirandomize", "--family", str(path), "--p", "3",
+                "--eta", "1/4", "--pool", "exhaustive"]
+        run_refused(argv, capsys, cap="budget")
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(CapExceededError):
+            args.func(args)
+
     def test_negative_p_is_refused_before_the_cap(self, halfspace6, capsys):
         code, _, err = run_cli(["quasirandomize", "--family", halfspace6,
                                 "--p", "-3", "--eta", "1/2"], capsys)
@@ -309,6 +322,13 @@ class TestExtremal:
                         "--method", "exhaustive"], capsys)
         assert doc["report"]["max_size"] == 3
         assert doc["report"]["method"] == "exhaustive"
+
+    def test_exhaustive_cap_precedes_the_graph(self, capsys, monkeypatch):
+        def build_forbidden_graph(*args, **kwargs):
+            raise AssertionError("graph built before the exhaustive cap")
+        monkeypatch.setattr(extremal, "build_forbidden_graph", build_forbidden_graph)
+        run_refused(["extremal", "--d", "1", "--n", "16", "--method", "exhaustive"],
+                    capsys, cap="cap")
 
     def test_vertex_cap(self, capsys):
         code, _, _ = run_cli(["extremal", "--d", "1", "--n", "5",

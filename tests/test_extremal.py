@@ -27,7 +27,6 @@ from setdifflab.patterns import (
     CliqueDifference,
     IntervalModN,
     PolynomialDifference,
-    PowerDifference,
     distance2_witness,
     find_pattern_pair,
     find_witness,
@@ -129,19 +128,19 @@ def generic_edges(shape, spec):
 
 class TestForbiddenPairGraph:
     def test_containment_graph_on_two_elements(self):
-        graph = build_forbidden_graph(LINE(2), PowerDifference(degree=1))
+        graph = build_forbidden_graph(LINE(2), PolynomialDifference((1,)))
         assert graph.vertex_count == 4
         assert set(graph.edges()) == {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}
         assert graph.edge_count == 5
 
     def test_one_cell_square(self):
-        graph = build_forbidden_graph(SQUARE(1), PowerDifference(degree=2))
+        graph = build_forbidden_graph(SQUARE(1), PolynomialDifference((2,)))
         assert graph.vertex_count == 2
         assert set(graph.edges()) == {(0, 1)}
 
     @pytest.mark.parametrize("shape,spec", [
-        (LINE(3), PowerDifference(degree=1)),
-        (SQUARE(2), PowerDifference(degree=2)),
+        (LINE(3), PolynomialDifference((1,))),
+        (SQUARE(2), PolynomialDifference((2,))),
         (UniverseShape(degrees=(1, 1), n=2), PolynomialDifference((1, 1))),
     ])
     def test_fast_path_matches_witness_scan(self, shape, spec):
@@ -175,15 +174,15 @@ class TestForbiddenPairGraph:
 
     def test_vertex_cap(self):
         with pytest.raises(CapExceededError):
-            build_forbidden_graph(LINE(5), PowerDifference(degree=1),
+            build_forbidden_graph(LINE(5), PolynomialDifference((1,)),
                                   vertex_cap=16)
 
 
 class TestDistance2Closure:
     @pytest.mark.parametrize("shape,spec", [
-        (LINE(2), PowerDifference(degree=1)),
-        (LINE(3), PowerDifference(degree=1)),
-        (SQUARE(2), PowerDifference(degree=2)),
+        (LINE(2), PolynomialDifference((1,))),
+        (LINE(3), PolynomialDifference((1,))),
+        (SQUARE(2), PolynomialDifference((2,))),
     ])
     def test_matches_pairwise_witness(self, shape, spec):
         closure = build_forbidden_graph(shape, spec).distance2_closure()
@@ -196,33 +195,33 @@ class TestDistance2Closure:
                 assert ((a, b) in closed) == (w is not None)
 
     def test_contains_base_graph(self):
-        base = build_forbidden_graph(LINE(3), PowerDifference(degree=1))
+        base = build_forbidden_graph(LINE(3), PolynomialDifference((1,)))
         closed = set(base.distance2_closure().edges())
         assert set(base.edges()) <= closed
 
 
 class TestMaxAvoidingFamily:
     def test_two_element_antichain(self):
-        record = max_avoiding_family(LINE(2), PowerDifference(degree=1))
+        record = max_avoiding_family(LINE(2), PolynomialDifference((1,)))
         assert record.max_size == 2
         assert record.witness_family.members == frozenset({1, 2})
         assert record.optimal and record.method == "branch-and-bound"
 
     def test_three_element_middle_layer_size(self):
-        record = max_avoiding_family(LINE(3), PowerDifference(degree=1))
+        record = max_avoiding_family(LINE(3), PolynomialDifference((1,)))
         assert record.max_size == 3
         assert all(bin(m).count("1") in (1, 2) for m in record.witness_family.members)
 
     def test_sperner_agreement(self):
         for n in range(1, 10):
-            record = max_avoiding_family(LINE(n), PowerDifference(degree=1))
+            record = max_avoiding_family(LINE(n), PolynomialDifference((1,)))
             assert record.max_size == comb(n, n // 2)
 
     def test_methods_agree(self):
         cases = [
-            (LINE(n), PowerDifference(degree=1)) for n in range(1, 5)
+            (LINE(n), PolynomialDifference((1,))) for n in range(1, 5)
         ] + [
-            (SQUARE(n), PowerDifference(degree=2)) for n in (1, 2)
+            (SQUARE(n), PolynomialDifference((2,))) for n in (1, 2)
         ]
         for shape, spec in cases:
             bb = max_avoiding_family(shape, spec)
@@ -231,14 +230,14 @@ class TestMaxAvoidingFamily:
             assert bb.optimal and ex.optimal
 
     def test_records_are_pattern_free(self):
-        for shape, spec in [(LINE(4), PowerDifference(degree=1)),
-                            (SQUARE(2), PowerDifference(degree=2))]:
+        for shape, spec in [(LINE(4), PolynomialDifference((1,))),
+                            (SQUARE(2), PolynomialDifference((2,)))]:
             record = max_avoiding_family(shape, spec)
             assert find_pattern_pair(record.witness_family, spec) is None
             assert len(record.witness_family) == record.max_size
 
     def test_expired_time_limit_flags_nonoptimal(self):
-        record = max_avoiding_family(LINE(3), PowerDifference(degree=1),
+        record = max_avoiding_family(LINE(3), PolynomialDifference((1,)),
                                      time_limit=-1.0)
         assert not record.optimal
         assert record.max_size == 0
@@ -249,9 +248,9 @@ class TestMaxAvoidingFamily:
         # the root node: the search stops before recording anything
         ticks = itertools.count()
         monkeypatch.setattr(extremal.time, "monotonic", lambda: next(ticks))
-        record = max_avoiding_family(LINE(4), PowerDifference(degree=1),
+        record = max_avoiding_family(LINE(4), PolynomialDifference((1,)),
                                      time_limit=1.5)
-        adj = build_forbidden_graph(LINE(4), PowerDifference(degree=1)).adj
+        adj = build_forbidden_graph(LINE(4), PolynomialDifference((1,))).adj
         floor = _greedy_independent_set(adj)
         assert not record.optimal
         assert record.witness_family.members == frozenset(_bit_indices(floor))
@@ -278,11 +277,21 @@ class TestMaxAvoidingFamily:
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            max_avoiding_family(LINE(2), PowerDifference(degree=1),
+            max_avoiding_family(LINE(2), PolynomialDifference((1,)),
                                 method="guess")
 
+    def test_exhaustive_cap_precedes_the_graph(self, monkeypatch):
+        # 2^5 vertices exceed the cap of 20; the graph is never built
+        def build_forbidden_graph(*args, **kwargs):
+            raise AssertionError("graph built before the exhaustive cap")
+        monkeypatch.setattr(extremal, "build_forbidden_graph", build_forbidden_graph)
+        for shape in (LINE(5), LINE(16), UniverseShape(degrees=(1, 2), n=2)):
+            with pytest.raises(CapExceededError):
+                max_avoiding_family(shape, PolynomialDifference(shape.degrees),
+                                    method="exhaustive")
+
     def test_record_json(self):
-        record = max_avoiding_family(LINE(2), PowerDifference(degree=1))
+        record = max_avoiding_family(LINE(2), PolynomialDifference((1,)))
         assert record.to_json() == {
             "degrees": [1],
             "n": 2,
@@ -296,7 +305,7 @@ class TestMaxAvoidingFamily:
 
 
 def test_line_thresholds_over_n():
-    rows = [max_avoiding_family(LINE(n), PowerDifference(degree=1))
+    rows = [max_avoiding_family(LINE(n), PolynomialDifference((1,)))
             for n in range(1, 5)]
     assert [r.max_size for r in rows] == [1, 2, 3, 6]
     assert [r.max_density for r in rows] == [
@@ -351,7 +360,7 @@ class TestComponentSolver:
 
 
 SPEC_OF_PATTERN = {
-    "power-difference": lambda degrees: PowerDifference(degree=degrees[0]),
+    "power-difference": PolynomialDifference,
     "polynomial-difference": PolynomialDifference,
     "clique-difference": CliqueDifference,
 }
@@ -410,5 +419,5 @@ class TestRegressionTable:
         assert find_pattern_pair(record.witness_family, spec) is None
 
     def test_pattern_naming(self):
-        assert pattern_name(PowerDifference(degree=2)) == "power-difference"
+        assert pattern_name(PolynomialDifference((2,))) == "power-difference"
         assert pattern_name(PolynomialDifference((1, 2))) == "polynomial-difference"

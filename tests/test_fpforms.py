@@ -48,14 +48,8 @@ from setdifflab.universe import SubsetMask, UniverseShape
 # Independent oracle: evaluate pointwise over every subset of the universe.
 
 
-def form_universe(form):
-    if isinstance(form, InducedForm):
-        return form.shape(), form.base.coeffs
-    return UniverseShape(degrees=(1,), n=form.n), form.coeffs
-
-
 def oracle_masses(form):
-    shape, coeffs = form_universe(form)
+    shape, coeffs = form.shape(), form.base.coeffs
     counts = [0] * form.p
     for bits in range(1 << shape.cells):
         total = 0
@@ -159,7 +153,8 @@ def test_weighted_value_counts_match_expanded_multiset(data):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
 def test_linear_distribution_matches_oracle(p, n):
-    for form in all_linear_forms(p, n):
+    for base in all_linear_forms(p, n):
+        form = base.induced(1)
         expected = oracle_masses(form)
         assert distribution(form).masses == expected
         assert distribution(form, mode="enumerate").masses == expected
@@ -175,17 +170,17 @@ def test_induced_distribution_matches_oracle(p, n, d):
 
 
 def test_distribution_worked_examples():
-    table = distribution(LinearFormP(p=2, coeffs=(1, 1, 1)))
+    table = distribution(LinearFormP(p=2, coeffs=(1, 1, 1)).induced(1))
     assert table.masses == (Fraction(1, 2), Fraction(1, 2))
     assert table.uniformity_bound == Fraction(27, 32)
     assert table.deviation == 0 and table.within_bound
 
-    zero = distribution(LinearFormP(p=2, coeffs=(0, 0, 0)))
+    zero = distribution(LinearFormP(p=2, coeffs=(0, 0, 0)).induced(1))
     assert zero.masses == (Fraction(1), Fraction(0))
     assert zero.deviation == Fraction(1, 2)
     assert zero.uniformity_bound == 2 and zero.within_bound
 
-    mixed = distribution(LinearFormP(p=3, coeffs=(1, 2)))
+    mixed = distribution(LinearFormP(p=3, coeffs=(1, 2)).induced(1))
     assert mixed.masses == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
     assert mixed.deviation == Fraction(1, 6)
 
@@ -200,11 +195,11 @@ def test_uniformity_bound_exhaustive_small():
     for p in (2, 3):
         for n in range(1, 6):
             for form in all_linear_forms(p, n):
-                assert distribution(form).within_bound
+                assert distribution(form.induced(1)).within_bound
 
 
 def test_sampled_mode_is_deterministic_and_close():
-    form = LinearFormP(p=2, coeffs=(1, 1, 0, 1))
+    form = LinearFormP(p=2, coeffs=(1, 1, 0, 1)).induced(1)
     a = distribution(form, mode="sampled", samples=2000, seed=1)
     b = distribution(form, mode="sampled", samples=2000, seed=1)
     assert a.masses == b.masses
@@ -221,7 +216,7 @@ def test_distribution_mode_errors():
         distribution(form, mode="enumerate")
     assert sum(distribution(form).masses) == 1  # exact mode has no cap
     with pytest.raises(ValueError):
-        distribution(LinearFormP(p=2, coeffs=(1,)), mode="typo")
+        distribution(LinearFormP(p=2, coeffs=(1,)).induced(1), mode="typo")
 
 
 def test_linearity_on_disjoint_masks():
@@ -560,8 +555,12 @@ def test_class_masks_match_cell_products(form):
         if c:
             expected[c] = expected.get(c, 0) | 1 << idx
     assert coefficient_class_masks(form) == tuple(sorted(expected.items()))
-    if form.degree == 1:
-        assert coefficient_class_masks(form.base) == coefficient_class_masks(form)
+    if form.degree == 1:  # the classes are the base form's coordinate sets
+        by_value: dict[int, int] = {}
+        for x, a in enumerate(form.base.coeffs):
+            if a:
+                by_value[a] = by_value.get(a, 0) | 1 << x
+        assert coefficient_class_masks(form) == tuple(sorted(by_value.items()))
 
 
 @settings(max_examples=60, deadline=None)

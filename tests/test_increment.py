@@ -30,7 +30,7 @@ from setdifflab.increment import (
     iteration_cap,
     quasirandomize,
 )
-from setdifflab.patterns import PowerDifference, find_witness
+from setdifflab.patterns import PolynomialDifference, find_witness
 from setdifflab.universe import Family, SubsetMask, UniverseShape
 
 F = Fraction
@@ -709,9 +709,10 @@ class TestPlantedPatternConservation:
     def check_cell(self, cell: BlockCell, blocks):
         small_shape = cell.small_shape()
         masks = [SubsetMask(small_shape, b) for b in range(1 << small_shape.cells)]
+        spec = PolynomialDifference((cell.degree,))
         for a, b in itertools.product(masks, repeat=2):
-            small_w = find_witness(a, b, PowerDifference(cell.degree))
-            big_w = find_witness(cell.plant(a), cell.plant(b), PowerDifference(cell.degree))
+            small_w = find_witness(a, b, spec)
+            big_w = find_witness(cell.plant(a), cell.plant(b), spec)
             if small_w is None:
                 assert big_w is None
             else:

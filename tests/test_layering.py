@@ -2,6 +2,7 @@
 subcommand loads."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import setdifflab
 
 PACKAGE = Path(setdifflab.__file__).parent
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def sibling_imports(module: str) -> set[str]:
@@ -173,3 +175,11 @@ def test_every_public_name_has_a_caller_in_src():
             called |= names
     uncalled = {qualified for qualified, name in defined.items() if name not in called}
     assert uncalled == {qualified for qualified, _ in KEPT_LIBRARY_AUDITS}
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_bench_modules_import(path):
+    # bench/ sits outside testpaths: importing each module here turns a
+    # retired name it still uses into a tier-1 failure
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -23,7 +23,6 @@ from setdifflab.patterns import (
     FamilyDifference,
     IntervalModN,
     PolynomialDifference,
-    PowerDifference,
     PowerWitness,
     cyclic_interval_bits,
     distance2_witness,
@@ -198,14 +197,14 @@ def test_power_worked_examples():
     sh = UniverseShape((2,), 3)
     A = SubsetMask.from_points(sh, [(1, (3, 3))])
     B = A.union(union_of_powers(sh, {1, 2}))
-    w = find_witness(A, B, PowerDifference(2))
+    w = find_witness(A, B, PolynomialDifference((2,)))
     assert w is not None and w.S == frozenset({1, 2})
-    assert verify_witness(A, B, PowerDifference(2), w)
+    assert verify_witness(A, B, PolynomialDifference((2,)), w)
 
     sh2 = UniverseShape((2,), 2)
     A2 = SubsetMask(sh2, 0)
     B2 = SubsetMask.from_points(sh2, [(1, (1, 2))])
-    assert find_witness(A2, B2, PowerDifference(2)) is None
+    assert find_witness(A2, B2, PolynomialDifference((2,))) is None
 
     sh3 = UniverseShape((1, 2), 2)
     A3 = SubsetMask(sh3, 0)
@@ -217,9 +216,9 @@ def test_power_worked_examples():
 def test_power_rejects_non_difference_pairs():
     sh = UniverseShape((2,), 2)
     full = SubsetMask.full(sh)
-    assert find_witness(full, full, PowerDifference(2)) is None  # not distinct
+    assert find_witness(full, full, PolynomialDifference((2,))) is None  # not distinct
     A = SubsetMask.from_points(sh, [(1, (1, 2))])
-    assert find_witness(A, SubsetMask(sh, 0), PowerDifference(2)) is None  # not nested
+    assert find_witness(A, SubsetMask(sh, 0), PolynomialDifference((2,))) is None  # not nested
 
 
 @pytest.mark.parametrize(
@@ -260,9 +259,9 @@ def test_intransitivity_exhibit():
     A = SubsetMask(sh, 0)
     B = union_of_powers(sh, {1})
     C = B.union(union_of_powers(sh, {2}))
-    assert find_witness(A, B, PowerDifference(2)) is not None
-    assert find_witness(B, C, PowerDifference(2)) is not None
-    assert find_witness(A, C, PowerDifference(2)) is None
+    assert find_witness(A, B, PolynomialDifference((2,))) is not None
+    assert find_witness(B, C, PolynomialDifference((2,))) is not None
+    assert find_witness(A, C, PolynomialDifference((2,))) is None
 
 
 def test_counterexample_family_has_no_power_pairs():
@@ -272,12 +271,12 @@ def test_counterexample_family_has_no_power_pairs():
         fam = Family.from_masks(
             [union_of_powers(sh, S) for S in subsets_ascending(n) if S]
         )
-        assert find_pattern_pair(fam, PowerDifference(d)) is None
+        assert find_pattern_pair(fam, PolynomialDifference((d,))) is None
 
 
 def test_find_pattern_pair_first_in_mask_order():
     sh = UniverseShape((2,), 2)
-    hit = find_pattern_pair(Family.full_power_set(sh), PowerDifference(2))
+    hit = find_pattern_pair(Family.full_power_set(sh), PolynomialDifference((2,)))
     assert hit is not None
     A, B, w = hit
     assert A.bits == 0
@@ -296,7 +295,7 @@ def test_distance2_worked_examples():
     w = distance2_witness(A, B)
     assert w is not None
     assert (w.U.bits, w.S1, w.S2) == (0, frozenset({1}), frozenset({2}))
-    assert verify_witness(A, B, PowerDifference(2), w)
+    assert verify_witness(A, B, PolynomialDifference((2,)), w)
 
     A2 = SubsetMask.from_points(sh, [(1, (1, 2))])
     B2 = SubsetMask.from_points(sh, [(1, (2, 1))])
@@ -593,8 +592,8 @@ def families(draw, shape, spec):
 
 
 INDEXED_CASES = [
-    *[(UniverseShape((1,), n), PowerDifference(1)) for n in range(1, 6)],
-    (UniverseShape((2,), 2), PowerDifference(2)),
+    *[(UniverseShape((1,), n), PolynomialDifference((1,))) for n in range(1, 6)],
+    (UniverseShape((2,), 2), PolynomialDifference((2,))),
     (UniverseShape((1, 2), 2), PolynomialDifference((1, 2))),
     (UniverseShape((1, 3), 2), PolynomialDifference((1, 3))),
     (UniverseShape((2,), 2), CliqueDifference((2,))),
@@ -615,7 +614,7 @@ def test_indexed_pattern_pair_matches_pairwise_scan(shape, spec, data):
 
 
 @pytest.mark.parametrize("shape,spec,S", [
-    (UniverseShape((1,), 40), PowerDifference(1), {3, 17, 40}),
+    (UniverseShape((1,), 40), PolynomialDifference((1,)), {3, 17, 40}),
     (UniverseShape((2,), 12), CliqueDifference((2,)), {2, 5, 12}),
 ], ids=["power-n40", "clique-n12"])
 def test_small_family_over_large_universe_builds_no_table(shape, spec, S):
@@ -643,9 +642,9 @@ def test_indexed_pattern_pair_rejects_mismatched_spec():
 def test_find_witness_dispatch_and_shape_checks():
     sh = UniverseShape((2,), 2)
     A, B = SubsetMask(sh, 0), union_of_powers(sh, {2})
-    assert find_witness(A, B, PowerDifference(2)).S == frozenset({2})
+    assert find_witness(A, B, PolynomialDifference((2,))).S == frozenset({2})
     with pytest.raises(Exception):
-        find_witness(A, B, PowerDifference(3))
+        find_witness(A, B, PolynomialDifference((3,)))
     with pytest.raises(Exception):
         find_witness(A, B, IntervalModN())
     shz = UniverseShape((1,), 4)
@@ -656,7 +655,8 @@ def test_find_witness_dispatch_and_shape_checks():
 
 def test_witness_json_shapes():
     sh = UniverseShape((2,), 2)
-    w = find_witness(SubsetMask(sh, 0), union_of_powers(sh, {1, 2}), PowerDifference(2))
+    w = find_witness(SubsetMask(sh, 0), union_of_powers(sh, {1, 2}),
+                     PolynomialDifference((2,)))
     assert w.to_json() == {"kind": "power-difference", "S": [1, 2]}
     d2 = distance2_witness(union_of_powers(sh, {1}), union_of_powers(sh, {2}))
     j = d2.to_json()
@@ -668,9 +668,10 @@ def test_witness_json_shapes():
 def test_verify_rejects_corrupted_certificates():
     sh = UniverseShape((2,), 2)
     A, B = SubsetMask(sh, 0), union_of_powers(sh, {1})
-    w = find_witness(A, B, PowerDifference(2))
-    assert not verify_witness(A, B, PowerDifference(2), PowerWitness(frozenset({2})))
-    assert not verify_witness(B, A, PowerDifference(2), w)
+    spec = PolynomialDifference((2,))
+    w = find_witness(A, B, spec)
+    assert not verify_witness(A, B, spec, PowerWitness(frozenset({2})))
+    assert not verify_witness(B, A, spec, w)
 
 
 def test_set_from_bits():

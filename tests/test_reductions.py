@@ -11,7 +11,6 @@ from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
 from setdifflab.patterns import (
     CliqueDifference,
     PolynomialDifference,
-    PowerDifference,
     find_witness,
     hyperedges_of,
     union_of_powers,
@@ -128,7 +127,7 @@ class TestSymmetricLiftExtend:
                     if b.difference(a).bits == diff_bits:
                         expected = S
             w = find_witness(
-                symmetric_extend(a), symmetric_extend(b), PowerDifference(2))
+                symmetric_extend(a), symmetric_extend(b), PolynomialDifference((2,)))
             if expected is None:
                 assert w is None
             else:
@@ -171,7 +170,7 @@ class TestMultiplex:
         }
         for a, b in itertools.product(range(4), repeat=2):
             small = find_witness(
-                SubsetMask(shape, a), SubsetMask(shape, b), PowerDifference(1))
+                SubsetMask(shape, a), SubsetMask(shape, b), PolynomialDifference((1,)))
             big = find_witness(image[a], image[b], spec)
             if small is None:
                 assert big is None
@@ -345,7 +344,7 @@ class TestBetaBijection:
         symmetric = all_symmetric_masks(shape)
         bundle_masks = {A.bits: beta_bijection(A).to_mask() for A in symmetric}
         for A, B in itertools.product(symmetric, repeat=2):
-            power = find_witness(A, B, PowerDifference(2))
+            power = find_witness(A, B, PolynomialDifference((2,)))
             clique = find_witness(
                 bundle_masks[A.bits], bundle_masks[B.bits], CliqueDifference((1, 2)))
             if power is None:
@@ -446,7 +445,7 @@ class TestCliqueSquareCorrespondence:
                 for B in masks:
                     if A.bits & ~B.bits or A.bits == B.bits:
                         continue
-                    w = find_witness(A, B, PowerDifference(2))
+                    w = find_witness(A, B, PolynomialDifference((2,)))
                     if w is None:
                         continue
                     g, h = hyperedges_of(A)[0], hyperedges_of(B)[0]
@@ -471,7 +470,7 @@ class TestCliqueSquareCorrespondence:
                 A = square_mask(3, [tuple(sorted(e)) for e in g], 0)
                 diff = union_of_powers(SQUARE3, vertices)
                 B = SubsetMask(SQUARE3, A.bits | diff.bits)
-                w = find_witness(A, B, PowerDifference(2))
+                w = find_witness(A, B, PolynomialDifference((2,)))
                 assert w is not None and w.S == vertices
 
 
