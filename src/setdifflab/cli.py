@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import (CapExceededError, ContractViolationError, FormatError,
-                     ShapeMismatchError)
+from .errors import (ContractViolationError, FormatError, ShapeMismatchError,
+                     capped_count)
 
 
 def _read(path: str) -> str:
@@ -141,12 +141,9 @@ def cmd_quasirandomize(args) -> None:
     if args.eta <= 0:
         raise ValueError("eta must be positive")
     if args.pool == "exhaustive":
-        total = args.p ** fam.shape.n
-        if total > DEFAULT_FORM_BUDGET:
-            raise CapExceededError(
-                f"exhaustive pool of {args.p}^{fam.shape.n} forms exceeds "
-                f"the budget {DEFAULT_FORM_BUDGET}")
-        budget = total
+        budget = capped_count(
+            f"the {args.p}^{fam.shape.n} forms of an exhaustive pool",
+            DEFAULT_FORM_BUDGET, args.p, fam.shape.n)
     else:
         budget = 0  # force the weight-<=2 pool
     extra = ()

@@ -15,13 +15,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Collection, Hashable, Iterator, Optional, Sequence
 
-from .errors import CapExceededError, ShapeMismatchError, UnsatisfiablePredicateError, UniverseTooSmallError
+from .errors import ShapeMismatchError, UnsatisfiablePredicateError, UniverseTooSmallError, capped_count
 from .universe import (
     Family,
     OrderedWindow,
     Record,
     SubsetMask,
     UniverseShape,
+    _cell_count,
     _plant_bits,
     _restrict_bits,
     _window_runs,
@@ -30,6 +31,10 @@ from .universe import (
 )
 
 Predicate = Callable[[SubsetMask], bool]
+
+# the most subsets satisfying_count and proof_chain_report each enumerate
+PREDICATE_SUBSET_CAP = 1 << 24
+PROOF_CHAIN_SUBSET_CAP = 1 << 20
 
 
 class WindowSystem(Record):
@@ -87,11 +92,9 @@ def count_hits(A: SubsetMask, ws: WindowSystem, pred: Predicate) -> int:
 
 def satisfying_count(small_shape: UniverseShape, pred: Predicate) -> int:
     """|{F in P([m]-shape) : pred(F)}| by full enumeration."""
-    if small_shape.cells > 24:
-        raise CapExceededError(
-            f"predicate enumeration over 2^{small_shape.cells} subsets refused"
-        )
-    return sum(1 for b in range(1 << small_shape.cells) if pred(SubsetMask(small_shape, b)))
+    subsets = capped_count("the subsets of a predicate enumeration",
+                           PREDICATE_SUBSET_CAP, 2, small_shape.cells)
+    return sum(1 for b in range(subsets) if pred(SubsetMask(small_shape, b)))
 
 
 class MomentReport(Record):
@@ -133,12 +136,14 @@ def exact_moments(
 
 def guarantee_threshold(m: int, degrees: Sequence[int], epsilon: Fraction) -> Fraction:
     """Smallest n (as an exact rational) above which the dense-cell guarantee
-    kicks in: 2^(m^{d_1} + ... + m^{d_s}) * eps^-3 * m."""
+    kicks in: 2^(m^{d_1} + ... + m^{d_s}) * eps^-3 * m.
+
+    The exponent is the cell count of the window universe [m], refused
+    past CELL_CAP before the power of 2 is formed."""
     epsilon = Fraction(epsilon)
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
-    exponent = sum(m**d for d in degrees)
-    return (1 << exponent) * epsilon**-3 * m
+    return (1 << _cell_count(m, degrees)) * epsilon**-3 * m
 
 
 class CoveringCell(Record):
@@ -234,8 +239,8 @@ def proof_chain_report(
     """Enumerate every subset of the universe and audit the covering proof."""
     shape = fam.shape
     epsilon = Fraction(epsilon)
-    if shape.cells > 20:
-        raise CapExceededError("full enumeration refused beyond 2^20 subsets")
+    total = capped_count("the subsets of a full enumeration",
+                         PROOF_CHAIN_SUBSET_CAP, 2, shape.cells)
     ws = WindowSystem.canonical(shape, m)
     pf = pattern_family.members
     runs = [_window_runs(shape, w) for w in ws.windows]
@@ -245,7 +250,7 @@ def proof_chain_report(
     sum_N = sum_N_fam = sum_N_fam_high = high_fam_count = 0
     window_counts = [0] * ws.t
     fam_window_counts = [0] * ws.t
-    for b in range(1 << shape.cells):
+    for b in range(total):
         hits = [_restrict_bits(b, rt) in pf for rt in runs]
         N = sum(hits)
         sum_N += N
@@ -261,7 +266,6 @@ def proof_chain_report(
                 sum_N_fam_high += N
                 high_fam_count += 1
     delta = fam.density()
-    total = 1 << shape.cells
     antecedent = high_fam_count >= (delta - epsilon) * total
     lower = (delta - epsilon) * (1 - epsilon) * sum_N
     return ProofChainReport(
@@ -302,9 +306,7 @@ def _demo_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > DEMO_CELL_CAP.bit_length() or n << n > DEMO_CELL_CAP:
-        raise CapExceededError(
-            f"the demo at n={n} has more than {DEMO_CELL_CAP} cells")
+    capped_count(f"the cells of the demo at n={n}", DEMO_CELL_CAP, 2, n, factor=n)
     return tuple(tuple(cyclic_interval_bits(n, y, length) for length in range(n))
                  for y in range(1, n + 1))
 

@@ -25,9 +25,25 @@ class CapExceededError(ValueError):
     """A configured enumeration budget or vertex cap was exceeded."""
 
 
-class ContractViolationError(AssertionError):
-    """A guaranteed inequality failed where the guarantee was demanded.
+def capped_count(what: str, cap: int, base: int, exponent: int = 1,
+                 factor: int = 1) -> int:
+    """Return the count factor * base^exponent, or raise CapExceededError,
+    naming ``what`` was counted and the cap, when it exceeds ``cap``.
 
-    Used as a test-harness signal: raised only when the caller explicitly
-    expects the guarantee preconditions to hold.
-    """
+    Every budget in the package is checked here, before the work it bounds.
+    The power is multiplied out only while the product is within the cap,
+    so no number above cap * base is formed."""
+    count = factor
+    for _ in range(exponent if base > 1 else min(exponent, 1)):  # 0 or 1: one factor
+        if count > cap:
+            break
+        count *= base
+    if count > cap:
+        raise CapExceededError(f"over budget: {what} exceed the cap {cap}")
+    return count
+
+
+class ContractViolationError(AssertionError):
+    """A computed result broke a guarantee the package checks itself: an
+    extremal record failed re-verification, or guaranteed increment steps
+    outran their iteration cap."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterator, Optional, Sequence
 
-from .errors import CapExceededError, ContractViolationError
+from .errors import ContractViolationError, capped_count
 from .patterns import (
     CliqueDifference,
     FamilyDifference,
@@ -128,10 +128,8 @@ def build_forbidden_graph(shape: UniverseShape, spec: PatternSpec,
 
     Polynomial and clique specs generate each vertex's successors
     from the pattern table; other specs check every ordered pair."""
-    vertices = 1 << shape.cells
-    if vertices > vertex_cap:
-        raise CapExceededError(
-            f"{vertices} vertices exceed the cap {vertex_cap}")
+    vertices = capped_count("the vertices of the forbidden-pair graph",
+                            vertex_cap, 2, shape.cells)
     up = _oriented_successors(shape, spec, vertices)
     adj = list(up)
     for a, successors in enumerate(up):
@@ -321,22 +319,21 @@ def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
 
     A time limit (seconds) turns the result into a best-known lower bound
     with ``optimal=False``; without one the search runs to completion.  The
-    exhaustive method is refused before the graph is built when its 2^cells
-    vertices exceed EXHAUSTIVE_VERTEX_CAP.
+    method is checked, and the exhaustive method refused when its 2^cells
+    vertices exceed EXHAUSTIVE_VERTEX_CAP, before the graph is built.
     """
-    if method == "exhaustive" and shape.cells >= EXHAUSTIVE_VERTEX_CAP.bit_length():
-        raise CapExceededError(
-            f"exhaustive search over 2^{shape.cells} vertices exceeds the cap "
-            f"{EXHAUSTIVE_VERTEX_CAP}")
+    if method == "exhaustive":
+        capped_count("the vertices of an exhaustive search",
+                     EXHAUSTIVE_VERTEX_CAP, 2, shape.cells)
+    elif method != "branch-and-bound":
+        raise ValueError(f"unknown method {method!r}")
     adj = build_forbidden_graph(shape, spec, vertex_cap=vertex_cap).adj
     if method == "branch-and-bound":
         deadline = None if time_limit is None else time.monotonic() + time_limit
         size, chosen, optimal = _solve_mis(adj, deadline)
-    elif method == "exhaustive":
+    else:
         size, chosen = _exhaustive_mis(adj)
         optimal = True
-    else:
-        raise ValueError(f"unknown method {method!r}")
     family = Family(shape, frozenset(_bit_indices(chosen)))
     if len(family) != size or find_pattern_pair(family, spec) is not None:
         raise ContractViolationError("solver produced an invalid record")

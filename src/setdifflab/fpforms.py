@@ -24,7 +24,7 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import CapExceededError, FormatError, ShapeMismatchError, UniverseTooSmallError
+from .errors import FormatError, ShapeMismatchError, UniverseTooSmallError, capped_count
 from .universe import (
     Record,
     SubsetMask,
@@ -37,7 +37,8 @@ from .universe import (
     single_part_degree,
 )
 
-DEFAULT_ENUMERATION_BUDGET = 24
+# the most subsets distribution(mode="enumerate") walks
+ENUMERATION_CAP = 1 << 24
 DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_SEED = 0
 # the largest modulus a form may have: a larger one is refused before the
@@ -58,8 +59,7 @@ class LinearFormP(Record):
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.p > MODULUS_CAP:
-            raise CapExceededError(f"modulus {self.p} exceeds the cap {MODULUS_CAP}")
+        capped_count(f"the residues of modulus {self.p}", MODULUS_CAP, self.p)
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
         coeffs = tuple(int(a) for a in self.coeffs)
@@ -267,7 +267,7 @@ def distribution(form: InducedForm, mode: str = "exact",
 
     ``exact`` counts subsets per residue from the coefficient class sizes
     (no size limit), ``enumerate`` walks all ``2^cells`` subsets (cells
-    capped by ``DEFAULT_ENUMERATION_BUDGET``) and exists as an independent
+    capped by ``ENUMERATION_CAP``) and exists as an independent
     cross-check, ``sampled`` draws subsets from a seeded generator.  A
     linear form is evaluated as its degree-1 lift ``form.induced(1)``.
     """
@@ -275,18 +275,16 @@ def distribution(form: InducedForm, mode: str = "exact",
     zsize = support_size(form)
     bound = uniformity_bound(p, zsize)
     cells = form.shape().cells
-    if mode == "enumerate" and cells > DEFAULT_ENUMERATION_BUDGET:
-        raise CapExceededError(
-            f"enumeration over 2^{cells} subsets exceeds budget "
-            f"2^{DEFAULT_ENUMERATION_BUDGET}")
+    if mode == "enumerate":
+        subsets = capped_count("the subsets of an enumeration", ENUMERATION_CAP, 2, cells)
     classes = coefficient_class_masks(form)
     if mode == "exact":
         masses = _convolved_masses(p, classes)
         return DistributionTable(p=p, masses=masses, mode="exact",
                                  support_size=zsize, uniformity_bound=bound)
     if mode == "enumerate":
-        counts = value_counts(p, classes, zip(range(1 << cells), itertools.repeat(1)))
-        masses = tuple(Fraction(c, 1 << cells) for c in counts)
+        counts = value_counts(p, classes, zip(range(subsets), itertools.repeat(1)))
+        masses = tuple(Fraction(c, subsets) for c in counts)
         return DistributionTable(p=p, masses=masses, mode="enumerate",
                                  support_size=zsize, uniformity_bound=bound)
     if mode == "sampled":
@@ -646,8 +644,7 @@ def forms_from_text(text: str) -> list[LinearFormP]:
     if not match:
         raise FormatError(f"bad form header {lines[0]!r}, expected p=<prime>")
     p = int(match.group(1))
-    if p > MODULUS_CAP:
-        raise CapExceededError(f"modulus {p} exceeds the cap {MODULUS_CAP}")
+    capped_count(f"the residues of modulus {p}", MODULUS_CAP, p)
     if not _is_prime(p):
         raise FormatError(f"modulus {p} is not prime")
     forms = []

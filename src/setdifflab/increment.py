@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (CapExceededError, ContractViolationError, ShapeMismatchError,
-                     UniverseTooSmallError)
+                     UniverseTooSmallError, capped_count)
 from .fpforms import (
     MODULUS_CAP,
     BlockCell,
@@ -112,7 +112,11 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     eta = Fraction(eta)
     degree = single_part_degree(fam.shape)
     n = fam.shape.n
-    exhaustive = p ** n <= search_budget
+    exhaustive = True  # all p^n forms, when they fit the budget
+    try:
+        capped_count("forms", search_budget, p, n)
+    except CapExceededError:
+        exhaustive = False
     scope = "exhaustive" if exhaustive else "pool"
     # The first representative is the zero form, whose LinearFormP refuses a
     # composite p before any class is counted.
@@ -180,15 +184,13 @@ class IncrementStep(Record):
         yield self.density
 
 
-def increment_step(fam: Family, report: DistinguishingReport, m: int,
-                   expect_guarantee: bool = False) -> IncrementStep:
+def increment_step(fam: Family, report: DistinguishingReport, m: int) -> IncrementStep:
     """Scan the form's block cells for the densest one and pull back into it.
 
     The returned family lives over [m]^d.  The step is flagged guaranteed
     when the relative density reaches the previous density times
     ``1 + gap/3`` (the increment the theory promises once its size
-    preconditions hold); with ``expect_guarantee`` a step that fails to beat
-    the previous density at all raises ContractViolationError.
+    preconditions hold).
     """
     degree = single_part_degree(fam.shape)
     shape = fam.shape
@@ -217,9 +219,6 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int,
     cell = BlockCell(partition=partition, row=row,
                      background=SubsetMask(shape, background))
     density = Fraction(len(members), len(cell))
-    if expect_guarantee and density <= previous:
-        raise ContractViolationError(
-            f"no cell beats density {previous}; distinguishing gap {report.gap}")
     lifted = Family(cell.small_shape(), frozenset(members))
     ratio = 1 + Fraction(report.gap) / 3
     return IncrementStep(
@@ -241,8 +240,8 @@ def iteration_cap(delta: Numeric, eta: Numeric, p: int) -> int:
         raise ValueError("density must lie in (0, 1]")
     if eta <= 0 or p < 1:  # else the ratio is at most 1 and no q exists
         raise ValueError("eta and p must be positive")
-    if p > MODULUS_CAP:  # the integers compared grow with p
-        raise CapExceededError(f"modulus {p} exceeds the cap {MODULUS_CAP}")
+    # the integers compared grow with p
+    capped_count(f"the residues of modulus {p}", MODULUS_CAP, p)
     if delta == 1:
         return 0
     ratio = 1 + eta / (3 * p)

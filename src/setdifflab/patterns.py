@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import CapExceededError, ShapeMismatchError
+from .errors import ShapeMismatchError, capped_count
 from .universe import (
     Family,
     OrderedWindow,
@@ -190,10 +190,9 @@ def _same_shape(A: SubsetMask, B: SubsetMask) -> UniverseShape:
 DISTANCE2_CAP = 1 << 16  # the most sets S_1 distance2_witness walks: n <= 16
 
 
-def distance2_witness(
-    A: SubsetMask, B: SubsetMask, spec: Optional[PatternSpec] = None
-) -> Optional[Distance2Witness]:
-    """Common-subset certificate: U with A \\ U and B \\ U both power-form.
+def distance2_witness(A: SubsetMask, B: SubsetMask) -> Optional[Distance2Witness]:
+    """Common-subset certificate: U with A \\ U and B \\ U both power-form,
+    for the pattern PolynomialDifference(shape.degrees).
 
     Walks S_1 in ascending bit order; U = A minus the S_1-powers is forced,
     and so is S_2, which the witness check reads off B \\ U.  Empty S_i are
@@ -203,13 +202,9 @@ def distance2_witness(
     shape = _same_shape(A, B)
     if A.bits == B.bits:
         raise ValueError("distance-2 witness needs a distinct pair")
-    if shape.n >= DISTANCE2_CAP.bit_length():
-        raise CapExceededError(
-            f"distance-2 search over 2^{shape.n} sets S_1 exceeds {DISTANCE2_CAP}")
-    if spec is not None:
-        _check_degrees(spec, shape)
+    sets = capped_count("the sets S_1 of a distance-2 search", DISTANCE2_CAP, 2, shape.n)
     index = pattern_index(shape, PolynomialDifference(shape.degrees))
-    for s1 in range(1 << shape.n):
+    for s1 in range(sets):
         P1 = _power_bits(shape, s1)
         if P1 & ~A.bits:
             continue

@@ -18,7 +18,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError, FormatError, capped_count
 from .universe import (
     CELL_CAP,
     Family,
@@ -142,9 +142,7 @@ class IntervalPartitionCatalog(Record):
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be positive")
-        if self.d > CELL_CAP.bit_length():  # 2^(d-1) parts: refuse before listing
-            raise CapExceededError(
-                f"the catalog for d={self.d} has more than {CELL_CAP} parts")
+        capped_count(f"the parts of the catalog for d={self.d}", CELL_CAP, 2, self.d - 1)
 
     def compositions(self, k: int) -> tuple[tuple[int, ...], ...]:
         if not 1 <= k <= self.d:
@@ -350,10 +348,8 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
                if loopful or len(edge) == 2)
     free = shape.full_bits() & ~read
     graphs = list(graphs)
-    if len(graphs) << free.bit_count() > CLIQUE_FIBRE_CAP:
-        raise CapExceededError(
-            f"{len(graphs)} graphs x 2^{free.bit_count()} fibre masks exceed "
-            f"the cap {CLIQUE_FIBRE_CAP}")
+    capped_count(f"the fibre masks of {len(graphs)} graphs", CLIQUE_FIBRE_CAP,
+                 2, free.bit_count(), factor=len(graphs))
     members = set()
     for graph in graphs:
         base = sum(1 << shape.index_of(1, (min(e), max(e)))

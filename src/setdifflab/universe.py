@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, FormatError, ShapeMismatchError
+from .errors import CapExceededError, FormatError, ShapeMismatchError, capped_count
 
 Point = tuple[int, tuple[int, ...]]  # (part, coordinates), both 1-based
 
@@ -179,17 +179,13 @@ class UniverseShape(Record):
 
 
 def _cell_count(n: int, degrees: Iterable[int]) -> int:
-    """Cells of the parts [n]^d, one per listed degree d; past CELL_CAP it
-    raises CapExceededError, multiplying no power out beyond the cap."""
+    """Cells of the parts [n]^d, one per listed degree d; refused past
+    CELL_CAP."""
+    what = f"the cells of a universe over [{n}]"
     total = 0
     for d in degrees:
-        cells = n
-        while d > 1 and 1 < cells <= CELL_CAP:
-            cells, d = cells * n, d - 1
-        total += cells
-        if total > CELL_CAP:
-            raise CapExceededError(
-                f"a universe over [{n}] with more than {CELL_CAP} cells is refused")
+        total += capped_count(what, CELL_CAP, n, d)
+        capped_count(what, CELL_CAP, total)
     return total
 
 

@@ -289,8 +289,7 @@ def test_criterion_06_witness_oracle_equivalence():
                      .distance2_closure().edges())
         for a in range(size):
             for b in range(a + 1, size):
-                w = distance2_witness(
-                    SubsetMask(shape, a), SubsetMask(shape, b), spec)
+                w = distance2_witness(SubsetMask(shape, a), SubsetMask(shape, b))
                 if ((a, b) in closed) != (w is not None):
                     mismatches += 1
         # find_pattern_pair against a quadratic scan of the same oracle

@@ -73,6 +73,15 @@ class TestScan:
         assert report["guarantee_met"] is False
         assert report["guarantee_threshold"] == "512/1"
 
+    def test_guarantee_cell_cap_precedes_the_threshold(self, tmp_path, capsys):
+        # 2^(2000^3) would exhaust memory before the scan checks --m
+        family, pattern = tmp_path / "fam.txt", tmp_path / "pattern.txt"
+        family.write_text("shape s=1 d=3 n=2\n00\n")
+        pattern.write_text("shape s=1 d=3 n=2\n")
+        run_refused(["scan", "--family", str(family), "--m", "2000",
+                     "--pattern-family", str(pattern),
+                     "--epsilon", "1/4", "--delta", "1/2"], capsys)
+
     def test_epsilon_requires_delta(self, halfspace4, full_pattern2, capsys):
         code, _, err = run_cli(["scan", "--family", halfspace4, "--m", "2",
                                 "--pattern-family", full_pattern2,

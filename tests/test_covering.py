@@ -160,6 +160,15 @@ def test_guarantee_threshold_value():
     assert guarantee_threshold(1, (1, 2), Fraction(1, 1)) == 4
 
 
+def test_guarantee_threshold_cell_cap():
+    # the exponent is the cell count of [m]^3: m = 64 reaches the cell cap,
+    # and a larger m is refused before 2^(m^3) is formed
+    assert guarantee_threshold(64, (3,), Fraction(1)) == (1 << 64**3) * 64
+    for m in (65, 2000, 10 ** 9):
+        with pytest.raises(CapExceededError):
+            guarantee_threshold(m, (3,), Fraction(1, 4))
+
+
 def test_scan_worked_example():
     sh = UniverseShape((1,), 4)
     fam = Family(sh, frozenset(b for b in range(16) if b & 1))  # contains 1

@@ -190,8 +190,7 @@ class TestDistance2Closure:
         assert closure.edge_count == len(closed)  # no self-loops
         for a in range(1 << shape.cells):
             for b in range(a + 1, 1 << shape.cells):
-                w = distance2_witness(
-                    SubsetMask(shape, a), SubsetMask(shape, b), spec)
+                w = distance2_witness(SubsetMask(shape, a), SubsetMask(shape, b))
                 assert ((a, b) in closed) == (w is not None)
 
     def test_contains_base_graph(self):
@@ -275,9 +274,13 @@ class TestMaxAvoidingFamily:
         isolated = {v for v, bits in enumerate(adj) if not bits}
         assert isolated <= record.witness_family.members
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            max_avoiding_family(LINE(2), PolynomialDifference((1,)),
+    def test_unknown_method(self, monkeypatch):
+        # the method is checked before the 2^12-vertex graph is built
+        def build_forbidden_graph(*args, **kwargs):
+            raise AssertionError("graph built before the method check")
+        monkeypatch.setattr(extremal, "build_forbidden_graph", build_forbidden_graph)
+        with pytest.raises(ValueError, match="unknown method"):
+            max_avoiding_family(LINE(12), PolynomialDifference((1,)),
                                 method="guess")
 
     def test_exhaustive_cap_precedes_the_graph(self, monkeypatch):

@@ -177,6 +177,25 @@ def test_every_public_name_has_a_caller_in_src():
     assert uncalled == {qualified for qualified, _ in KEPT_LIBRARY_AUDITS}
 
 
+def test_every_cap_is_refused_by_one_helper():
+    # "refuse before work, never multiply past the cap" is decided in one
+    # place: only errors.capped_count constructs CapExceededError, and other
+    # modules may only re-raise it
+    constructed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(None, tree)]
+        while scopes:
+            scope, node = scopes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = f"{path.stem}.{node.name}"
+            if isinstance(node, ast.Call) and "CapExceededError" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                constructed.append(scope)
+            scopes.extend((scope, child) for child in ast.iter_child_nodes(node))
+    assert constructed == ["errors.capped_count"]
+
+
 @pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
 def test_bench_modules_import(path):
     # bench/ sits outside testpaths: importing each module here turns a

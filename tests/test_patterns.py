@@ -305,6 +305,14 @@ def test_distance2_worked_examples():
         distance2_witness(A, A)
 
 
+def test_distance2_takes_no_spec():
+    # the certificate is always for PolynomialDifference(shape.degrees); a
+    # clique spec used to be accepted and ignored
+    sh = UniverseShape((2,), 2)
+    with pytest.raises(TypeError):
+        distance2_witness(SubsetMask(sh, 0), SubsetMask(sh, 1), CliqueDifference((2,)))
+
+
 @pytest.mark.parametrize(
     "shape", [UniverseShape((1,), 3), UniverseShape((2,), 2), UniverseShape((1, 2), 2)]
 )

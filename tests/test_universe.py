@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setdifflab import universe
-from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
+from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError, capped_count
 from setdifflab.fpforms import DistributionTable, LinearFormP, forms_from_text
 from setdifflab.patterns import (
     SAME_WINDOW,
@@ -254,6 +254,18 @@ def test_cell_cap_boundary(monkeypatch):
         family_from_text("shape s=1 d=2 n=9\n")
     with pytest.raises(CapExceededError):
         bundles_from_text("n=9 degrees=2\n-\n")
+
+
+def test_capped_count_stops_at_the_cap():
+    assert capped_count("cells", 64, 4, 3) == capped_count("cells", 64, 2, 5, factor=2) == 64
+    assert capped_count("sets", 5, 0, 10 ** 9) == 0
+    assert capped_count("sets", 5, 1, 10 ** 9, factor=5) == 5
+    assert capped_count("sets", 5, 7, 0, factor=5) == 5
+    # a refusal names what was counted and the cap, and returns at once
+    # where 2^(10^18) could never be formed
+    for args in [(4, 3, 2), (2, 10 ** 18), (65, 1), (1, 10 ** 18, 65)]:
+        with pytest.raises(CapExceededError, match=r"widgets exceed the cap 64"):
+            capped_count("widgets", 64, *args)
 
 
 def test_embedding_is_injective_and_transfers_differences():
