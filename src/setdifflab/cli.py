@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage, 3 malformed input file, 4 domain error,
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -57,7 +58,7 @@ def _emit(args, report: dict) -> None:
         "seed": getattr(args, "seed", None),
         "report": report,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -164,17 +165,15 @@ def cmd_quasirandomize(args) -> None:
 
 
 def cmd_extremal(args) -> None:
-    from .extremal import DEFAULT_VERTEX_CAP, max_avoiding_family
+    from .extremal import max_avoiding_family
     from .patterns import CliqueDifference, PolynomialDifference
     from .universe import UniverseShape
-    if args.vertex_cap is None:
-        args.vertex_cap = DEFAULT_VERTEX_CAP  # echoed in the report config
+    if args.time_limit is not None and not math.isfinite(args.time_limit):
+        raise ValueError(f"time limit must be finite, got {args.time_limit}")
     shape = UniverseShape(tuple(args.d), args.n)
     pattern = CliqueDifference if args.pattern == "clique" else PolynomialDifference
-    spec = pattern(shape.degrees)
-    record = max_avoiding_family(
-        shape, spec, method=args.method, vertex_cap=args.vertex_cap,
-        time_limit=args.time_limit)
+    record = max_avoiding_family(shape, pattern(shape.degrees),
+                                 time_limit=args.time_limit)
     _emit(args, record.to_json())
 
 
@@ -270,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forms", required=True, metavar="FILE")
     p.add_argument("--degree", type=int, default=1,
                    help="induce each form to this degree before evaluating")
-    p.add_argument("--mode", choices=("exact", "enumerate", "sampled"),
-                   default="exact")
+    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_phidist, parser=p)
@@ -299,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="degree of each part")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--pattern", choices=("power", "clique"), default="power")
-    p.add_argument("--method", choices=("branch-and-bound", "exhaustive"),
-                   default="branch-and-bound")
-    p.add_argument("--vertex-cap", type=int)
     p.add_argument("--time-limit", type=float)
     p.set_defaults(func=cmd_extremal, parser=p)
 

@@ -140,6 +140,8 @@ def guarantee_threshold(m: int, degrees: Sequence[int], epsilon: Fraction) -> Fr
 
     The exponent is the cell count of the window universe [m], refused
     past CELL_CAP before the power of 2 is formed."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got m={m}")
     epsilon = Fraction(epsilon)
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")

@@ -33,8 +33,7 @@ from .patterns import (
 )
 from .universe import Family, Record, SubsetMask, UniverseShape, _bit_indices, _frac
 
-DEFAULT_VERTEX_CAP = 1 << 16
-EXHAUSTIVE_VERTEX_CAP = 20
+VERTEX_CAP = 1 << 16
 
 
 def pattern_name(spec: PatternSpec) -> str:
@@ -121,15 +120,15 @@ def _oriented_successors(shape: UniverseShape, spec: PatternSpec,
     return up
 
 
-def build_forbidden_graph(shape: UniverseShape, spec: PatternSpec,
-                          vertex_cap: int = DEFAULT_VERTEX_CAP,
-                          ) -> ForbiddenPairGraph:
+def build_forbidden_graph(shape: UniverseShape,
+                          spec: PatternSpec) -> ForbiddenPairGraph:
     """Edges {A, B} for every pair where one extends the other by a pattern.
 
     Polynomial and clique specs generate each vertex's successors
-    from the pattern table; other specs check every ordered pair."""
+    from the pattern table; other specs check every ordered pair.  Refused
+    first when the 2^cells vertices exceed VERTEX_CAP."""
     vertices = capped_count("the vertices of the forbidden-pair graph",
-                            vertex_cap, 2, shape.cells)
+                            VERTEX_CAP, 2, shape.cells)
     up = _oriented_successors(shape, spec, vertices)
     adj = list(up)
     for a, successors in enumerate(up):
@@ -268,30 +267,11 @@ def _solve_mis(adj: Sequence[int], deadline: Optional[float]) -> tuple[int, int,
     return chosen.bit_count(), chosen, optimal
 
 
-def _exhaustive_mis(adj: Sequence[int]) -> tuple[int, int]:
-    best_size, best_set = 0, 0
-    for subset in range(1 << len(adj)):
-        if subset.bit_count() <= best_size:
-            continue
-        scan = subset
-        independent = True
-        while scan:
-            v = (scan & -scan).bit_length() - 1
-            if adj[v] & subset:
-                independent = False
-                break
-            scan &= scan - 1
-        if independent:
-            best_size, best_set = subset.bit_count(), subset
-    return best_size, best_set
-
-
 class ExtremalRecord(Record):
     shape: UniverseShape
     spec: PatternSpec
     max_size: int
     witness_family: Family
-    method: str
     optimal: bool = True
 
     @property
@@ -306,40 +286,25 @@ class ExtremalRecord(Record):
             "max_size": self.max_size,
             "max_density": _frac(self.max_density),
             "witness_family": [m.to_hex() for m in self.witness_family.masks()],
-            "method": self.method,
             "optimal": self.optimal,
         }
 
 
 def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
-                        method: str = "branch-and-bound",
-                        vertex_cap: int = DEFAULT_VERTEX_CAP,
                         time_limit: Optional[float] = None) -> ExtremalRecord:
     """Exact largest family with no witnessed pair; re-verified before return.
 
     A time limit (seconds) turns the result into a best-known lower bound
-    with ``optimal=False``; without one the search runs to completion.  The
-    method is checked, and the exhaustive method refused when its 2^cells
-    vertices exceed EXHAUSTIVE_VERTEX_CAP, before the graph is built.
+    with ``optimal=False``; without one the search runs to completion.
     """
-    if method == "exhaustive":
-        capped_count("the vertices of an exhaustive search",
-                     EXHAUSTIVE_VERTEX_CAP, 2, shape.cells)
-    elif method != "branch-and-bound":
-        raise ValueError(f"unknown method {method!r}")
-    adj = build_forbidden_graph(shape, spec, vertex_cap=vertex_cap).adj
-    if method == "branch-and-bound":
-        deadline = None if time_limit is None else time.monotonic() + time_limit
-        size, chosen, optimal = _solve_mis(adj, deadline)
-    else:
-        size, chosen = _exhaustive_mis(adj)
-        optimal = True
+    adj = build_forbidden_graph(shape, spec).adj
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    size, chosen, optimal = _solve_mis(adj, deadline)
     family = Family(shape, frozenset(_bit_indices(chosen)))
     if len(family) != size or find_pattern_pair(family, spec) is not None:
         raise ContractViolationError("solver produced an invalid record")
     return ExtremalRecord(shape=shape, spec=spec, max_size=size,
-                          witness_family=family, method=method,
-                          optimal=optimal)
+                          witness_family=family, optimal=optimal)
 
 
 # ---------------------------------------------------------------------------

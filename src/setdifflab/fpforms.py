@@ -37,9 +37,7 @@ from .universe import (
     single_part_degree,
 )
 
-# the most subsets distribution(mode="enumerate") walks
-ENUMERATION_CAP = 1 << 24
-DEFAULT_SAMPLE_COUNT = 10_000
+DEFAULT_SAMPLE_COUNT = 4096
 DEFAULT_SEED = 0
 # the largest modulus a form may have: a larger one is refused before the
 # primality test or any table with p entries
@@ -266,30 +264,22 @@ def distribution(form: InducedForm, mode: str = "exact",
     """Distribution table of the form's value over uniform random subsets.
 
     ``exact`` counts subsets per residue from the coefficient class sizes
-    (no size limit), ``enumerate`` walks all ``2^cells`` subsets (cells
-    capped by ``ENUMERATION_CAP``) and exists as an independent
-    cross-check, ``sampled`` draws subsets from a seeded generator.  A
-    linear form is evaluated as its degree-1 lift ``form.induced(1)``.
+    (no size limit; the tests check it against a walk over every subset),
+    ``sampled`` draws subsets from a seeded generator.  A linear form is
+    evaluated as its degree-1 lift ``form.induced(1)``.
     """
     p = form.p
     zsize = support_size(form)
     bound = uniformity_bound(p, zsize)
-    cells = form.shape().cells
-    if mode == "enumerate":
-        subsets = capped_count("the subsets of an enumeration", ENUMERATION_CAP, 2, cells)
     classes = coefficient_class_masks(form)
     if mode == "exact":
         masses = _convolved_masses(p, classes)
         return DistributionTable(p=p, masses=masses, mode="exact",
                                  support_size=zsize, uniformity_bound=bound)
-    if mode == "enumerate":
-        counts = value_counts(p, classes, zip(range(subsets), itertools.repeat(1)))
-        masses = tuple(Fraction(c, subsets) for c in counts)
-        return DistributionTable(p=p, masses=masses, mode="enumerate",
-                                 support_size=zsize, uniformity_bound=bound)
     if mode == "sampled":
         if samples < 1:
             raise ValueError("need at least one sample")
+        cells = form.shape().cells
         rng = Random(seed)
         counts = value_counts(
             p, classes, ((rng.getrandbits(cells), 1) for _ in range(samples)))

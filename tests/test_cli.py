@@ -11,7 +11,8 @@ import pytest
 
 from setdifflab import cli, extremal
 from setdifflab.errors import CapExceededError
-from setdifflab.fpforms import distribution, forms_from_text, uniformity_bound
+from setdifflab.fpforms import (DEFAULT_SAMPLE_COUNT, DEFAULT_SEED, distribution,
+                                forms_from_text, uniformity_bound)
 from setdifflab.universe import Family, UniverseShape, family_to_text
 
 
@@ -81,6 +82,14 @@ class TestScan:
         run_refused(["scan", "--family", str(family), "--m", "2000",
                      "--pattern-family", str(pattern),
                      "--epsilon", "1/4", "--delta", "1/2"], capsys)
+
+    @pytest.mark.parametrize("m", ["-1", "-3"])
+    def test_guarantee_refuses_a_nonpositive_m(self, halfspace4, full_pattern2,
+                                               capsys, m):
+        code, out, err = run_cli(["scan", "--family", halfspace4, "--m", m,
+                                  "--pattern-family", full_pattern2,
+                                  "--epsilon", "1/4", "--delta", "1/2"], capsys)
+        assert code == 4 and out == "" and f"m={m}" in err
 
     def test_epsilon_requires_delta(self, halfspace4, full_pattern2, capsys):
         code, _, err = run_cli(["scan", "--family", halfspace4, "--m", "2",
@@ -182,7 +191,7 @@ class TestPhidist:
                                   "--degree", degree], capsys)
         assert code == 4 and out == "" and "degree" in err
 
-    @pytest.mark.parametrize("mode", ["exact", "enumerate", "sampled"])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_degree_one_is_the_linear_form(self, tmp_path, capsys, mode):
         path = tmp_path / "forms.txt"
         path.write_text("p=5\n1 2 0 4\n3 3 3 3\n")
@@ -204,6 +213,11 @@ class TestPhidist:
         path = tmp_path / "forms.txt"
         path.write_text("p=1000000000000000003\n1 2\n")
         run_refused(["phidist", "--forms", str(path)], capsys, cap="modulus")
+
+    def test_sample_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["phidist", "--forms", "f.txt"])
+        assert args.samples == DEFAULT_SAMPLE_COUNT
+        assert args.seed == DEFAULT_SEED
 
     def test_bad_form_file(self, tmp_path, capsys):
         path = tmp_path / "forms.txt"
@@ -326,39 +340,37 @@ class TestExtremal:
         assert report["witness_family"] == ["1", "2"]
         assert report["optimal"] is True
 
-    def test_exhaustive_method(self, capsys):
-        doc = run_json(["extremal", "--d", "1", "--n", "3",
-                        "--method", "exhaustive"], capsys)
-        assert doc["report"]["max_size"] == 3
-        assert doc["report"]["method"] == "exhaustive"
+    def test_vertex_cap_precedes_the_graph(self, capsys, monkeypatch):
+        # 2^17 vertices exceed VERTEX_CAP; nothing is searched
+        def _oriented_successors(*args, **kwargs):
+            raise AssertionError("graph built before the vertex cap")
+        monkeypatch.setattr(extremal, "_oriented_successors", _oriented_successors)
+        run_refused(["extremal", "--d", "1", "--n", "17"], capsys, cap="vertices")
 
-    def test_exhaustive_cap_precedes_the_graph(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("limit", ["nan", "inf", "-inf"])
+    def test_time_limit_must_be_finite(self, capsys, monkeypatch, limit):
+        # NaN and Infinity are not JSON, so the config could not echo them
         def build_forbidden_graph(*args, **kwargs):
-            raise AssertionError("graph built before the exhaustive cap")
+            raise AssertionError("graph built before the time limit check")
         monkeypatch.setattr(extremal, "build_forbidden_graph", build_forbidden_graph)
-        run_refused(["extremal", "--d", "1", "--n", "16", "--method", "exhaustive"],
-                    capsys, cap="cap")
+        code, out, err = run_cli(["extremal", "--d", "1", "--n", "2",
+                                  f"--time-limit={limit}"], capsys)
+        assert code == 4 and out == "" and "time limit" in err
 
-    def test_vertex_cap(self, capsys):
-        code, _, _ = run_cli(["extremal", "--d", "1", "--n", "5",
-                              "--vertex-cap", "16"], capsys)
-        assert code == 4
-
-    def test_config_echoes_the_vertex_cap(self, capsys):
-        doc = run_json(["extremal", "--d", "1", "--n", "2"], capsys)
-        assert doc["config"]["vertex_cap"] == 65536
+    def test_negative_time_limit_is_an_expired_deadline(self, capsys):
         doc = run_json(["extremal", "--d", "1", "--n", "2",
-                        "--vertex-cap", "1024"], capsys)
-        assert doc["config"]["vertex_cap"] == 1024
+                        "--time-limit", "-1"], capsys)
+        assert doc["config"]["time_limit"] == -1.0
+        assert doc["report"]["optimal"] is False
 
     # whole documents, config included (they name no file), pinned by sha256
     DOCUMENTS = {
         "extremal --d 1 2 --n 2":
-            "c6d98cb6914e63d5f3f204cb222b384aaa2bd337411e35dc002f779ce9f8404c",
+            "ef7244c3583abf9ca804d4c843ed8194f46e471b8bed0b287c037fb79595500c",
         "extremal --d 2 --n 2 --pattern clique":
-            "bee4af5b5e215beba0fc136e73b0140a0e5d75a7cfd17a8ed8c385ed8cb9b302",
-        "extremal --d 1 --n 4 --vertex-cap 1024 --method exhaustive":
-            "c0eb53a54da0592321c11bd8216cc9770e40e96ff511bcc1571fd19ea597a403",
+            "16dd5934e146d46dd422ac9d4f638d86615c0925850125e4940af07c70df22eb",
+        "extremal --d 1 --n 4":
+            "2cb70af454be39c1448b2936f823052da3dcdd23b1dbee8f962f4a6b5cfbddc6",
         "verify-framework --n 4":
             "78b1d558752139b12f404f0bd0ccef4555afb408c735cc96e65afbce042b419b",
     }

@@ -172,10 +172,14 @@ class TestForbiddenPairGraph:
         graph = build_forbidden_graph(shape, CliqueDifference((3,)))
         assert graph.vertex_count == 256 and graph.edge_count == 0
 
-    def test_vertex_cap(self):
+    def test_vertex_cap_precedes_the_graph(self, monkeypatch):
+        # 2^17 vertices exceed VERTEX_CAP = 2^16; no successor is generated
+        def _oriented_successors(*args, **kwargs):
+            raise AssertionError("graph built before the vertex cap")
+        monkeypatch.setattr(extremal, "_oriented_successors", _oriented_successors)
+        assert extremal.VERTEX_CAP == 1 << 16
         with pytest.raises(CapExceededError):
-            build_forbidden_graph(LINE(5), PolynomialDifference((1,)),
-                                  vertex_cap=16)
+            build_forbidden_graph(LINE(17), PolynomialDifference((1,)))
 
 
 class TestDistance2Closure:
@@ -199,12 +203,30 @@ class TestDistance2Closure:
         assert set(base.edges()) <= closed
 
 
+def _exhaustive_mis(adj: Sequence[int]) -> tuple[int, int]:
+    best_size, best_set = 0, 0
+    for subset in range(1 << len(adj)):
+        if subset.bit_count() <= best_size:
+            continue
+        scan = subset
+        independent = True
+        while scan:
+            v = (scan & -scan).bit_length() - 1
+            if adj[v] & subset:
+                independent = False
+                break
+            scan &= scan - 1
+        if independent:
+            best_size, best_set = subset.bit_count(), subset
+    return best_size, best_set
+
+
 class TestMaxAvoidingFamily:
     def test_two_element_antichain(self):
         record = max_avoiding_family(LINE(2), PolynomialDifference((1,)))
         assert record.max_size == 2
         assert record.witness_family.members == frozenset({1, 2})
-        assert record.optimal and record.method == "branch-and-bound"
+        assert record.optimal
 
     def test_three_element_middle_layer_size(self):
         record = max_avoiding_family(LINE(3), PolynomialDifference((1,)))
@@ -217,6 +239,7 @@ class TestMaxAvoidingFamily:
             assert record.max_size == comb(n, n // 2)
 
     def test_methods_agree(self):
+        # branch and bound against a walk over every vertex subset
         cases = [
             (LINE(n), PolynomialDifference((1,))) for n in range(1, 5)
         ] + [
@@ -224,9 +247,9 @@ class TestMaxAvoidingFamily:
         ]
         for shape, spec in cases:
             bb = max_avoiding_family(shape, spec)
-            ex = max_avoiding_family(shape, spec, method="exhaustive")
-            assert bb.max_size == ex.max_size
-            assert bb.optimal and ex.optimal
+            size, _ = _exhaustive_mis(build_forbidden_graph(shape, spec).adj)
+            assert bb.max_size == size
+            assert bb.optimal
 
     def test_records_are_pattern_free(self):
         for shape, spec in [(LINE(4), PolynomialDifference((1,))),
@@ -274,25 +297,6 @@ class TestMaxAvoidingFamily:
         isolated = {v for v, bits in enumerate(adj) if not bits}
         assert isolated <= record.witness_family.members
 
-    def test_unknown_method(self, monkeypatch):
-        # the method is checked before the 2^12-vertex graph is built
-        def build_forbidden_graph(*args, **kwargs):
-            raise AssertionError("graph built before the method check")
-        monkeypatch.setattr(extremal, "build_forbidden_graph", build_forbidden_graph)
-        with pytest.raises(ValueError, match="unknown method"):
-            max_avoiding_family(LINE(12), PolynomialDifference((1,)),
-                                method="guess")
-
-    def test_exhaustive_cap_precedes_the_graph(self, monkeypatch):
-        # 2^5 vertices exceed the cap of 20; the graph is never built
-        def build_forbidden_graph(*args, **kwargs):
-            raise AssertionError("graph built before the exhaustive cap")
-        monkeypatch.setattr(extremal, "build_forbidden_graph", build_forbidden_graph)
-        for shape in (LINE(5), LINE(16), UniverseShape(degrees=(1, 2), n=2)):
-            with pytest.raises(CapExceededError):
-                max_avoiding_family(shape, PolynomialDifference(shape.degrees),
-                                    method="exhaustive")
-
     def test_record_json(self):
         record = max_avoiding_family(LINE(2), PolynomialDifference((1,)))
         assert record.to_json() == {
@@ -302,7 +306,6 @@ class TestMaxAvoidingFamily:
             "max_size": 2,
             "max_density": "1/2",
             "witness_family": ["1", "2"],
-            "method": "branch-and-bound",
             "optimal": True,
         }
 

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import setdifflab
 
 PACKAGE = Path(setdifflab.__file__).parent
 BENCH = PACKAGE.parent.parent / "bench"
+README = PACKAGE.parent.parent / "README.md"
 
 
 def sibling_imports(module: str) -> set[str]:
@@ -194,6 +196,30 @@ def test_every_cap_is_refused_by_one_helper():
                 constructed.append(scope)
             scopes.extend((scope, child) for child in ast.iter_child_nodes(node))
     assert constructed == ["errors.capped_count"]
+
+
+def test_budgets_table_lists_every_cap():
+    # the README "Budgets" table names each module-level *_CAP / *_BUDGET
+    # constant of src/ and gives its value once, as an integer or 2^k
+    constants = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                name = getattr(node.targets[0], "id", "")
+                if re.fullmatch(r"[A-Z0-9_]+_(CAP|BUDGET)", name):
+                    constants[f"{path.stem}.{name}"] = eval(ast.unparse(node.value), {})
+    readme = README.read_text(encoding="utf-8")
+    budgets = readme.split("\n## Budgets\n", 1)[1].split("\n## ", 1)[0]
+    named, valued = set(), {}
+    for name, value in re.findall(r"^\| `(\w+\.\w+)(?: = ([^`]+))?`", budgets, re.M):
+        named.add(name)
+        if value:
+            power = re.fullmatch(r"2\^(\d+)", value)
+            assert name not in valued, f"{name} has two values"
+            valued[name] = 1 << int(power[1]) if power else int(value)
+    assert named == set(constants)
+    assert valued == constants
 
 
 @pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
