@@ -141,6 +141,10 @@ def cmd_quasirandomize(args) -> None:
     fam = family_from_text(_read(args.family))
     if args.eta <= 0:
         raise ValueError("eta must be positive")
+    if args.m and min(args.m) < 1:
+        raise ValueError(f"--m needs positive window sizes, got {args.m}")
+    if args.max_steps is not None and args.max_steps < 0:
+        raise ValueError(f"--max-steps must be nonnegative, got {args.max_steps}")
     if args.pool == "exhaustive":
         budget = capped_count(
             f"the {args.p}^{fam.shape.n} forms of an exhaustive pool",

@@ -401,8 +401,8 @@ def verify_framework_conditions(
 def demo_framework_report(n: int) -> FrameworkReport:
     """The cyclic-shift demo run through the generic condition checker.
 
-    The pattern is interval_mod_n_witness(a, b, n) is not None, read as one
-    lookup of a ^ b among the nonempty cyclic intervals.
+    The pattern holds when a ^ b is one nonempty cyclic interval of Z_n,
+    read as one lookup among the intervals.
     """
     intervals = _cyclic_intervals(n)
     return verify_framework_conditions(

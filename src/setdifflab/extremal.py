@@ -7,45 +7,33 @@ runs branch and bound on each other connected component once per
 order-preserving relabelling, from a greedy min-degree floor, with a
 clique-cover bound.  These numbers are the ground truth the rest of the
 package's tests calibrate against, so the solver re-verifies every record it
-emits and a small regression table of solved instances is shipped with the
-package data.
+emits; the tests replay a regression table of solved instances,
+``tests/data/extremal_regression.json``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from fractions import Fraction
-from importlib import resources
 from typing import Iterator, Optional, Sequence
 
 from .errors import ContractViolationError, capped_count
 from .patterns import (
     CliqueDifference,
-    FamilyDifference,
-    IntervalModN,
     PatternSpec,
-    PolynomialDifference,
     find_pattern_pair,
-    find_witness,
     pattern_index,
     pattern_table,
 )
-from .universe import Family, Record, SubsetMask, UniverseShape, _bit_indices, _frac
+from .universe import Family, Record, UniverseShape, _bit_indices, _frac
 
 VERTEX_CAP = 1 << 16
 
 
 def pattern_name(spec: PatternSpec) -> str:
-    if isinstance(spec, PolynomialDifference) and len(spec.degrees) == 1:
-        return "power-difference"
-    names = {
-        PolynomialDifference: "polynomial-difference",
-        FamilyDifference: "family-difference",
-        IntervalModN: "interval-mod-n",
-        CliqueDifference: "clique-difference",
-    }
-    return names[type(spec)]
+    if isinstance(spec, CliqueDifference):
+        return "clique-difference"
+    return "power-difference" if len(spec.degrees) == 1 else "polynomial-difference"
 
 
 class ForbiddenPairGraph(Record):
@@ -95,17 +83,11 @@ def _oriented_successors(shape: UniverseShape, spec: PatternSpec,
     """For each vertex A, the bitmask of every B such that (A, B) admits a
     witness.
 
-    With a pattern table the successors of A are key(A) | P | f for each
-    table entry P disjoint from key(A) and each subset f of the free cells,
-    so vertices with the same key share one successor set.
+    The successors of A are key(A) | P | f for each pattern-table entry P
+    disjoint from key(A) and each subset f of the free cells, so vertices
+    with the same key share one successor set.
     """
-    index = pattern_index(shape, spec)
-    if index is None:
-        masks = [SubsetMask(shape, v) for v in range(vertices)]
-        return [sum(1 << b for b, B in enumerate(masks)
-                    if a != b and find_witness(A, B, spec))
-                for a, A in enumerate(masks)]
-    mask = index[0]
+    mask = pattern_index(shape, spec)[0]
     table = pattern_table(shape, spec)
     # Bit f for each free subset f; shifted by key | P it holds key | P | f.
     # Distinct P give disjoint shifted copies, so summing them ORs them.
@@ -124,9 +106,8 @@ def build_forbidden_graph(shape: UniverseShape,
                           spec: PatternSpec) -> ForbiddenPairGraph:
     """Edges {A, B} for every pair where one extends the other by a pattern.
 
-    Polynomial and clique specs generate each vertex's successors
-    from the pattern table; other specs check every ordered pair.  Refused
-    first when the 2^cells vertices exceed VERTEX_CAP."""
+    Each vertex's successors come from the pattern table.  Refused first
+    when the 2^cells vertices exceed VERTEX_CAP."""
     vertices = capped_count("the vertices of the forbidden-pair graph",
                             VERTEX_CAP, 2, shape.cells)
     up = _oriented_successors(shape, spec, vertices)
@@ -305,14 +286,3 @@ def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
         raise ContractViolationError("solver produced an invalid record")
     return ExtremalRecord(shape=shape, spec=spec, max_size=size,
                           witness_family=family, optimal=optimal)
-
-
-# ---------------------------------------------------------------------------
-# regression data
-
-
-def load_regression_table() -> list[dict]:
-    """Solved instances shipped with the package (degrees, n, max_size)."""
-    text = resources.files("setdifflab").joinpath(
-        "data/extremal_regression.json").read_text()
-    return json.loads(text)

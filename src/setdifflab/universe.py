@@ -369,10 +369,6 @@ class OrderedWindow(Record):
         """The interval {start, ..., start+size-1} in increasing order."""
         return cls(tuple(range(start, start + size)))
 
-    def is_interval(self) -> bool:
-        e = self.elements
-        return all(e[i + 1] == e[i] + 1 for i in range(len(e) - 1))
-
 
 @lru_cache(maxsize=4096)
 def _window_runs(
@@ -383,7 +379,7 @@ def _window_runs(
     Cells of the relabeled m-shape, taken in order, map to source cells; each
     run is (source index, small index, run mask) for a stretch where both
     indices step by one.  An interval window gives m^(d-1) runs of m bits
-    per degree-d part.  The three window maps below read this table.
+    per degree-d part.  The window maps below read this table.
     """
     w = window.elements
     if max(w) > shape.n:
@@ -399,7 +395,9 @@ def _window_runs(
 
 
 def _restrict_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
-    """restrict_and_relabel on a raw member int, given its window runs."""
+    """Keep the cells with all coordinates in the window and relabel them
+    into [m] (the k-th window element becomes label k), on a raw member int
+    given its window runs."""
     return sum((bits >> src & run) << dst for src, dst, run in runs)
 
 
@@ -409,17 +407,10 @@ def _plant_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
     return sum((bits >> dst & run) << src for src, dst, run in runs)
 
 
-def restrict_and_relabel(mask: SubsetMask, window: OrderedWindow) -> SubsetMask:
-    """Keep points with all coordinates in the window, relabel into [m]:
-    the k-th window element (under the window's ordering) becomes label k."""
-    small = UniverseShape(mask.shape.degrees, window.m)
-    return SubsetMask(small, _restrict_bits(mask.bits, _window_runs(mask.shape, window)))
-
-
 def plant_into_window(
     small_mask: SubsetMask, window: OrderedWindow, shape: UniverseShape
 ) -> SubsetMask:
-    """Right inverse of restrict_and_relabel: place an [m]-shape subset into
+    """Right inverse of _restrict_bits: place an [m]-shape subset into
     the window power region of the big universe (all other cells empty)."""
     if window.m != small_mask.shape.n or small_mask.shape.degrees != shape.degrees:
         raise ShapeMismatchError("small mask does not match window size / degrees")

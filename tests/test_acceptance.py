@@ -29,11 +29,8 @@ from setdifflab.extremal import build_forbidden_graph, max_avoiding_family
 from setdifflab.fpforms import (
     BlockCell,
     LinearFormP,
-    Phi_eval,
     build_block_partition,
-    cell_form_value,
     check_block_partition,
-    coefficient_class_masks,
     distribution,
 )
 from setdifflab.increment import (
@@ -47,9 +44,6 @@ from setdifflab.patterns import (
     PolynomialDifference,
     distance2_witness,
     find_pattern_pair,
-    find_witness,
-    hyperedges_of,
-    interval_mod_n_witness,
 )
 from setdifflab.reductions import (
     IntervalPartitionCatalog,
@@ -63,6 +57,9 @@ from setdifflab.reductions import (
     symmetric_lift,
 )
 from setdifflab.universe import Family, SubsetMask, UniverseShape
+
+from form_oracles import Phi_eval, cell_form_value, eval_on_bits
+from witness_oracles import find_witness, hyperedges_of, interval_mod_n_witness
 
 SEED = 20260823
 
@@ -86,14 +83,6 @@ def _power_bits(shape: UniverseShape, S) -> int:
 def _nonempty_subsets(n: int):
     for size in range(1, n + 1):
         yield from (set(c) for c in itertools.combinations(range(1, n + 1), size))
-
-
-def _eval_on_bits(form, bits: int) -> int:
-    """The form's value on one subset, given as a bitmask over its universe."""
-    total = 0
-    for value, mask in coefficient_class_masks(form):
-        total += value * (bits & mask).bit_count()
-    return total % form.p
 
 
 def _submasks(mask: int):
@@ -391,8 +380,8 @@ def test_criterion_07_fp_machinery():
                         phi_s = sum(coeffs[x - 1] for x in S) % p
                         want = pow(phi_s, d, p)
                         for bg in _submasks(full & ~sbits):
-                            lo = _eval_on_bits(induced, bg)
-                            hi = _eval_on_bits(induced, bg | sbits)
+                            lo = eval_on_bits(induced, bg)
+                            hi = eval_on_bits(induced, bg | sbits)
                             assert (hi - lo) % p == want
                             assert hi == Phi_eval(
                                 induced, SubsetMask(shape, bg | sbits))
@@ -421,7 +410,7 @@ def test_criterion_07_fp_machinery():
                         background = SubsetMask(big, bg)
                         cell = BlockCell(partition=partition, row=row,
                                          background=background)
-                        values = {_eval_on_bits(induced, mbr.bits)
+                        values = {eval_on_bits(induced, mbr.bits)
                                   for mbr in cell.members()}
                         assert values == {
                             cell_form_value(induced, partition, row, background)}

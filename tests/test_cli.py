@@ -308,6 +308,24 @@ class TestQuasirandomize:
                               "--p", "2", "--eta", "0"], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("flags", [["--m", "0"], ["--m", "3", "-2"],
+                                       ["--max-steps", "-1"]], ids=" ".join)
+    def test_nonpositive_window_or_negative_steps(self, halfspace6, capsys,
+                                                  monkeypatch, flags):
+        # refused before the first form search, which used to run in full
+        # and end in an inconclusive:* status with exit 0
+        from setdifflab import increment
+        monkeypatch.delattr(increment, "find_distinguishing_form")
+        code, out, err = run_cli(["quasirandomize", "--family", halfspace6,
+                                  "--p", "2", "--eta", "1/4", *flags], capsys)
+        assert code == 4 and out == "" and flags[0] in err
+
+    def test_zero_max_steps_stops_after_one_search(self, halfspace6, capsys):
+        doc = run_json(["quasirandomize", "--family", halfspace6, "--p", "2",
+                        "--eta", "1/4", "--max-steps", "0"], capsys)
+        assert doc["report"]["status"] == "inconclusive:max-steps"
+        assert doc["report"]["iterations"] == 0
+
     @pytest.mark.parametrize("p", ["1000003", "1000000000000000003"])
     def test_modulus_cap(self, halfspace6, capsys, p):
         run_refused(["quasirandomize", "--family", halfspace6, "--p", p,

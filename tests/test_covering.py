@@ -30,7 +30,6 @@ from setdifflab.universe import (
     SubsetMask,
     UniverseShape,
     plant_into_window,
-    restrict_and_relabel,
     window_region,
 )
 

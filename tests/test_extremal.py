@@ -1,9 +1,11 @@
 """Forbidden-pair graphs and the exact avoiding-family oracle."""
 
 import itertools
+import json
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
@@ -19,19 +21,18 @@ from setdifflab.extremal import (
     _oriented_successors,
     _solve_mis,
     build_forbidden_graph,
-    load_regression_table,
     max_avoiding_family,
     pattern_name,
 )
 from setdifflab.patterns import (
     CliqueDifference,
-    IntervalModN,
     PolynomialDifference,
     distance2_witness,
     find_pattern_pair,
-    find_witness,
 )
 from setdifflab.universe import SubsetMask, UniverseShape
+
+from witness_oracles import find_witness
 
 LINE = lambda n: UniverseShape(degrees=(1,), n=n)
 SQUARE = lambda n: UniverseShape(degrees=(2,), n=n)
@@ -146,12 +147,6 @@ class TestForbiddenPairGraph:
     def test_fast_path_matches_witness_scan(self, shape, spec):
         graph = build_forbidden_graph(shape, spec)
         assert set(graph.edges()) == generic_edges(shape, spec)
-
-    def test_pairwise_spec_graph(self):
-        # interval specs have no pattern index: every ordered pair is checked
-        graph = build_forbidden_graph(LINE(3), IntervalModN())
-        assert set(graph.edges()) == generic_edges(LINE(3), IntervalModN())
-        assert graph.edge_count == 28  # every pair of subsets of Z_3
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
     def test_successors_match_witness_relation(self, shape):
@@ -363,6 +358,12 @@ class TestComponentSolver:
     def test_expired_deadline_returns_nothing(self):
         adj = graph_of(4, [(0, 1)])
         assert _solve_mis(adj, time.monotonic() - 1.0) == (0, 0, False)
+
+
+def load_regression_table() -> list[dict]:
+    """Solved instances (degrees, n, pattern, max_size) the tests replay."""
+    path = Path(__file__).parent / "data" / "extremal_regression.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 SPEC_OF_PATTERN = {

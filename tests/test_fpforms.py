@@ -24,11 +24,8 @@ from setdifflab.fpforms import (
     DistributionTable,
     InducedForm,
     LinearFormP,
-    Phi_eval,
     _product_table,
     build_block_partition,
-    cell_form_value,
-    cell_value_report,
     check_block_partition,
     coefficient_class_masks,
     distribution,
@@ -42,6 +39,8 @@ from setdifflab.fpforms import (
 )
 from setdifflab.increment import iteration_cap
 from setdifflab.universe import SubsetMask, UniverseShape
+
+from form_oracles import Phi_eval, cell_form_value, cell_value_report, eval_on_bits
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +68,6 @@ def enumerated_masses(form):
     counts = value_counts(form.p, coefficient_class_masks(form),
                           zip(range(2**cells), itertools.repeat(1)))
     return tuple(Fraction(c, 1 << cells) for c in counts)
-
-
-def eval_on_bits(form, bits):
-    """The form's value on one subset, given as a bitmask over its universe."""
-    total = 0
-    for value, mask in coefficient_class_masks(form):
-        total += value * (bits & mask).bit_count()
-    return total % form.p
 
 
 def all_linear_forms(p, n):

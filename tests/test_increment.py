@@ -29,8 +29,11 @@ from setdifflab.increment import (
     iteration_cap,
     quasirandomize,
 )
-from setdifflab.patterns import PolynomialDifference, find_witness
+from setdifflab.patterns import PolynomialDifference
 from setdifflab.universe import Family, SubsetMask, UniverseShape
+
+from form_oracles import eval_on_bits
+from witness_oracles import find_witness
 
 F = Fraction
 LINE6 = UniverseShape(degrees=(1,), n=6)
@@ -41,14 +44,6 @@ def halfspace(shape: UniverseShape, element: int = 1) -> Family:
     bit = 1 << shape.index_of(1, (element,))
     return Family(shape, frozenset(
         b for b in range(1 << shape.cells) if b & bit))
-
-
-def eval_on_bits(form, bits: int) -> int:
-    """The form's value on one subset, given as a bitmask over its universe."""
-    total = 0
-    for value, mask in coefficient_class_masks(form):
-        total += value * (bits & mask).bit_count()
-    return total % form.p
 
 
 def member_masses(fam: Family, form) -> tuple[Fraction, ...]:

@@ -8,11 +8,14 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import setdifflab
+from setdifflab import patterns
+from setdifflab.universe import UniverseShape
 
 PACKAGE = Path(setdifflab.__file__).parent
 BENCH = PACKAGE.parent.parent / "bench"
@@ -42,6 +45,17 @@ def test_covering_and_reductions_need_only_the_universe():
 def test_extremal_does_not_import_fpforms():
     assert "patterns" in sibling_imports("extremal")
     assert "fpforms" not in sibling_imports("extremal")
+
+
+def test_every_pattern_spec_has_a_pattern_index():
+    # one decision path: find_pattern_pair and extremal graph building read
+    # every spec through pattern_index, with no pairwise fallback
+    specs = typing.get_args(patterns.PatternSpec)
+    assert specs == (patterns.PolynomialDifference, patterns.CliqueDifference)
+    shape = UniverseShape((1, 2), 2)
+    for spec, witness in zip(specs, (patterns.PowerWitness, patterns.CliqueWitness)):
+        mask, touch, found = patterns.pattern_index(shape, spec(shape.degrees))
+        assert mask and len(touch) == shape.n and found is witness
 
 
 def module_level_imports(module: str) -> set[str]:
@@ -143,21 +157,23 @@ def test_each_subcommand_loads_only_its_layers(name, inputs):
     assert loaded_modules(argv) == expected
 
 
-# Public names no src/ module calls, kept on purpose: paper audits the
-# acceptance suite checks and independent checkers of a fast path.  Any other
-# public function or class in src/ needs a caller in src/.
+# Public names no src/ module calls, kept on purpose: paper transports the
+# acceptance suite checks, each waiting for the command the named ROADMAP
+# item gives it.  Pure checkers live in the tests.  Any other public function
+# or class in src/ needs a caller in src/.
 KEPT_LIBRARY_AUDITS = (
-    ("covering.count_hits", "N(A), the window-hit count criterion 1 takes moments of"),
-    ("covering.exact_moments", "E[N] and Var[N] exactly, criteria 1 and 2"),
-    ("covering.proof_chain_report", "the covering proof's double counting, criterion 5"),
-    ("fpforms.cell_form_value", "the constant value of a block cell, criterion 7"),
-    ("fpforms.cell_value_report", "cell values against the global distribution"),
-    ("patterns.distance2_witness", "checks distance2_closure pair by pair, criterion 6"),
-    ("patterns.verify_witness", "recomputes a witness without find_witness"),
-    ("reductions.symmetric_lift", "the sorted-region transport, criterion 10"),
-    ("reductions.symmetric_extend", "its inverse, criterion 10"),
-    ("reductions.diagonal_block_family", "same-window to disjoint-window statements"),
-    ("extremal.load_regression_table", "the solved instances the extremal tests replay"),
+    (("covering.count_hits",),
+     "N(A), the window-hit count; item 6 gives its moments a command"),
+    (("covering.exact_moments",),
+     "E[N] and Var[N] exactly; item 6, under verify-framework or scan"),
+    (("covering.proof_chain_report",),
+     "the covering proof's double counting; item 6, under verify-framework"),
+    (("patterns.distance2_witness",),
+     "re-verifies the distance-2 records of item 2's extremal --distance 2"),
+    (("reductions.symmetric_lift", "reductions.symmetric_extend"),
+     "the sorted-region transport and its inverse; item 6, a reduce mode"),
+    (("reductions.diagonal_block_family",),
+     "same-window to disjoint-window statements; item 6, a reduce mode"),
 )
 
 
@@ -176,7 +192,7 @@ def test_every_public_name_has_a_caller_in_src():
                     defined[f"{path.stem}.{node.name}"] = node.name
             called |= names
     uncalled = {qualified for qualified, name in defined.items() if name not in called}
-    assert uncalled == {qualified for qualified, _ in KEPT_LIBRARY_AUDITS}
+    assert uncalled == {name for names, _ in KEPT_LIBRARY_AUDITS for name in names}
 
 
 def test_every_cap_is_refused_by_one_helper():

@@ -19,7 +19,6 @@ from setdifflab.covering import (
     interval_demo_cells,
 )
 from setdifflab.errors import ShapeMismatchError
-from setdifflab.patterns import interval_mod_n_witness
 from setdifflab.reductions import (
     HypergraphBundle,
     IntervalPartitionCatalog,
@@ -40,9 +39,10 @@ from setdifflab.universe import (
     cyclic_interval_bits,
     embed_lower_degree,
     plant_into_window,
-    restrict_and_relabel,
     window_region,
 )
+
+from witness_oracles import interval_mod_n_witness, restrict_and_relabel
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,7 @@ import pytest
 
 from setdifflab import reductions
 from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
-from setdifflab.patterns import (
-    CliqueDifference,
-    PolynomialDifference,
-    find_witness,
-    hyperedges_of,
-    union_of_powers,
-)
+from setdifflab.patterns import CliqueDifference, PolynomialDifference
 from setdifflab.reductions import (
     HypergraphBundle,
     IntervalPartitionCatalog,
@@ -31,6 +25,8 @@ from setdifflab.reductions import (
     symmetric_lift,
 )
 from setdifflab.universe import CELL_CAP, Family, SubsetMask, UniverseShape
+
+from witness_oracles import find_witness, hyperedges_of, union_of_powers
 
 from math import comb
 

@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 from setdifflab import universe
 from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError, capped_count
 from setdifflab.fpforms import DistributionTable, LinearFormP, forms_from_text
-from setdifflab.patterns import (
-    SAME_WINDOW,
-    CliqueDifference,
-    FamilyDifference,
-    IntervalModN,
-    PolynomialDifference,
-)
+from setdifflab.patterns import CliqueDifference, PolynomialDifference
 from setdifflab.reductions import bundles_from_text, multiplex
 from setdifflab.universe import (
     Family,
@@ -34,9 +28,16 @@ from setdifflab.universe import (
     mask_from_hex,
     mask_to_hex,
     plant_into_window,
-    restrict_and_relabel,
     single_part_degree,
     window_region,
+)
+
+from witness_oracles import (
+    SAME_WINDOW,
+    FamilyDifference,
+    IntervalModN,
+    is_interval,
+    restrict_and_relabel,
 )
 
 SMALL_SHAPES = [
@@ -196,8 +197,8 @@ def test_window_validation():
             SubsetMask(UniverseShape((1,), 2), 0), OrderedWindow((1, 3))
         )
     assert OrderedWindow.interval(2, 3).elements == (2, 3, 4)
-    assert OrderedWindow.interval(2, 3).is_interval()
-    assert not OrderedWindow((3, 1)).is_interval()
+    assert is_interval(OrderedWindow.interval(2, 3))
+    assert not is_interval(OrderedWindow((3, 1)))
 
 
 def test_embed_worked_examples():

@@ -1,0 +1,300 @@
+"""Certificates no subcommand reaches, and an independent checker.
+
+The paper's relative versions (its abstract, category (ii)) differ by
+planted members of a template family inside interval windows, or by one
+cyclic interval of Z_n.  Their specs, certificates and extractors live here
+until a command needs them, beside ``verify_witness``, which re-checks any
+certificate from its definition, and the window and power maps it reads.
+``find_witness`` decides one ordered pair under a power or clique spec
+through the package's own key test, the one ``find_pattern_pair`` runs.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional, Union
+
+from setdifflab.errors import ShapeMismatchError
+from setdifflab.patterns import (
+    CliqueWitness,
+    Distance2Witness,
+    PatternSpec,
+    PowerWitness,
+    _power_bits,
+    _same_shape,
+    _witness_set,
+    pattern_index,
+    set_from_bits,
+)
+from setdifflab.universe import (
+    Family,
+    OrderedWindow,
+    Record,
+    SubsetMask,
+    UniverseShape,
+    _plant_bits,
+    _restrict_bits,
+    _window_runs,
+    cyclic_interval_bits,
+    window_region,
+)
+
+SAME_WINDOW = "same-window"
+DISJOINT_WINDOWS = "disjoint-windows"
+NESTED = "nested"
+_MODES = (SAME_WINDOW, DISJOINT_WINDOWS, NESTED)
+
+
+# ---------------------------------------------------------------------------
+# template-family and cyclic-interval specs
+
+
+class FamilyDifference(Record):
+    family: Family
+    mode: str = SAME_WINDOW
+
+    def __post_init__(self):
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+
+
+class IntervalModN(Record):
+    pass
+
+
+Spec = Union[PatternSpec, FamilyDifference, IntervalModN]
+
+
+class FamilyWitness(Record):
+    """Certificate (windows, U, F_1, F_2) for a template-family difference.
+
+    F1/F2 are the planted sets inside the window power region of the big
+    universe; F1_member/F2_member are their relabelings, i.e. the template
+    members they come from.  In nested mode F2 is strictly inside F1 (so the
+    certified ordered pair has B inside A).
+    """
+
+    mode: str
+    windows: tuple[OrderedWindow, ...]
+    U: SubsetMask
+    F1: SubsetMask
+    F2: SubsetMask
+    F1_member: SubsetMask
+    F2_member: SubsetMask
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "family-difference",
+            "mode": self.mode,
+            "windows": [list(w.elements) for w in self.windows],
+            "U": self.U.to_hex(),
+            "F1": self.F1.to_hex(),
+            "F2": self.F2.to_hex(),
+            "F1_member": self.F1_member.to_hex(),
+            "F2_member": self.F2_member.to_hex(),
+        }
+
+
+class IntervalWitness(Record):
+    start: int
+    length: int
+
+    def to_json(self) -> dict:
+        return {"kind": "interval-mod-n", "start": self.start, "length": self.length}
+
+
+Witness = Union[
+    PowerWitness, Distance2Witness, FamilyWitness, IntervalWitness, CliqueWitness
+]
+
+
+# ---------------------------------------------------------------------------
+# maps the checker reads
+
+
+def is_interval(window: OrderedWindow) -> bool:
+    e = window.elements
+    return all(e[i + 1] == e[i] + 1 for i in range(len(e) - 1))
+
+
+def restrict_and_relabel(mask: SubsetMask, window: OrderedWindow) -> SubsetMask:
+    """Keep points with all coordinates in the window, relabel into [m]:
+    the k-th window element (under the window's ordering) becomes label k."""
+    small = UniverseShape(mask.shape.degrees, window.m)
+    return SubsetMask(small, _restrict_bits(mask.bits, _window_runs(mask.shape, window)))
+
+
+def union_of_powers(shape: UniverseShape, S) -> SubsetMask:
+    """S^{d_1} u ... u S^{d_s} as a mask."""
+    elems = sorted(S)
+    if any(not 1 <= x <= shape.n for x in elems):
+        raise ValueError(f"S {elems} not inside [{shape.n}]")
+    return SubsetMask(shape, _power_bits(shape, sum(1 << (x - 1) for x in elems)))
+
+
+def hyperedges_of(mask: SubsetMask) -> tuple[frozenset[frozenset[int]], ...]:
+    """Per part: the d_j-subsets read off strictly increasing points."""
+    shape = mask.shape
+    out: list[set[frozenset[int]]] = [set() for _ in range(shape.s)]
+    for part, coords in mask.points():
+        if all(coords[i] < coords[i + 1] for i in range(len(coords) - 1)):
+            out[part - 1].add(frozenset(coords))
+    return tuple(frozenset(e) for e in out)
+
+
+# ---------------------------------------------------------------------------
+# template-family and cyclic-interval extractors
+
+
+def family_difference_witness(
+    A: SubsetMask, B: SubsetMask, template: Family, mode: str = SAME_WINDOW
+) -> Optional[FamilyWitness]:
+    """Witness that A and B differ by planted template members.
+
+    same-window: one interval I, A \\ U and B \\ U are planted members F_1,
+    F_2 inside I.  disjoint-windows: F_1 sits in I_1, F_2 in I_2 with I_1,
+    I_2 disjoint (then A sym-diff B = F_1 u F_2).  nested: same window and
+    F_2 strictly inside F_1 (then A sym-diff B = F_1 \\ F_2).
+
+    Scan order: interval starts ascending (ordered pairs of starts for the
+    disjoint mode), then template members ascending; first hit wins.
+    """
+    shape = _same_shape(A, B)
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if template.shape.degrees != shape.degrees:
+        raise ShapeMismatchError("template degrees do not match the pair's shape")
+    m = template.shape.n
+    n = shape.n
+    if m > n:
+        raise ValueError(f"template side m={m} exceeds n={n}")
+    a, b, small = A.bits, B.bits, template.shape
+    if a == b:
+        return None
+    windows = [OrderedWindow.interval(start, m) for start in range(1, n - m + 2)]
+    members = sorted(template.members)
+    planted = [[(f, _plant_bits(f, _window_runs(shape, I))) for f in members]
+               for I in windows]
+    starts = range(len(windows))
+    if mode == DISJOINT_WINDOWS:
+        pairs = [(i, j) for i in starts for j in starts if abs(i - j) >= m]
+    else:
+        pairs = [(i, i) for i in starts]
+    for i, j in pairs:
+        for f1, F1 in planted[i]:
+            if F1 & ~a:
+                continue
+            rest = a & ~F1
+            for f2, F2 in planted[j]:
+                if F1 == F2 or F2 & ~b or rest != b & ~F2:
+                    continue
+                if mode == NESTED and F2 & ~F1:
+                    continue
+                return FamilyWitness(
+                    mode, (windows[i],) if i == j else (windows[i], windows[j]),
+                    SubsetMask(shape, rest), SubsetMask(shape, F1), SubsetMask(shape, F2),
+                    SubsetMask(small, f1), SubsetMask(small, f2))
+    return None
+
+
+def interval_mod_n_witness(
+    a_bits: int, b_bits: int, n: int
+) -> Optional[IntervalWitness]:
+    """(start, length) if the symmetric difference is one cyclic interval.
+
+    The full set is an interval from any start; ties break to start 1.  A
+    difference with bits at or above n is no interval of Z_n.
+    """
+    diff = a_bits ^ b_bits
+    full = (1 << n) - 1
+    if diff == 0 or diff & ~full:
+        return None
+    if diff == full:
+        return IntervalWitness(1, n)
+    # z starts a run when z is in diff and z - 1 (mod n) is not
+    starts = diff & ~((diff << 1 | diff >> (n - 1)) & full)
+    if starts & (starts - 1):
+        return None  # more than one run
+    return IntervalWitness(starts.bit_length(), diff.bit_count())
+
+
+# ---------------------------------------------------------------------------
+# one pair under a power or clique spec, and the checker
+
+
+def find_witness(A: SubsetMask, B: SubsetMask, spec: PatternSpec) -> Optional[Witness]:
+    """The witness of the ordered pair (A, B) under a power or clique spec."""
+    shape = _same_shape(A, B)
+    index = pattern_index(shape, spec)
+    mask, _, witness = index
+    s = _witness_set(shape, index, A.bits & mask, B.bits & mask)
+    return witness(set_from_bits(s)) if s else None
+
+
+def verify_witness(
+    A: SubsetMask, B: SubsetMask, spec: Spec, w: Witness
+) -> bool:
+    """Independent certificate check: recompute the claimed difference."""
+    shape = _same_shape(A, B)
+    if isinstance(w, PowerWitness):
+        return (
+            bool(w.S)
+            and A.issubset(B)
+            and A.bits != B.bits
+            and B.difference(A).bits == union_of_powers(shape, w.S).bits
+        )
+    if isinstance(w, Distance2Witness):
+        return (
+            A.bits != B.bits
+            and w.U.issubset(A)
+            and w.U.issubset(B)
+            and A.difference(w.U).bits == union_of_powers(shape, w.S1).bits
+            and B.difference(w.U).bits == union_of_powers(shape, w.S2).bits
+        )
+    if isinstance(w, FamilyWitness):
+        if not isinstance(spec, FamilyDifference):
+            return False
+        regions = [window_region(shape, I) for I in w.windows]
+        if w.mode in (SAME_WINDOW, NESTED):
+            if len(w.windows) != 1 or not is_interval(w.windows[0]):
+                return False
+            r1 = r2 = regions[0]
+        else:
+            if (
+                len(w.windows) != 2
+                or not all(is_interval(I) for I in w.windows)
+                or set(w.windows[0].elements) & set(w.windows[1].elements)
+            ):
+                return False
+            r1, r2 = regions
+        ok = (
+            w.U.issubset(A)
+            and w.U.issubset(B)
+            and A.difference(w.U).bits == w.F1.bits
+            and B.difference(w.U).bits == w.F2.bits
+            and w.F1.issubset(r1)
+            and w.F2.issubset(r2)
+            and restrict_and_relabel(w.F1, w.windows[0]) in spec.family
+            and restrict_and_relabel(w.F2, w.windows[-1]) in spec.family
+            and w.F1.bits != w.F2.bits
+        )
+        if w.mode == NESTED:
+            ok = ok and w.F2.issubset(w.F1)
+        return ok
+    if isinstance(w, IntervalWitness):
+        return (
+            w.length >= 1
+            and (A.bits ^ B.bits) == cyclic_interval_bits(shape.n, w.start, w.length)
+        )
+    if isinstance(w, CliqueWitness):
+        H = hyperedges_of(A)
+        G = hyperedges_of(B)
+        if not w.S:
+            return False
+        for j in range(shape.s):
+            d = shape.degrees[j]
+            want = {frozenset(c) for c in itertools.combinations(sorted(w.S), d)}
+            if not H[j] <= G[j] or G[j] - H[j] != want:
+                return False
+        return True
+    raise TypeError(f"unknown witness {w!r}")
