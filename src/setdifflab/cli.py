@@ -9,8 +9,8 @@ Every job is a fresh process, so start-up is paid once per report: this
 module imports only the standard library and ``errors`` at module level, and
 each ``cmd_*`` imports the layers it calls (``--version`` loads none).
 
-Exit codes: 0 success, 2 usage, 3 malformed input file, 4 domain error,
-5 internal contract violation.
+Exit codes: 0 success, 2 usage, 3 malformed or unreadable input file or
+unwritable --out, 4 domain error, 5 internal contract violation.
 """
 
 import argparse
@@ -60,8 +60,11 @@ def _emit(args, report: dict) -> None:
     }
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

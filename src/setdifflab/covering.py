@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Collection, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Hashable, Optional, Sequence
 
 from .errors import ShapeMismatchError, UnsatisfiablePredicateError, UniverseTooSmallError, capped_count
 from .universe import (
@@ -23,7 +23,6 @@ from .universe import (
     SubsetMask,
     UniverseShape,
     _cell_count,
-    _plant_bits,
     _restrict_bits,
     _window_runs,
     cyclic_interval_bits,
@@ -155,21 +154,6 @@ class CoveringCell(Record):
     window: OrderedWindow
     background: SubsetMask
     pattern_family: Family
-
-    def __len__(self) -> int:
-        return len(self.pattern_family)
-
-    def members(self) -> Iterator[SubsetMask]:
-        shape, u = self.background.shape, self.background.bits
-        runs = _window_runs(shape, self.window)
-        for f in sorted(self.pattern_family.members):
-            yield SubsetMask(shape, _plant_bits(f, runs) | u)
-
-    def __contains__(self, mask: SubsetMask) -> bool:
-        runs = _window_runs(self.background.shape, self.window)
-        if mask.bits & ~_plant_bits(-1, runs) != self.background.bits:
-            return False
-        return _restrict_bits(mask.bits, runs) in self.pattern_family.members
 
 
 def scan_for_dense_cell(

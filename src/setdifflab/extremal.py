@@ -54,11 +54,6 @@ class ForbiddenPairGraph(Record):
     def edge_count(self) -> int:
         return sum(bits.bit_count() for bits in self.adj) // 2
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for a, bits in enumerate(self.adj):
-            for b in _bit_indices(bits >> a + 1 << a + 1):
-                yield a, b
-
     def distance2_closure(self) -> "ForbiddenPairGraph":
         """Pairs sharing a common lower set they both extend by a pattern.
 

@@ -22,14 +22,13 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError, ShapeMismatchError, UniverseTooSmallError, capped_count
 from .universe import (
     Record,
     SubsetMask,
     UniverseShape,
-    _bit_indices,
     _cell_count,
     _content_lines,
     _cross_bits,
@@ -297,11 +296,12 @@ class BlockPartition(Record):
 
     @property
     def required_rows(self) -> int:
-        return max(math.ceil(self.n / (self.p * self.m)) - 2, 0)
+        return _required_rows(self.n, self.p, self.m)
 
-    def blocks(self) -> Iterator[frozenset[int]]:
-        for row in self.rows:
-            yield from row
+
+def _required_rows(n: int, p: int, m: int) -> int:
+    """The row bound ceil(n/(pm)) - 2 of a partition of [n], at least 0."""
+    return max(math.ceil(n / (p * m)) - 2, 0)
 
 
 def check_block_partition(partition: BlockPartition, form: LinearFormP) -> None:
@@ -373,7 +373,7 @@ def _large_support_partition(form: LinearFormP, m: int) -> BlockPartition:
         row = []
         for _ in range(m):
             # at least p^2 + p elements in at most p - 1 nonzero classes: one has p
-            block = _equal_coefficient_block(pool, coeffs, p)
+            block = _equal_coefficient_block(_coefficient_classes(pool, coeffs), p)
             row.append(block)
             pool = [z for z in pool if z not in block]
         rows.append(tuple(row))
@@ -382,12 +382,12 @@ def _large_support_partition(form: LinearFormP, m: int) -> BlockPartition:
     # the row bound holds.  While rows are missing the leftover pool keeps at
     # least 2p elements per block extraction, so a zero-sum p-subset always
     # exists and the exhaustive profile search below finds one.
-    required = max(math.ceil(n / (p * m)) - 2, 0)
+    required = _required_rows(n, p, m)
     pool = sorted((set(range(1, n + 1)) - prefix) | set(pool))
     while len(rows) < required:
         row = []
         for _ in range(m):
-            block = _zero_sum_block(pool, coeffs, p)
+            block = _zero_sum_block(_coefficient_classes(pool, coeffs), p)
             if block is None:
                 raise UniverseTooSmallError(
                     f"cannot reach {required} rows of {m} zero-sum "
@@ -399,11 +399,16 @@ def _large_support_partition(form: LinearFormP, m: int) -> BlockPartition:
                           remainder=frozenset(pool))
 
 
-def _equal_coefficient_block(pool, coeffs, p):
-    """The p smallest elements of the first thick equal-coefficient class."""
+def _coefficient_classes(pool, coeffs) -> dict[int, list[int]]:
+    """The pool's elements by coefficient value, each class in pool order."""
     classes: dict[int, list[int]] = {}
     for z in pool:
         classes.setdefault(coeffs[z - 1], []).append(z)
+    return classes
+
+
+def _equal_coefficient_block(classes, p):
+    """The p smallest elements of the first thick equal-coefficient class."""
     for value in sorted(classes):
         elems = classes[value]
         if len(elems) >= p:
@@ -411,20 +416,18 @@ def _equal_coefficient_block(pool, coeffs, p):
     return None
 
 
-def _zero_sum_block(pool, coeffs, p):
-    """A p-element subset of the pool whose coefficients sum to 0 mod p.
+def _zero_sum_block(classes, p):
+    """A p-element subset of the pool whose coefficients sum to 0 mod p,
+    given the pool's ``_coefficient_classes``.
 
     Prefers a whole equal-coefficient class; otherwise takes the first
     per-class count profile (classes by ascending value, profiles in
     lexicographic order) with total p and weighted sum 0, using the smallest
     elements of each class.
     """
-    block = _equal_coefficient_block(pool, coeffs, p)
+    block = _equal_coefficient_block(classes, p)
     if block is not None:
         return block
-    classes: dict[int, list[int]] = {}
-    for z in pool:
-        classes.setdefault(coeffs[z - 1], []).append(z)
     values = sorted(classes)
     ranges = [range(min(len(classes[v]), p) + 1) for v in values]
     for profile in itertools.product(*ranges):
@@ -478,7 +481,8 @@ class BlockCell(Record):
 
     The cell is the bijective image of P([m]^d): a member is the background
     plus a union of complete block products, one product per chosen cell of
-    the small universe.  ``plant`` realizes that map and ``lift`` inverts it.
+    the small universe.  The row's ``_product_table`` lists those products,
+    and ``lift_bits`` reads a member's chosen cells back.
     """
 
     partition: BlockPartition
@@ -507,44 +511,8 @@ class BlockCell(Record):
         """The row region X_i^d."""
         return sum(_product_table(self.partition, self.row, self.degree))
 
-    def plant(self, small: SubsetMask) -> SubsetMask:
-        """Map a subset of [m]^d to the corresponding cell member."""
-        if small.shape != self.small_shape():
-            raise ShapeMismatchError(
-                f"expected a mask over [{self.partition.m}]^{self.degree}")
-        table = _product_table(self.partition, self.row, self.degree)
-        bits = self.background.bits | sum(table[i] for i in _bit_indices(small.bits))
-        return SubsetMask(shape=self.background.shape, bits=bits)
-
-    def lift(self, A: SubsetMask) -> SubsetMask:
-        """Invert ``plant``; reject masks outside the cell."""
-        if A.shape != self.background.shape:
-            raise ShapeMismatchError("mask shape differs from the cell's")
-        region = self.region_bits()
-        if A.bits & ~region != self.background.bits:
-            raise ValueError("mask does not extend this cell's background")
-        chosen = lift_bits(_product_table(self.partition, self.row, self.degree),
-                           A.bits & region)
-        if chosen is None:
-            raise ValueError("mask is not block-constant on the row region")
-        return SubsetMask(shape=self.small_shape(), bits=chosen)
-
-    def __contains__(self, A) -> bool:
-        if not isinstance(A, SubsetMask):
-            return False
-        try:
-            self.lift(A)
-        except (ValueError, ShapeMismatchError):
-            return False
-        return True
-
     def __len__(self) -> int:
         return 1 << (self.partition.m ** self.degree)
-
-    def members(self) -> Iterator[SubsetMask]:
-        small_shape = self.small_shape()
-        for bits in range(len(self)):
-            yield self.plant(SubsetMask(shape=small_shape, bits=bits))
 
 
 # ---------------------------------------------------------------------------

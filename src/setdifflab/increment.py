@@ -178,11 +178,6 @@ class IncrementStep(Record):
     guarantee_ratio: Fraction
     guaranteed: bool
 
-    def __iter__(self):
-        yield self.cell
-        yield self.family
-        yield self.density
-
 
 def increment_step(fam: Family, report: DistinguishingReport, m: int) -> IncrementStep:
     """Scan the form's block cells for the densest one and pull back into it.

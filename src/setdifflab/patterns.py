@@ -157,7 +157,7 @@ def pattern_index(
         raise ShapeMismatchError(
             f"pattern degrees {spec.degrees} vs shape {shape.degrees}")
     witness = CliqueWitness if isinstance(spec, CliqueDifference) else PowerWitness
-    mask = shape.full_bits()
+    mask = shape.full_bits
     if witness is CliqueWitness:
         mask = 0
         for i, (_, coords) in enumerate(shape.points()):

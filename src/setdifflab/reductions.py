@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
@@ -51,10 +50,6 @@ class SymmetricRegion(Record):
     def __post_init__(self):
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be positive")
-
-    @property
-    def size(self) -> int:
-        return comb(self.n + self.d - 1, self.d)
 
     def shape(self) -> UniverseShape:
         return UniverseShape(degrees=(self.d,), n=self.n)
@@ -96,13 +91,13 @@ def symmetric_lift(A_sym: SubsetMask) -> SubsetMask:
     if not is_symmetric(A_sym):  # raises for a multi-part shape
         raise ValueError("symmetric_lift needs a symmetric input")
     region = SymmetricRegion(d=A_sym.shape.degrees[0], n=A_sym.shape.n)
-    return A_sym.intersection(region.mask())
+    return SubsetMask(A_sym.shape, A_sym.bits & region.mask().bits)
 
 
 def symmetric_extend(B: SubsetMask) -> SubsetMask:
     """Orbit closure of a set of sorted representatives."""
     region = SymmetricRegion(d=single_part_degree(B.shape), n=B.shape.n)
-    if not B.issubset(region.mask()):
+    if B.bits & ~region.mask().bits:
         raise ValueError("symmetric_extend needs a subset of the sorted region")
     return SubsetMask(B.shape,
                       sum(o for o in _orbits(B.shape).values() if B.bits & o))
@@ -148,24 +143,6 @@ class IntervalPartitionCatalog(Record):
         if not 1 <= k <= self.d:
             raise ValueError(f"k must lie in [1, {self.d}]")
         return _compositions(self.d)[k - 1]
-
-    def intervals(self, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        out = []
-        for comp in self.compositions(k):
-            stop = 0
-            blocks = []
-            for c in comp:
-                blocks.append(tuple(range(stop + 1, stop + c + 1)))
-                stop += c
-            out.append(tuple(blocks))
-        return tuple(out)
-
-    def m(self, k: int) -> int:
-        return len(self.compositions(k))
-
-    @property
-    def s(self) -> int:
-        return 2 ** (self.d - 1)
 
     def parts(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         for k in range(1, self.d + 1):
@@ -222,15 +199,6 @@ class HypergraphBundle(Record):
 
     def shape(self) -> UniverseShape:
         return UniverseShape(degrees=self.degrees, n=self.n)
-
-    def to_mask(self) -> SubsetMask:
-        """Strictly-increasing representative points, one per hyperedge."""
-        pts = [
-            (j, tuple(sorted(edge)))
-            for j, part in enumerate(self.parts, start=1)
-            for edge in part
-        ]
-        return SubsetMask.from_points(self.shape(), pts)
 
 
 _HEADER = re.compile(r"n=(\d+) degrees=(\d+(?:,\d+)*)")
@@ -346,7 +314,7 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
     # sits at x < y, a loop (kept only when loopful) at x = y
     read = sum(o & -o for (_, edge), o in _orbits(shape).items()
                if loopful or len(edge) == 2)
-    free = shape.full_bits() & ~read
+    free = shape.full_bits & ~read
     graphs = list(graphs)
     capped_count(f"the fibre masks of {len(graphs)} graphs", CLIQUE_FIBRE_CAP,
                  2, free.bit_count(), factor=len(graphs))

@@ -125,15 +125,11 @@ class UniverseShape(Record):
         return _cell_count(self.n, self.degrees)
 
     @cached_property
-    def _full_bits(self) -> int:
+    def full_bits(self) -> int:
         return (1 << self.cells) - 1
 
     def __getstate__(self) -> dict:
         return {"degrees": self.degrees, "n": self.n}
-
-    def part_cells(self, part: int) -> int:
-        """Cell count of one part (1-based part index)."""
-        return self.n ** self.degrees[part - 1]
 
     def part_offset(self, part: int) -> int:
         if not 1 <= part <= self.s:
@@ -152,30 +148,12 @@ class UniverseShape(Record):
             idx += (c - 1) * self.n ** (d - k)
         return idx
 
-    def point_of(self, index: int) -> Point:
-        if not 0 <= index < self.cells:
-            raise ValueError(f"cell index {index} out of range 0..{self.cells - 1}")
-        part = 1
-        while index >= self.part_cells(part):
-            index -= self.part_cells(part)
-            part += 1
-        d = self.degrees[part - 1]
-        coords = []
-        for k in range(1, d + 1):
-            w = self.n ** (d - k)
-            coords.append(index // w + 1)
-            index %= w
-        return part, tuple(coords)
-
     def points(self) -> Iterator[Point]:
         """All points in cell-index order."""
         for part in range(1, self.s + 1):
             d = self.degrees[part - 1]
             for coords in itertools.product(range(1, self.n + 1), repeat=d):
                 yield part, coords
-
-    def full_bits(self) -> int:
-        return self._full_bits
 
 
 def _cell_count(n: int, degrees: Iterable[int]) -> int:
@@ -236,65 +214,18 @@ class SubsetMask(Record):
     bits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.bits <= self.shape.full_bits():
+        if not 0 <= self.bits <= self.shape.full_bits:
             raise ValueError("bits outside the universe")
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def contains(self, part: int, coords: Sequence[int]) -> bool:
-        return bool(self.bits >> self.shape.index_of(part, coords) & 1)
-
-    def points(self) -> Iterator[Point]:
-        return map(self.shape.point_of, _bit_indices(self.bits))
 
     def indices(self) -> Iterator[int]:
         return _bit_indices(self.bits)
-
-    def _check(self, other: "SubsetMask") -> None:
-        if self.shape != other.shape:
-            raise ShapeMismatchError(f"{self.shape} vs {other.shape}")
-
-    def union(self, other: "SubsetMask") -> "SubsetMask":
-        self._check(other)
-        return SubsetMask(self.shape, self.bits | other.bits)
-
-    def intersection(self, other: "SubsetMask") -> "SubsetMask":
-        self._check(other)
-        return SubsetMask(self.shape, self.bits & other.bits)
-
-    def difference(self, other: "SubsetMask") -> "SubsetMask":
-        self._check(other)
-        return SubsetMask(self.shape, self.bits & ~other.bits)
-
-    def symmetric_difference(self, other: "SubsetMask") -> "SubsetMask":
-        self._check(other)
-        return SubsetMask(self.shape, self.bits ^ other.bits)
-
-    def issubset(self, other: "SubsetMask") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def complement(self) -> "SubsetMask":
-        return SubsetMask(self.shape, self.shape.full_bits() ^ self.bits)
 
     def to_hex(self) -> str:
         return mask_to_hex(self.bits, self.shape.cells)
 
     @classmethod
-    def from_points(cls, shape: UniverseShape, pts: Iterable[Point]) -> "SubsetMask":
-        bits = 0
-        for part, coords in pts:
-            bits |= 1 << shape.index_of(part, coords)
-        return cls(shape, bits)
-
-    @classmethod
-    def empty(cls, shape: UniverseShape) -> "SubsetMask":
-        return cls(shape, 0)
-
-    @classmethod
     def full(cls, shape: UniverseShape) -> "SubsetMask":
-        return cls(shape, shape.full_bits())
+        return cls(shape, shape.full_bits)
 
 
 class Family(Record):
@@ -305,7 +236,7 @@ class Family(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
-        full = self.shape.full_bits()
+        full = self.shape.full_bits
         for b in self.members:
             if not 0 <= b <= full:
                 raise ValueError("family member outside the universe")
@@ -321,17 +252,8 @@ class Family(Record):
                 raise ShapeMismatchError("mixed shapes in family")
         return cls(shape, frozenset(m.bits for m in masks))
 
-    @classmethod
-    def full_power_set(cls, shape: UniverseShape) -> "Family":
-        return cls(shape, frozenset(range(1 << shape.cells)))
-
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, SubsetMask):
-            return item.shape == self.shape and item.bits in self.members
-        return item in self.members
 
     def masks(self) -> Iterator[SubsetMask]:
         """Members as masks, ascending bit value (the canonical order)."""

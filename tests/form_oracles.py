@@ -40,7 +40,9 @@ def Phi_eval(form: InducedForm, A: SubsetMask) -> int:
     coeffs = form.base.coeffs
     p = form.p
     total = 0
-    for _part, coords in A.points():
+    for i, (_part, coords) in enumerate(shape.points()):
+        if not A.bits >> i & 1:
+            continue
         term = 1
         for i in coords:
             term = term * coeffs[i - 1] % p

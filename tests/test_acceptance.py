@@ -29,6 +29,7 @@ from setdifflab.extremal import build_forbidden_graph, max_avoiding_family
 from setdifflab.fpforms import (
     BlockCell,
     LinearFormP,
+    _product_table,
     build_block_partition,
     check_block_partition,
     distribution,
@@ -56,10 +57,11 @@ from setdifflab.reductions import (
     symmetric_extend,
     symmetric_lift,
 )
-from setdifflab.universe import Family, SubsetMask, UniverseShape
+from setdifflab.universe import Family, SubsetMask, UniverseShape, _bit_indices, window_region
 
 from form_oracles import Phi_eval, cell_form_value, eval_on_bits
-from witness_oracles import find_witness, hyperedges_of, interval_mod_n_witness
+from witness_oracles import (bundle_mask, find_witness, hyperedges_of,
+                             interval_mod_n_witness, restrict_and_relabel)
 
 SEED = 20260823
 
@@ -239,7 +241,10 @@ def test_criterion_05_scan_correctness():
             assert chain.double_counting_all_ok
             assert chain.double_counting_fam_ok
             # recount the winning cell membership directly
-            in_cell = sum(1 for mask in fam.masks() if mask in cell)
+            off = ~window_region(shape, cell.window).bits
+            in_cell = sum(
+                1 for mask in fam.masks() if mask.bits & off == cell.background.bits
+                and restrict_and_relabel(mask, cell.window).bits in pf.members)
             assert Fraction(in_cell, len(pf)) == best
             for delta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
                           Fraction(1)):
@@ -274,12 +279,11 @@ def test_criterion_06_witness_oracle_equivalence():
                     mismatches += 1
                 elif got is not None and frozenset(got.S) != expect:
                     mismatches += 1
-        closed = set(build_forbidden_graph(shape, spec)
-                     .distance2_closure().edges())
+        closed = build_forbidden_graph(shape, spec).distance2_closure().adj
         for a in range(size):
             for b in range(a + 1, size):
                 w = distance2_witness(SubsetMask(shape, a), SubsetMask(shape, b))
-                if ((a, b) in closed) != (w is not None):
+                if bool(closed[a] >> b & 1) != (w is not None):
                     mismatches += 1
         # find_pattern_pair against a quadratic scan of the same oracle
         rng = Random(SEED + shape.cells)
@@ -401,8 +405,9 @@ def test_criterion_07_fp_machinery():
                 induced = form.induced(2)
                 for row in range(1, partition.t + 1):
                     probe = BlockCell(partition=partition, row=row,
-                                      background=SubsetMask.empty(big))
+                                      background=SubsetMask(big, 0))
                     off = offbits & ~probe.region_bits()
+                    table = _product_table(partition, row, 2)
                     bgs = {0, off}
                     bgs.update(rng.getrandbits(big.cells) & off
                                for _ in range(4))
@@ -410,8 +415,9 @@ def test_criterion_07_fp_machinery():
                         background = SubsetMask(big, bg)
                         cell = BlockCell(partition=partition, row=row,
                                          background=background)
-                        values = {eval_on_bits(induced, mbr.bits)
-                                  for mbr in cell.members()}
+                        values = {eval_on_bits(induced, bg | sum(
+                                      table[i] for i in _bit_indices(small)))
+                                  for small in range(1 << len(table))}
                         assert values == {
                             cell_form_value(induced, partition, row, background)}
                         cells_checked += 1
@@ -470,7 +476,7 @@ def test_criterion_09_increment_loop():
                 capped += 1
             if found is not None:
                 A, B, w = found
-                assert A.issubset(B)
+                assert not A.bits & ~B.bits
                 assert B.bits & ~A.bits == _power_bits(A.shape, set(w.S))
     assert capped >= 1
     _pass(9, f"e_1 family closes in one step; {capped} capped traces")
@@ -483,7 +489,7 @@ def test_criterion_10_reduction_roundtrips():
             region = SymmetricRegion(d, n)
             sym = [SubsetMask(shape, b) for b in range(1 << shape.cells)
                    if is_symmetric(SubsetMask(shape, b))]
-            assert len(sym) == 1 << region.size
+            assert len(sym) == 1 << comb(n + d - 1, d)
             images = set()
             for A in sym:
                 bundle = beta_bijection(A)
@@ -540,8 +546,8 @@ def test_criterion_10_reduction_roundtrips():
                 expect = next(
                     (frozenset(S) for S in _nonempty_subsets(2)
                      if _power_bits(shape22, S) == diff), None)
-            w = find_witness(beta_bijection(A).to_mask(),
-                             beta_bijection(B).to_mask(), CliqueDifference((1, 2)))
+            w = find_witness(bundle_mask(beta_bijection(A)),
+                             bundle_mask(beta_bijection(B)), CliqueDifference((1, 2)))
             assert (w.S if w else None) == expect
             if expect is not None:
                 transferred += 1

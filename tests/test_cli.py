@@ -48,7 +48,7 @@ def halfspace4(tmp_path):
 
 @pytest.fixture
 def full_pattern2(tmp_path):
-    fam = Family.full_power_set(UniverseShape((1,), 2))
+    fam = Family(UniverseShape((1,), 2), range(4))
     path = tmp_path / "pattern.txt"
     path.write_text(family_to_text(fam))
     return str(path)
@@ -111,6 +111,15 @@ class TestScan:
         _, first, _ = run_cli(argv, capsys)
         _, second, _ = run_cli(argv, capsys)
         assert first == second
+
+    def test_unwritable_out_is_refused(self, halfspace4, full_pattern2,
+                                       tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"  # no such directory
+        code, stdout, err = run_cli(["scan", "--family", halfspace4, "--m", "2",
+                                     "--pattern-family", full_pattern2,
+                                     "--out", str(out)], capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith(f"setdiff: cannot write {out}: ")
 
 
 class TestDemoInterval:

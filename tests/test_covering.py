@@ -29,6 +29,9 @@ from setdifflab.universe import (
     OrderedWindow,
     SubsetMask,
     UniverseShape,
+    _plant_bits,
+    _restrict_bits,
+    _window_runs,
     plant_into_window,
     window_region,
 )
@@ -93,7 +96,7 @@ def test_window_system_validation():
 def test_count_hits_worked_example():
     sh = UniverseShape((1,), 4)
     ws = WindowSystem.canonical(sh, 1)
-    A = SubsetMask.from_points(sh, [(1, (2,)), (1, (4,))])
+    A = SubsetMask(sh, 0b1010)  # {2, 4}
     assert count_hits(A, ws, NONEMPTY) == 2
 
 
@@ -172,20 +175,20 @@ def test_scan_worked_example():
     sh = UniverseShape((1,), 4)
     fam = Family(sh, frozenset(b for b in range(16) if b & 1))  # contains 1
     assert fam.density() == Fraction(1, 2)
-    pattern = Family.full_power_set(UniverseShape((1,), 2))
+    pattern = Family(UniverseShape((1,), 2), range(4))
     cell, best, avg = scan_for_dense_cell(fam, 2, pattern)
     assert best == 1
     assert avg == Fraction(1, 2)
     assert cell.window.elements == (3, 4)
-    assert sorted(cell.background.points()) == [(1, (1,))]
-    assert len(cell) == 4
-    mem = [mk.bits for mk in cell.members()]
-    assert all(b in fam.members for b in mem)
+    assert cell.background.bits == 0b0001  # {1}
+    assert len(cell.pattern_family) == 4
+    assert all((plant_into_window(f, cell.window, sh).bits | 0b0001) in fam.members
+               for f in pattern.masks())
 
 
 def test_scan_full_family_with_sub_pattern():
     sh = UniverseShape((1,), 4)
-    fam = Family.full_power_set(sh)
+    fam = Family(sh, range(1 << sh.cells))
     pattern = Family(UniverseShape((1,), 2), frozenset([0b00, 0b01]))
     cell, best, avg = scan_for_dense_cell(fam, 2, pattern)
     assert best == 1 == avg  # every cell consists of family members only
@@ -193,7 +196,7 @@ def test_scan_full_family_with_sub_pattern():
 
 def test_scan_empty_pattern_family_rejected():
     sh = UniverseShape((1,), 4)
-    fam = Family.full_power_set(sh)
+    fam = Family(sh, range(1 << sh.cells))
     with pytest.raises(UnsatisfiablePredicateError):
         scan_for_dense_cell(fam, 2, Family(UniverseShape((1,), 2), frozenset()))
 
@@ -202,7 +205,7 @@ def test_scan_matches_materialization_oracle():
     rng = random.Random(23)
     small2 = UniverseShape((1,), 2)
     patterns = [
-        Family.full_power_set(small2),
+        Family(small2, range(4)),
         Family(small2, frozenset([0b00, 0b01])),
         Family(small2, frozenset([0b11])),
     ]
@@ -224,20 +227,31 @@ def test_scan_matches_materialization_oracle():
 
 
 def test_scan_cell_membership_protocol():
+    # a cell's members are the background with a pattern member planted in the
+    # window; the scan tests membership by the off-window bits and the restriction
     sh = UniverseShape((1,), 4)
     pattern = Family(UniverseShape((1,), 2), frozenset([0b01, 0b11]))
     cell = CoveringCell(OrderedWindow((3, 4)), SubsetMask(sh, 0b0001), pattern)
-    members = [mk.bits for mk in cell.members()]
+    runs = _window_runs(sh, cell.window)
+    off = ~window_region(sh, cell.window).bits
+    members = [_plant_bits(f, runs) | cell.background.bits
+               for f in sorted(cell.pattern_family.members)]
     assert members == [0b0101, 0b1101]
-    assert SubsetMask(sh, 0b0101) in cell
-    assert SubsetMask(sh, 0b0111) not in cell  # background differs
-    assert SubsetMask(sh, 0b1001) not in cell  # window part not in pattern
+
+    def in_cell(bits):
+        return (bits & off == cell.background.bits
+                and _restrict_bits(bits, runs) in cell.pattern_family.members)
+
+    assert all(in_cell(b) for b in members)
+    assert in_cell(0b0101)
+    assert not in_cell(0b0111)  # background differs
+    assert not in_cell(0b1001)  # window part not in pattern
 
 
 def test_proof_chain_worked_example():
     sh = UniverseShape((1,), 4)
     fam = Family(sh, frozenset(b for b in range(16) if b & 1))
-    pattern = Family.full_power_set(UniverseShape((1,), 2))
+    pattern = Family(UniverseShape((1,), 2), range(4))
     rep = proof_chain_report(fam, 2, pattern, Fraction(1, 4))
     assert rep.window_counts == (16, 16)
     assert rep.fam_window_counts == (8, 8)
@@ -250,7 +264,7 @@ def test_proof_chain_random_instances():
     rng = random.Random(5)
     small3 = UniverseShape((1,), 3)
     patterns = [
-        Family.full_power_set(small3),
+        Family(small3, range(8)),
         Family(small3, frozenset([0, 1, 3, 7])),
     ]
     sh = UniverseShape((1,), 6)

@@ -114,30 +114,32 @@ def random_graphs(draw):
                         if rng.random() < density])
 
 
-def generic_edges(shape, spec):
+def generic_adjacency(shape, spec):
     """Independent route: witness-check every ordered pair directly."""
-    edges = set()
     vertices = 1 << shape.cells
+    adj = [0] * vertices
     for a in range(vertices):
         A = SubsetMask(shape, a)
         for b in range(a + 1, vertices):
             B = SubsetMask(shape, b)
             if find_witness(A, B, spec) or find_witness(B, A, spec):
-                edges.add((a, b))
-    return edges
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return tuple(adj)
 
 
 class TestForbiddenPairGraph:
     def test_containment_graph_on_two_elements(self):
         graph = build_forbidden_graph(LINE(2), PolynomialDifference((1,)))
         assert graph.vertex_count == 4
-        assert set(graph.edges()) == {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}
+        # the edges {0,1}, {0,2}, {0,3}, {1,3} and {2,3}
+        assert graph.adj == (0b1110, 0b1001, 0b1001, 0b0111)
         assert graph.edge_count == 5
 
     def test_one_cell_square(self):
         graph = build_forbidden_graph(SQUARE(1), PolynomialDifference((2,)))
         assert graph.vertex_count == 2
-        assert set(graph.edges()) == {(0, 1)}
+        assert graph.adj == (0b10, 0b01)
 
     @pytest.mark.parametrize("shape,spec", [
         (LINE(3), PolynomialDifference((1,))),
@@ -146,7 +148,7 @@ class TestForbiddenPairGraph:
     ])
     def test_fast_path_matches_witness_scan(self, shape, spec):
         graph = build_forbidden_graph(shape, spec)
-        assert set(graph.edges()) == generic_edges(shape, spec)
+        assert graph.adj == generic_adjacency(shape, spec)
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
     def test_successors_match_witness_relation(self, shape):
@@ -185,17 +187,17 @@ class TestDistance2Closure:
     ])
     def test_matches_pairwise_witness(self, shape, spec):
         closure = build_forbidden_graph(shape, spec).distance2_closure()
-        closed = set(closure.edges())
-        assert closure.edge_count == len(closed)  # no self-loops
+        adj = closure.adj
+        assert not any(bits >> v & 1 for v, bits in enumerate(adj))  # no self-loops
         for a in range(1 << shape.cells):
             for b in range(a + 1, 1 << shape.cells):
                 w = distance2_witness(SubsetMask(shape, a), SubsetMask(shape, b))
-                assert ((a, b) in closed) == (w is not None)
+                assert bool(adj[a] >> b & 1) == bool(adj[b] >> a & 1) == (w is not None)
 
     def test_contains_base_graph(self):
         base = build_forbidden_graph(LINE(3), PolynomialDifference((1,)))
-        closed = set(base.distance2_closure().edges())
-        assert set(base.edges()) <= closed
+        closed = base.distance2_closure().adj
+        assert all(not bits & ~more for bits, more in zip(base.adj, closed))
 
 
 def _exhaustive_mis(adj: Sequence[int]) -> tuple[int, int]:

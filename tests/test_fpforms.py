@@ -38,9 +38,10 @@ from setdifflab.fpforms import (
     value_counts,
 )
 from setdifflab.increment import iteration_cap
-from setdifflab.universe import SubsetMask, UniverseShape
+from setdifflab.universe import SubsetMask, UniverseShape, _bit_indices
 
 from form_oracles import Phi_eval, cell_form_value, cell_value_report, eval_on_bits
+from witness_oracles import from_points
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +51,13 @@ from form_oracles import Phi_eval, cell_form_value, cell_value_report, eval_on_b
 def oracle_masses(form):
     shape, coeffs = form.shape(), form.base.coeffs
     counts = [0] * form.p
+    points = list(shape.points())
     for bits in range(1 << shape.cells):
         total = 0
-        for idx in range(shape.cells):
+        for idx, (_, coords) in enumerate(points):
             if bits >> idx & 1:
                 term = 1
-                for i in shape.point_of(idx)[1]:
+                for i in coords:
                     term *= coeffs[i - 1]
                 total += term
         counts[total % form.p] += 1
@@ -99,15 +101,15 @@ def test_form_validation():
 def test_Phi_eval_worked_examples():
     shape = UniverseShape(degrees=(2,), n=2)
     form = LinearFormP(p=2, coeffs=(1, 1)).induced(2)
-    single = SubsetMask.from_points(shape, [(1, (1, 2))])
+    single = from_points(shape, [(1, (1, 2))])
     assert Phi_eval(form, single) == 1
-    assert Phi_eval(form, SubsetMask.empty(shape)) == 0
+    assert Phi_eval(form, SubsetMask(shape, 0)) == 0
     # B \ A = S^2 forces Phi(B) - Phi(A) = phi(S)^2.
     f3 = LinearFormP(p=3, coeffs=(1, 0)).induced(2)
-    square = SubsetMask.from_points(shape, [(1, (1, 1))])
+    square = from_points(shape, [(1, (1, 1))])
     assert Phi_eval(f3, square) == 1 == phi_eval(f3.base, {1}) ** 2 % 3
     with pytest.raises(ShapeMismatchError):
-        Phi_eval(form, SubsetMask.empty(UniverseShape(degrees=(1,), n=2)))
+        Phi_eval(form, SubsetMask(UniverseShape(degrees=(1,), n=2), 0))
 
 
 def test_support_examples():
@@ -240,13 +242,13 @@ def test_power_pair_difference_is_a_dth_power(p, n, d):
     for base in all_linear_forms(p, n):
         form = base.induced(d)
         for S in subsets:
-            power = SubsetMask.from_points(
+            power = from_points(
                 shape, [(1, c) for c in itertools.product(sorted(S), repeat=d)])
             for bits in range(1 << shape.cells):
                 if bits & power.bits:
                     continue
                 small = SubsetMask(shape=shape, bits=bits)
-                big = small.union(power)
+                big = SubsetMask(shape, bits | power.bits)
                 diff = (Phi_eval(form, big) - Phi_eval(form, small)) % p
                 assert diff == pow(phi_eval(base, S), d, p)
 
@@ -288,7 +290,7 @@ def test_large_support_partition_worked_example():
         (frozenset({5, 6}), frozenset({7, 8})),
     )
     assert part.remainder == set(range(9, 17))
-    for block in part.blocks():
+    for block in itertools.chain.from_iterable(part.rows):
         assert phi_eval(form, block) == 0
     check_block_partition(part, form)
 
@@ -353,75 +355,68 @@ def small_partition():
 def test_cell_plant_lift_roundtrip():
     part = small_partition()
     shape = UniverseShape(degrees=(2,), n=6)
-    background = SubsetMask.from_points(shape, [(1, (1, 1))])
-    cell = BlockCell(partition=part, row=1, background=background)
+    background = 1 << shape.index_of(1, (1, 1))
+    cell = BlockCell(partition=part, row=1, background=SubsetMask(shape, background))
     assert len(cell) == 16
-    small_shape = cell.small_shape()
-    seen = set()
-    for bits in range(16):
-        small = SubsetMask(shape=small_shape, bits=bits)
-        member = cell.plant(small)
-        assert member in cell
-        assert cell.lift(member) == small
-        assert member.bits & ~cell.region_bits() == background.bits
-        seen.add(member.bits)
-    assert len(seen) == 16
-    listed = list(cell.members())
-    assert len(listed) == 16 and listed[0] == background
+    table = _product_table(part, 1, 2)
+    region = cell.region_bits()
+    assert len(table) == cell.small_shape().cells and sum(table) == region
+    members = []
+    for small in range(16):  # plant each subset of the small universe
+        member = background | sum(table[i] for i in _bit_indices(small))
+        assert lift_bits(table, member & region) == small
+        assert member & ~region == background
+        members.append(member)
+    assert len(set(members)) == 16 and members[0] == background
 
 
 def test_cell_rejects_bad_backgrounds_and_masks():
     part = small_partition()
     shape = UniverseShape(degrees=(2,), n=6)
-    inside = SubsetMask.from_points(shape, [(1, (3, 4))])
+    inside = from_points(shape, [(1, (3, 4))])
     with pytest.raises(ValueError):
         BlockCell(partition=part, row=1, background=inside)
     with pytest.raises(ValueError):
-        BlockCell(partition=part, row=3, background=SubsetMask.empty(shape))
-    cell = BlockCell(partition=part, row=1, background=SubsetMask.empty(shape))
-    stranger = SubsetMask.from_points(shape, [(1, (1, 2))])
-    with pytest.raises(ValueError):
-        cell.lift(stranger)  # background mismatch
-    assert stranger not in cell
+        BlockCell(partition=part, row=3, background=SubsetMask(shape, 0))
+    cell = BlockCell(partition=part, row=1, background=SubsetMask(shape, 0))
+    stranger = from_points(shape, [(1, (1, 2))])
+    # off the row region the stranger differs from the background
+    assert stranger.bits & ~cell.region_bits() != cell.background.bits
 
 
 def test_cell_rejects_multi_part_background():
     two_parts = UniverseShape(degrees=(1, 2), n=6)
     with pytest.raises(ShapeMismatchError):
         BlockCell(partition=small_partition(), row=1,
-                  background=SubsetMask.empty(two_parts))
+                  background=SubsetMask(two_parts, 0))
 
 
 def test_lift_rejects_partial_blocks_at_sigma_p():
     form = LinearFormP(p=2, coeffs=(1,) * 16)
     part = build_block_partition(form, m=2)
-    shape = UniverseShape(degrees=(1,), n=16)
-    cell = BlockCell(partition=part, row=1, background=SubsetMask.empty(shape))
-    half_block = SubsetMask.from_points(shape, [(1, (1,))])
-    with pytest.raises(ValueError):
-        cell.lift(half_block)
-    full_block = SubsetMask.from_points(
-        shape, [(1, (1,)), (1, (2,))])
-    assert list(cell.lift(full_block).points()) == [(1, (1,))]
+    table = _product_table(part, 1, 1)
+    assert lift_bits(table, 0b01) is None  # half of the block {1, 2}
+    assert lift_bits(table, 0b11) == 0b1  # the whole block is small cell (1,)
 
 
 def test_cell_form_value_constancy():
     part = small_partition()
     form = LinearFormP(p=2, coeffs=(1, 1, 0, 0, 0, 0)).induced(2)
     shape = UniverseShape(degrees=(2,), n=6)
-    background = SubsetMask.from_points(shape, [(1, (1, 1))])
+    background = from_points(shape, [(1, (1, 1))])
     value = cell_form_value(form, part, 1, background)
     assert value == 1 == Phi_eval(form, background)
-    cell = BlockCell(partition=part, row=1, background=background)
-    assert {Phi_eval(form, member) for member in cell.members()} == {value}
+    table = _product_table(part, 1, 2)
+    assert {Phi_eval(form, SubsetMask(shape, background.bits | sum(
+                table[i] for i in _bit_indices(small))))
+            for small in range(1 << len(table))} == {value}
 
-    assert cell_form_value(form, part, 2, SubsetMask.empty(shape)) == 0
+    assert cell_form_value(form, part, 2, SubsetMask(shape, 0)) == 0
     with pytest.raises(ValueError):
-        cell_form_value(form, part, 1,
-                        SubsetMask.from_points(shape, [(1, (3, 3))]))
+        cell_form_value(form, part, 1, from_points(shape, [(1, (3, 3))]))
     with pytest.raises(ShapeMismatchError):
         cell_form_value(LinearFormP(p=3, coeffs=(1,) * 6).induced(2), part, 1,
-                        SubsetMask.empty(shape))
+                        SubsetMask(shape, 0))
 
 
 def test_cell_form_value_constancy_sigma_p():
@@ -429,11 +424,13 @@ def test_cell_form_value_constancy_sigma_p():
     part = build_block_partition(form, m=2)
     induced = form.induced(2)
     shape = UniverseShape(degrees=(2,), n=16)
-    background = SubsetMask.from_points(shape, [(1, (16, 16))])
+    background = from_points(shape, [(1, (16, 16))])
     value = cell_form_value(induced, part, 1, background)
     assert value == 1
-    cell = BlockCell(partition=part, row=1, background=background)
-    assert {Phi_eval(induced, member) for member in cell.members()} == {1}
+    table = _product_table(part, 1, 2)
+    assert {Phi_eval(induced, SubsetMask(shape, background.bits | sum(
+                table[i] for i in _bit_indices(small))))
+            for small in range(1 << len(table))} == {1}
 
 
 def test_cell_value_report_examples():
@@ -524,11 +521,10 @@ def induced_forms(draw, sizes=ALL_SIZES, sparse=False):
 
 def cell_products(form):
     """The coefficient of every cell, point by point, mod p."""
-    shape = form.shape()
     out = []
-    for idx in range(shape.cells):
+    for _, coords in form.shape().points():
         term = 1
-        for i in shape.point_of(idx)[1]:
+        for i in coords:
             term *= form.base.coeffs[i - 1]
         out.append(term % form.p)
     return out
@@ -582,8 +578,8 @@ def test_cell_value_report_matches_brute_force(form):
     acc = [Fraction(0)] * form.p
     for row in range(1, partition.t + 1):
         X = frozenset().union(*partition.rows[row - 1])
-        off = [idx for idx in range(shape.cells)
-               if not set(shape.point_of(idx)[1]) <= X]
+        off = [idx for idx, (_, coords) in enumerate(shape.points())
+               if not set(coords) <= X]
         for chosen in range(1 << len(off)):
             background = SubsetMask(shape, sum(
                 1 << idx for k, idx in enumerate(off) if chosen >> k & 1))

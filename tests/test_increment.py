@@ -15,6 +15,7 @@ from setdifflab.errors import (
 from setdifflab.fpforms import (
     BlockCell,
     LinearFormP,
+    _product_table,
     build_block_partition,
     coefficient_class_masks,
     distribution,
@@ -30,10 +31,10 @@ from setdifflab.increment import (
     quasirandomize,
 )
 from setdifflab.patterns import PolynomialDifference
-from setdifflab.universe import Family, SubsetMask, UniverseShape
+from setdifflab.universe import Family, SubsetMask, UniverseShape, _bit_indices
 
 from form_oracles import eval_on_bits
-from witness_oracles import find_witness
+from witness_oracles import find_witness, from_points
 
 F = Fraction
 LINE6 = UniverseShape(degrees=(1,), n=6)
@@ -74,8 +75,8 @@ def no_progress_family() -> Family:
     a_pts = [(1, (1, 3)), (1, (5, 7))]
     diag = [(1, (x, x)) for x in range(1, 17)]
     upper = [(1, (x, y)) for x in range(1, 17) for y in range(x + 1, 17)]
-    A = SubsetMask.from_points(shape, a_pts)
-    B = SubsetMask.from_points(shape, diag + [p for p in upper if p not in a_pts])
+    A = from_points(shape, a_pts)
+    B = from_points(shape, diag + [p for p in upper if p not in a_pts])
     return Family(shape, frozenset({A.bits, B.bits}))
 
 
@@ -87,12 +88,12 @@ class TestMemberMasses:
     def test_full_power_set_is_balanced(self):
         shape = UniverseShape(degrees=(1,), n=2)
         form = LinearFormP(p=2, coeffs=(1, 0)).induced(1)
-        masses = member_masses(Family.full_power_set(shape), form)
+        masses = member_masses(Family(shape, range(4)), form)
         assert masses == (F(1, 2), F(1, 2))
 
     def test_degree_two_point_mass(self):
         shape = UniverseShape(degrees=(2,), n=2)
-        corner = SubsetMask.from_points(shape, [(1, (1, 1))])
+        corner = from_points(shape, [(1, (1, 1))])
         form = LinearFormP(p=2, coeffs=(1, 0)).induced(2)
         assert member_masses(Family(shape, {corner.bits}), form) == (0, 1)
 
@@ -127,7 +128,7 @@ class TestFindDistinguishingForm:
         assert report.scope == "exhaustive"
 
     def test_full_power_set_is_uniform(self):
-        fam = Family.full_power_set(UniverseShape(degrees=(1,), n=3))
+        fam = Family(UniverseShape(degrees=(1,), n=3), range(8))
         assert find_distinguishing_form(fam, 2, F(1, 4)) is None
 
     def test_singleton_empty_set(self):
@@ -165,7 +166,7 @@ class TestFindDistinguishingForm:
                 extra_forms=(LinearFormP(p=2, coeffs=(1,)),))
 
     def test_multi_part_universe_rejected(self):
-        fam = Family.full_power_set(UniverseShape(degrees=(1, 2), n=2))
+        fam = Family(UniverseShape(degrees=(1, 2), n=2), range(64))
         with pytest.raises(ShapeMismatchError):
             find_distinguishing_form(fam, 2, F(1, 4))
 
@@ -294,7 +295,7 @@ def search_cases(draw):
     n = draw(st.integers(1, 3 if p == 7 else 4))  # at most 625 forms
     d = draw(st.sampled_from([1, 2, 3]))
     shape = UniverseShape(degrees=(d,), n=n)
-    members = draw(st.sets(st.integers(0, shape.full_bits()), min_size=1, max_size=20))
+    members = draw(st.sets(st.integers(0, shape.full_bits), min_size=1, max_size=20))
     coeffs = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
     extra = [LinearFormP(p=p, coeffs=tuple(c))
              for c in draw(st.lists(coeffs, max_size=3))]
@@ -313,7 +314,7 @@ def projection_cases(draw):
     d = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(1, 4 if d == 3 else 6))  # at most 64 cells
     shape = UniverseShape(degrees=(d,), n=n)
-    any_bits = st.integers(0, shape.full_bits())
+    any_bits = st.integers(0, shape.full_bits)
     backgrounds = draw(st.lists(any_bits, min_size=1, max_size=3))
     noise = draw(any_bits) & draw(any_bits) & draw(any_bits)
     members = draw(st.sets(
@@ -359,10 +360,7 @@ class TestIncrementStep:
         assert step.density == 1
         assert step.guarantee_ratio == F(7, 6)
         assert step.guaranteed
-        cell, lifted, density = step
-        assert density == 1
-        assert lifted == Family.full_power_set(
-            UniverseShape(degrees=(1,), n=1))
+        assert step.family == Family(UniverseShape(degrees=(1,), n=1), range(2))
 
     def test_halfspace_window_two(self):
         fam = halfspace(LINE6)
@@ -374,11 +372,10 @@ class TestIncrementStep:
         )
         assert (step.cell.row, step.cell.background.bits) == (1, 1)
         assert step.density == 1
-        assert step.family == Family.full_power_set(
-            UniverseShape(degrees=(1,), n=2))
+        assert step.family == Family(UniverseShape(degrees=(1,), n=2), range(4))
 
     def test_gap_zero_never_guaranteed(self):
-        fam = Family.full_power_set(UniverseShape(degrees=(1,), n=2))
+        fam = Family(UniverseShape(degrees=(1,), n=2), range(4))
         report = DistinguishingReport(
             form=LinearFormP(p=2, coeffs=(0, 0)), y=0, gap=F(0),
             scope="exhaustive")
@@ -388,7 +385,7 @@ class TestIncrementStep:
 
     def test_expect_guarantee_contract(self):
         # no cell beats the full family's density, so the step makes no progress
-        fam = Family.full_power_set(UniverseShape(degrees=(1,), n=2))
+        fam = Family(UniverseShape(degrees=(1,), n=2), range(4))
         report = DistinguishingReport(
             form=LinearFormP(p=2, coeffs=(0, 0)), y=0, gap=F(0),
             scope="exhaustive")
@@ -408,7 +405,7 @@ class TestIncrementStep:
         # a member partial on one block of every row lands in no cell; the
         # scan falls back to the first row's empty-background cell.
         shape = UniverseShape(degrees=(2,), n=16)
-        member = SubsetMask.from_points(shape, [(1, (1, 1)), (1, (5, 5))])
+        member = from_points(shape, [(1, (1, 1)), (1, (5, 5))])
         fam = Family(shape, {member.bits})
         report = DistinguishingReport(
             form=LinearFormP(p=2, coeffs=(1,) * 16), y=0, gap=F(1, 2),
@@ -428,8 +425,8 @@ class TestIncrementStep:
 
 
 def two_pass_increment(fam, report, m):
-    """The increment scan as first written, with the old BlockCell.lift loop
-    inlined over pointwise block products: a first pass counts every
+    """The increment scan as first written, with its cell lift inlined over
+    pointwise block products: a first pass counts every
     (row, background) cell a member lies in, a second lifts the densest
     cell's members.  Returns (cell, density, lifted family)."""
     shape = fam.shape
@@ -495,16 +492,14 @@ def increment_cases(draw, blocks):
     form = LinearFormP(p=p, coeffs=tuple(coeffs))
     shape = UniverseShape(degrees=(d,), n=n)
     partition = build_block_partition(form, m)
-    any_bits = st.integers(0, shape.full_bits())
+    any_bits = st.integers(0, shape.full_bits)
     members = set(draw(st.lists(any_bits, min_size=1, max_size=4)))
     for _ in range(draw(st.integers(0, 12)) if partition.t else 0):
         row = draw(st.integers(1, partition.t))
-        region = BlockCell(partition=partition, row=row,
-                           background=SubsetMask.empty(shape)).region_bits()
-        cell = BlockCell(partition=partition, row=row, background=SubsetMask(
-            shape, draw(st.sampled_from(sorted(members))) & ~region))
-        small = draw(st.integers(0, len(cell) - 1))
-        bits = cell.plant(SubsetMask(cell.small_shape(), small)).bits
+        table = _product_table(partition, row, d)
+        background = draw(st.sampled_from(sorted(members))) & ~sum(table)
+        small = draw(st.integers(0, (1 << len(table)) - 1))
+        bits = background | sum(table[i] for i in _bit_indices(small))
         if draw(st.booleans()):
             bits ^= draw(any_bits) & draw(any_bits)
         members.add(bits)
@@ -600,7 +595,7 @@ class TestQuasirandomize:
         assert trace.cap == 9
         assert trace.initial_density == F(1, 2)
         assert trace.final_density == 1
-        assert final == Family.full_power_set(UniverseShape(degrees=(1,), n=1))
+        assert final == Family(UniverseShape(degrees=(1,), n=1), range(2))
         A, B, witness = pair
         assert (A.bits, B.bits) == (0, 1)
         assert witness.S == frozenset({1})
@@ -613,11 +608,11 @@ class TestQuasirandomize:
             halfspace(LINE6), 2, F(1, 2), m_schedule=(2,))
         assert trace.status == "pattern-found"
         assert trace.iterations == 1
-        assert final == Family.full_power_set(UniverseShape(degrees=(1,), n=2))
+        assert final == Family(UniverseShape(degrees=(1,), n=2), range(4))
         assert pair[0].bits == 0 and pair[1].bits == 1
 
     def test_full_power_set_already_uniform(self):
-        fam = Family.full_power_set(UniverseShape(degrees=(1,), n=2))
+        fam = Family(UniverseShape(degrees=(1,), n=2), range(4))
         final, trace, pair = quasirandomize(fam, 2, F(1, 2))
         assert trace.status == "uniform"
         assert trace.iterations == 0
@@ -702,12 +697,15 @@ class TestPlantedPatternConservation:
     """Power pairs survive the cell isomorphism in both directions."""
 
     def check_cell(self, cell: BlockCell, blocks):
-        small_shape = cell.small_shape()
+        small_shape, shape = cell.small_shape(), cell.background.shape
+        table = _product_table(cell.partition, cell.row, cell.degree)
         masks = [SubsetMask(small_shape, b) for b in range(1 << small_shape.cells)]
+        planted = [SubsetMask(shape, cell.background.bits | sum(
+            table[i] for i in _bit_indices(b))) for b in range(len(masks))]
         spec = PolynomialDifference((cell.degree,))
-        for a, b in itertools.product(masks, repeat=2):
-            small_w = find_witness(a, b, spec)
-            big_w = find_witness(cell.plant(a), cell.plant(b), spec)
+        for a, b in itertools.product(range(len(masks)), repeat=2):
+            small_w = find_witness(masks[a], masks[b], spec)
+            big_w = find_witness(planted[a], planted[b], spec)
             if small_w is None:
                 assert big_w is None
             else:
@@ -724,8 +722,8 @@ class TestPlantedPatternConservation:
         )
         shape = UniverseShape(degrees=(2,), n=6)
         for background in (
-            SubsetMask.empty(shape),
-            SubsetMask.from_points(shape, [(1, (1, 2)), (1, (5, 5))]),
+            SubsetMask(shape, 0),
+            from_points(shape, [(1, (1, 2)), (1, (5, 5))]),
         ):
             cell = BlockCell(partition=partition, row=1, background=background)
             self.check_cell(cell, partition.rows[0])
@@ -736,5 +734,5 @@ class TestPlantedPatternConservation:
         assert partition.rows[0] == (frozenset({1, 2}), frozenset({3, 4}))
         shape = UniverseShape(degrees=(2,), n=16)
         cell = BlockCell(partition=partition, row=1,
-                         background=SubsetMask.empty(shape))
+                         background=SubsetMask(shape, 0))
         self.check_cell(cell, partition.rows[0])

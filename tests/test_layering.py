@@ -159,8 +159,9 @@ def test_each_subcommand_loads_only_its_layers(name, inputs):
 
 # Public names no src/ module calls, kept on purpose: paper transports the
 # acceptance suite checks, each waiting for the command the named ROADMAP
-# item gives it.  Pure checkers live in the tests.  Any other public function
-# or class in src/ needs a caller in src/.
+# item gives it, and two graph members.  Pure checkers live in the tests.
+# Any other public function, class, method or property in src/ needs a
+# caller in src/.
 KEPT_LIBRARY_AUDITS = (
     (("covering.count_hits",),
      "N(A), the window-hit count; item 6 gives its moments a command"),
@@ -174,6 +175,10 @@ KEPT_LIBRARY_AUDITS = (
      "the sorted-region transport and its inverse; item 6, a reduce mode"),
     (("reductions.diagonal_block_family",),
      "same-window to disjoint-window statements; item 6, a reduce mode"),
+    (("extremal.ForbiddenPairGraph.edge_count",),
+     "the e2ebench tracer reads it off build_forbidden_graph"),
+    (("extremal.ForbiddenPairGraph.distance2_closure",),
+     "the distance-2 graph of item 2's extremal --distance 2"),
 )
 
 
@@ -190,6 +195,13 @@ def test_every_public_name_has_a_caller_in_src():
                 names.discard(node.name)  # a definition does not call itself
                 if not node.name.startswith("_"):
                     defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                # members by name: a method name is never a Name or
+                # Attribute node of its own definition; dunders go unchecked
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("_")):
+                        defined[f"{path.stem}.{node.name}.{member.name}"] = member.name
             called |= names
     uncalled = {qualified for qualified, name in defined.items() if name not in called}
     assert uncalled == {name for names, _ in KEPT_LIBRARY_AUDITS for name in names}

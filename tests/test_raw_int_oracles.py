@@ -42,7 +42,7 @@ from setdifflab.universe import (
     window_region,
 )
 
-from witness_oracles import interval_mod_n_witness, restrict_and_relabel
+from witness_oracles import from_points, interval_mod_n_witness, points_of, restrict_and_relabel
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +100,9 @@ def ref_interval_witness(a_bits, b_bits, n):
 
 
 def ref_is_symmetric(A):
-    for part, coords in A.points():
+    for part, coords in points_of(A):
         for perm in itertools.permutations(coords):
-            if not A.contains(part, perm):
+            if not A.bits >> A.shape.index_of(part, perm) & 1:
                 return False
     return True
 
@@ -110,7 +110,7 @@ def ref_is_symmetric(A):
 def ref_symmetric_region(d, n):
     pts = [(1, coords) for coords in
            itertools.combinations_with_replacement(range(1, n + 1), d)]
-    return SubsetMask.from_points(UniverseShape((d,), n), pts)
+    return from_points(UniverseShape((d,), n), pts)
 
 
 def ref_representative(combo, comp):
@@ -129,7 +129,7 @@ def ref_beta_bijection(A_sym):
     for k, comp in catalog.parts():
         edges = set()
         for combo in itertools.combinations(range(1, n + 1), k):
-            if A_sym.contains(1, ref_representative(combo, comp)):
+            if A_sym.bits >> A_sym.shape.index_of(1, ref_representative(combo, comp)) & 1:
                 edges.add(frozenset(combo))
         parts.append(frozenset(edges))
     return HypergraphBundle(n=n, degrees=catalog.degrees, parts=tuple(parts))
@@ -144,23 +144,23 @@ def ref_beta_inverse(bundle):
         for edge in part:
             base = ref_representative(sorted(edge), comp)
             pts.extend((1, perm) for perm in set(itertools.permutations(base)))
-    return SubsetMask.from_points(shape, pts)
+    return from_points(shape, pts)
 
 
 def ref_multiplex(fam, s):
     big = UniverseShape((fam.shape.degrees[0],) * s, fam.shape.n)
     members = set()
     for mask in fam.masks():
-        pts = [(part, coords) for _p, coords in mask.points()
+        pts = [(part, coords) for _p, coords in points_of(mask)
                for part in range(1, s + 1)]
-        members.add(SubsetMask.from_points(big, pts).bits)
+        members.add(from_points(big, pts).bits)
     return members
 
 
 def ref_embed(mask, target_degrees):
     target = UniverseShape(tuple(target_degrees), mask.shape.n)
     bits = 0
-    for part, coords in mask.points():
+    for part, coords in points_of(mask):
         reps = target_degrees[part - 1] - len(coords) + 1
         bits |= 1 << target.index_of(part, (coords[0],) * reps + coords[1:])
     return bits
@@ -203,8 +203,8 @@ def windowed_shapes(draw):
     window = OrderedWindow(tuple(draw(st.permutations(range(1, n + 1)))[:m]))
     shape = UniverseShape(degrees, n)
     small = UniverseShape(degrees, m)
-    bits = draw(st.integers(0, shape.full_bits()))
-    small_bits = draw(st.integers(0, small.full_bits()))
+    bits = draw(st.integers(0, shape.full_bits))
+    small_bits = draw(st.integers(0, small.full_bits))
     return shape, window, bits, small_bits
 
 

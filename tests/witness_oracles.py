@@ -4,7 +4,8 @@ The paper's relative versions (its abstract, category (ii)) differ by
 planted members of a template family inside interval windows, or by one
 cyclic interval of Z_n.  Their specs, certificates and extractors live here
 until a command needs them, beside ``verify_witness``, which re-checks any
-certificate from its definition, and the window and power maps it reads.
+certificate from its definition, and the window, power and point maps it
+and the tests read.
 ``find_witness`` decides one ordered pair under a power or clique spec
 through the package's own key test, the one ``find_pattern_pair`` runs.
 """
@@ -112,6 +113,20 @@ Witness = Union[
 # maps the checker reads
 
 
+def from_points(shape: UniverseShape, points) -> SubsetMask:
+    """The mask of the listed (part, coords) points."""
+    bits = 0
+    for part, coords in points:
+        bits |= 1 << shape.index_of(part, coords)
+    return SubsetMask(shape, bits)
+
+
+def points_of(mask: SubsetMask) -> list:
+    """The (part, coords) points of the mask's cells, in cell order."""
+    cells = list(mask.shape.points())
+    return [cells[i] for i in mask.indices()]
+
+
 def is_interval(window: OrderedWindow) -> bool:
     e = window.elements
     return all(e[i + 1] == e[i] + 1 for i in range(len(e) - 1))
@@ -136,10 +151,18 @@ def hyperedges_of(mask: SubsetMask) -> tuple[frozenset[frozenset[int]], ...]:
     """Per part: the d_j-subsets read off strictly increasing points."""
     shape = mask.shape
     out: list[set[frozenset[int]]] = [set() for _ in range(shape.s)]
-    for part, coords in mask.points():
+    for part, coords in points_of(mask):
         if all(coords[i] < coords[i + 1] for i in range(len(coords) - 1)):
             out[part - 1].add(frozenset(coords))
     return tuple(frozenset(e) for e in out)
+
+
+def bundle_mask(bundle) -> SubsetMask:
+    """The inverse of ``hyperedges_of``: one strictly increasing point per
+    hyperedge of each part."""
+    return from_points(bundle.shape(), [(j, tuple(sorted(edge)))
+                                        for j, part in enumerate(bundle.parts, start=1)
+                                        for edge in part])
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +262,16 @@ def verify_witness(
     if isinstance(w, PowerWitness):
         return (
             bool(w.S)
-            and A.issubset(B)
+            and not A.bits & ~B.bits
             and A.bits != B.bits
-            and B.difference(A).bits == union_of_powers(shape, w.S).bits
+            and B.bits & ~A.bits == union_of_powers(shape, w.S).bits
         )
     if isinstance(w, Distance2Witness):
         return (
             A.bits != B.bits
-            and w.U.issubset(A)
-            and w.U.issubset(B)
-            and A.difference(w.U).bits == union_of_powers(shape, w.S1).bits
-            and B.difference(w.U).bits == union_of_powers(shape, w.S2).bits
+            and not w.U.bits & ~(A.bits & B.bits)
+            and A.bits & ~w.U.bits == union_of_powers(shape, w.S1).bits
+            and B.bits & ~w.U.bits == union_of_powers(shape, w.S2).bits
         )
     if isinstance(w, FamilyWitness):
         if not isinstance(spec, FamilyDifference):
@@ -268,18 +290,17 @@ def verify_witness(
                 return False
             r1, r2 = regions
         ok = (
-            w.U.issubset(A)
-            and w.U.issubset(B)
-            and A.difference(w.U).bits == w.F1.bits
-            and B.difference(w.U).bits == w.F2.bits
-            and w.F1.issubset(r1)
-            and w.F2.issubset(r2)
-            and restrict_and_relabel(w.F1, w.windows[0]) in spec.family
-            and restrict_and_relabel(w.F2, w.windows[-1]) in spec.family
+            not w.U.bits & ~(A.bits & B.bits)
+            and A.bits & ~w.U.bits == w.F1.bits
+            and B.bits & ~w.U.bits == w.F2.bits
+            and not w.F1.bits & ~r1.bits
+            and not w.F2.bits & ~r2.bits
+            and restrict_and_relabel(w.F1, w.windows[0]) in spec.family.masks()
+            and restrict_and_relabel(w.F2, w.windows[-1]) in spec.family.masks()
             and w.F1.bits != w.F2.bits
         )
         if w.mode == NESTED:
-            ok = ok and w.F2.issubset(w.F1)
+            ok = ok and not w.F2.bits & ~w.F1.bits
         return ok
     if isinstance(w, IntervalWitness):
         return (
