@@ -1,12 +1,13 @@
 """Window covering and double counting.
 
-A window system is a list of t pairwise-disjoint size-m windows of [n]; a
-subset A "hits" window X_r when its restriction-and-relabel into [m] lands in
-a chosen pattern family (equivalently, satisfies a predicate).  Everything
-here is exact: hit-count moments over the uniform random subset are computed
-as rationals via the window-bit decomposition, the dense-cell scan reports
-exact relative densities, and the cyclic-shift demo realizes the abstract
-covering conditions over Z_2^{Z_n}.
+The canonical window system of size m is the t = floor(n/m) pairwise-disjoint
+intervals [(r-1)m+1 .. rm] of [n]; a subset A "hits" window r when its
+restriction-and-relabel into [m] lands in a pattern family over [m].  Every
+entry below takes the window size m and the pattern family, as ``scan``
+does.  Everything here is exact: hit-count moments over the uniform random
+subset are computed as rationals via the window-bit decomposition, the
+dense-cell scan reports exact relative densities, and the cyclic-shift demo
+realizes the abstract covering conditions over Z_2^{Z_n}.
 """
 
 from __future__ import annotations
@@ -29,71 +30,38 @@ from .universe import (
     window_region,
 )
 
-Predicate = Callable[[SubsetMask], bool]
-
-# the most subsets satisfying_count and proof_chain_report each enumerate
-PREDICATE_SUBSET_CAP = 1 << 24
+# the most subsets proof_chain_report enumerates
 PROOF_CHAIN_SUBSET_CAP = 1 << 20
 
 
-class WindowSystem(Record):
-    shape: UniverseShape
-    windows: tuple[OrderedWindow, ...]
+def _canonical_windows(
+    shape: UniverseShape, m: int, pattern_family: Family,
+    empty_refusal: Optional[str] = None,
+) -> tuple[OrderedWindow, ...]:
+    """The intervals [(r-1)m+1 .. rm] for r = 1..floor(n/m), once the pattern
+    family is checked to live over [m] with the shape's degrees.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "windows", tuple(self.windows))
-        if not self.windows:
-            raise ValueError("need at least one window")
-        m = self.windows[0].m
-        seen: set[int] = set()
-        for w in self.windows:
-            if w.m != m:
-                raise ValueError("windows must share a common size")
-            elems = set(w.elements)
-            if elems & seen:
-                raise ValueError("windows must be pairwise disjoint")
-            if any(x > self.shape.n for x in elems):
-                raise ValueError(f"window {w.elements} exceeds n={self.shape.n}")
-            seen |= elems
-
-    @property
-    def m(self) -> int:
-        return self.windows[0].m
-
-    @property
-    def t(self) -> int:
-        return len(self.windows)
-
-    @property
-    def small_shape(self) -> UniverseShape:
-        return UniverseShape(self.shape.degrees, self.m)
-
-    @classmethod
-    def canonical(cls, shape: UniverseShape, m: int) -> "WindowSystem":
-        """The intervals [(r-1)m+1 .. rm] for r = 1..floor(n/m)."""
-        t = shape.n // m
-        if t < 1:
-            raise UniverseTooSmallError(f"no size-{m} window fits in [{shape.n}]")
-        return cls(
-            shape,
-            tuple(OrderedWindow.interval((r - 1) * m + 1, m) for r in range(1, t + 1)),
-        )
+    When empty_refusal is given, an empty pattern family is refused with it
+    before the windows are counted.
+    """
+    if pattern_family.shape.degrees != shape.degrees:
+        raise ShapeMismatchError("pattern family degrees do not match")
+    if pattern_family.shape.n != m:
+        raise ShapeMismatchError(f"pattern family side {pattern_family.shape.n} != m={m}")
+    if empty_refusal is not None and not pattern_family.members:
+        raise UnsatisfiablePredicateError(empty_refusal)
+    t = shape.n // m
+    if t < 1:
+        raise UniverseTooSmallError(f"no size-{m} window fits in [{shape.n}]")
+    return tuple(OrderedWindow.interval((r - 1) * m + 1, m) for r in range(1, t + 1))
 
 
-def count_hits(A: SubsetMask, ws: WindowSystem, pred: Predicate) -> int:
-    """N(A): the number of windows whose relabeled restriction satisfies pred."""
-    if A.shape != ws.shape:
-        raise ShapeMismatchError("mask shape does not match the window system")
-    small = ws.small_shape
-    return sum(1 for w in ws.windows
-               if pred(SubsetMask(small, _restrict_bits(A.bits, _window_runs(A.shape, w)))))
-
-
-def satisfying_count(small_shape: UniverseShape, pred: Predicate) -> int:
-    """|{F in P([m]-shape) : pred(F)}| by full enumeration."""
-    subsets = capped_count("the subsets of a predicate enumeration",
-                           PREDICATE_SUBSET_CAP, 2, small_shape.cells)
-    return sum(1 for b in range(subsets) if pred(SubsetMask(small_shape, b)))
+def count_hits(A: SubsetMask, m: int, pattern_family: Family) -> int:
+    """N(A): the number of windows whose relabeled restriction of A lies in
+    the pattern family."""
+    pf = pattern_family.members
+    return sum(_restrict_bits(A.bits, _window_runs(A.shape, w)) in pf
+               for w in _canonical_windows(A.shape, m, pattern_family))
 
 
 class MomentReport(Record):
@@ -106,21 +74,21 @@ class MomentReport(Record):
 
 
 def exact_moments(
-    ws: WindowSystem, pred: Predicate, epsilon: Optional[Fraction] = None
+    shape: UniverseShape, m: int, pattern_family: Family,
+    epsilon: Optional[Fraction] = None,
 ) -> MomentReport:
     """Exact E[N] = t p(P) and Var[N] = t p(P)(1 - p(P)) over uniform A.
 
     The windows occupy disjoint bit blocks, so the t restrictions are
     independent uniform subsets of the [m]-shape and the closed forms are
-    identities of exact counting, not approximations.  When epsilon is
-    given, the report checks the implication t >= 1/(eps p(P))  =>
-    Var <= eps E^2 symbolically (Var/E^2 = (1-p)/(t p)).
+    identities of exact counting, not approximations; p(P) is the density
+    of the pattern family.  When epsilon is given, the report checks the
+    implication t >= 1/(eps p(P))  =>  Var <= eps E^2 symbolically
+    (Var/E^2 = (1-p)/(t p)).
     """
-    count = satisfying_count(ws.small_shape, pred)
-    if count == 0:
-        raise UnsatisfiablePredicateError("predicate admits no subset: p(P) = 0")
-    p = Fraction(count, 1 << ws.small_shape.cells)
-    t = ws.t
+    t = len(_canonical_windows(shape, m, pattern_family,
+                               "empty pattern family: p(P) = 0"))
+    p = pattern_family.density()
     expectation = t * p
     variance = t * p * (1 - p)
     ok = None
@@ -168,35 +136,29 @@ def scan_for_dense_cell(
     index, then the smallest background bit value, so member order is free.
     """
     shape = fam.shape
-    if pattern_family.shape.degrees != shape.degrees:
-        raise ShapeMismatchError("pattern family degrees do not match")
-    if pattern_family.shape.n != m:
-        raise ShapeMismatchError(f"pattern family side {pattern_family.shape.n} != m={m}")
-    if len(pattern_family) == 0:
-        raise UnsatisfiablePredicateError("empty pattern family has empty cells")
-    ws = WindowSystem.canonical(shape, m)
+    windows = _canonical_windows(shape, m, pattern_family,
+                                 "empty pattern family has empty cells")
     pf = pattern_family.members
-    counters: dict[tuple[int, int], int] = {}
-    maps = [(r, _window_runs(shape, w), ~window_region(shape, w).bits)
-            for r, w in enumerate(ws.windows)]
+    # cell (r, U) is counted under the one int r 2^cells + U, which orders
+    # cells by r, then by U, and spares a key tuple per cell
+    counters: dict[int, int] = {}
+    maps = [(r << shape.cells, _window_runs(shape, w), ~window_region(shape, w).bits)
+            for r, w in enumerate(windows)]
     for b in fam.members:
-        for r, runs, off in maps:
+        for tag, runs, off in maps:
             if _restrict_bits(b, runs) in pf:
-                key = (r, b & off)
+                key = tag | b & off
                 counters[key] = counters.get(key, 0) + 1
     cell_size = len(pattern_family)
-    off_cells = shape.cells - ws.small_shape.cells
-    total_cells = ws.t * (1 << off_cells)
+    off_cells = shape.cells - pattern_family.shape.cells
+    total_cells = len(windows) * (1 << off_cells)
     incidences = sum(counters.values())
     average = Fraction(incidences, total_cells * cell_size)
-    if counters:
-        best_key = max(counters, key=lambda k: (counters[k], -k[0], -k[1]))
-        # max count first; among equals prefer smaller r then smaller U
-        best_count = counters[best_key]
-    else:
-        best_key, best_count = (0, 0), 0
-    r, ubits = best_key
-    cell = CoveringCell(ws.windows[r], SubsetMask(shape, ubits), pattern_family)
+    # max count first; among equals prefer smaller r then smaller U
+    best_key = max(counters, key=lambda k: (counters[k], -k), default=0)
+    best_count = counters.get(best_key, 0)
+    r, ubits = best_key >> shape.cells, best_key & shape.full_bits
+    cell = CoveringCell(windows[r], SubsetMask(shape, ubits), pattern_family)
     return cell, Fraction(best_count, cell_size), average
 
 
@@ -227,15 +189,13 @@ def proof_chain_report(
     epsilon = Fraction(epsilon)
     total = capped_count("the subsets of a full enumeration",
                          PROOF_CHAIN_SUBSET_CAP, 2, shape.cells)
-    ws = WindowSystem.canonical(shape, m)
+    runs = [_window_runs(shape, w) for w in _canonical_windows(shape, m, pattern_family)]
     pf = pattern_family.members
-    runs = [_window_runs(shape, w) for w in ws.windows]
-    p = Fraction(len(pattern_family), 1 << ws.small_shape.cells)
-    expectation = ws.t * p
+    expectation = len(runs) * pattern_family.density()
     threshold = (1 - epsilon) * expectation
     sum_N = sum_N_fam = sum_N_fam_high = high_fam_count = 0
-    window_counts = [0] * ws.t
-    fam_window_counts = [0] * ws.t
+    window_counts = [0] * len(runs)
+    fam_window_counts = [0] * len(runs)
     for b in range(total):
         hits = [_restrict_bits(b, rt) in pf for rt in runs]
         N = sum(hits)
@@ -325,14 +285,14 @@ class FrameworkReport(Record):
     L: Optional[int]            # common membership count, None if not uniform
     equal_cell_size: bool
     equal_membership: bool
-    pattern_ok: Optional[bool]  # None when no pattern predicate was supplied
+    pattern_ok: bool
     accounting_ok: Optional[bool]  # |Omega| L == |W| K
 
 
 def verify_framework_conditions(
     cells: Sequence,
     universe: Collection[Hashable],
-    pattern: Optional[Callable[[Hashable, Hashable], bool]] = None,
+    pattern: Callable[[Hashable, Hashable], bool],
 ) -> FrameworkReport:
     """Check the finite covering conditions on an explicit cell list.
 
@@ -358,15 +318,13 @@ def verify_framework_conditions(
     membership_values = set(counts.values())
     equal_membership = len(membership_values) == 1 and not stray
     L = membership_values.pop() if equal_membership else None
-    pattern_ok = None
-    if pattern is not None:
-        pattern_ok = all(
-            pattern(a, b)
-            for ms in member_lists
-            for a in ms
-            for b in ms
-            if a != b
-        )
+    pattern_ok = all(
+        pattern(a, b)
+        for ms in member_lists
+        for a in ms
+        for b in ms
+        if a != b
+    )
     accounting = None
     if equal_size and equal_membership:
         accounting = len(counts) * L == len(member_lists) * K

@@ -14,7 +14,7 @@ class ShapeMismatchError(ValueError):
 
 
 class UnsatisfiablePredicateError(ValueError):
-    """A window predicate admits no satisfying subset (p(P) = 0)."""
+    """A window pattern family is empty (p(P) = 0)."""
 
 
 class UniverseTooSmallError(ValueError):

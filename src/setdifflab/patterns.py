@@ -57,20 +57,9 @@ class Distance2Witness(Record):
     S1: frozenset[int]
     S2: frozenset[int]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "distance-2",
-            "U": self.U.to_hex(),
-            "S1": sorted(self.S1),
-            "S2": sorted(self.S2),
-        }
-
 
 class CliqueWitness(Record):
     S: frozenset[int]
-
-    def to_json(self) -> dict:
-        return {"kind": "clique-difference", "S": sorted(self.S)}
 
 
 Witness = Union[PowerWitness, CliqueWitness]

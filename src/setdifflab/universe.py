@@ -458,10 +458,19 @@ def family_from_text(text: str) -> Family:
         raise
     except ValueError as e:
         raise FormatError(str(e)) from e
-    members = set()
-    for ln in lines[1:]:
-        b = mask_from_hex(ln, shape.cells)
-        if b in members:
-            raise FormatError(f"duplicate member {ln!r}")
-        members.add(b)
-    return Family(shape, frozenset(members))
+    # built as one frozenset: a set copied into one holds two hash tables at
+    # the parse's memory peak; on a bad or repeated line the walk below
+    # reports the first failure in file order
+    try:
+        members = frozenset(mask_from_hex(ln, shape.cells)
+                            for ln in itertools.islice(lines, 1, None))
+    except FormatError:
+        members = frozenset()
+    if len(members) < len(lines) - 1:
+        seen = set()
+        for ln in lines[1:]:
+            b = mask_from_hex(ln, shape.cells)
+            if b in seen:
+                raise FormatError(f"duplicate member {ln!r}")
+            seen.add(b)
+    return Family(shape, members)

@@ -17,7 +17,6 @@ from math import comb
 from random import Random
 
 from setdifflab.covering import (
-    WindowSystem,
     count_hits,
     demo_average_density,
     demo_framework_report,
@@ -105,46 +104,44 @@ def _submasks(mask: int):
 def _moment_sweep():
     """(m, d, t, p, E, Var, eps_flags) rows, E/Var from raw enumeration.
 
-    Hit counts depend on a predicate only through its satisfying count c
-    (relabeling the satisfying subsets permutes the restriction tuples), so
-    one representative per count class covers every predicate; random
-    predicates are spot-checked against the class representatives below.
+    Hit counts depend on a pattern family only through its size c
+    (relabeling the members permutes the restriction tuples), so one
+    representative per size class covers every pattern family; random
+    families are spot-checked against the class representatives below.
     """
     rows = []
     for m, d in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        small_cells = m ** d
-        M = 1 << small_cells
+        small = UniverseShape((d,), m)
+        M = 1 << small.cells
         for t in (2, 3, 4):
             shape = UniverseShape((d,), t * m)
             assert shape.n <= 8
-            ws = WindowSystem.canonical(shape, m)
-            assert ws.t == t
             for c in range(1, M + 1):
-                pred = lambda F, c=c: F.bits < c
-                counts = _hit_distribution(shape, ws, [b < c for b in range(M)])
+                pattern = Family(small, range(c))
+                counts = _hit_distribution(shape, m, pattern)
                 total = sum(counts.values())
                 first = sum(k * v for k, v in counts.items())
                 second = sum(k * k * v for k, v in counts.items())
                 E = Fraction(first, total)
                 var = Fraction(second, total) - E * E
                 flags = tuple(
-                    exact_moments(ws, pred, epsilon=eps).epsilon_bound_ok
+                    exact_moments(shape, m, pattern, epsilon=eps).epsilon_bound_ok
                     for eps in (Fraction(1, 4), Fraction(1, 8)))
-                report = exact_moments(ws, pred)
+                report = exact_moments(shape, m, pattern)
+                assert report.t == t
                 rows.append((m, d, t, Fraction(c, M), E, var, flags, report))
     return rows
 
 
-def _hit_distribution(shape, ws, indicator):
+def _hit_distribution(shape, m, pattern):
     """Exhaustive N(A) histogram; factored through restrictions when large."""
-    M = len(indicator)
     counts: Counter = Counter()
     if shape.cells <= 12:
-        pred = lambda F: indicator[F.bits]
         for bits in range(1 << shape.cells):
-            counts[count_hits(SubsetMask(shape, bits), ws, pred)] += 1
+            counts[count_hits(SubsetMask(shape, bits), m, pattern)] += 1
         return counts
-    for tup in itertools.product(indicator, repeat=ws.t):
+    indicator = [b in pattern.members for b in range(1 << pattern.shape.cells)]
+    for tup in itertools.product(indicator, repeat=shape.n // m):
         counts[sum(tup)] += 1
     return counts
 
@@ -158,29 +155,29 @@ def test_criterion_01_moment_identities():
         assert var == t * p * (1 - p) == report.variance
     # the two enumeration routes agree where both apply
     shape = UniverseShape((1,), 8)
-    ws = WindowSystem.canonical(shape, 2)
+    small = UniverseShape((1,), 2)
     for c in range(1, 5):
         ind = [b < c for b in range(4)]
-        literal = _hit_distribution(shape, ws, ind)
+        literal = _hit_distribution(shape, 2, Family(small, range(c)))
         factored: Counter = Counter()
-        for tup in itertools.product(ind, repeat=ws.t):
+        for tup in itertools.product(ind, repeat=shape.n // 2):
             factored[sum(tup)] += 1
         scale = sum(literal.values()) // sum(factored.values())
         assert literal == Counter({k: v * scale for k, v in factored.items()})
-    # random predicates match their count class
+    # random pattern families match their size class
     rng = Random(SEED + 1)
     for m, d in ((2, 1), (2, 2)):
         M = 1 << m ** d
         shape = UniverseShape((d,), 3 * m)
-        ws = WindowSystem.canonical(shape, m)
         for _ in range(3):
-            sat = set(rng.sample(range(M), rng.randrange(1, M + 1)))
-            counts = _hit_distribution(shape, ws, [b in sat for b in range(M)])
+            pattern = Family(UniverseShape((d,), m),
+                             rng.sample(range(M), rng.randrange(1, M + 1)))
+            counts = _hit_distribution(shape, m, pattern)
             total = sum(counts.values())
-            p = Fraction(len(sat), M)
+            p = Fraction(len(pattern), M)
             E = Fraction(sum(k * v for k, v in counts.items()), total)
-            assert E == ws.t * p
-            rep = exact_moments(ws, lambda F, s=sat: F.bits in s)
+            assert E == 3 * p
+            rep = exact_moments(shape, m, pattern)
             assert rep.expectation == E
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"moment sweep took {elapsed:.1f}s"

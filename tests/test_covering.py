@@ -7,7 +7,7 @@ import pytest
 from setdifflab.covering import (
     DEMO_CELL_CAP,
     CoveringCell,
-    WindowSystem,
+    _canonical_windows,
     count_hits,
     demo_average_density,
     demo_framework_report,
@@ -15,12 +15,12 @@ from setdifflab.covering import (
     guarantee_threshold,
     interval_demo_cells,
     proof_chain_report,
-    satisfying_count,
     scan_for_dense_cell,
     verify_framework_conditions,
 )
 from setdifflab.errors import (
     CapExceededError,
+    ShapeMismatchError,
     UnsatisfiablePredicateError,
     UniverseTooSmallError,
 )
@@ -36,14 +36,17 @@ from setdifflab.universe import (
     window_region,
 )
 
-NONEMPTY = lambda F: F.bits != 0
+
+def nonempty(small):
+    """The pattern family of every nonempty subset of the window shape."""
+    return Family(small, range(1, 1 << small.cells))
 
 
-def brute_moments(ws, pred):
+def brute_moments(shape, m, pattern_family):
     """Oracle: raw enumeration of N(A) over every subset of the universe."""
-    total = 1 << ws.shape.cells
+    total = 1 << shape.cells
     values = [
-        count_hits(SubsetMask(ws.shape, b), ws, pred) for b in range(total)
+        count_hits(SubsetMask(shape, b), m, pattern_family) for b in range(total)
     ]
     e = Fraction(sum(values), total)
     e2 = Fraction(sum(v * v for v in values), total)
@@ -53,11 +56,11 @@ def brute_moments(ws, pred):
 def brute_scan(fam, m, pattern_family):
     """Oracle: materialize every cell, rank by (density, -r, -U)."""
     shape = fam.shape
-    ws = WindowSystem.canonical(shape, m)
     best = None
     hit_sum = 0
     n_cells = 0
-    for r, w in enumerate(ws.windows):
+    for r in range(shape.n // m):
+        w = OrderedWindow.interval(r * m + 1, m)
         region = window_region(shape, w).bits
         off_positions = [i for i in range(shape.cells) if not region >> i & 1]
         for pick in range(1 << len(off_positions)):
@@ -82,32 +85,73 @@ def brute_scan(fam, m, pattern_family):
 
 def test_window_system_validation():
     sh = UniverseShape((1,), 6)
-    ws = WindowSystem.canonical(sh, 2)
-    assert ws.t == 3 and ws.m == 2
-    assert ws.windows[2].elements == (5, 6)
-    with pytest.raises(ValueError):
-        WindowSystem(sh, (OrderedWindow((1, 2)), OrderedWindow((2, 3))))
-    with pytest.raises(ValueError):
-        WindowSystem(sh, (OrderedWindow((1, 2)), OrderedWindow((3,))))
+    windows = _canonical_windows(sh, 2, nonempty(UniverseShape((1,), 2)))
+    assert len(windows) == 3 and {w.m for w in windows} == {2}
+    assert windows[2].elements == (5, 6)
+    assert exact_moments(sh, 2, nonempty(UniverseShape((1,), 2))).t == 3
     with pytest.raises(UniverseTooSmallError):
-        WindowSystem.canonical(UniverseShape((1,), 3), 4)
+        _canonical_windows(UniverseShape((1,), 3), 4, nonempty(UniverseShape((1,), 4)))
+
+
+# each public window entry, called on (family, m, pattern family)
+ENTRIES = {
+    "count_hits": lambda fam, m, pf: count_hits(SubsetMask(fam.shape, 0), m, pf),
+    "exact_moments": lambda fam, m, pf: exact_moments(fam.shape, m, pf),
+    "scan_for_dense_cell": scan_for_dense_cell,
+    "proof_chain_report":
+        lambda fam, m, pf: proof_chain_report(fam, m, pf, Fraction(1, 4)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("n,m,pattern_shape,error", [
+    (4, 2, UniverseShape((2,), 2), ShapeMismatchError),
+    (4, 2, UniverseShape((1,), 3), ShapeMismatchError),
+    (3, 4, UniverseShape((1,), 4), UniverseTooSmallError),
+], ids=["degrees", "side", "no-window"])
+def test_every_entry_checks_its_windows(entry, n, m, pattern_shape, error):
+    # the pattern family lives over [m] with the family's degrees, and at
+    # least one size-m window fits in [n]
+    fam = Family(UniverseShape((1,), n), range(1 << n))
+    with pytest.raises(error):
+        ENTRIES[entry](fam, m, nonempty(pattern_shape))
+
+
+def test_empty_pattern_family_refusals_keep_their_order():
+    fam = Family(UniverseShape((1,), 3), range(8))
+    empty4 = Family(UniverseShape((1,), 4), ())
+    # a shape mismatch is refused before emptiness, emptiness before size
+    with pytest.raises(ShapeMismatchError):
+        scan_for_dense_cell(fam, 4, Family(UniverseShape((2,), 4), ()))
+    with pytest.raises(UnsatisfiablePredicateError, match="has empty cells"):
+        scan_for_dense_cell(fam, 4, empty4)
+    with pytest.raises(UnsatisfiablePredicateError):
+        exact_moments(fam.shape, 4, empty4)
+    for entry in ("count_hits", "proof_chain_report"):
+        with pytest.raises(UniverseTooSmallError):
+            ENTRIES[entry](fam, 4, empty4)
+    # the two audits accept an empty pattern family: nothing is hit
+    sh = UniverseShape((1,), 4)
+    empty2 = Family(UniverseShape((1,), 2), ())
+    assert count_hits(SubsetMask(sh, 0b1111), 2, empty2) == 0
+    rep = proof_chain_report(Family(sh, range(16)), 2, empty2, Fraction(1, 4))
+    assert rep.expectation == 0 and rep.sum_N == 0 and rep.window_counts == (0, 0)
 
 
 def test_count_hits_worked_example():
     sh = UniverseShape((1,), 4)
-    ws = WindowSystem.canonical(sh, 1)
     A = SubsetMask(sh, 0b1010)  # {2, 4}
-    assert count_hits(A, ws, NONEMPTY) == 2
+    assert count_hits(A, 1, nonempty(UniverseShape((1,), 1))) == 2
 
 
 def test_exact_moments_worked_example():
     sh = UniverseShape((1,), 4)
-    ws = WindowSystem.canonical(sh, 1)
-    rep = exact_moments(ws, NONEMPTY)
+    pattern = nonempty(UniverseShape((1,), 1))
+    rep = exact_moments(sh, 1, pattern)
     assert rep.p_P == Fraction(1, 2)
     assert rep.expectation == 2
     assert rep.variance == 1
-    e, v = brute_moments(ws, NONEMPTY)
+    e, v = brute_moments(sh, 1, pattern)
     assert (e, v) == (rep.expectation, rep.variance)
 
 
@@ -118,42 +162,41 @@ def test_moment_closed_forms_against_enumeration(degrees, m, t):
     sh = UniverseShape(degrees, n)
     if sh.cells > 16:
         pytest.skip("enumeration oracle budget")
-    ws = WindowSystem.canonical(sh, m)
-    small_cells = ws.small_shape.cells
-    preds = [
-        NONEMPTY,
-        lambda F: F.bits & 1 == 1,
-        lambda F: F.bits.bit_count() % 2 == 0,
-        lambda F: True,
+    small = UniverseShape(degrees, m)
+    subsets = range(1 << small.cells)
+    patterns = [
+        nonempty(small),
+        Family(small, (b for b in subsets if b & 1 == 1)),
+        Family(small, (b for b in subsets if b.bit_count() % 2 == 0)),
+        Family(small, subsets),
     ]
-    for pred in preds:
-        rep = exact_moments(ws, pred)
-        count = satisfying_count(ws.small_shape, pred)
-        assert rep.p_P == Fraction(count, 1 << small_cells)
-        e, v = brute_moments(ws, pred)
+    for pattern in patterns:
+        rep = exact_moments(sh, m, pattern)
+        count = sum(1 for b in subsets if b in pattern.members)
+        assert rep.p_P == Fraction(count, 1 << small.cells)
+        e, v = brute_moments(sh, m, pattern)
         assert e == rep.expectation == t * rep.p_P
         assert v == rep.variance == t * rep.p_P * (1 - rep.p_P)
 
 
 def test_variance_bound_flag():
     sh = UniverseShape((1,), 8)
-    ws = WindowSystem.canonical(sh, 1)
-    rep = exact_moments(ws, NONEMPTY, epsilon=Fraction(1, 4))
+    pattern = nonempty(UniverseShape((1,), 1))
+    rep = exact_moments(sh, 1, pattern, epsilon=Fraction(1, 4))
     # t = 8 >= 1/(eps p) = 8 and Var/E^2 = 1/8 <= 1/4
     assert rep.variance / rep.expectation**2 == Fraction(1, 8)
     assert rep.epsilon_bound_ok is True
-    small = WindowSystem.canonical(UniverseShape((1,), 2), 1)
-    rep2 = exact_moments(small, lambda F: F.bits == 1, epsilon=Fraction(1, 4))
+    rep2 = exact_moments(UniverseShape((1,), 2), 1, Family(UniverseShape((1,), 1), [1]),
+                         epsilon=Fraction(1, 4))
     assert rep2.t < 1 / (rep2.epsilon * rep2.p_P)  # below threshold: vacuous
     assert rep2.epsilon_bound_ok is True
-    rep3 = exact_moments(ws, NONEMPTY)
+    rep3 = exact_moments(sh, 1, pattern)
     assert rep3.epsilon_bound_ok is None
 
 
 def test_unsatisfiable_predicate():
-    ws = WindowSystem.canonical(UniverseShape((1,), 4), 2)
     with pytest.raises(UnsatisfiablePredicateError):
-        exact_moments(ws, lambda F: False)
+        exact_moments(UniverseShape((1,), 4), 2, Family(UniverseShape((1,), 2), ()))
 
 
 def test_guarantee_threshold_value():
@@ -335,14 +378,18 @@ def test_framework_report_demo():
 
 
 def test_framework_report_flags_violations():
-    rep = verify_framework_conditions([[1, 2], [3]], universe=[1, 2, 3])
+    anything = lambda a, b: True
+    rep = verify_framework_conditions([[1, 2], [3]], universe=[1, 2, 3],
+                                      pattern=anything)
     assert not rep.equal_cell_size and rep.K is None
-    rep2 = verify_framework_conditions([[1, 2], [1, 3]], universe=[1, 2, 3])
+    rep2 = verify_framework_conditions([[1, 2], [1, 3]], universe=[1, 2, 3],
+                                       pattern=anything)
     assert not rep2.equal_membership  # 1 appears twice, 2 and 3 once
     rep3 = verify_framework_conditions(
         [[0b0101, 0b0000]], universe=range(16),
         pattern=lambda a, b: False,
     )
     assert rep3.pattern_ok is False
-    rep4 = verify_framework_conditions([[5, 6]], universe=[5])  # 6 is stray
+    rep4 = verify_framework_conditions([[5, 6]], universe=[5],
+                                       pattern=anything)  # 6 is stray
     assert not rep4.equal_membership

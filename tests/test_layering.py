@@ -159,14 +159,15 @@ def test_each_subcommand_loads_only_its_layers(name, inputs):
 
 # Public names no src/ module calls, kept on purpose: paper transports the
 # acceptance suite checks, each waiting for the command the named ROADMAP
-# item gives it, and two graph members.  Pure checkers live in the tests.
-# Any other public function, class, method or property in src/ needs a
-# caller in src/.
+# item gives it, and two graph members.  The three covering audits take
+# scan's inputs (a window size m and a pattern family), so a scan option
+# can call them as they are.  Pure checkers live in the tests.  Any other
+# public function, class, method or property in src/ needs a caller in src/.
 KEPT_LIBRARY_AUDITS = (
     (("covering.count_hits",),
-     "N(A), the window-hit count; item 6 gives its moments a command"),
+     "N(A) on scan's --m and --pattern-family; item 6 gives its moments a command"),
     (("covering.exact_moments",),
-     "E[N] and Var[N] exactly; item 6, under verify-framework or scan"),
+     "E[N] and Var[N] on scan's --m and --pattern-family; item 6, under scan"),
     (("covering.proof_chain_report",),
      "the covering proof's double counting; item 6, under verify-framework"),
     (("patterns.distance2_witness",),

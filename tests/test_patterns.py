@@ -17,6 +17,7 @@ from setdifflab.patterns import (
     DISTANCE2_CAP,
     CliqueDifference,
     CliqueWitness,
+    Distance2Witness,
     PolynomialDifference,
     PowerWitness,
     distance2_witness,
@@ -665,8 +666,8 @@ def test_witness_json_shapes():
                      PolynomialDifference((2,)))
     assert w.to_json() == {"kind": "power-difference", "S": [1, 2]}
     d2 = distance2_witness(union_of_powers(sh, {1}), union_of_powers(sh, {2}))
-    j = d2.to_json()
-    assert j["kind"] == "distance-2" and j["S1"] == [1] and j["S2"] == [2]
+    assert isinstance(d2, Distance2Witness)
+    assert d2.S1 == frozenset({1}) and d2.S2 == frozenset({2})
     iv = interval_mod_n_witness(0, 0b11, 3)
     assert iv.to_json() == {"kind": "interval-mod-n", "start": 1, "length": 2}
 

@@ -320,6 +320,11 @@ def test_family_text_errors():
         family_from_text("shape s=1 d=1 n=3\n8\n")
     with pytest.raises(FormatError):
         family_from_text("shape s=1 d=1 n=3\n1\n1\n")
+    # with a repeated and a bad line, the first in file order is reported
+    with pytest.raises(FormatError, match="duplicate member '1'"):
+        family_from_text("shape s=1 d=1 n=3\n1\n1\nzz\n")
+    with pytest.raises(FormatError, match="bad member line 'zz'"):
+        family_from_text("shape s=1 d=1 n=3\n1\nzz\n1\n")
     # three digits each, all of which int(_, 16) takes: upper case, a sign,
     # an underscore, a 0x prefix and a non-ASCII digit (read reversed)
     for line in ("A00", "10+", "0_1", "1x0", "1\u06610"):
