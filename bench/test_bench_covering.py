@@ -14,31 +14,21 @@ from setdifflab.covering import proof_chain_report, scan_for_dense_cell
 from setdifflab.universe import Family, UniverseShape
 
 
-def clustered_family(n, m, size, backgrounds, seed):
-    """Subsets of [n] that share a few backgrounds off one size-m interval
-    window, so scan cells hold several members and the densest cell depends
-    on the input.  Needs size well below backgrounds * (n // m) * 2^m."""
+def scan_input(n, size, m, pattern_size, seed):
+    """A uniform sample of `size` subsets of (1,) [n] and a pattern family
+    of `pattern_size` subsets of [m], drawn from one generator as the
+    file-batch workload draws its scan files."""
     rng = Random(seed)
-    regions = [((1 << m) - 1) << start for start in range(0, n - m + 1, m)]
-    backgrounds = [rng.getrandbits(n) for _ in range(backgrounds)]
-    members = set()
-    while len(members) < size:
-        region = rng.choice(regions)
-        members.add(rng.choice(backgrounds) & ~region | rng.getrandbits(n) & region)
-    return Family(UniverseShape(degrees=(1,), n=n), frozenset(members))
+    fam = Family(UniverseShape(degrees=(1,), n=n), rng.sample(range(1 << n), size))
+    pattern = Family(UniverseShape(degrees=(1,), n=m), rng.sample(range(1 << m), pattern_size))
+    return fam, m, pattern
 
 
-def pattern_family(m, size, seed):
-    rng = Random(seed)
-    return Family(UniverseShape(degrees=(1,), n=m),
-                  frozenset(rng.sample(range(1 << m), size)))
-
-
-# the file-batch scan size: 20000 members of (1,) n=16, four size-4
+# the file-batch scan-d1-n16 size: 20000 members of (1,) n=16, four size-4
 # windows, a 6-member pattern family
-SCAN = (clustered_family(16, 4, 20000, 1024, seed=1), 4, pattern_family(4, 6, seed=2))
+SCAN = scan_input(16, 20000, 4, 6, seed=1)
 # every one of the 2^12 subsets of (1,) n=12 against four size-3 windows
-CHAIN = (clustered_family(12, 3, 1000, 64, seed=3), 3, pattern_family(3, 4, seed=4))
+CHAIN = scan_input(12, 1000, 3, 4, seed=3)
 
 
 def test_scan_for_dense_cell(benchmark):

@@ -35,21 +35,20 @@ PROOF_CHAIN_SUBSET_CAP = 1 << 20
 
 
 def _canonical_windows(
-    shape: UniverseShape, m: int, pattern_family: Family,
-    empty_refusal: Optional[str] = None,
+    shape: UniverseShape, m: int, pattern_family: Family, refuse_empty: bool = False
 ) -> tuple[OrderedWindow, ...]:
     """The intervals [(r-1)m+1 .. rm] for r = 1..floor(n/m), once the pattern
     family is checked to live over [m] with the shape's degrees.
 
-    When empty_refusal is given, an empty pattern family is refused with it
+    With refuse_empty, as in the scan, an empty pattern family is refused
     before the windows are counted.
     """
     if pattern_family.shape.degrees != shape.degrees:
         raise ShapeMismatchError("pattern family degrees do not match")
     if pattern_family.shape.n != m:
         raise ShapeMismatchError(f"pattern family side {pattern_family.shape.n} != m={m}")
-    if empty_refusal is not None and not pattern_family.members:
-        raise UnsatisfiablePredicateError(empty_refusal)
+    if refuse_empty and not pattern_family.members:
+        raise UnsatisfiablePredicateError("empty pattern family has empty cells")
     t = shape.n // m
     if t < 1:
         raise UniverseTooSmallError(f"no size-{m} window fits in [{shape.n}]")
@@ -86,8 +85,9 @@ def exact_moments(
     implication t >= 1/(eps p(P))  =>  Var <= eps E^2 symbolically
     (Var/E^2 = (1-p)/(t p)).
     """
-    t = len(_canonical_windows(shape, m, pattern_family,
-                               "empty pattern family: p(P) = 0"))
+    t = len(_canonical_windows(shape, m, pattern_family))
+    if not pattern_family.members:
+        raise UnsatisfiablePredicateError("empty pattern family: p(P) = 0")
     p = pattern_family.density()
     expectation = t * p
     variance = t * p * (1 - p)
@@ -136,8 +136,7 @@ def scan_for_dense_cell(
     index, then the smallest background bit value, so member order is free.
     """
     shape = fam.shape
-    windows = _canonical_windows(shape, m, pattern_family,
-                                 "empty pattern family has empty cells")
+    windows = _canonical_windows(shape, m, pattern_family, refuse_empty=True)
     pf = pattern_family.members
     # cell (r, U) is counted under the one int r 2^cells + U, which orders
     # cells by r, then by U, and spares a key tuple per cell
