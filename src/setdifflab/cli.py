@@ -329,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", type=int, nargs="+",
                    help="target degrees for --mode embed")
     p.add_argument("--loopful", action="store_true",
-                   help="keep diagonal cells as graph loops in --mode clique")
+                   help="in --mode clique, keep diagonal cells empty instead of "
+                        "free (a degree-2 part line holds no loops)")
     p.set_defaults(func=cmd_reduce, parser=p)
 
     return parser

@@ -15,7 +15,7 @@ import itertools
 import re
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, FormatError, capped_count
 from .universe import (
@@ -41,34 +41,14 @@ CLIQUE_FIBRE_CAP = 1 << 20
 # symmetric region
 
 
-class SymmetricRegion(Record):
-    """Sorted-coordinate representatives {x_1 <= ... <= x_d} inside [n]^d."""
-
-    d: int
-    n: int
-
-    def __post_init__(self):
-        if self.d < 1 or self.n < 1:
-            raise ValueError("d and n must be positive")
-
-    def shape(self) -> UniverseShape:
-        return UniverseShape(degrees=(self.d,), n=self.n)
-
-    def mask(self) -> SubsetMask:
-        # a sorted representative is the lowest cell of its orbit
-        shape = self.shape()
-        return SubsetMask(shape, sum(o & -o for o in _orbits(shape).values()))
-
-
 @lru_cache(maxsize=64)
 def _orbits(shape: UniverseShape) -> MappingProxyType[tuple[int, tuple[int, ...]], int]:
     """Coordinate-permutation orbits of [n]^d, C(n+d-1, d) masks in all, each
     keyed by what its sorted representative encodes under beta: (part index,
     hyperedge).  The hyperedge is the representative's distinct values, and
     the part is the composition of d given by their run lengths."""
-    d = single_part_degree(shape)
-    part_of = {comp: j for j, (_, comp) in
-               enumerate(IntervalPartitionCatalog(d=d).parts())}
+    part_of = {comp: j for j, comp in
+               enumerate(_compositions(single_part_degree(shape)))}
     orbits: dict[tuple[int, ...], int] = {}
     for i, (_, coords) in enumerate(shape.points()):
         rep = tuple(sorted(coords))
@@ -78,6 +58,12 @@ def _orbits(shape: UniverseShape) -> MappingProxyType[tuple[int, tuple[int, ...]
         edge = tuple(sorted(set(rep)))
         table[part_of[tuple(map(rep.count, edge))], edge] = orbit
     return MappingProxyType(table)  # read-only: every caller shares it
+
+
+def _sorted_region(shape: UniverseShape) -> int:
+    """Sorted-coordinate representatives {x_1 <= ... <= x_d} inside [n]^d:
+    a sorted representative is the lowest cell of its orbit."""
+    return sum(o & -o for o in _orbits(shape).values())
 
 
 def is_symmetric(A: SubsetMask) -> bool:
@@ -90,14 +76,12 @@ def symmetric_lift(A_sym: SubsetMask) -> SubsetMask:
     """Restrict a symmetric set to its sorted representatives."""
     if not is_symmetric(A_sym):  # raises for a multi-part shape
         raise ValueError("symmetric_lift needs a symmetric input")
-    region = SymmetricRegion(d=A_sym.shape.degrees[0], n=A_sym.shape.n)
-    return SubsetMask(A_sym.shape, A_sym.bits & region.mask().bits)
+    return SubsetMask(A_sym.shape, A_sym.bits & _sorted_region(A_sym.shape))
 
 
 def symmetric_extend(B: SubsetMask) -> SubsetMask:
     """Orbit closure of a set of sorted representatives."""
-    region = SymmetricRegion(d=single_part_degree(B.shape), n=B.shape.n)
-    if B.bits & ~region.mask().bits:
+    if B.bits & ~_sorted_region(B.shape):  # raises for a multi-part shape
         raise ValueError("symmetric_extend needs a subset of the sorted region")
     return SubsetMask(B.shape,
                       sum(o for o in _orbits(B.shape).values() if B.bits & o))
@@ -123,55 +107,16 @@ def multiplex(fam: Family, s: int) -> Family:
 # interval partitions and the hypergraph bijection
 
 
-class IntervalPartitionCatalog(Record):
-    """Partitions of [d] into k consecutive intervals, for every k.
-
-    A partition into k intervals is the same thing as a composition
-    (c_1,...,c_k) of d; parts are enumerated k ascending, then compositions
-    in lexicographic order, which fixes the part indexing used by the
-    hypergraph bijection.
-    """
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be positive")
-        capped_count(f"the parts of the catalog for d={self.d}", CELL_CAP, 2, self.d - 1)
-
-    def compositions(self, k: int) -> tuple[tuple[int, ...], ...]:
-        if not 1 <= k <= self.d:
-            raise ValueError(f"k must lie in [1, {self.d}]")
-        return _compositions(self.d)[k - 1]
-
-    def parts(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        for k in range(1, self.d + 1):
-            for comp in self.compositions(k):
-                yield k, comp
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return _part_degrees(self.d)
-
-
 @lru_cache(maxsize=32)
-def _compositions(d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Entry k-1 lists the compositions of d into k parts, lexicographic."""
-    table = []
-    for k in range(1, d + 1):
-        comps = []
-        for cuts in itertools.combinations(range(1, d), k - 1):
-            bounds = (0,) + cuts + (d,)
-            comps.append(tuple(bounds[i + 1] - bounds[i] for i in range(k)))
-        table.append(tuple(comps))
-    return tuple(table)
-
-
-@lru_cache(maxsize=32)
-def _part_degrees(d: int) -> tuple[int, ...]:
-    """The uniformity k of each part, in part order: a part into k
-    intervals is a composition with k entries."""
-    return tuple(len(comp) for comps in _compositions(d) for comp in comps)
+def _compositions(d: int) -> tuple[tuple[int, ...], ...]:
+    """Every composition (c_1,...,c_k) of d, that is every partition of [d]
+    into k consecutive intervals: k ascending, then lexicographic.  This is
+    beta's part order, and part j is len(comp)-uniform.  The 2^(d-1) parts
+    are refused past CELL_CAP before any is listed."""
+    capped_count(f"the parts of the catalog for d={d}", CELL_CAP, 2, d - 1)
+    return tuple(tuple(b - a for a, b in zip((0,) + cuts, cuts + (d,)))
+                 for k in range(d)
+                 for cuts in itertools.combinations(range(1, d), k))
 
 
 class HypergraphBundle(Record):
@@ -231,10 +176,11 @@ def bundles_from_text(text: str) -> list[HypergraphBundle]:
     if not body or len(body) % len(degrees) != 0:
         raise FormatError(
             f"expected a multiple of {len(degrees)} part lines, got {len(body)}")
-    bundles = []
+    bundles: dict[HypergraphBundle, None] = {}  # insertion-ordered set
     for start in range(0, len(body), len(degrees)):
+        chunk = body[start:start + len(degrees)]
         parts = []
-        for line in body[start:start + len(degrees)]:
+        for line in chunk:
             edges = set()
             if line != "-":
                 for token in line.split():
@@ -244,19 +190,21 @@ def bundles_from_text(text: str) -> list[HypergraphBundle]:
                         raise FormatError(f"bad hyperedge {token!r}") from None
             parts.append(frozenset(edges))
         try:
-            bundles.append(
-                HypergraphBundle(n=n, degrees=degrees, parts=tuple(parts)))
+            bundle = HypergraphBundle(n=n, degrees=degrees, parts=tuple(parts))
         except CapExceededError:
             raise
         except ValueError as exc:
             raise FormatError(str(exc)) from None
-    return bundles
+        if bundle in bundles:
+            raise FormatError(f"duplicate bundle {' / '.join(chunk)!r}")
+        bundles[bundle] = None
+    return list(bundles)
 
 
 def beta_bijection(A_sym: SubsetMask) -> HypergraphBundle:
     """Symmetric set -> bundle: part (k,t) gets {a_1 < ... < a_k} iff the
     sorted point with a_i repeated per the t-th composition lies in the set."""
-    degrees = IntervalPartitionCatalog(d=single_part_degree(A_sym.shape)).degrees
+    degrees = tuple(map(len, _compositions(single_part_degree(A_sym.shape))))
     parts: list[set[tuple[int, ...]]] = [set() for _ in degrees]
     for (j, edge), orbit in _orbits(A_sym.shape).items():
         hit = A_sym.bits & orbit
@@ -269,7 +217,7 @@ def beta_bijection(A_sym: SubsetMask) -> HypergraphBundle:
 
 def beta_inverse(bundle: HypergraphBundle) -> SubsetMask:
     d = bundle.degrees[-1]
-    if bundle.degrees != IntervalPartitionCatalog(d=d).degrees:
+    if bundle.degrees != tuple(map(len, _compositions(d))):
         raise ValueError(
             f"degrees {bundle.degrees} do not match the catalog for d={d}")
     shape = UniverseShape(degrees=(d,), n=bundle.n)

@@ -508,6 +508,30 @@ class TestReduce:
                                   "--bundles", str(path)], capsys)
         assert code == 4 and out == "" and "cap" in err
 
+    @pytest.mark.parametrize("mode,text,line", [
+        ("beta-inverse", "n=2 degrees=1,2\n1\n-\n1\n-\n", "'1 / -'"),
+        # one graph's fibre twice: the density claim needs disjoint fibres
+        ("clique", "n=3 degrees=2\n1,2\n1,2\n", "'1,2'")],
+        ids=["beta-inverse", "clique"])
+    def test_repeated_bundle_is_format_error(self, mode, text, line, tmp_path,
+                                             capsys):
+        path = tmp_path / "bundles.txt"
+        path.write_text(text)
+        code, out, err = run_cli(["reduce", "--mode", mode,
+                                  "--bundles", str(path)], capsys)
+        assert code == 3 and out == "" and f"duplicate bundle {line}" in err
+
+    @pytest.mark.parametrize("line", ["1", "1,1"])
+    def test_loopful_reads_no_loop(self, line, tmp_path, capsys):
+        # a degree-2 part line takes two-vertex edges only, so --loopful
+        # keeps every diagonal cell empty
+        path = tmp_path / "graph.txt"
+        path.write_text(f"n=2 degrees=2\n{line}\n")
+        code, out, err = run_cli(["reduce", "--mode", "clique", "--loopful",
+                                  "--bundles", str(path)], capsys)
+        assert code == 3 and out == ""
+        assert "hyperedge [1] does not have 2 vertices" in err
+
     @pytest.mark.parametrize("mode,header", [
         ("beta-inverse", "n=0 degrees=1"), ("beta-inverse", "n=2 degrees=0"),
         ("clique", "n=0 degrees=2"), ("clique", "n=2 degrees=0")])
@@ -567,6 +591,8 @@ class TestReportBytes:
             "90f01a84ca9945e4822a1256fef8a345545485cf110b6c3db65ee0fc9036371b",
         "reduce-beta":
             "06f6fbdd4569ed0d33f97cbf219089cf88421cc1ecc6f206c8623b7120cb8c1e",
+        "reduce-beta-inverse":
+            "7f988f810dc0919fd059c9027bce3ce04df6090dc7c10e267a034f519bc3db0c",
         "reduce-multiplex":
             "57303b527262010fbdf8eb31c4e8a1f2a53aa2e3a82827e1f02ce5c0843bd328",
         "reduce-embed":
@@ -619,6 +645,12 @@ class TestReportBytes:
 
         graphs = tmp_path / "graphs.txt"
         graphs.write_text("n=4 degrees=2\n1,2 2,3\n-\n1,3 1,4 2,4 3,4\n")
+        # three bundles of the d=3 catalog, parts (3), (1,2), (2,1), (1,1,1)
+        bundles = tmp_path / "sym.bundles"
+        bundles.write_text("n=4 degrees=1,2,2,3\n"
+                           "1 3\n1,2 2,4\n-\n1,2,3\n"
+                           "-\n-\n-\n-\n"
+                           "2 3 4\n1,3 3,4\n1,4 2,3 2,4\n1,3,4 2,3,4\n")
         return {
             "scan-d1": ["scan", "--m", "3",
                         "--family", fam("d1.fam", (1,), 9, rng.sample(range(512), 150)),
@@ -634,6 +666,8 @@ class TestReportBytes:
             "verify-framework": ["verify-framework", "--n", "5"],
             "reduce-beta": ["reduce", "--mode", "beta", "--family",
                             fam("sym.fam", (3,), 3, {symmetric(3, 3) for _ in range(20)})],
+            "reduce-beta-inverse": ["reduce", "--mode", "beta-inverse",
+                                    "--bundles", str(bundles)],
             "reduce-multiplex": ["reduce", "--mode", "multiplex", "--s", "3",
                                  "--family", fam("mux.fam", (2,), 3,
                                                  rng.sample(range(512), 40))],

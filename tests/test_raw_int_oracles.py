@@ -21,9 +21,9 @@ from setdifflab.covering import (
 from setdifflab.errors import ShapeMismatchError
 from setdifflab.reductions import (
     HypergraphBundle,
-    IntervalPartitionCatalog,
-    SymmetricRegion,
+    _compositions,
     _normalize_graph,
+    _sorted_region,
     beta_bijection,
     beta_inverse,
     clique_square_correspondence,
@@ -124,23 +124,22 @@ def ref_beta_bijection(A_sym):
     d, n = A_sym.shape.degrees[0], A_sym.shape.n
     if not ref_is_symmetric(A_sym):
         raise ValueError("beta_bijection needs a symmetric input")
-    catalog = IntervalPartitionCatalog(d=d)
     parts = []
-    for k, comp in catalog.parts():
+    for comp in _compositions(d):
         edges = set()
-        for combo in itertools.combinations(range(1, n + 1), k):
+        for combo in itertools.combinations(range(1, n + 1), len(comp)):
             if A_sym.bits >> A_sym.shape.index_of(1, ref_representative(combo, comp)) & 1:
                 edges.add(frozenset(combo))
         parts.append(frozenset(edges))
-    return HypergraphBundle(n=n, degrees=catalog.degrees, parts=tuple(parts))
+    return HypergraphBundle(n=n, degrees=tuple(map(len, _compositions(d))),
+                            parts=tuple(parts))
 
 
 def ref_beta_inverse(bundle):
     d = bundle.degrees[-1]
-    catalog = IntervalPartitionCatalog(d=d)
     shape = UniverseShape((d,), bundle.n)
     pts = []
-    for (k, comp), part in zip(catalog.parts(), bundle.parts):
+    for comp, part in zip(_compositions(d), bundle.parts):
         for edge in part:
             base = ref_representative(sorted(edge), comp)
             pts.extend((1, perm) for perm in set(itertools.permutations(base)))
@@ -387,12 +386,12 @@ def test_beta_rejects_every_one_cell_break_of_symmetry(d, n):
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 64))
 def test_beta_matches_per_point_loops_on_random_bundles(d, n, seed):
     rng = random.Random(seed)
-    catalog = IntervalPartitionCatalog(d=d)
+    degrees = tuple(map(len, _compositions(d)))
     parts = tuple(
         frozenset(frozenset(e) for e in itertools.combinations(range(1, n + 1), k)
                   if rng.random() < 0.5)
-        for k, _ in catalog.parts())
-    bundle = HypergraphBundle(n=n, degrees=catalog.degrees, parts=parts)
+        for k in degrees)
+    bundle = HypergraphBundle(n=n, degrees=degrees, parts=parts)
     A = beta_inverse(bundle)
     assert A == ref_beta_inverse(bundle)
     assert beta_bijection(A) == ref_beta_bijection(A) == bundle
@@ -401,4 +400,5 @@ def test_beta_matches_per_point_loops_on_random_bundles(d, n, seed):
 def test_region_mask_matches_per_point_loop():
     for d in range(1, 5):
         for n in range(1, 6):
-            assert SymmetricRegion(d=d, n=n).mask() == ref_symmetric_region(d, n)
+            shape = UniverseShape((d,), n)
+            assert SubsetMask(shape, _sorted_region(shape)) == ref_symmetric_region(d, n)

@@ -11,8 +11,8 @@ from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
 from setdifflab.patterns import CliqueDifference, PolynomialDifference
 from setdifflab.reductions import (
     HypergraphBundle,
-    IntervalPartitionCatalog,
-    SymmetricRegion,
+    _compositions,
+    _sorted_region,
     beta_bijection,
     beta_inverse,
     bundles_from_text,
@@ -47,10 +47,10 @@ def all_symmetric_masks(shape):
     ]
 
 
-class TestSymmetricRegion:
+class TestSortedRegion:
     def test_two_by_two(self):
-        region = SymmetricRegion(d=2, n=2)
-        assert region.mask() == mask_of(SQUARE2, [(1, 1), (1, 2), (2, 2)])
+        region = SubsetMask(SQUARE2, _sorted_region(SQUARE2))
+        assert region == mask_of(SQUARE2, [(1, 1), (1, 2), (2, 2)])
 
     def test_size_matches_enumeration(self):
         for d in range(1, 5):
@@ -58,13 +58,9 @@ class TestSymmetricRegion:
                 count = sum(
                     1 for c in itertools.product(range(1, n + 1), repeat=d)
                     if all(c[i] <= c[i + 1] for i in range(d - 1)))
-                region = SymmetricRegion(d=d, n=n)
+                region = _sorted_region(UniverseShape(degrees=(d,), n=n))
                 assert count == comb(n + d - 1, d)
-                assert region.mask().bits.bit_count() == count
-
-    def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            SymmetricRegion(d=0, n=2)
+                assert region.bit_count() == count
 
 
 class TestSymmetricLiftExtend:
@@ -88,7 +84,7 @@ class TestSymmetricLiftExtend:
             symmetric_extend(mask_of(SQUARE2, [(2, 1)]))
 
     def test_roundtrip_and_counting(self):
-        region = SymmetricRegion(d=2, n=2).mask().bits
+        region = _sorted_region(SQUARE2)
         symmetric = all_symmetric_masks(SQUARE2)
         # the symmetric sets biject with the subsets of the region
         assert len(symmetric) == 2 ** 3
@@ -105,7 +101,7 @@ class TestSymmetricLiftExtend:
     def test_power_pairs_transfer(self):
         # restricted-world power difference (S^2 cut down to sorted points)
         # if and only if the symmetric extensions form a power pair
-        region = SymmetricRegion(d=2, n=2).mask().bits
+        region = _sorted_region(SQUARE2)
         restricted = {
             frozenset(S): union_of_powers(SQUARE2, S).bits & region
             for S in [{1}, {2}, {1, 2}]
@@ -181,38 +177,31 @@ class TestMultiplex:
             multiplex(Family(UniverseShape(degrees=(1, 1), n=1), range(4)), 2)
 
 
-class TestIntervalPartitionCatalog:
+class TestCompositions:
     def test_small_catalogs(self):
-        assert list(IntervalPartitionCatalog(1).parts()) == [(1, (1,))]
-        assert list(IntervalPartitionCatalog(2).parts()) == [
-            (1, (2,)), (2, (1, 1))]
-        assert list(IntervalPartitionCatalog(3).parts()) == [
-            (1, (3,)), (2, (1, 2)), (2, (2, 1)), (3, (1, 1, 1))]
+        assert _compositions(1) == ((1,),)
+        assert _compositions(2) == ((2,), (1, 1))
+        assert _compositions(3) == ((3,), (1, 2), (2, 1), (1, 1, 1))
 
     def test_counts(self):
         for d in range(1, 6):
-            catalog = IntervalPartitionCatalog(d)
+            comps = _compositions(d)
+            # k ascending, then lexicographic
+            assert list(comps) == sorted(comps, key=lambda c: (len(c), c))
             for k in range(1, d + 1):
-                assert len(catalog.compositions(k)) == comb(d - 1, k - 1)
-                for comp in catalog.compositions(k):
-                    assert len(comp) == k and sum(comp) == d
-                    assert all(c >= 1 for c in comp)
-            parts = sum(len(catalog.compositions(k)) for k in range(1, d + 1))
-            assert parts == len(catalog.degrees) == 2 ** (d - 1)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            IntervalPartitionCatalog(0)
-        with pytest.raises(ValueError):
-            IntervalPartitionCatalog(2).compositions(3)
+                assert sum(len(comp) == k for comp in comps) == comb(d - 1, k - 1)
+            for comp in comps:
+                assert sum(comp) == d and all(c >= 1 for c in comp)
+            assert len(set(comps)) == len(comps) == 2 ** (d - 1)
 
     def test_part_cap(self):
         # 2^(d-1) parts: d = 19 reaches CELL_CAP, d = 20 is refused unlisted
         assert CELL_CAP == 1 << 18
-        IntervalPartitionCatalog(19)  # its 2^18 parts are admitted
+        assert len(_compositions(19)) == CELL_CAP  # admitted
+        _compositions.cache_clear()  # drop the 2^18 listed parts
         for d in (20, 40, 10 ** 9):
             with pytest.raises(CapExceededError):
-                IntervalPartitionCatalog(d)
+                _compositions(d)
 
 
 EXAMPLE_BUNDLE = HypergraphBundle(
@@ -282,20 +271,21 @@ class TestHypergraphBundle:
             bundles_from_text("n=3 degrees=0\n-\n")
         with pytest.raises(FormatError):
             bundles_from_text("n=3 degrees=1,0\n1\n-\n")
+        with pytest.raises(FormatError, match="duplicate bundle '1 / -'"):
+            bundles_from_text("n=2 degrees=1,2\n1\n-\n2\n-\n1\n-\n")
+        with pytest.raises(FormatError, match="duplicate bundle '2,3 1,2'"):
+            bundles_from_text("n=3 degrees=2\n1,2 2,3\n2,3 1,2\n")  # one graph
 
 
 def all_bundles(d, n):
-    catalog = IntervalPartitionCatalog(d)
-    pools = [
-        list(itertools.combinations(range(1, n + 1), k))
-        for k, _ in catalog.parts()
-    ]
+    degrees = tuple(map(len, _compositions(d)))
+    pools = [list(itertools.combinations(range(1, n + 1), k)) for k in degrees]
     for picks in itertools.product(*(range(1 << len(p)) for p in pools)):
         parts = tuple(
             frozenset(frozenset(pool[i]) for i in range(len(pool))
                       if pick >> i & 1)
             for pool, pick in zip(pools, picks))
-        yield HypergraphBundle(n=n, degrees=catalog.degrees, parts=parts)
+        yield HypergraphBundle(n=n, degrees=degrees, parts=parts)
 
 
 class TestBetaBijection:
