@@ -55,7 +55,7 @@ def _emit(args, report: dict) -> None:
         "tool": "setdiff",
         "version": __version__,
         "config": _config(args),
-        "seed": getattr(args, "seed", None),
+        "seed": None,  # no subcommand draws at random; kept for stable bytes
         "report": report,
     }
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -119,10 +119,7 @@ def cmd_scan(args) -> None:
 def cmd_phidist(args) -> None:
     from .fpforms import distribution, forms_from_text
     forms = forms_from_text(_read(args.forms))
-
-    tables = [distribution(form.induced(args.degree), mode=args.mode,
-                           samples=args.samples, seed=args.seed)
-              for form in forms]
+    tables = [distribution(form.induced(args.degree)) for form in forms]
     report = {
         "degree": args.degree,
         "tables": [
@@ -137,10 +134,8 @@ def cmd_quasirandomize(args) -> None:
     from .fpforms import forms_from_text
     from .increment import DEFAULT_FORM_BUDGET, quasirandomize
     from .universe import family_from_text
-    if args.pool == "file" and not args.forms:
-        args.parser.error("--pool file requires --forms")
-    if args.forms and args.pool != "file":
-        args.parser.error("--forms requires --pool file")
+    if args.forms and args.pool == "exhaustive":
+        args.parser.error("--forms cannot be combined with --pool exhaustive")
     fam = family_from_text(_read(args.family))
     if args.eta <= 0:
         raise ValueError("eta must be positive")
@@ -155,7 +150,7 @@ def cmd_quasirandomize(args) -> None:
     else:
         budget = 0  # force the weight-<=2 pool
     extra = ()
-    if args.pool == "file":
+    if args.forms:
         extra = tuple(forms_from_text(_read(args.forms)))
     schedule = tuple(args.m) if args.m else None
     final, trace, pair = quasirandomize(
@@ -212,11 +207,16 @@ def cmd_reduce(args) -> None:
     from .universe import (Family, embed_lower_degree, embedded_region,
                            family_from_text, family_to_text)
     mode = args.mode
+    # the flags each mode reads; every one but --loopful is required
     flags = ("bundles",) if mode in ("beta-inverse", "clique") else ("family",)
-    flags += {"multiplex": ("s",), "embed": ("degrees",)}.get(mode, ())
+    flags += {"multiplex": ("s",), "embed": ("degrees",),
+              "clique": ("loopful",)}.get(mode, ())
     for flag in flags:
         if getattr(args, flag) in (None, ""):
             args.parser.error(f"--mode {mode} requires --{flag}")
+    for flag in ("family", "bundles", "s", "degrees", "loopful"):
+        if flag not in flags and getattr(args, flag) != args.parser.get_default(flag):
+            args.parser.error(f"--mode {mode} does not read --{flag}")
     text = _read(getattr(args, flags[0]))
 
     if mode == "beta":
@@ -276,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forms", required=True, metavar="FILE")
     p.add_argument("--degree", type=int, default=1,
                    help="induce each form to this degree before evaluating")
-    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--samples", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_phidist, parser=p)
 
     p = sub.add_parser("quasirandomize", parents=[common],
@@ -286,12 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--eta", required=True, type=Fraction)
-    p.add_argument("--pool", choices=("small", "exhaustive", "file"),
-                   default="small",
-                   help="form search pool: weight-<=2 vectors, all p^n "
-                        "vectors, or the pool plus --forms")
+    p.add_argument("--pool", choices=("small", "exhaustive"), default="small",
+                   help="form search pool: weight-<=2 vectors or all p^n vectors")
     p.add_argument("--forms", metavar="FILE",
-                   help="extra forms for --pool file, over the input's "
+                   help="extra forms for the small pool, over the input's "
                         "[n]; only the first search uses them")
     p.add_argument("--m", type=int, nargs="+",
                    help="window sizes per step (default: adaptive)")

@@ -21,7 +21,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError, ShapeMismatchError, UniverseTooSmallError, capped_count
@@ -36,8 +35,6 @@ from .universe import (
     single_part_degree,
 )
 
-DEFAULT_SAMPLE_COUNT = 4096
-DEFAULT_SEED = 0
 # the largest modulus a form may have: a larger one is refused before the
 # primality test or any table with p entries
 MODULUS_CAP = 1 << 8
@@ -94,9 +91,6 @@ class InducedForm(Record):
     @property
     def n(self) -> int:
         return self.base.n
-
-    def shape(self) -> UniverseShape:
-        return UniverseShape(degrees=(self.degree,), n=self.base.n)
 
 
 def phi_eval(form: LinearFormP, S: Iterable[int]) -> int:
@@ -172,11 +166,8 @@ class DistributionTable(Record):
 
     p: int
     masses: tuple[Fraction, ...]
-    mode: str
     support_size: int
     uniformity_bound: Fraction
-    sample_count: Optional[int] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if len(self.masses) != self.p:
@@ -194,19 +185,14 @@ class DistributionTable(Record):
         return self.deviation <= self.uniformity_bound
 
     def to_json(self) -> dict:
-        report = {
+        return {
             "p": self.p,
-            "mode": self.mode,
             "masses": [_frac(q) for q in self.masses],
             "support_size": self.support_size,
             "uniformity_bound": _frac(self.uniformity_bound),
             "deviation": _frac(self.deviation),
             "within_bound": self.within_bound,
         }
-        if self.mode == "sampled":
-            report["sample_count"] = self.sample_count
-            report["seed"] = self.seed
-        return report
 
 
 def _subset_counts(p: int, sizes) -> list[int]:
@@ -239,36 +225,17 @@ def _convolved_masses(p: int, classes) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, 1 << cells) for c in _subset_counts(p, sizes))
 
 
-def distribution(form: InducedForm, mode: str = "exact",
-                 samples: int = DEFAULT_SAMPLE_COUNT,
-                 seed: int = DEFAULT_SEED) -> DistributionTable:
-    """Distribution table of the form's value over uniform random subsets.
-
-    ``exact`` counts subsets per residue from the coefficient class sizes
-    (no size limit; the tests check it against a walk over every subset),
-    ``sampled`` draws subsets from a seeded generator.  A linear form is
-    evaluated as its degree-1 lift ``form.induced(1)``.
+def distribution(form: InducedForm) -> DistributionTable:
+    """Exact distribution table of the form's value over uniform random
+    subsets, counted per residue from the coefficient class sizes (no size
+    limit; the tests check it against a walk over every subset).  A linear
+    form is evaluated as its degree-1 lift ``form.induced(1)``.
     """
     p = form.p
     zsize = support_size(form)
-    bound = uniformity_bound(p, zsize)
-    classes = coefficient_class_masks(form)
-    if mode == "exact":
-        masses = _convolved_masses(p, classes)
-        return DistributionTable(p=p, masses=masses, mode="exact",
-                                 support_size=zsize, uniformity_bound=bound)
-    if mode == "sampled":
-        if samples < 1:
-            raise ValueError("need at least one sample")
-        cells = form.shape().cells
-        rng = Random(seed)
-        counts = value_counts(
-            p, classes, ((rng.getrandbits(cells), 1) for _ in range(samples)))
-        masses = tuple(Fraction(c, samples) for c in counts)
-        return DistributionTable(p=p, masses=masses, mode="sampled",
-                                 support_size=zsize, uniformity_bound=bound,
-                                 sample_count=samples, seed=seed)
-    raise ValueError(f"unknown distribution mode {mode!r}")
+    return DistributionTable(
+        p=p, masses=_convolved_masses(p, coefficient_class_masks(form)),
+        support_size=zsize, uniformity_bound=uniformity_bound(p, zsize))
 
 
 # ---------------------------------------------------------------------------

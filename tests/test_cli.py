@@ -11,8 +11,7 @@ import pytest
 
 from setdifflab import cli, extremal
 from setdifflab.errors import CapExceededError
-from setdifflab.fpforms import (DEFAULT_SAMPLE_COUNT, DEFAULT_SEED, distribution,
-                                forms_from_text, uniformity_bound)
+from setdifflab.fpforms import distribution, forms_from_text, uniformity_bound
 from setdifflab.universe import Family, UniverseShape, family_to_text
 
 
@@ -164,17 +163,6 @@ class TestPhidist:
         # cell coefficients 1,2,2,1: sums j+2k over j,k ~ Bin(2,1/2)
         assert table["masses"] == ["3/8", "5/16", "5/16"]
 
-    def test_sampled_mode_embeds_seed(self, tmp_path, capsys):
-        path = tmp_path / "forms.txt"
-        path.write_text("p=2\n1 1\n")
-        argv = ["phidist", "--forms", str(path), "--mode", "sampled",
-                "--samples", "64", "--seed", "7"]
-        doc = run_json(argv, capsys)
-        assert doc["seed"] == 7
-        assert doc["report"]["tables"][0]["seed"] == 7
-        _, again, _ = run_cli(argv, capsys)
-        assert json.loads(again) == doc
-
     def test_bound_with_thousands_of_digits(self, tmp_path, capsys):
         # 14 nonzero p=7 coefficients lifted to degree 3 give the bound
         # 7 * (48/49)^2744, whose denominator has over 4300 digits
@@ -200,13 +188,11 @@ class TestPhidist:
                                   "--degree", degree], capsys)
         assert code == 4 and out == "" and "degree" in err
 
-    @pytest.mark.parametrize("mode", ["exact", "sampled"])
-    def test_degree_one_is_the_linear_form(self, tmp_path, capsys, mode):
+    def test_degree_one_is_the_linear_form(self, tmp_path, capsys):
         path = tmp_path / "forms.txt"
         path.write_text("p=5\n1 2 0 4\n3 3 3 3\n")
-        doc = run_json(["phidist", "--forms", str(path), "--degree", "1",
-                        "--mode", mode, "--samples", "64"], capsys)
-        expected = [distribution(form.induced(1), mode=mode, samples=64).to_json()
+        doc = run_json(["phidist", "--forms", str(path), "--degree", "1"], capsys)
+        expected = [distribution(form.induced(1)).to_json()
                     for form in forms_from_text(path.read_text())]
         assert [{k: v for k, v in t.items() if k != "form"}
                 for t in doc["report"]["tables"]] == expected
@@ -223,10 +209,16 @@ class TestPhidist:
         path.write_text("p=1000000000000000003\n1 2\n")
         run_refused(["phidist", "--forms", str(path)], capsys, cap="modulus")
 
-    def test_sample_defaults_are_the_library_defaults(self):
-        args = cli.build_parser().parse_args(["phidist", "--forms", "f.txt"])
-        assert args.samples == DEFAULT_SAMPLE_COUNT
-        assert args.seed == DEFAULT_SEED
+    @pytest.mark.parametrize("flag", [["--mode", "exact"], ["--samples", "1"],
+                                      ["--seed", "0"]], ids=" ".join)
+    def test_retired_sampling_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # every table is exact: there is no mode, sample count or seed to set
+        path = tmp_path / "forms.txt"
+        path.write_text("p=3\n1 2\n")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["phidist", "--forms", str(path), *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_bad_form_file(self, tmp_path, capsys):
         path = tmp_path / "forms.txt"
@@ -262,13 +254,7 @@ class TestQuasirandomize:
         assert doc["report"]["steps"][0]["report"]["scope"] == "exhaustive"
         assert doc["report"]["status"] == "pattern-found"
 
-    def test_file_pool_requires_forms(self, halfspace6, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["quasirandomize", "--family", halfspace6,
-                      "--p", "2", "--eta", "1/4", "--pool", "file"])
-        assert err.value.code == 2
-
-    @pytest.mark.parametrize("pool", ["small", "exhaustive"])
+    @pytest.mark.parametrize("pool", ["exhaustive"])
     def test_forms_require_file_pool(self, halfspace6, tmp_path, capsys, pool):
         forms = tmp_path / "forms.txt"
         forms.write_text("p=2\n1 1 1 1 1 1\n")
@@ -276,7 +262,8 @@ class TestQuasirandomize:
             cli.main(["quasirandomize", "--family", halfspace6, "--p", "2",
                       "--eta", "1/4", "--pool", pool, "--forms", str(forms)])
         assert err.value.code == 2
-        assert "--forms requires --pool file" in capsys.readouterr().err
+        assert "--forms cannot be combined with --pool exhaustive" in \
+            capsys.readouterr().err
 
     def test_composite_modulus(self, halfspace6, capsys):
         code, _, err = run_cli(["quasirandomize", "--family", halfspace6,
@@ -295,8 +282,7 @@ class TestQuasirandomize:
         forms = tmp_path / "forms.txt"
         forms.write_text("p=2\n1 1 1 1\n")
         doc = run_json(["quasirandomize", "--family", str(fam), "--p", "2",
-                        "--eta", "1/4", "--pool", "file",
-                        "--forms", str(forms)], capsys)
+                        "--eta", "1/4", "--forms", str(forms)], capsys)
         report = doc["report"]
         assert report["iterations"] == 1
         assert report["pattern_pair"] is None
@@ -307,7 +293,7 @@ class TestQuasirandomize:
         forms = tmp_path / "forms.txt"
         forms.write_text("p=2\n1 1 1\n")
         code, _, err = run_cli(["quasirandomize", "--family", halfspace6,
-                                "--p", "2", "--eta", "1/4", "--pool", "file",
+                                "--p", "2", "--eta", "1/4",
                                 "--forms", str(forms)], capsys)
         assert code == 4
         assert "does not fit p=2, n=6" in err
@@ -574,11 +560,32 @@ class TestReduce:
         assert err.value.code == 2
         assert "requires --" in capsys.readouterr().err
 
+    READS = {"beta": ["--family", "f.txt"],
+             "beta-inverse": ["--bundles", "b.txt"],
+             "multiplex": ["--family", "f.txt", "--s", "2"],
+             "embed": ["--family", "f.txt", "--degrees", "2"],
+             "clique": ["--bundles", "b.txt", "--loopful"]}
+
+    @pytest.mark.parametrize("mode", sorted(READS))
+    def test_unread_flag_is_usage_error(self, mode, capsys):
+        # refused before any file is read, not echoed in the config and
+        # ignored; --s 0 counts as given
+        unread = {"--family": ["f.txt"], "--bundles": ["b.txt"], "--s": ["0"],
+                  "--degrees": ["2"], "--loopful": []}
+        for flag, values in unread.items():
+            if flag in self.READS[mode]:
+                continue
+            with pytest.raises(SystemExit) as err:
+                cli.main(["reduce", "--mode", mode, *self.READS[mode], flag, *values])
+            assert err.value.code == 2
+            assert f"--mode {mode} does not read {flag}" in capsys.readouterr().err
+
 
 class TestReportBytes:
-    """Reports of the covering, reduce and quasirandomize subcommands on
-    small fixed inputs, pinned by the sha256 of their sorted-key JSON (the
-    config is left out: it holds the temporary file paths)."""
+    """Reports of the covering, phidist, reduce and quasirandomize
+    subcommands on small fixed inputs, pinned by the sha256 of their
+    sorted-key JSON (the config is left out: it holds the temporary file
+    paths)."""
 
     DIGESTS = {
         "scan-d1":
@@ -587,6 +594,8 @@ class TestReportBytes:
             "bed68b308524286d07552a07bf721ba28e75775eb01f221a51c108bfb881f0ad",
         "demo-interval":
             "167a6aa1b843cd0fd3074fb493466449147e6efcff8246331c96472f729f86e8",
+        "phidist-d2":
+            "f2d523d2e863a25e2ae9877138581b0f8b00065a01e49d48ae5ce164635e32b8",
         "verify-framework":
             "90f01a84ca9945e4822a1256fef8a345545485cf110b6c3db65ee0fc9036371b",
         "reduce-beta":
@@ -643,6 +652,8 @@ class TestReportBytes:
                 members.add(bits)
             return members
 
+        forms = tmp_path / "forms.txt"
+        forms.write_text("p=5\n1 2 0 4 3\n2 2 2 1 0\n")
         graphs = tmp_path / "graphs.txt"
         graphs.write_text("n=4 degrees=2\n1,2 2,3\n-\n1,3 1,4 2,4 3,4\n")
         # three bundles of the d=3 catalog, parts (3), (1,2), (2,1), (1,1,1)
@@ -664,6 +675,7 @@ class TestReportBytes:
                               "--family", fam("demo.fam", (1,), 6,
                                               rng.sample(range(64), 25))],
             "verify-framework": ["verify-framework", "--n", "5"],
+            "phidist-d2": ["phidist", "--degree", "2", "--forms", str(forms)],
             "reduce-beta": ["reduce", "--mode", "beta", "--family",
                             fam("sym.fam", (3,), 3, {symmetric(3, 3) for _ in range(20)})],
             "reduce-beta-inverse": ["reduce", "--mode", "beta-inverse",

@@ -48,8 +48,12 @@ from witness_oracles import from_points
 # Independent oracle: evaluate pointwise over every subset of the universe.
 
 
+def form_shape(form):
+    return UniverseShape(degrees=(form.degree,), n=form.n)
+
+
 def oracle_masses(form):
-    shape, coeffs = form.shape(), form.base.coeffs
+    shape, coeffs = form_shape(form), form.base.coeffs
     counts = [0] * form.p
     points = list(shape.points())
     for bits in range(1 << shape.cells):
@@ -66,7 +70,7 @@ def oracle_masses(form):
 
 def enumerated_masses(form):
     """The same masses from ``value_counts`` walking every subset once."""
-    cells = form.shape().cells
+    cells = form_shape(form).cells
     counts = value_counts(form.p, coefficient_class_masks(form),
                           zip(range(2**cells), itertools.repeat(1)))
     return tuple(Fraction(c, 1 << cells) for c in counts)
@@ -122,7 +126,7 @@ def test_support_examples():
 def test_eval_on_bits_matches_pointwise():
     rng = Random(5)
     form = LinearFormP(p=3, coeffs=(1, 2, 0, 1)).induced(2)
-    shape = form.shape()
+    shape = form_shape(form)
     for _ in range(50):
         bits = rng.getrandbits(shape.cells)
         assert eval_on_bits(form, bits) == Phi_eval(
@@ -137,7 +141,7 @@ def test_weighted_value_counts_match_expanded_multiset(data):
     form = LinearFormP(p=p, coeffs=tuple(
         data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))))
     form = form.induced(data.draw(st.integers(1, 3)))
-    cells = form.shape().cells
+    cells = form_shape(form).cells
     weighted = data.draw(st.lists(
         st.tuples(st.integers(0, (1 << cells) - 1), st.integers(0, 5)),
         max_size=12))
@@ -199,24 +203,9 @@ def test_uniformity_bound_exhaustive_small():
                 assert distribution(form.induced(1)).within_bound
 
 
-def test_sampled_mode_is_deterministic_and_close():
-    form = LinearFormP(p=2, coeffs=(1, 1, 0, 1)).induced(1)
-    a = distribution(form, mode="sampled", samples=2000, seed=1)
-    b = distribution(form, mode="sampled", samples=2000, seed=1)
-    assert a.masses == b.masses
-    assert a.sample_count == 2000 and a.seed == 1
-    assert sum(a.masses) == 1
-    assert max(abs(q - Fraction(1, 2)) for q in a.masses) < Fraction(1, 10)
-    report = a.to_json()
-    assert report["mode"] == "sampled" and report["seed"] == 1
-
-
-def test_distribution_mode_errors():
+def test_exact_distribution_has_no_cell_cap():
     form = LinearFormP(p=2, coeffs=(1, 1)).induced(5)  # 32 cells
-    assert sum(distribution(form).masses) == 1  # exact mode has no cap
-    for mode in ("typo", "enumerate"):
-        with pytest.raises(ValueError, match="unknown distribution mode"):
-            distribution(LinearFormP(p=2, coeffs=(1,)).induced(1), mode=mode)
+    assert sum(distribution(form).masses) == 1
 
 
 def test_linearity_on_disjoint_masks():
@@ -489,12 +478,11 @@ def test_forms_file_parsing():
 
 def test_distribution_table_validation():
     with pytest.raises(ValueError):
-        DistributionTable(p=2, masses=(Fraction(1, 2),), mode="exact",
-                          support_size=0, uniformity_bound=Fraction(2))
+        DistributionTable(p=2, masses=(Fraction(1, 2),), support_size=0,
+                          uniformity_bound=Fraction(2))
     with pytest.raises(ValueError):
         DistributionTable(p=2, masses=(Fraction(1, 2), Fraction(1, 4)),
-                          mode="exact", support_size=0,
-                          uniformity_bound=Fraction(2))
+                          support_size=0, uniformity_bound=Fraction(2))
     assert uniformity_bound(2, 3) == Fraction(27, 32)
 
 
@@ -522,7 +510,7 @@ def induced_forms(draw, sizes=ALL_SIZES, sparse=False):
 def cell_products(form):
     """The coefficient of every cell, point by point, mod p."""
     out = []
-    for _, coords in form.shape().points():
+    for _, coords in form_shape(form).points():
         term = 1
         for i in coords:
             term *= form.base.coeffs[i - 1]
@@ -574,7 +562,7 @@ def test_exact_distribution_matches_binomial_fold(form):
 def test_cell_value_report_matches_brute_force(form):
     partition = build_block_partition(form.base, 1)
     assert partition.t >= 1
-    shape = form.shape()
+    shape = form_shape(form)
     acc = [Fraction(0)] * form.p
     for row in range(1, partition.t + 1):
         X = frozenset().union(*partition.rows[row - 1])

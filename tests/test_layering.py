@@ -86,6 +86,12 @@ def test_no_module_imports_dataclasses():
         assert "dataclasses" not in all_imports(path.stem), path.name
 
 
+def test_no_module_imports_random():
+    # every table is exact: a sampled path would need a generator
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "random" not in all_imports(path.stem), path.name
+
+
 def test_cli_defers_every_layer_to_its_subcommand():
     package = {name for name in module_level_imports("cli") if name.startswith(".")}
     assert package == {".", ".errors"}  # ``.`` is ``from . import __version__``
