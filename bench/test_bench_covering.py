@@ -1,5 +1,4 @@
-"""Microbenchmarks of the covering layer: the dense-cell scan and the
-full-enumeration audit of the double-counting proof chain.
+"""Microbenchmark of the covering layer: the dense-cell scan.
 
 Kept out of the tier-1 ``testpaths``; run from the repository root with
 
@@ -7,10 +6,9 @@ Kept out of the tier-1 ``testpaths``; run from the repository root with
         --benchmark-json BENCH.json
 """
 
-from fractions import Fraction
 from random import Random
 
-from setdifflab.covering import proof_chain_report, scan_for_dense_cell
+from setdifflab.covering import scan_for_dense_cell
 from setdifflab.universe import Family, UniverseShape
 
 
@@ -27,8 +25,6 @@ def scan_input(n, size, m, pattern_size, seed):
 # the file-batch scan-d1-n16 size: 20000 members of (1,) n=16, four size-4
 # windows, a 6-member pattern family
 SCAN = scan_input(16, 20000, 4, 6, seed=1)
-# every one of the 2^12 subsets of (1,) n=12 against four size-3 windows
-CHAIN = scan_input(12, 1000, 3, 4, seed=3)
 
 
 def test_scan_for_dense_cell(benchmark):
@@ -36,10 +32,3 @@ def test_scan_for_dense_cell(benchmark):
     cell, best, average = benchmark(scan_for_dense_cell, fam, m, pattern)
     assert best >= average > 0
 
-
-def test_proof_chain_report(benchmark):
-    fam, m, pattern = CHAIN
-    report = benchmark(proof_chain_report, fam, m, pattern, Fraction(1, 4))
-    assert report.double_counting_all_ok and report.double_counting_fam_ok
-    # summed over all subsets, N(A) totals 2^cells E[N]
-    assert report.sum_N == report.expectation * (1 << fam.shape.cells)

@@ -204,7 +204,7 @@ def cmd_demo_interval(args) -> None:
 def cmd_reduce(args) -> None:
     from .reductions import (beta_bijection, beta_inverse, bundles_from_text,
                              bundles_to_text, clique_square_correspondence, multiplex)
-    from .universe import (Family, embed_lower_degree, embedded_region,
+    from .universe import (Family, SubsetMask, embed_lower_degree,
                            family_from_text, family_to_text)
     mode = args.mode
     # the flags each mode reads; every one but --loopful is required
@@ -230,7 +230,8 @@ def cmd_reduce(args) -> None:
         fam = multiplex(family_from_text(text), args.s)
     elif mode == "embed":
         source = family_from_text(text)
-        target = embedded_region(source.shape, args.degrees).shape
+        # the empty mask's image checks the degrees, also on an empty family
+        target = embed_lower_degree(SubsetMask(source.shape, 0), args.degrees).shape
         fam = Family(target, frozenset(embed_lower_degree(mask, target.degrees).bits
                                        for mask in source.masks()))
     else:  # clique

@@ -2,12 +2,14 @@
 
 The canonical window system of size m is the t = floor(n/m) pairwise-disjoint
 intervals [(r-1)m+1 .. rm] of [n]; a subset A "hits" window r when its
-restriction-and-relabel into [m] lands in a pattern family over [m].  Every
-entry below takes the window size m and the pattern family, as ``scan``
-does.  Everything here is exact: hit-count moments over the uniform random
-subset are computed as rationals via the window-bit decomposition, the
-dense-cell scan reports exact relative densities, and the cyclic-shift demo
-realizes the abstract covering conditions over Z_2^{Z_n}.
+restriction-and-relabel into [m] lands in a pattern family over [m].  The
+dense-cell scan takes the window size m and the pattern family, as ``scan``
+does.  Everything here is exact: the scan reports exact relative densities
+and an average that double counting turns into one ratio of incidence
+counts, and the cyclic-shift demo realizes the abstract covering conditions
+over Z_2^{Z_n}.  The hit-count moments E[N] = t p(P), Var[N] = t p(P)(1-p(P))
+and the proof chain behind the scan's guarantee are checked by the tests
+from raw enumeration.
 """
 
 from __future__ import annotations
@@ -30,75 +32,23 @@ from .universe import (
     window_region,
 )
 
-# the most subsets proof_chain_report enumerates
-PROOF_CHAIN_SUBSET_CAP = 1 << 20
-
 
 def _canonical_windows(
-    shape: UniverseShape, m: int, pattern_family: Family, refuse_empty: bool = False
+    shape: UniverseShape, m: int, pattern_family: Family
 ) -> tuple[OrderedWindow, ...]:
     """The intervals [(r-1)m+1 .. rm] for r = 1..floor(n/m), once the pattern
-    family is checked to live over [m] with the shape's degrees.
-
-    With refuse_empty, as in the scan, an empty pattern family is refused
-    before the windows are counted.
-    """
+    family is checked to live over [m] with the shape's degrees and to be
+    nonempty (an empty one leaves every cell empty)."""
     if pattern_family.shape.degrees != shape.degrees:
         raise ShapeMismatchError("pattern family degrees do not match")
     if pattern_family.shape.n != m:
         raise ShapeMismatchError(f"pattern family side {pattern_family.shape.n} != m={m}")
-    if refuse_empty and not pattern_family.members:
+    if not pattern_family.members:
         raise UnsatisfiablePredicateError("empty pattern family has empty cells")
     t = shape.n // m
     if t < 1:
         raise UniverseTooSmallError(f"no size-{m} window fits in [{shape.n}]")
     return tuple(OrderedWindow.interval((r - 1) * m + 1, m) for r in range(1, t + 1))
-
-
-def count_hits(A: SubsetMask, m: int, pattern_family: Family) -> int:
-    """N(A): the number of windows whose relabeled restriction of A lies in
-    the pattern family."""
-    pf = pattern_family.members
-    return sum(_restrict_bits(A.bits, _window_runs(A.shape, w)) in pf
-               for w in _canonical_windows(A.shape, m, pattern_family))
-
-
-class MomentReport(Record):
-    t: int
-    p_P: Fraction
-    expectation: Fraction
-    variance: Fraction
-    epsilon: Optional[Fraction]
-    epsilon_bound_ok: Optional[bool]
-
-
-def exact_moments(
-    shape: UniverseShape, m: int, pattern_family: Family,
-    epsilon: Optional[Fraction] = None,
-) -> MomentReport:
-    """Exact E[N] = t p(P) and Var[N] = t p(P)(1 - p(P)) over uniform A.
-
-    The windows occupy disjoint bit blocks, so the t restrictions are
-    independent uniform subsets of the [m]-shape and the closed forms are
-    identities of exact counting, not approximations; p(P) is the density
-    of the pattern family.  When epsilon is given, the report checks the
-    implication t >= 1/(eps p(P))  =>  Var <= eps E^2 symbolically
-    (Var/E^2 = (1-p)/(t p)).
-    """
-    t = len(_canonical_windows(shape, m, pattern_family))
-    if not pattern_family.members:
-        raise UnsatisfiablePredicateError("empty pattern family: p(P) = 0")
-    p = pattern_family.density()
-    expectation = t * p
-    variance = t * p * (1 - p)
-    ok = None
-    if epsilon is not None:
-        epsilon = Fraction(epsilon)
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        # implication check, all exact
-        ok = t < 1 / (epsilon * p) or variance <= epsilon * expectation**2
-    return MomentReport(t, p, expectation, variance, epsilon, ok)
 
 
 def guarantee_threshold(m: int, degrees: Sequence[int], epsilon: Fraction) -> Fraction:
@@ -136,7 +86,7 @@ def scan_for_dense_cell(
     index, then the smallest background bit value, so member order is free.
     """
     shape = fam.shape
-    windows = _canonical_windows(shape, m, pattern_family, refuse_empty=True)
+    windows = _canonical_windows(shape, m, pattern_family)
     pf = pattern_family.members
     # cell (r, U) is counted under the one int r 2^cells + U, which orders
     # cells by r, then by U, and spares a key tuple per cell
@@ -159,76 +109,6 @@ def scan_for_dense_cell(
     r, ubits = best_key >> shape.cells, best_key & shape.full_bits
     cell = CoveringCell(windows[r], SubsetMask(shape, ubits), pattern_family)
     return cell, Fraction(best_count, cell_size), average
-
-
-class ProofChainReport(Record):
-    """Exact accounting behind the dense-cell guarantee, over all subsets."""
-
-    epsilon: Fraction
-    density: Fraction
-    expectation: Fraction
-    sum_N: int                      # sum over all A of N(A)
-    sum_N_fam: int                  # restricted to family members
-    sum_N_fam_high: int             # family members with N >= (1-eps) E[N]
-    high_fam_count: int
-    window_counts: tuple[int, ...]      # |D(I_r)| by direct count
-    fam_window_counts: tuple[int, ...]  # |fam n D(I_r)|
-    double_counting_all_ok: bool
-    double_counting_fam_ok: bool
-    monotone_ok: bool
-    high_fraction_antecedent: bool  # family covers a (delta-eps) fraction of high-N sets
-    lower_bound_ok: bool            # (delta-eps)(1-eps) bound, vacuous when antecedent fails
-
-
-def proof_chain_report(
-    fam: Family, m: int, pattern_family: Family, epsilon: Fraction
-) -> ProofChainReport:
-    """Enumerate every subset of the universe and audit the covering proof."""
-    shape = fam.shape
-    epsilon = Fraction(epsilon)
-    total = capped_count("the subsets of a full enumeration",
-                         PROOF_CHAIN_SUBSET_CAP, 2, shape.cells)
-    runs = [_window_runs(shape, w) for w in _canonical_windows(shape, m, pattern_family)]
-    pf = pattern_family.members
-    expectation = len(runs) * pattern_family.density()
-    threshold = (1 - epsilon) * expectation
-    sum_N = sum_N_fam = sum_N_fam_high = high_fam_count = 0
-    window_counts = [0] * len(runs)
-    fam_window_counts = [0] * len(runs)
-    for b in range(total):
-        hits = [_restrict_bits(b, rt) in pf for rt in runs]
-        N = sum(hits)
-        sum_N += N
-        for r, h in enumerate(hits):
-            if h:
-                window_counts[r] += 1
-        if b in fam.members:
-            sum_N_fam += N
-            for r, h in enumerate(hits):
-                if h:
-                    fam_window_counts[r] += 1
-            if N >= threshold:
-                sum_N_fam_high += N
-                high_fam_count += 1
-    delta = fam.density()
-    antecedent = high_fam_count >= (delta - epsilon) * total
-    lower = (delta - epsilon) * (1 - epsilon) * sum_N
-    return ProofChainReport(
-        epsilon=epsilon,
-        density=delta,
-        expectation=expectation,
-        sum_N=sum_N,
-        sum_N_fam=sum_N_fam,
-        sum_N_fam_high=sum_N_fam_high,
-        high_fam_count=high_fam_count,
-        window_counts=tuple(window_counts),
-        fam_window_counts=tuple(fam_window_counts),
-        double_counting_all_ok=sum_N == sum(window_counts),
-        double_counting_fam_ok=sum_N_fam == sum(fam_window_counts),
-        monotone_ok=sum_N_fam >= sum_N_fam_high,
-        high_fraction_antecedent=antecedent,
-        lower_bound_ok=(not antecedent) or sum_N_fam_high >= lower,
-    )
 
 
 # ---------------------------------------------------------------------------

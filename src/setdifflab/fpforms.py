@@ -496,15 +496,16 @@ def forms_from_text(text: str) -> list[LinearFormP]:
     integers and are reduced mod p.
     """
     lines = _content_lines(text, "form")
-    match = _FORM_HEADER.fullmatch(lines[0])
+    header = next(lines)
+    match = _FORM_HEADER.fullmatch(header)
     if not match:
-        raise FormatError(f"bad form header {lines[0]!r}, expected p=<prime>")
+        raise FormatError(f"bad form header {header!r}, expected p=<prime>")
     p = int(match.group(1))
     capped_count(f"the residues of modulus {p}", MODULUS_CAP, p)
     if not _is_prime(p):
         raise FormatError(f"modulus {p} is not prime")
     forms = []
-    for ln in lines[1:]:
+    for ln in lines:
         try:
             raw = [int(tok) for tok in ln.split()]
         except ValueError as exc:

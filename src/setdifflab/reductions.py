@@ -1,12 +1,10 @@
 """Constructive equivalences between problem variants.
 
-Five exact transports: restriction of symmetric sets to the sorted-coordinate
-region and back, diagonal multiplexing into several equal parts, the
+Three exact transports: diagonal multiplexing into several equal parts, the
 interval-partition bijection between symmetric sets and hypergraph bundles,
-the clique-square correspondence between graph families and families over
-[n]^2, and diagonal block families that spread a family across disjoint
-windows.  Every map preserves exact counts and transports witnesses in the
-documented direction.
+and the clique-square correspondence between graph families and families
+over [n]^2.  Every map preserves exact counts and transports witnesses in
+the documented direction.
 """
 
 from __future__ import annotations
@@ -21,13 +19,11 @@ from .errors import CapExceededError, FormatError, capped_count
 from .universe import (
     CELL_CAP,
     Family,
-    OrderedWindow,
     Record,
     SubsetMask,
     UniverseShape,
     _cell_count,
     _content_lines,
-    plant_into_window,
     single_part_degree,
 )
 
@@ -38,7 +34,7 @@ CLIQUE_FIBRE_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# symmetric region
+# coordinate-permutation orbits
 
 
 @lru_cache(maxsize=64)
@@ -58,33 +54,6 @@ def _orbits(shape: UniverseShape) -> MappingProxyType[tuple[int, tuple[int, ...]
         edge = tuple(sorted(set(rep)))
         table[part_of[tuple(map(rep.count, edge))], edge] = orbit
     return MappingProxyType(table)  # read-only: every caller shares it
-
-
-def _sorted_region(shape: UniverseShape) -> int:
-    """Sorted-coordinate representatives {x_1 <= ... <= x_d} inside [n]^d:
-    a sorted representative is the lowest cell of its orbit."""
-    return sum(o & -o for o in _orbits(shape).values())
-
-
-def is_symmetric(A: SubsetMask) -> bool:
-    """Invariance under every coordinate permutation: each orbit is all in
-    or all out."""
-    return all(A.bits & orbit in (0, orbit) for orbit in _orbits(A.shape).values())
-
-
-def symmetric_lift(A_sym: SubsetMask) -> SubsetMask:
-    """Restrict a symmetric set to its sorted representatives."""
-    if not is_symmetric(A_sym):  # raises for a multi-part shape
-        raise ValueError("symmetric_lift needs a symmetric input")
-    return SubsetMask(A_sym.shape, A_sym.bits & _sorted_region(A_sym.shape))
-
-
-def symmetric_extend(B: SubsetMask) -> SubsetMask:
-    """Orbit closure of a set of sorted representatives."""
-    if B.bits & ~_sorted_region(B.shape):  # raises for a multi-part shape
-        raise ValueError("symmetric_extend needs a subset of the sorted region")
-    return SubsetMask(B.shape,
-                      sum(o for o in _orbits(B.shape).values() if B.bits & o))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +135,7 @@ def bundles_to_text(bundles: Sequence[HypergraphBundle]) -> str:
 
 
 def bundles_from_text(text: str) -> list[HypergraphBundle]:
-    lines = _content_lines(text, "bundle")
+    lines = list(_content_lines(text, "bundle"))
     header = _HEADER.fullmatch(lines[0])
     if header is None:
         raise FormatError(f"bad header {lines[0]!r}")
@@ -277,25 +246,3 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
             if not sub:
                 break
     return Family(shape, frozenset(members))
-
-
-# ---------------------------------------------------------------------------
-# diagonal block families
-
-
-def diagonal_block_family(F: Family) -> Family:
-    """Plant the t-th member (ascending mask order) in the t-th window.
-
-    The result lives over [m*l] with l = |F| and has pairwise disjoint
-    members; it turns same-window conclusions into disjoint-window ones.
-    """
-    if not F.members:
-        raise ValueError("family is empty")
-    m = F.shape.n
-    l = len(F)
-    big = UniverseShape(degrees=F.shape.degrees, n=m * l)
-    members = []
-    for t, small in enumerate(F.masks(), start=1):
-        window = OrderedWindow.interval((t - 1) * m + 1, m)
-        members.append(plant_into_window(small, window, big).bits)
-    return Family(big, frozenset(members))

@@ -223,10 +223,6 @@ class SubsetMask(Record):
     def to_hex(self) -> str:
         return mask_to_hex(self.bits, self.shape.cells)
 
-    @classmethod
-    def full(cls, shape: UniverseShape) -> "SubsetMask":
-        return cls(shape, shape.full_bits)
-
 
 class Family(Record):
     """A set of subsets of one universe.  Members stored as raw bit values."""
@@ -324,19 +320,10 @@ def _restrict_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
 
 
 def _plant_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
-    """plant_into_window on a raw small-shape int, given its window runs
-    (all ones plant the whole window region)."""
+    """Right inverse of _restrict_bits: place a raw small-shape int into the
+    window power region of the big universe (other cells empty), given its
+    window runs; all ones plant the whole region."""
     return sum((bits >> dst & run) << src for src, dst, run in runs)
-
-
-def plant_into_window(
-    small_mask: SubsetMask, window: OrderedWindow, shape: UniverseShape
-) -> SubsetMask:
-    """Right inverse of _restrict_bits: place an [m]-shape subset into
-    the window power region of the big universe (all other cells empty)."""
-    if window.m != small_mask.shape.n or small_mask.shape.degrees != shape.degrees:
-        raise ShapeMismatchError("small mask does not match window size / degrees")
-    return SubsetMask(shape, _plant_bits(small_mask.bits, _window_runs(shape, window)))
 
 
 def window_region(shape: UniverseShape, window: OrderedWindow) -> SubsetMask:
@@ -380,13 +367,6 @@ def embed_lower_degree(
     return SubsetMask(target, sum(table[i] for i in mask.indices()))
 
 
-def embedded_region(
-    source_shape: UniverseShape, target_degrees: Sequence[int]
-) -> SubsetMask:
-    """The image E of the whole lower-degree universe under the embedding."""
-    return embed_lower_degree(SubsetMask.full(source_shape), target_degrees)
-
-
 # ---------------------------------------------------------------------------
 # text serialization
 #
@@ -409,13 +389,21 @@ def _frac(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _content_lines(text: str, what: str) -> list[str]:
-    """Stripped lines, blanks and ``#`` comments dropped; none left is an error."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+# the runs between the line boundaries of str.splitlines
+_LINE_RE = re.compile(r"[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]+")
+
+
+def _content_lines(text: str, what: str) -> Iterator[str]:
+    """Stripped lines, blanks and ``#`` comments dropped, read lazily so no
+    list of lines is held; none left is an error."""
+    empty = True
+    for match in _LINE_RE.finditer(text):
+        line = match.group().strip()
+        if line and not line.startswith("#"):
+            empty = False
+            yield line
+    if empty:
         raise FormatError(f"empty {what} file")
-    return lines
 
 
 def mask_to_hex(bits: int, cells: int) -> str:
@@ -442,9 +430,10 @@ def family_to_text(fam: Family) -> str:
 
 def family_from_text(text: str) -> Family:
     lines = _content_lines(text, "family")
-    m = _HEADER_RE.match(lines[0])
+    header = next(lines)
+    m = _HEADER_RE.match(header)
     if not m:
-        raise FormatError(f"bad family header {lines[0]!r}")
+        raise FormatError(f"bad family header {header!r}")
     s, dlist, n = int(m.group(1)), m.group(2), int(m.group(3))
     try:
         degrees = tuple(int(x) for x in dlist.split(","))
@@ -458,17 +447,20 @@ def family_from_text(text: str) -> Family:
         raise
     except ValueError as e:
         raise FormatError(str(e)) from e
-    # built as one frozenset: a set copied into one holds two hash tables at
+    # members are parsed as the lines are read, into one frozenset: a list of
+    # the lines, or a set copied into a frozenset, would hold a second copy at
     # the parse's memory peak; on a bad or repeated line the walk below
     # reports the first failure in file order
+    read = itertools.count()
     try:
-        members = frozenset(mask_from_hex(ln, shape.cells)
-                            for ln in itertools.islice(lines, 1, None))
+        members = frozenset(mask_from_hex(ln, shape.cells) for ln, _ in zip(lines, read))
     except FormatError:
-        members = frozenset()
-    if len(members) < len(lines) - 1:
+        members = None
+    if members is None or len(members) < next(read):
+        lines = _content_lines(text, "family")
+        next(lines)
         seen = set()
-        for ln in lines[1:]:
+        for ln in lines:
             b = mask_from_hex(ln, shape.cells)
             if b in seen:
                 raise FormatError(f"duplicate member {ln!r}")

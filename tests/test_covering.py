@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -8,13 +7,10 @@ from setdifflab.covering import (
     DEMO_CELL_CAP,
     CoveringCell,
     _canonical_windows,
-    count_hits,
     demo_average_density,
     demo_framework_report,
-    exact_moments,
     guarantee_threshold,
     interval_demo_cells,
-    proof_chain_report,
     scan_for_dense_cell,
     verify_framework_conditions,
 )
@@ -32,9 +28,10 @@ from setdifflab.universe import (
     _plant_bits,
     _restrict_bits,
     _window_runs,
-    plant_into_window,
     window_region,
 )
+
+from witness_oracles import plant_into_window, proof_chain, window_hits
 
 
 def nonempty(small):
@@ -45,9 +42,7 @@ def nonempty(small):
 def brute_moments(shape, m, pattern_family):
     """Oracle: raw enumeration of N(A) over every subset of the universe."""
     total = 1 << shape.cells
-    values = [
-        count_hits(SubsetMask(shape, b), m, pattern_family) for b in range(total)
-    ]
+    values = [sum(hits) for hits in window_hits(shape, m, pattern_family)]
     e = Fraction(sum(values), total)
     e2 = Fraction(sum(v * v for v in values), total)
     return e, e2 - e * e
@@ -88,70 +83,41 @@ def test_window_system_validation():
     windows = _canonical_windows(sh, 2, nonempty(UniverseShape((1,), 2)))
     assert len(windows) == 3 and {w.m for w in windows} == {2}
     assert windows[2].elements == (5, 6)
-    assert exact_moments(sh, 2, nonempty(UniverseShape((1,), 2))).t == 3
     with pytest.raises(UniverseTooSmallError):
         _canonical_windows(UniverseShape((1,), 3), 4, nonempty(UniverseShape((1,), 4)))
 
 
-# each public window entry, called on (family, m, pattern family)
-ENTRIES = {
-    "count_hits": lambda fam, m, pf: count_hits(SubsetMask(fam.shape, 0), m, pf),
-    "exact_moments": lambda fam, m, pf: exact_moments(fam.shape, m, pf),
-    "scan_for_dense_cell": scan_for_dense_cell,
-    "proof_chain_report":
-        lambda fam, m, pf: proof_chain_report(fam, m, pf, Fraction(1, 4)),
-}
-
-
-@pytest.mark.parametrize("entry", sorted(ENTRIES))
 @pytest.mark.parametrize("n,m,pattern_shape,error", [
     (4, 2, UniverseShape((2,), 2), ShapeMismatchError),
     (4, 2, UniverseShape((1,), 3), ShapeMismatchError),
     (3, 4, UniverseShape((1,), 4), UniverseTooSmallError),
 ], ids=["degrees", "side", "no-window"])
-def test_every_entry_checks_its_windows(entry, n, m, pattern_shape, error):
+def test_scan_checks_its_windows(n, m, pattern_shape, error):
     # the pattern family lives over [m] with the family's degrees, and at
     # least one size-m window fits in [n]
     fam = Family(UniverseShape((1,), n), range(1 << n))
     with pytest.raises(error):
-        ENTRIES[entry](fam, m, nonempty(pattern_shape))
+        scan_for_dense_cell(fam, m, nonempty(pattern_shape))
 
 
 def test_empty_pattern_family_refusals_keep_their_order():
     fam = Family(UniverseShape((1,), 3), range(8))
-    empty4 = Family(UniverseShape((1,), 4), ())
-    # the scan refuses a shape mismatch before emptiness, emptiness before
-    # size; the other entries find no window first
+    # the scan refuses a shape mismatch before emptiness, emptiness before size
     with pytest.raises(ShapeMismatchError):
         scan_for_dense_cell(fam, 4, Family(UniverseShape((2,), 4), ()))
     with pytest.raises(UnsatisfiablePredicateError, match="has empty cells"):
-        scan_for_dense_cell(fam, 4, empty4)
-    for entry in ("count_hits", "exact_moments", "proof_chain_report"):
-        with pytest.raises(UniverseTooSmallError):
-            ENTRIES[entry](fam, 4, empty4)
-    # the two audits accept an empty pattern family: nothing is hit
-    sh = UniverseShape((1,), 4)
-    empty2 = Family(UniverseShape((1,), 2), ())
-    assert count_hits(SubsetMask(sh, 0b1111), 2, empty2) == 0
-    rep = proof_chain_report(Family(sh, range(16)), 2, empty2, Fraction(1, 4))
-    assert rep.expectation == 0 and rep.sum_N == 0 and rep.window_counts == (0, 0)
+        scan_for_dense_cell(fam, 4, Family(UniverseShape((1,), 4), ()))
 
 
-def test_count_hits_worked_example():
-    sh = UniverseShape((1,), 4)
-    A = SubsetMask(sh, 0b1010)  # {2, 4}
-    assert count_hits(A, 1, nonempty(UniverseShape((1,), 1))) == 2
-
-
-def test_exact_moments_worked_example():
+def test_moments_worked_example():
     sh = UniverseShape((1,), 4)
     pattern = nonempty(UniverseShape((1,), 1))
-    rep = exact_moments(sh, 1, pattern)
-    assert rep.p_P == Fraction(1, 2)
-    assert rep.expectation == 2
-    assert rep.variance == 1
-    e, v = brute_moments(sh, 1, pattern)
-    assert (e, v) == (rep.expectation, rep.variance)
+    # A = {2, 4} hits two of the four size-1 windows
+    assert sum(list(window_hits(sh, 1, pattern))[0b1010]) == 2
+    assert brute_moments(sh, 1, pattern) == (2, 1)  # t p(P) and t p(P)(1 - p(P))
+    # at n = 8, t = 8 reaches 1/(eps p(P)) for eps = 1/4, and Var/E^2 = 1/8 <= eps
+    e, v = brute_moments(UniverseShape((1,), 8), 1, pattern)
+    assert v / e**2 == Fraction(1, 8)
 
 
 @pytest.mark.parametrize("degrees", [(1,), (2,), (1, 1)])
@@ -170,32 +136,10 @@ def test_moment_closed_forms_against_enumeration(degrees, m, t):
         Family(small, subsets),
     ]
     for pattern in patterns:
-        rep = exact_moments(sh, m, pattern)
-        count = sum(1 for b in subsets if b in pattern.members)
-        assert rep.p_P == Fraction(count, 1 << small.cells)
+        p = Fraction(len(pattern), 1 << small.cells)
         e, v = brute_moments(sh, m, pattern)
-        assert e == rep.expectation == t * rep.p_P
-        assert v == rep.variance == t * rep.p_P * (1 - rep.p_P)
-
-
-def test_variance_bound_flag():
-    sh = UniverseShape((1,), 8)
-    pattern = nonempty(UniverseShape((1,), 1))
-    rep = exact_moments(sh, 1, pattern, epsilon=Fraction(1, 4))
-    # t = 8 >= 1/(eps p) = 8 and Var/E^2 = 1/8 <= 1/4
-    assert rep.variance / rep.expectation**2 == Fraction(1, 8)
-    assert rep.epsilon_bound_ok is True
-    rep2 = exact_moments(UniverseShape((1,), 2), 1, Family(UniverseShape((1,), 1), [1]),
-                         epsilon=Fraction(1, 4))
-    assert rep2.t < 1 / (rep2.epsilon * rep2.p_P)  # below threshold: vacuous
-    assert rep2.epsilon_bound_ok is True
-    rep3 = exact_moments(sh, 1, pattern)
-    assert rep3.epsilon_bound_ok is None
-
-
-def test_unsatisfiable_predicate():
-    with pytest.raises(UnsatisfiablePredicateError):
-        exact_moments(UniverseShape((1,), 4), 2, Family(UniverseShape((1,), 2), ()))
+        assert e == t * p
+        assert v == t * p * (1 - p)
 
 
 def test_guarantee_threshold_value():
@@ -294,7 +238,7 @@ def test_proof_chain_worked_example():
     sh = UniverseShape((1,), 4)
     fam = Family(sh, frozenset(b for b in range(16) if b & 1))
     pattern = Family(UniverseShape((1,), 2), range(4))
-    rep = proof_chain_report(fam, 2, pattern, Fraction(1, 4))
+    rep = proof_chain(fam, 2, pattern, Fraction(1, 4))
     assert rep.window_counts == (16, 16)
     assert rep.fam_window_counts == (8, 8)
     assert rep.sum_N == 32 and rep.sum_N_fam == 16
@@ -316,7 +260,7 @@ def test_proof_chain_random_instances():
         )
         fam = Family(sh, members)
         for pattern in patterns:
-            rep = proof_chain_report(fam, 3, pattern, Fraction(1, 4))
+            rep = proof_chain(fam, 3, pattern, Fraction(1, 4))
             assert rep.double_counting_all_ok
             assert rep.double_counting_fam_ok
             assert rep.monotone_ok

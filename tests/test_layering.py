@@ -163,25 +163,13 @@ def test_each_subcommand_loads_only_its_layers(name, inputs):
     assert loaded_modules(argv) == expected
 
 
-# Public names no src/ module calls, kept on purpose: paper transports the
-# acceptance suite checks, each waiting for the command the named ROADMAP
-# item gives it, and two graph members.  The three covering audits take
-# scan's inputs (a window size m and a pattern family), so a scan option
-# can call them as they are.  Pure checkers live in the tests.  Any other
-# public function, class, method or property in src/ needs a caller in src/.
+# Public names no src/ module calls, kept on purpose, each for the caller it
+# names; ROADMAP items 2 and 9 give the distance-2 check its command.  Audits
+# no command runs live in the tests.  Any other public function, class,
+# method or property in src/ needs a caller in src/.
 KEPT_LIBRARY_AUDITS = (
-    (("covering.count_hits",),
-     "N(A) on scan's --m and --pattern-family; item 6 gives its moments a command"),
-    (("covering.exact_moments",),
-     "E[N] and Var[N] on scan's --m and --pattern-family; item 6, under scan"),
-    (("covering.proof_chain_report",),
-     "the covering proof's double counting; item 6, under verify-framework"),
     (("patterns.distance2_witness",),
      "re-verifies the distance-2 records of item 2's extremal --distance 2"),
-    (("reductions.symmetric_lift", "reductions.symmetric_extend"),
-     "the sorted-region transport and its inverse; item 6, a reduce mode"),
-    (("reductions.diagonal_block_family",),
-     "same-window to disjoint-window statements; item 6, a reduce mode"),
     (("extremal.ForbiddenPairGraph.edge_count",),
      "the e2ebench tracer reads it off build_forbidden_graph"),
     (("extremal.ForbiddenPairGraph.distance2_closure",),
@@ -190,27 +178,31 @@ KEPT_LIBRARY_AUDITS = (
 
 
 def test_every_public_name_has_a_caller_in_src():
-    defined, called = {}, set()
+    # a module-level name is called through a name, an attribute or an
+    # import; a class member only through an attribute (x.name), so a local
+    # variable that shares its name does not count as a call
+    defined, members, named, attributes = {}, {}, set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            names = {n.id if isinstance(n, ast.Name) else
-                     n.attr if isinstance(n, ast.Attribute) else n.name
-                     for n in ast.walk(node)
-                     if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            attributes |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            names = {n.id if isinstance(n, ast.Name) else n.name
+                     for n in ast.walk(node) if isinstance(n, (ast.Name, ast.alias))}
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(node.name)  # a definition does not call itself
                 if not node.name.startswith("_"):
                     defined[f"{path.stem}.{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):
-                # members by name: a method name is never a Name or
-                # Attribute node of its own definition; dunders go unchecked
+                # a method name is never an Attribute node of its own
+                # definition; dunders go unchecked
                 for member in node.body:
                     if (isinstance(member, ast.FunctionDef)
                             and not member.name.startswith("_")):
-                        defined[f"{path.stem}.{node.name}.{member.name}"] = member.name
-            called |= names
+                        members[f"{path.stem}.{node.name}.{member.name}"] = member.name
+            named |= names
+    called = named | attributes
     uncalled = {qualified for qualified, name in defined.items() if name not in called}
+    uncalled |= {qualified for qualified, name in members.items() if name not in attributes}
     assert uncalled == {name for names, _ in KEPT_LIBRARY_AUDITS for name in names}
 
 

@@ -31,7 +31,6 @@ from setdifflab.universe import (
     SubsetMask,
     UniverseShape,
     cyclic_interval_bits,
-    plant_into_window,
 )
 
 from witness_oracles import (
@@ -44,6 +43,7 @@ from witness_oracles import (
     from_points,
     hyperedges_of,
     interval_mod_n_witness,
+    plant_into_window,
     points_of,
     union_of_powers,
     verify_witness,
@@ -220,7 +220,7 @@ def test_power_worked_examples():
 
 def test_power_rejects_non_difference_pairs():
     sh = UniverseShape((2,), 2)
-    full = SubsetMask.full(sh)
+    full = SubsetMask(sh, sh.full_bits)
     assert find_witness(full, full, PolynomialDifference((2,))) is None  # not distinct
     A = from_points(sh, [(1, (1, 2))])
     assert find_witness(A, SubsetMask(sh, 0), PolynomialDifference((2,))) is None  # not nested

@@ -23,11 +23,9 @@ from setdifflab.reductions import (
     HypergraphBundle,
     _compositions,
     _normalize_graph,
-    _sorted_region,
     beta_bijection,
     beta_inverse,
     clique_square_correspondence,
-    is_symmetric,
     multiplex,
 )
 from setdifflab.universe import (
@@ -38,11 +36,11 @@ from setdifflab.universe import (
     _window_runs,
     cyclic_interval_bits,
     embed_lower_degree,
-    plant_into_window,
     window_region,
 )
 
-from witness_oracles import from_points, interval_mod_n_witness, points_of, restrict_and_relabel
+from witness_oracles import (from_points, interval_mod_n_witness, plant_into_window, points_of,
+                             ref_is_symmetric, restrict_and_relabel)
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +95,6 @@ def ref_interval_witness(a_bits, b_bits, n):
     if cyclic_interval_bits(n, y, k) != diff:
         return None
     return (y, k)
-
-
-def ref_is_symmetric(A):
-    for part, coords in points_of(A):
-        for perm in itertools.permutations(coords):
-            if not A.bits >> A.shape.index_of(part, perm) & 1:
-                return False
-    return True
-
-
-def ref_symmetric_region(d, n):
-    pts = [(1, coords) for coords in
-           itertools.combinations_with_replacement(range(1, n + 1), d)]
-    return from_points(UniverseShape((d,), n), pts)
 
 
 def ref_representative(combo, comp):
@@ -311,18 +295,6 @@ def orbit_union(shape, rng):
     return sum(orbit for orbit in ref_orbits(shape) if rng.random() < 0.5)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 64), st.booleans())
-def test_is_symmetric_matches_per_point_loop(d, n, seed, symmetric):
-    shape = UniverseShape((d,), n)
-    rng = random.Random(seed)
-    bits = orbit_union(shape, rng) if symmetric else rng.getrandbits(shape.cells)
-    if symmetric and bits and rng.random() < 0.5:
-        bits ^= 1 << rng.randrange(shape.cells)  # knock one cell out of an orbit
-    A = SubsetMask(shape, bits)
-    assert is_symmetric(A) == ref_is_symmetric(A)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 64))
 def test_multiplex_matches_per_point_loop(d, n, s, seed):
@@ -395,10 +367,3 @@ def test_beta_matches_per_point_loops_on_random_bundles(d, n, seed):
     A = beta_inverse(bundle)
     assert A == ref_beta_inverse(bundle)
     assert beta_bijection(A) == ref_beta_bijection(A) == bundle
-
-
-def test_region_mask_matches_per_point_loop():
-    for d in range(1, 5):
-        for n in range(1, 6):
-            shape = UniverseShape((d,), n)
-            assert SubsetMask(shape, _sorted_region(shape)) == ref_symmetric_region(d, n)

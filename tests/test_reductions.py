@@ -12,22 +12,18 @@ from setdifflab.patterns import CliqueDifference, PolynomialDifference
 from setdifflab.reductions import (
     HypergraphBundle,
     _compositions,
-    _sorted_region,
     beta_bijection,
     beta_inverse,
     bundles_from_text,
     bundles_to_text,
     clique_square_correspondence,
-    diagonal_block_family,
-    is_symmetric,
     multiplex,
-    symmetric_extend,
-    symmetric_lift,
 )
-from setdifflab.universe import CELL_CAP, Family, SubsetMask, UniverseShape
+from setdifflab.universe import CELL_CAP, Family, OrderedWindow, SubsetMask, UniverseShape
 
 from witness_oracles import (bundle_mask, find_witness, from_points, hyperedges_of,
-                             points_of, union_of_powers)
+                             plant_into_window, points_of, ref_is_symmetric,
+                             ref_symmetric_region, union_of_powers)
 
 from math import comb
 
@@ -43,83 +39,50 @@ def all_symmetric_masks(shape):
     return [
         SubsetMask(shape, b)
         for b in range(1 << shape.cells)
-        if is_symmetric(SubsetMask(shape, b))
+        if ref_is_symmetric(SubsetMask(shape, b))
     ]
 
 
-class TestSortedRegion:
-    def test_two_by_two(self):
-        region = SubsetMask(SQUARE2, _sorted_region(SQUARE2))
-        assert region == mask_of(SQUARE2, [(1, 1), (1, 2), (2, 2)])
-
-    def test_size_matches_enumeration(self):
-        for d in range(1, 5):
-            for n in range(1, 6):
-                count = sum(
-                    1 for c in itertools.product(range(1, n + 1), repeat=d)
-                    if all(c[i] <= c[i + 1] for i in range(d - 1)))
-                region = _sorted_region(UniverseShape(degrees=(d,), n=n))
-                assert count == comb(n + d - 1, d)
-                assert region.bit_count() == count
+def lifts(shape):
+    """Each symmetric mask keyed by its lift, its cells in the sorted region:
+    the mask is the lift's orbit closure."""
+    region = ref_symmetric_region(shape.degrees[0], shape.n).bits
+    return {A.bits & region: A for A in all_symmetric_masks(shape)}
 
 
 class TestSymmetricLiftExtend:
-    def test_is_symmetric(self):
-        assert is_symmetric(mask_of(SQUARE2, [(1, 2), (2, 1)]))
-        assert not is_symmetric(mask_of(SQUARE2, [(1, 2)]))
-        assert is_symmetric(SubsetMask(SQUARE2, 0))
-
     def test_worked_example(self):
+        assert ref_symmetric_region(2, 2) == mask_of(SQUARE2, [(1, 1), (1, 2), (2, 2)])
         A_sym = mask_of(SQUARE2, [(1, 2), (2, 1)])
-        lifted = symmetric_lift(A_sym)
-        assert lifted == mask_of(SQUARE2, [(1, 2)])
-        assert symmetric_extend(lifted) == A_sym
-
-    def test_lift_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_lift(mask_of(SQUARE2, [(2, 1)]))
-
-    def test_extend_rejects_non_representatives(self):
-        with pytest.raises(ValueError):
-            symmetric_extend(mask_of(SQUARE2, [(2, 1)]))
+        assert ref_is_symmetric(A_sym) and ref_is_symmetric(SubsetMask(SQUARE2, 0))
+        assert not ref_is_symmetric(mask_of(SQUARE2, [(1, 2)]))
+        assert lifts(SQUARE2)[mask_of(SQUARE2, [(1, 2)]).bits] == A_sym
 
     def test_roundtrip_and_counting(self):
-        region = _sorted_region(SQUARE2)
-        symmetric = all_symmetric_masks(SQUARE2)
-        # the symmetric sets biject with the subsets of the region
-        assert len(symmetric) == 2 ** 3
-        for A in symmetric:
-            assert symmetric_extend(symmetric_lift(A)) == A
-        seen = set()
-        for bits in range(1 << SQUARE2.cells):
-            B = SubsetMask(SQUARE2, bits)
-            if not bits & ~region:
-                assert symmetric_lift(symmetric_extend(B)) == B
-                seen.add(symmetric_extend(B).bits)
-        assert seen == {A.bits for A in symmetric}
+        # the symmetric sets biject with the subsets of the sorted region
+        for d, n in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+            region = ref_symmetric_region(d, n).bits
+            assert region.bit_count() == comb(n + d - 1, d)
+            shape = UniverseShape(degrees=(d,), n=n)
+            assert len(lifts(shape)) == len(all_symmetric_masks(shape)) == 1 << region.bit_count()
 
     def test_power_pairs_transfer(self):
         # restricted-world power difference (S^2 cut down to sorted points)
         # if and only if the symmetric extensions form a power pair
-        region = _sorted_region(SQUARE2)
+        region = ref_symmetric_region(2, 2).bits
+        extend = lifts(SQUARE2)
         restricted = {
             frozenset(S): union_of_powers(SQUARE2, S).bits & region
             for S in [{1}, {2}, {1, 2}]
         }
-        subsets = [
-            SubsetMask(SQUARE2, b)
-            for b in range(1 << SQUARE2.cells)
-            if not b & ~region
-        ]
         checked = 0
-        for a, b in itertools.product(subsets, repeat=2):
+        for a, b in itertools.product(extend, repeat=2):
             expected = None
-            if a.bits != b.bits and not a.bits & ~b.bits:
+            if a != b and not a & ~b:
                 for S, diff_bits in restricted.items():
-                    if b.bits & ~a.bits == diff_bits:
+                    if b & ~a == diff_bits:
                         expected = S
-            w = find_witness(
-                symmetric_extend(a), symmetric_extend(b), PolynomialDifference((2,)))
+            w = find_witness(extend[a], extend[b], PolynomialDifference((2,)))
             if expected is None:
                 assert w is None
             else:
@@ -296,7 +259,7 @@ class TestBetaBijection:
     def test_empty_and_full(self):
         assert beta_bijection(SubsetMask(SQUARE2, 0)) == HypergraphBundle(
             n=2, degrees=(1, 2), parts=(frozenset(), frozenset()))
-        full = beta_bijection(SubsetMask.full(SQUARE2))
+        full = beta_bijection(SubsetMask(SQUARE2, SQUARE2.full_bits))
         assert full.parts == (
             frozenset({frozenset({1}), frozenset({2})}),
             frozenset({frozenset({1, 2})}))
@@ -317,7 +280,7 @@ class TestBetaBijection:
             assert beta_inverse(beta_bijection(A)) == A
         for bundle in all_bundles(d, n):
             back = beta_inverse(bundle)
-            assert is_symmetric(back)
+            assert ref_is_symmetric(back)
             assert beta_bijection(back) == bundle
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -456,6 +419,17 @@ class TestCliqueSquareCorrespondence:
                 assert w is not None and w.S == vertices
 
 
+def diagonal_block_family(F):
+    """Plant the t-th member of F (ascending mask order) in the t-th size-m
+    window of [m l], l = |F|: the members come out pairwise disjoint, which
+    turns same-window conclusions into disjoint-window ones."""
+    m = F.shape.n
+    big = UniverseShape(F.shape.degrees, m * len(F))
+    return Family(big, frozenset(
+        plant_into_window(small, OrderedWindow.interval(t * m + 1, m), big).bits
+        for t, small in enumerate(F.masks())))
+
+
 class TestDiagonalBlockFamily:
     def test_single_member_identity(self):
         shape = UniverseShape(degrees=(1,), n=1)
@@ -495,8 +469,3 @@ class TestDiagonalBlockFamily:
             assert out.shape.n == shape.n * len(members)
             for a, b in itertools.combinations(out.members, 2):
                 assert a & b == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            diagonal_block_family(
-                Family(UniverseShape(degrees=(1,), n=1), frozenset()))

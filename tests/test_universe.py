@@ -22,12 +22,10 @@ from setdifflab.universe import (
     UniverseShape,
     _cross_bits,
     embed_lower_degree,
-    embedded_region,
     family_from_text,
     family_to_text,
     mask_from_hex,
     mask_to_hex,
-    plant_into_window,
     single_part_degree,
     window_region,
 )
@@ -38,6 +36,7 @@ from witness_oracles import (
     IntervalModN,
     from_points,
     is_interval,
+    plant_into_window,
     points_of,
     restrict_and_relabel,
 )
@@ -198,7 +197,7 @@ def test_embed_worked_examples():
 def test_embed_injective_and_region_size():
     src = UniverseShape((1, 2), 3)
     target_degrees = (2, 3)
-    full = embedded_region(src, target_degrees)
+    full = embed_lower_degree(SubsetMask(src, src.full_bits), target_degrees)
     assert full.bits.bit_count() == src.cells  # injective on points
     images = set()
     for i in range(src.cells):
@@ -269,7 +268,8 @@ def test_embedding_is_injective_and_transfers_differences():
 def test_embedded_region_and_degree_drop():
     target = UniverseShape((2,), 2)
     stray = from_points(target, [(1, (1, 2))])  # not of the form (x, x)
-    assert stray.bits & ~embedded_region(UniverseShape((1,), 2), (2,)).bits
+    source = UniverseShape((1,), 2)
+    assert stray.bits & ~embed_lower_degree(SubsetMask(source, source.full_bits), (2,)).bits
     with pytest.raises(ValueError):
         embed_lower_degree(SubsetMask(target, 0), (1,))  # degrees must not drop
 
@@ -335,6 +335,21 @@ def test_family_text_errors():
             mask_from_hex(line, 12)
     with pytest.raises(FormatError):
         mask_from_hex(" 10", 12)  # blanks around a line are stripped before
+
+
+def test_family_lines_split_where_str_splitlines_splits():
+    # the parse walks the text lazily; a form feed, U+2028 and the other
+    # str.splitlines boundaries still end a line, and the first repeated or
+    # bad line in file order is still the one reported
+    for text, error in [
+            ("shape s=1 d=1 n=4\x0c1\u20282\n1\nzz\n", "duplicate member '1'"),
+            ("shape s=1 d=1 n=4\u20281\x0czz\r\n1\n", "bad member line 'zz'"),
+            ("# c\x0cshape s=1 d=1 n=4\r\n 3 \u2028\x85#x\x0c3\n", "duplicate member '3'"),
+            ("shape s=1 d=1 n=4\x0c10\n", "bad member line '10'")]:
+        with pytest.raises(FormatError, match=error):
+            family_from_text(text)
+    text = "shape s=1 d=1 n=4\u2029\x1e1\x1c2\x1d4\x0b8\x0c 9\x1f\n"
+    assert sorted(family_from_text(text).members) == [1, 2, 4, 8, 9]
 
 
 def test_family_text_ignores_comments_and_blanks():

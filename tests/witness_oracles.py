@@ -1,18 +1,21 @@
-"""Certificates no subcommand reaches, and an independent checker.
+"""Certificates and audits no subcommand reaches, and an independent checker.
 
 The paper's relative versions (its abstract, category (ii)) differ by
 planted members of a template family inside interval windows, or by one
 cyclic interval of Z_n.  Their specs, certificates and extractors live here
 until a command needs them, beside ``verify_witness``, which re-checks any
-certificate from its definition, and the window, power and point maps it
-and the tests read.
+certificate from its definition, and the window, power, point and symmetry
+maps it and the tests read.
 ``find_witness`` decides one ordered pair under a power or clique spec
 through the package's own key test, the one ``find_pattern_pair`` runs.
+``window_hits`` and ``proof_chain`` count the covering technique's windows
+over every subset of a universe.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 from typing import Optional, Union
 
 from setdifflab.errors import ShapeMismatchError
@@ -137,6 +140,32 @@ def restrict_and_relabel(mask: SubsetMask, window: OrderedWindow) -> SubsetMask:
     the k-th window element (under the window's ordering) becomes label k."""
     small = UniverseShape(mask.shape.degrees, window.m)
     return SubsetMask(small, _restrict_bits(mask.bits, _window_runs(mask.shape, window)))
+
+
+def plant_into_window(
+    small_mask: SubsetMask, window: OrderedWindow, shape: UniverseShape
+) -> SubsetMask:
+    """Right inverse of ``restrict_and_relabel``: place an [m]-shape subset
+    into the window power region of the big universe (all other cells empty)."""
+    if window.m != small_mask.shape.n or small_mask.shape.degrees != shape.degrees:
+        raise ShapeMismatchError("small mask does not match window size / degrees")
+    return SubsetMask(shape, _plant_bits(small_mask.bits, _window_runs(shape, window)))
+
+
+def ref_is_symmetric(A: SubsetMask) -> bool:
+    """Invariance under every coordinate permutation, point by point."""
+    for part, coords in points_of(A):
+        for perm in itertools.permutations(coords):
+            if not A.bits >> A.shape.index_of(part, perm) & 1:
+                return False
+    return True
+
+
+def ref_symmetric_region(d: int, n: int) -> SubsetMask:
+    """The sorted-coordinate points x_1 <= ... <= x_d of [n]^d."""
+    pts = [(1, coords) for coords in
+           itertools.combinations_with_replacement(range(1, n + 1), d)]
+    return from_points(UniverseShape((d,), n), pts)
 
 
 def union_of_powers(shape: UniverseShape, S) -> SubsetMask:
@@ -319,3 +348,49 @@ def verify_witness(
                 return False
         return True
     raise TypeError(f"unknown witness {w!r}")
+
+
+# ---------------------------------------------------------------------------
+# the covering technique over every subset
+
+
+def window_hits(shape: UniverseShape, m: int, pattern_family: Family):
+    """For each subset A of the universe, ascending, one flag per canonical
+    window [(r-1)m+1 .. rm]: whether the relabeled restriction of A lies in
+    the pattern family.  N(A) is the number of flags set."""
+    runs = [_window_runs(shape, OrderedWindow.interval(r * m + 1, m))
+            for r in range(shape.n // m)]
+    for bits in range(1 << shape.cells):
+        yield [_restrict_bits(bits, rt) in pattern_family.members for rt in runs]
+
+
+def proof_chain(fam: Family, m: int, pattern_family: Family, epsilon) -> SimpleNamespace:
+    """The accounting behind the dense-cell guarantee, over every subset A:
+    |D(I_r)| and |fam n D(I_r)| per window, the sums of N(A) over all A and
+    over the members, and the four checks of the proof chain (the lower
+    bound is vacuous unless the members with N(A) >= (1 - eps) E[N] make up
+    a (delta - eps) share of all subsets)."""
+    total = 1 << fam.shape.cells
+    threshold = (1 - epsilon) * (fam.shape.n // m) * pattern_family.density()
+    sum_N = sum_N_fam = sum_N_fam_high = high_fam_count = 0
+    window_counts = fam_window_counts = [0] * (fam.shape.n // m)
+    for bits, hits in enumerate(window_hits(fam.shape, m, pattern_family)):
+        N = sum(hits)
+        sum_N += N
+        window_counts = [c + h for c, h in zip(window_counts, hits)]
+        if bits in fam.members:
+            sum_N_fam += N
+            fam_window_counts = [c + h for c, h in zip(fam_window_counts, hits)]
+            if N >= threshold:
+                sum_N_fam_high += N
+                high_fam_count += 1
+    delta = fam.density()
+    antecedent = high_fam_count >= (delta - epsilon) * total
+    return SimpleNamespace(
+        sum_N=sum_N, sum_N_fam=sum_N_fam,
+        window_counts=tuple(window_counts), fam_window_counts=tuple(fam_window_counts),
+        double_counting_all_ok=sum_N == sum(window_counts),
+        double_counting_fam_ok=sum_N_fam == sum(fam_window_counts),
+        monotone_ok=sum_N_fam >= sum_N_fam_high,
+        lower_bound_ok=not antecedent
+        or sum_N_fam_high >= (delta - epsilon) * (1 - epsilon) * sum_N)
