@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from setdifflab import cli
 from setdifflab.covering import (
     DEMO_CELL_CAP,
     CoveringCell,
@@ -28,6 +29,7 @@ from setdifflab.universe import (
     _plant_bits,
     _restrict_bits,
     _window_runs,
+    family_to_text,
     window_region,
 )
 
@@ -87,17 +89,35 @@ def test_window_system_validation():
         _canonical_windows(UniverseShape((1,), 3), 4, nonempty(UniverseShape((1,), 4)))
 
 
-@pytest.mark.parametrize("n,m,pattern_shape,error", [
-    (4, 2, UniverseShape((2,), 2), ShapeMismatchError),
-    (4, 2, UniverseShape((1,), 3), ShapeMismatchError),
-    (3, 4, UniverseShape((1,), 4), UniverseTooSmallError),
-], ids=["degrees", "side", "no-window"])
-def test_scan_checks_its_windows(n, m, pattern_shape, error):
-    # the pattern family lives over [m] with the family's degrees, and at
-    # least one size-m window fits in [n]
+def run_scan_command(tmp_path, capsys, fam, m, pattern_family):
+    """Run ``setdiff scan`` on the two families; return its exit code and stderr."""
+    paths = []
+    for name, family in (("fam.txt", fam), ("pattern.txt", pattern_family)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(family_to_text(family))
+    code = cli.main(["scan", "--family", str(paths[0]), "--m", str(m),
+                     "--pattern-family", str(paths[1])])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["scan_for_dense_cell", "setdiff-scan"])
+@pytest.mark.parametrize("n,m,pattern_family,error", [
+    (4, 2, nonempty(UniverseShape((2,), 2)), ShapeMismatchError),
+    (4, 2, nonempty(UniverseShape((1,), 3)), ShapeMismatchError),
+    (3, 4, nonempty(UniverseShape((1,), 4)), UniverseTooSmallError),
+    (4, 2, Family(UniverseShape((1,), 2), ()), UnsatisfiablePredicateError),
+], ids=["degrees", "side", "no-window", "empty"])
+def test_every_entry_checks_its_windows(entry, n, m, pattern_family, error,
+                                        tmp_path, capsys):
+    # the pattern family is nonempty and lives over [m] with the family's
+    # degrees, and at least one size-m window fits in [n]; the command
+    # reports the scan's refusal as a domain error (exit 4)
     fam = Family(UniverseShape((1,), n), range(1 << n))
-    with pytest.raises(error):
-        scan_for_dense_cell(fam, m, nonempty(pattern_shape))
+    with pytest.raises(error) as refusal:
+        scan_for_dense_cell(fam, m, pattern_family)
+    if entry == "setdiff-scan":
+        code, err = run_scan_command(tmp_path, capsys, fam, m, pattern_family)
+        assert code == 4 and str(refusal.value) in err
 
 
 def test_empty_pattern_family_refusals_keep_their_order():
@@ -109,15 +129,32 @@ def test_empty_pattern_family_refusals_keep_their_order():
         scan_for_dense_cell(fam, 4, Family(UniverseShape((1,), 4), ()))
 
 
-def test_moments_worked_example():
+def test_count_hits_worked_example():
+    sh = UniverseShape((1,), 4)
+    # A = {2, 4} hits the second and fourth of the four size-1 windows
+    hits = list(window_hits(sh, 1, nonempty(UniverseShape((1,), 1))))[0b1010]
+    assert hits == [False, True, False, True]
+
+
+def test_exact_moments_worked_example():
     sh = UniverseShape((1,), 4)
     pattern = nonempty(UniverseShape((1,), 1))
-    # A = {2, 4} hits two of the four size-1 windows
-    assert sum(list(window_hits(sh, 1, pattern))[0b1010]) == 2
+    assert pattern.density() == Fraction(1, 2)
     assert brute_moments(sh, 1, pattern) == (2, 1)  # t p(P) and t p(P)(1 - p(P))
-    # at n = 8, t = 8 reaches 1/(eps p(P)) for eps = 1/4, and Var/E^2 = 1/8 <= eps
+
+
+def test_variance_bound_flag():
+    eps = Fraction(1, 4)
+    pattern = nonempty(UniverseShape((1,), 1))
+    # at n = 8, t = 8 reaches 1/(eps p(P)), and Var/E^2 = 1/8 <= eps
     e, v = brute_moments(UniverseShape((1,), 8), 1, pattern)
-    assert v / e**2 == Fraction(1, 8)
+    assert 8 >= 1 / (eps * pattern.density())
+    assert v / e**2 == Fraction(1, 8) <= eps
+    # below the threshold the implication is vacuous: t = 2 < 8 and
+    # Var/E^2 = 1/2 exceeds eps
+    e, v = brute_moments(UniverseShape((1,), 2), 1, pattern)
+    assert 2 < 1 / (eps * pattern.density())
+    assert v / e**2 == Fraction(1, 2) > eps
 
 
 @pytest.mark.parametrize("degrees", [(1,), (2,), (1, 1)])

@@ -177,13 +177,14 @@ KEPT_LIBRARY_AUDITS = (
 )
 
 
-def test_every_public_name_has_a_caller_in_src():
-    # a module-level name is called through a name, an attribute or an
-    # import; a class member only through an attribute (x.name), so a local
-    # variable that shares its name does not count as a call
+def uncalled_public_names(sources) -> set[str]:
+    """The public names of the (module stem, source) pairs that none of them
+    calls.  A module-level name is called through a name, an attribute or an
+    import; a class member only through an attribute (x.name), so a local
+    variable that shares its name does not count as a call."""
     defined, members, named, attributes = {}, {}, set(), set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for stem, source in sources:
+        tree = ast.parse(source)
         for node in tree.body:
             attributes |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
             names = {n.id if isinstance(n, ast.Name) else n.name
@@ -191,19 +192,37 @@ def test_every_public_name_has_a_caller_in_src():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(node.name)  # a definition does not call itself
                 if not node.name.startswith("_"):
-                    defined[f"{path.stem}.{node.name}"] = node.name
+                    defined[f"{stem}.{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):
                 # a method name is never an Attribute node of its own
                 # definition; dunders go unchecked
                 for member in node.body:
                     if (isinstance(member, ast.FunctionDef)
                             and not member.name.startswith("_")):
-                        members[f"{path.stem}.{node.name}.{member.name}"] = member.name
+                        members[f"{stem}.{node.name}.{member.name}"] = member.name
             named |= names
     called = named | attributes
     uncalled = {qualified for qualified, name in defined.items() if name not in called}
     uncalled |= {qualified for qualified, name in members.items() if name not in attributes}
-    assert uncalled == {name for names, _ in KEPT_LIBRARY_AUDITS for name in names}
+    return uncalled
+
+
+def test_every_public_name_has_a_caller_in_src():
+    sources = [(path.stem, path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))]
+    assert uncalled_public_names(sources) == {
+        name for names, _ in KEPT_LIBRARY_AUDITS for name in names}
+
+
+@pytest.mark.parametrize("source,uncalled", [
+    ("class _S:\n    def full(self): ...\n"
+     "def _f(s):\n    return s.full()\n", set()),
+    ("class _S:\n    def full(self): ...\n"
+     "def _f():\n    full = 1\n    return full\n", {"m._S.full"}),
+    ("def g(): ...\ndef _f():\n    return g()\n", set()),
+], ids=["member-through-attribute", "member-behind-local-name", "function-through-name"])
+def test_caller_rule(source, uncalled):
+    assert uncalled_public_names([("m", source)]) == uncalled
 
 
 def test_every_cap_is_refused_by_one_helper():

@@ -23,6 +23,7 @@ from setdifflab.reductions import (
     HypergraphBundle,
     _compositions,
     _normalize_graph,
+    _orbits,
     beta_bijection,
     beta_inverse,
     clique_square_correspondence,
@@ -40,7 +41,7 @@ from setdifflab.universe import (
 )
 
 from witness_oracles import (from_points, interval_mod_n_witness, plant_into_window, points_of,
-                             ref_is_symmetric, restrict_and_relabel)
+                             ref_is_symmetric, ref_symmetric_region, restrict_and_relabel)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,42 @@ def ref_orbits(shape):
 def orbit_union(shape, rng):
     """A random symmetric set: each permutation orbit taken or left whole."""
     return sum(orbit for orbit in ref_orbits(shape) if rng.random() < 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 64), st.booleans())
+def test_is_symmetric_matches_per_point_loop(d, n, seed, symmetric):
+    # beta's orbit test is the one symmetry check in src: it takes a mask
+    # exactly when every coordinate permutation keeps it
+    shape = UniverseShape((d,), n)
+    rng = random.Random(seed)
+    bits = orbit_union(shape, rng) if symmetric else rng.getrandbits(shape.cells)
+    if symmetric and bits and rng.random() < 0.5:
+        bits ^= 1 << rng.randrange(shape.cells)  # knock one cell out of an orbit
+    A = SubsetMask(shape, bits)
+    try:
+        beta_bijection(A)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == ref_is_symmetric(A)
+
+
+def test_region_mask_matches_per_point_loop():
+    # each orbit key (part j, hyperedge) spells the orbit's sorted point: the
+    # hyperedge's values repeated per the j-th composition of d
+    for d in range(1, 5):
+        for n in range(1, 6):
+            shape = UniverseShape((d,), n)
+            comps = _compositions(d)
+            region = 0
+            for (j, edge), orbit in _orbits(shape).items():
+                rep = from_points(shape, [(1, ref_representative(edge, comps[j]))]).bits
+                assert orbit & ref_symmetric_region(d, n).bits == rep
+                region |= rep
+            assert SubsetMask(shape, region) == ref_symmetric_region(d, n)
+            assert sorted(_orbits(shape).values()) == sorted(ref_orbits(shape))
 
 
 @settings(max_examples=100, deadline=None)

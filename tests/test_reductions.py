@@ -12,6 +12,7 @@ from setdifflab.patterns import CliqueDifference, PolynomialDifference
 from setdifflab.reductions import (
     HypergraphBundle,
     _compositions,
+    _orbits,
     beta_bijection,
     beta_inverse,
     bundles_from_text,
@@ -50,12 +51,42 @@ def lifts(shape):
     return {A.bits & region: A for A in all_symmetric_masks(shape)}
 
 
-class TestSymmetricLiftExtend:
-    def test_worked_example(self):
+class TestSortedRegion:
+    """The sorted points x_1 <= ... <= x_d index the coordinate-permutation
+    orbits that beta walks, one orbit each."""
+
+    def test_two_by_two(self):
         assert ref_symmetric_region(2, 2) == mask_of(SQUARE2, [(1, 1), (1, 2), (2, 2)])
-        A_sym = mask_of(SQUARE2, [(1, 2), (2, 1)])
-        assert ref_is_symmetric(A_sym) and ref_is_symmetric(SubsetMask(SQUARE2, 0))
+        assert dict(_orbits(SQUARE2)) == {
+            (0, (1,)): mask_of(SQUARE2, [(1, 1)]).bits,
+            (0, (2,)): mask_of(SQUARE2, [(2, 2)]).bits,
+            (1, (1, 2)): mask_of(SQUARE2, [(1, 2), (2, 1)]).bits,
+        }
+
+    def test_size_matches_enumeration(self):
+        for d in range(1, 5):
+            for n in range(1, 6):
+                shape = UniverseShape(degrees=(d,), n=n)
+                count = sum(
+                    1 for c in itertools.product(range(1, n + 1), repeat=d)
+                    if all(c[i] <= c[i + 1] for i in range(d - 1)))
+                assert count == comb(n + d - 1, d)
+                assert ref_symmetric_region(d, n).bits.bit_count() == count
+                orbits = list(_orbits(shape).values())
+                assert len(orbits) == count
+                # the orbits partition [n]^d
+                assert sum(orbits) == shape.full_bits
+                assert sum(map(int.bit_count, orbits)) == shape.cells
+
+
+class TestSymmetricLiftExtend:
+    def test_is_symmetric(self):
+        assert ref_is_symmetric(mask_of(SQUARE2, [(1, 2), (2, 1)]))
         assert not ref_is_symmetric(mask_of(SQUARE2, [(1, 2)]))
+        assert ref_is_symmetric(SubsetMask(SQUARE2, 0))
+
+    def test_worked_example(self):
+        A_sym = mask_of(SQUARE2, [(1, 2), (2, 1)])
         assert lifts(SQUARE2)[mask_of(SQUARE2, [(1, 2)]).bits] == A_sym
 
     def test_roundtrip_and_counting(self):

@@ -20,6 +20,7 @@ from setdifflab.universe import (
     OrderedWindow,
     SubsetMask,
     UniverseShape,
+    _content_lines,
     _cross_bits,
     embed_lower_degree,
     family_from_text,
@@ -350,6 +351,59 @@ def test_family_lines_split_where_str_splitlines_splits():
             family_from_text(text)
     text = "shape s=1 d=1 n=4\u2029\x1e1\x1c2\x1d4\x0b8\x0c 9\x1f\n"
     assert sorted(family_from_text(text).members) == [1, 2, 4, 8, 9]
+
+
+# the line boundaries of str.splitlines
+LINE_BOUNDARIES = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029"]
+
+# the three parsers that read lines through _content_lines: each with the
+# lines of a good file, and of a file with two bad lines and the error the
+# first of them raises
+LINE_PARSERS = {
+    "family": (family_from_text,
+               ["shape s=1 d=1 n=4", "1", "# note", "", " 2 "],
+               ["shape s=1 d=1 n=4", "1", "zz", "1", "yy"], "bad member line 'zz'"),
+    "bundle": (bundles_from_text,
+               ["n=3 degrees=2", "1,2 2,3", "# note", "", " - "],
+               ["n=3 degrees=2", "1,2", "a", "1,2", "b"], "bad hyperedge 'a'"),
+    "form": (forms_from_text,
+             ["p=5", "1 2", "# note", "", " 3 4 "],
+             ["p=5", "1 x", "1 2", "1 y"], "bad coefficient row '1 x'"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(LINE_PARSERS))
+def test_parsers_split_lines_where_str_splitlines_splits(what):
+    parse, good, _, _ = LINE_PARSERS[what]
+    expected = parse("\n".join(good) + "\n")
+    for boundary in LINE_BOUNDARIES:
+        assert parse(boundary.join(good) + boundary) == expected, repr(boundary)
+    mixed = "".join(line + LINE_BOUNDARIES[i % len(LINE_BOUNDARIES)]
+                    for i, line in enumerate(good))
+    assert parse(mixed) == expected
+
+
+@pytest.mark.parametrize("what", sorted(LINE_PARSERS))
+def test_parsers_report_the_first_bad_line(what):
+    parse, _, bad, error = LINE_PARSERS[what]
+    for boundary in ("\n", "\x0c", "\u2028"):
+        with pytest.raises(FormatError, match=error):
+            parse(boundary.join(bad))
+    with pytest.raises(FormatError, match=f"empty {what} file"):
+        parse("# only a comment\x0c \u2028\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="a# \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029", max_size=40))
+def test_content_lines_match_str_splitlines(text):
+    stripped = [line.strip() for line in text.splitlines()]
+    expected = [line for line in stripped if line and not line.startswith("#")]
+    if expected:
+        assert list(_content_lines(text, "test")) == expected
+    else:
+        with pytest.raises(FormatError, match="empty test file"):
+            list(_content_lines(text, "test"))
 
 
 def test_family_text_ignores_comments_and_blanks():
