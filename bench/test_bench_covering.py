@@ -1,4 +1,5 @@
-"""Microbenchmark of the covering layer: the dense-cell scan.
+"""Microbenchmarks of the covering layer: the dense-cell scan and the
+cyclic-interval demo's condition check and average density.
 
 Kept out of the tier-1 ``testpaths``; run from the repository root with
 
@@ -6,9 +7,15 @@ Kept out of the tier-1 ``testpaths``; run from the repository root with
         --benchmark-json BENCH.json
 """
 
+from fractions import Fraction
 from random import Random
 
-from setdifflab.covering import scan_for_dense_cell
+from setdifflab.covering import (
+    _demo_rows,
+    demo_average_density,
+    scan_for_dense_cell,
+    verify_framework_conditions,
+)
 from setdifflab.universe import Family, UniverseShape
 
 
@@ -32,3 +39,25 @@ def test_scan_for_dense_cell(benchmark):
     cell, best, average = benchmark(scan_for_dense_cell, fam, m, pattern)
     assert best >= average > 0
 
+
+
+# the file-batch demo-interval-n12 size: 1000 members of 2^12
+DEMO_FAMILY = Random(3).sample(range(1 << 12), 1000)
+
+
+def fresh_demo_rows():
+    # each job is a fresh process, so every round builds the interval table
+    _demo_rows.cache_clear()
+
+
+def test_verify_framework_conditions(benchmark):
+    # the file-batch verify-framework-n9 size
+    rep = benchmark.pedantic(verify_framework_conditions, args=(9,),
+                             setup=fresh_demo_rows, rounds=30)
+    assert (rep.K, rep.L) == (9, 81) and rep.pattern_ok and rep.accounting_ok
+
+
+def test_demo_average_density(benchmark):
+    average = benchmark.pedantic(demo_average_density, args=(12, DEMO_FAMILY),
+                                 setup=fresh_demo_rows, rounds=30)
+    assert average == Fraction(1000, 1 << 12)

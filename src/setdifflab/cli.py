@@ -180,8 +180,8 @@ def cmd_extremal(args) -> None:
 
 
 def cmd_verify_framework(args) -> None:
-    from .covering import demo_framework_report
-    _emit(args, vars(demo_framework_report(args.n)))
+    from .covering import verify_framework_conditions
+    _emit(args, vars(verify_framework_conditions(args.n)))
 
 
 def cmd_demo_interval(args) -> None:
@@ -207,14 +207,13 @@ def cmd_reduce(args) -> None:
     from .universe import (Family, SubsetMask, embed_lower_degree,
                            family_from_text, family_to_text)
     mode = args.mode
-    # the flags each mode reads; every one but --loopful is required
+    # the flags each mode reads, all required
     flags = ("bundles",) if mode in ("beta-inverse", "clique") else ("family",)
-    flags += {"multiplex": ("s",), "embed": ("degrees",),
-              "clique": ("loopful",)}.get(mode, ())
+    flags += {"multiplex": ("s",), "embed": ("degrees",)}.get(mode, ())
     for flag in flags:
         if getattr(args, flag) in (None, ""):
             args.parser.error(f"--mode {mode} requires --{flag}")
-    for flag in ("family", "bundles", "s", "degrees", "loopful"):
+    for flag in ("family", "bundles", "s", "degrees"):
         if flag not in flags and getattr(args, flag) != args.parser.get_default(flag):
             args.parser.error(f"--mode {mode} does not read --{flag}")
     text = _read(getattr(args, flags[0]))
@@ -239,8 +238,8 @@ def cmd_reduce(args) -> None:
         if bundles[0].degrees != (2,):  # one header per file
             raise ValueError(
                 f"--mode clique needs graphs (degrees=2), got {bundles[0].degrees}")
-        fam = clique_square_correspondence(
-            [b.parts[0] for b in bundles], bundles[0].n, loopful=args.loopful)
+        fam = clique_square_correspondence([b.parts[0] for b in bundles],
+                                           bundles[0].n)
     _emit(args, {"mode": mode, "count": len(fam),
                  "family_text": family_to_text(fam)})
 
@@ -324,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, help="copies for --mode multiplex")
     p.add_argument("--degrees", type=int, nargs="+",
                    help="target degrees for --mode embed")
-    p.add_argument("--loopful", action="store_true",
-                   help="in --mode clique, keep diagonal cells empty instead of "
-                        "free (a degree-2 part line holds no loops)")
     p.set_defaults(func=cmd_reduce, parser=p)
 
     return parser

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Collection, Hashable, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .errors import ShapeMismatchError, UnsatisfiablePredicateError, UniverseTooSmallError, capped_count
 from .universe import (
@@ -28,7 +28,6 @@ from .universe import (
     _cell_count,
     _restrict_bits,
     _window_runs,
-    cyclic_interval_bits,
     window_region,
 )
 
@@ -125,18 +124,20 @@ DEMO_CELL_CAP = 1 << 17  # the most cells (n 2^n) the demo builds: n <= 13
 
 @lru_cache(maxsize=16)
 def _demo_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row y-1: the cyclic intervals starting at y of lengths 0..n-1.
+    """Row y-1: the cyclic intervals starting at y of lengths 0..n-1, each a
+    run of ones shifted to start at bit y-1, its bits past n wrapped round.
 
     Refused first when the demo's n 2^n cells exceed DEMO_CELL_CAP.
     """
     if n < 1:
         raise ValueError("n must be positive")
     capped_count(f"the cells of the demo at n={n}", DEMO_CELL_CAP, 2, n, factor=n)
-    return tuple(tuple(cyclic_interval_bits(n, y, length) for length in range(n))
+    full = (1 << n) - 1
+    return tuple(tuple((run | run >> n) & full
+                       for run in (((1 << length) - 1) << (y - 1) for length in range(n)))
                  for y in range(1, n + 1))
 
 
-@lru_cache(maxsize=16)
 def _cyclic_intervals(n: int) -> frozenset[int]:
     """Every nonempty cyclic interval of Z_n, the full set included."""
     return frozenset(i for row in _demo_rows(n) for i in row if i) | {(1 << n) - 1}
@@ -168,66 +169,38 @@ class FrameworkReport(Record):
     accounting_ok: Optional[bool]  # |Omega| L == |W| K
 
 
-def verify_framework_conditions(
-    cells: Sequence,
-    universe: Collection[Hashable],
-    pattern: Callable[[Hashable, Hashable], bool],
-) -> FrameworkReport:
-    """Check the finite covering conditions on an explicit cell list.
+def verify_framework_conditions(n: int) -> FrameworkReport:
+    """Check the finite covering conditions on the demo's labeled cells.
 
-    (i) every ordered pair of distinct members within a cell satisfies the
-    pattern, (ii) cells share a common size K, (iii) every universe element
-    lies in a common number L of cells, and the label accounting
-    |Omega| L = |W| K.  Each cell is a collection of its members.
+    (i) every ordered pair of distinct members within a cell differs by one
+    nonempty cyclic interval of Z_n, (ii) cells share a common size K,
+    (iii) every subset of [n] lies in a common number L of cells, and the
+    label accounting |Omega| L = |W| K.  A member is a base XOR an interval,
+    both subsets of [n], so every member lies in Omega.
     """
-    member_lists = [tuple(c) for c in cells]
-    if not member_lists:
-        raise ValueError("need at least one cell")
-    sizes = {len(ms) for ms in member_lists}
+    cells = interval_demo_cells(n)
+    intervals = _cyclic_intervals(n)
+    sizes = {len(c) for c in cells}
     equal_size = len(sizes) == 1
     K = sizes.pop() if equal_size else None
-    counts = {u: 0 for u in universe}
-    stray = False
-    for ms in member_lists:
-        for mbr in ms:
-            if mbr in counts:
-                counts[mbr] += 1
-            else:
-                stray = True
-    membership_values = set(counts.values())
-    equal_membership = len(membership_values) == 1 and not stray
+    counts = [0] * (1 << n)
+    for c in cells:
+        for mbr in c:
+            counts[mbr] += 1
+    membership_values = set(counts)
+    equal_membership = len(membership_values) == 1
     L = membership_values.pop() if equal_membership else None
-    pattern_ok = all(
-        pattern(a, b)
-        for ms in member_lists
-        for a in ms
-        for b in ms
-        if a != b
-    )
+    pattern_ok = all(a ^ b in intervals for c in cells for a in c for b in c if a != b)
     accounting = None
     if equal_size and equal_membership:
-        accounting = len(counts) * L == len(member_lists) * K
+        accounting = len(counts) * L == len(cells) * K
     return FrameworkReport(
         omega_size=len(counts),
-        num_cells=len(member_lists),
+        num_cells=len(cells),
         K=K,
         L=L,
         equal_cell_size=equal_size,
         equal_membership=equal_membership,
         pattern_ok=pattern_ok,
         accounting_ok=accounting,
-    )
-
-
-def demo_framework_report(n: int) -> FrameworkReport:
-    """The cyclic-shift demo run through the generic condition checker.
-
-    The pattern holds when a ^ b is one nonempty cyclic interval of Z_n,
-    read as one lookup among the intervals.
-    """
-    intervals = _cyclic_intervals(n)
-    return verify_framework_conditions(
-        interval_demo_cells(n),
-        range(1 << n),
-        pattern=lambda a, b: a ^ b in intervals,
     )

@@ -200,49 +200,41 @@ def beta_inverse(bundle: HypergraphBundle) -> SubsetMask:
 # clique-square correspondence
 
 
-def _normalize_graph(edges: Iterable[Iterable[int]], n: int,
-                     loopful: bool) -> frozenset[Hyperedge]:
+def _normalize_graph(edges: Iterable[Iterable[int]], n: int) -> frozenset[Hyperedge]:
     out = set()
     for edge in edges:
         e = frozenset(edge)
         if not all(1 <= v <= n for v in e):
             raise ValueError(f"vertex out of range in {sorted(e)}")
-        if len(e) == 2 or (loopful and len(e) == 1):
-            out.add(e)
-        else:
+        if len(e) != 2:
             raise ValueError(f"{sorted(e)} is not an edge on [{n}]")
+        out.add(e)
     return frozenset(out)
 
 
 def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
-                                 n: int, loopful: bool = False) -> Family:
+                                 n: int) -> Family:
     """Graph family -> family over [n]^2 with (x,y), x<y, reading edges.
 
     Cells on and below the diagonal are free and range over all values, so
-    each graph contributes a fiber of 2^(n^2 - C(n,2)) masks; in loopful
-    mode the diagonal encodes loops and only the below-diagonal cells are
-    free.  Distinct graphs have disjoint fibers, so density is preserved.
-    More than CLIQUE_FIBRE_CAP masks in all raise CapExceededError.
+    each graph contributes a fiber of 2^(n^2 - C(n,2)) masks.  Distinct
+    graphs have disjoint fibers, so density is preserved.  More than
+    CLIQUE_FIBRE_CAP masks in all raise CapExceededError.
     """
     if n < 1:
         raise ValueError("n must be positive")
     shape = UniverseShape(degrees=(2,), n=n)
-    # an orbit's lowest cell is its sorted point; an edge of two vertices
-    # sits at x < y, a loop (kept only when loopful) at x = y
-    read = sum(o & -o for (_, edge), o in _orbits(shape).items()
-               if loopful or len(edge) == 2)
+    # an orbit's lowest cell is its sorted point; an edge sits at x < y
+    read = sum(o & -o for (_, edge), o in _orbits(shape).items() if len(edge) == 2)
     free = shape.full_bits & ~read
     graphs = list(graphs)
     capped_count(f"the fibre masks of {len(graphs)} graphs", CLIQUE_FIBRE_CAP,
                  2, free.bit_count(), factor=len(graphs))
-    members = set()
-    for graph in graphs:
-        base = sum(1 << shape.index_of(1, (min(e), max(e)))
-                   for e in _normalize_graph(graph, n, loopful))
-        sub = 0  # the fibre: every subset of the free cells, ascending
-        while True:
-            members.add(base | sub)
-            sub = (sub - free) & free
-            if not sub:
-                break
-    return Family(shape, frozenset(members))
+    subs = [0]  # every subset of the free cells, ascending: one fibre's offsets
+    while sub := (subs[-1] - free) & free:
+        subs.append(sub)
+    bases = (sum(1 << shape.index_of(1, (min(e), max(e))) for e in _normalize_graph(graph, n))
+             for graph in graphs)
+    # staged in a dict: frozenset() sizes its table to a dict's length, but
+    # grows it fourfold at a time from a generator and keeps the slack
+    return Family(shape, frozenset(dict.fromkeys(base | sub for base in bases for sub in subs)))

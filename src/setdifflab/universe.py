@@ -185,20 +185,6 @@ def _cross_bits(n: int, xs: int, tail: int, k: int) -> int:
     return tail * sum(1 << i * stride for i in _bit_indices(xs))
 
 
-def cyclic_interval_bits(n: int, start: int, length: int) -> int:
-    """Bits of {start, start+1, ..., start+length-1} mod n, elements 1..n."""
-    if not 1 <= start <= n:
-        raise ValueError(f"start {start} not in 1..{n}")
-    if not 0 <= length <= n:
-        raise ValueError(f"length {length} not in 0..{n}")
-    bits = 0
-    z = start
-    for _ in range(length):
-        bits |= 1 << (z - 1)
-        z = z % n + 1
-    return bits
-
-
 def single_part_degree(shape: UniverseShape) -> int:
     """The degree d of a single-part universe [n]^d; other shapes raise."""
     if shape.s != 1:

@@ -18,8 +18,8 @@ from random import Random
 
 from setdifflab.covering import (
     demo_average_density,
-    demo_framework_report,
     scan_for_dense_cell,
+    verify_framework_conditions,
 )
 from setdifflab.extremal import build_forbidden_graph, max_avoiding_family
 from setdifflab.fpforms import (
@@ -195,7 +195,7 @@ def test_criterion_03_average_density_identity():
 
 def test_criterion_04_framework_accounting():
     for n in (3, 4, 5):
-        rep = demo_framework_report(n)
+        rep = verify_framework_conditions(n)
         assert rep.K == n
         assert rep.L == n * n
         assert rep.omega_size == 1 << n

@@ -507,16 +507,14 @@ class TestReduce:
                                   "--bundles", str(path)], capsys)
         assert code == 3 and out == "" and f"duplicate bundle {line}" in err
 
-    @pytest.mark.parametrize("line", ["1", "1,1"])
-    def test_loopful_reads_no_loop(self, line, tmp_path, capsys):
-        # a degree-2 part line takes two-vertex edges only, so --loopful
-        # keeps every diagonal cell empty
+    def test_retired_loopful_flag_is_usage_error(self, tmp_path, capsys):
+        # a degree-2 part line states no loop, so there is no diagonal to read
         path = tmp_path / "graph.txt"
-        path.write_text(f"n=2 degrees=2\n{line}\n")
-        code, out, err = run_cli(["reduce", "--mode", "clique", "--loopful",
-                                  "--bundles", str(path)], capsys)
-        assert code == 3 and out == ""
-        assert "hyperedge [1] does not have 2 vertices" in err
+        path.write_text("n=2 degrees=2\n1,2\n")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["reduce", "--mode", "clique", "--loopful", "--bundles", str(path)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --loopful" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode,header", [
         ("beta-inverse", "n=0 degrees=1"), ("beta-inverse", "n=2 degrees=0"),
@@ -564,14 +562,14 @@ class TestReduce:
              "beta-inverse": ["--bundles", "b.txt"],
              "multiplex": ["--family", "f.txt", "--s", "2"],
              "embed": ["--family", "f.txt", "--degrees", "2"],
-             "clique": ["--bundles", "b.txt", "--loopful"]}
+             "clique": ["--bundles", "b.txt"]}
 
     @pytest.mark.parametrize("mode", sorted(READS))
     def test_unread_flag_is_usage_error(self, mode, capsys):
         # refused before any file is read, not echoed in the config and
         # ignored; --s 0 counts as given
         unread = {"--family": ["f.txt"], "--bundles": ["b.txt"], "--s": ["0"],
-                  "--degrees": ["2"], "--loopful": []}
+                  "--degrees": ["2"]}
         for flag, values in unread.items():
             if flag in self.READS[mode]:
                 continue
@@ -608,8 +606,6 @@ class TestReportBytes:
             "81e680a87e337a9a67a01f19dcdcf11f1e04a3975b4478bccc58972183db51d4",
         "reduce-clique":
             "8e4ccee4dec0899998b3c216f310f44fb5583d507f03f2f052b76814c8e2e5cc",
-        "reduce-clique-loopful":
-            "8b9a17e2c5a5edffb39c9454ab6411185d8fa94abc3cb8598dc9bce50a2c8d74",
         "quasi-pool-d1":
             "3d4dbdff0ca7b975b51ead385319aab0654dae0b592dabbb14125b7e1b8bbcd7",
         "quasi-pool-d2":
@@ -688,8 +684,6 @@ class TestReportBytes:
                                              rng.sample(range(4096), 60))],
             "reduce-clique": ["reduce", "--mode", "clique",
                               "--bundles", str(graphs)],
-            "reduce-clique-loopful": ["reduce", "--mode", "clique", "--loopful",
-                                      "--bundles", str(graphs)],
             "quasi-pool-d1": ["quasirandomize", "--p", "3", "--eta", "1/4",
                               "--family", fam("q1.fam", (1,), 9, biased(1, 9, 200))],
             "quasi-pool-d2": ["quasirandomize", "--p", "3", "--eta", "1/4",

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from setdifflab import cli
+from setdifflab import cli, covering
 from setdifflab.covering import (
     DEMO_CELL_CAP,
     CoveringCell,
     _canonical_windows,
     demo_average_density,
-    demo_framework_report,
     guarantee_threshold,
     interval_demo_cells,
     scan_for_dense_cell,
@@ -331,6 +330,8 @@ def test_demo_cell_cap():
             interval_demo_cells(n)
         with pytest.raises(CapExceededError):
             demo_average_density(n, ())
+        with pytest.raises(CapExceededError):
+            verify_framework_conditions(n)
 
 
 def test_demo_average_density_worked_example():
@@ -346,30 +347,32 @@ def test_demo_average_density_equals_family_density():
 
 
 def test_framework_report_demo():
-    rep = demo_framework_report(3)
+    rep = verify_framework_conditions(3)
     assert rep.omega_size == 8
     assert rep.num_cells == 24
     assert (rep.K, rep.L) == (3, 9)
     assert rep.equal_cell_size and rep.equal_membership
     assert rep.pattern_ok and rep.accounting_ok
-    tiny = demo_framework_report(1)
+    tiny = verify_framework_conditions(1)
     assert (tiny.omega_size, tiny.num_cells, tiny.K, tiny.L) == (2, 2, 1, 1)
     assert tiny.accounting_ok
 
 
-def test_framework_report_flags_violations():
-    anything = lambda a, b: True
-    rep = verify_framework_conditions([[1, 2], [3]], universe=[1, 2, 3],
-                                      pattern=anything)
+def test_framework_report_flags_violations(monkeypatch):
+    # broken cell lists in place of the demo's: each condition is seen to fail
+    def check(n, cells):
+        monkeypatch.setattr(covering, "interval_demo_cells", lambda _n: cells)
+        return verify_framework_conditions(n)
+
+    rep = check(2, [(0, 1), (2,)])
     assert not rep.equal_cell_size and rep.K is None
-    rep2 = verify_framework_conditions([[1, 2], [1, 3]], universe=[1, 2, 3],
-                                       pattern=anything)
-    assert not rep2.equal_membership  # 1 appears twice, 2 and 3 once
-    rep3 = verify_framework_conditions(
-        [[0b0101, 0b0000]], universe=range(16),
-        pattern=lambda a, b: False,
-    )
+    assert rep.accounting_ok is None
+    rep2 = check(2, [(0, 1), (0, 2)])  # 0 in two cells, 1 and 2 in one, 3 in none
+    assert rep2.equal_cell_size and rep2.K == 2 and rep2.pattern_ok
+    assert not rep2.equal_membership and rep2.L is None
+    assert rep2.accounting_ok is None
+    # a ^ (a ^ 0b0101) = {1, 3}, no cyclic interval of Z_4; sizes and
+    # memberships are equal, so only the pattern fails
+    rep3 = check(4, [(a, a ^ 0b0101) for a in range(16)])
+    assert (rep3.K, rep3.L, rep3.accounting_ok) == (2, 2, True)
     assert rep3.pattern_ok is False
-    rep4 = verify_framework_conditions([[5, 6]], universe=[5],
-                                       pattern=anything)  # 6 is stray
-    assert not rep4.equal_membership

@@ -30,7 +30,6 @@ from setdifflab.universe import (
     OrderedWindow,
     SubsetMask,
     UniverseShape,
-    cyclic_interval_bits,
 )
 
 from witness_oracles import (
@@ -38,6 +37,7 @@ from witness_oracles import (
     NESTED,
     SAME_WINDOW,
     FamilyDifference,
+    cyclic_interval_bits,
     family_difference_witness,
     find_witness,
     from_points,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from setdifflab.covering import (
     _cyclic_intervals,
+    _demo_rows,
     demo_average_density,
     interval_demo_cells,
 )
@@ -35,13 +36,13 @@ from setdifflab.universe import (
     SubsetMask,
     UniverseShape,
     _window_runs,
-    cyclic_interval_bits,
     embed_lower_degree,
     window_region,
 )
 
-from witness_oracles import (from_points, interval_mod_n_witness, plant_into_window, points_of,
-                             ref_is_symmetric, ref_symmetric_region, restrict_and_relabel)
+from witness_oracles import (cyclic_interval_bits, from_points, interval_mod_n_witness,
+                             plant_into_window, points_of, ref_is_symmetric,
+                             ref_symmetric_region, restrict_and_relabel)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +151,17 @@ def ref_embed(mask, target_degrees):
     return bits
 
 
-def ref_clique_square(graphs, n, loopful):
+def ref_clique_square(graphs, n):
     shape = UniverseShape((2,), n)
     fixed_cells = [(x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1)]
-    if loopful:
-        fixed_cells += [(x, x) for x in range(1, n + 1)]
     free_cells = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)
                   if (x, y) not in fixed_cells]
     members = set()
     for graph in graphs:
-        edge_set = _normalize_graph(graph, n, loopful)
+        edge_set = _normalize_graph(graph, n)
         base = 0
         for x, y in fixed_cells:
-            if (frozenset({x, y}) if x != y else frozenset({x})) in edge_set:
+            if frozenset({x, y}) in edge_set:
                 base |= 1 << shape.index_of(1, (x, y))
         for choice in range(1 << len(free_cells)):
             bits = base
@@ -265,6 +264,14 @@ def test_demo_interval_set_is_the_witness_predicate():
                     interval_mod_n_witness(a, b, n) is not None)
 
 
+def test_demo_rows_match_per_element_walk():
+    # each rotated run of ones is the interval walked element by element
+    for n in range(1, 14):
+        assert _demo_rows(n) == tuple(
+            tuple(cyclic_interval_bits(n, y, length) for length in range(n))
+            for y in range(1, n + 1))
+
+
 def test_demo_cells_and_density_match_per_cell_loops():
     rng = random.Random(5)
     for n in range(1, 7):
@@ -355,16 +362,13 @@ def test_embed_matches_per_point_loop(parts, n, seed):
     assert got.bits == ref_embed(mask, target)
 
 
-@pytest.mark.parametrize("loopful", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_clique_square_matches_per_point_loop(n, loopful):
+def test_clique_square_matches_per_point_loop(n):
     rng = random.Random(n)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    loops = [(x,) for x in range(1, n + 1)] if loopful else []
-    graphs = [rng.sample(pairs + loops, rng.randrange(len(pairs + loops) + 1))
-              for _ in range(3)]
-    fam = clique_square_correspondence(graphs, n, loopful=loopful)
-    assert fam.members == ref_clique_square(graphs, n, loopful)
+    graphs = [rng.sample(pairs, rng.randrange(len(pairs) + 1)) for _ in range(3)]
+    fam = clique_square_correspondence(graphs, n)
+    assert fam.members == ref_clique_square(graphs, n)
 
 
 @pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (3, 2), (3, 3)])

@@ -368,28 +368,21 @@ class TestCliqueSquareCorrespondence:
             assert len(fam) == len(chosen) * 2 ** 6
             assert fam.density() == Fraction(len(chosen), 8)
 
-    def test_loopful_mode(self):
-        fam = clique_square_correspondence([[(1,), (1, 2)]], 2, loopful=True)
-        assert fam.members == frozenset({3, 7})
-
     def test_fibre_cap(self, monkeypatch):
-        # n = 3 has 2^6 free cells per graph, 2^3 in loopful mode
+        # n = 3 has 2^6 free cells per graph
         monkeypatch.setattr(reductions, "CLIQUE_FIBRE_CAP", 128)
         assert len(clique_square_correspondence([[], [(1, 2)]], 3)) == 128
         with pytest.raises(CapExceededError):
             clique_square_correspondence([[], [(1, 2)], [(1, 3)]], 3)
-        fam = clique_square_correspondence([[]] * 16, 3, loopful=True)
-        assert len(fam) == 8  # sixteen copies of one fibre, within the cap
+        # two copies of one fibre: one fibre's masks, counted twice by the cap
+        assert len(clique_square_correspondence([[]] * 2, 3)) == 64
         with pytest.raises(CapExceededError):
-            clique_square_correspondence([[]] * 17, 3, loopful=True)
+            clique_square_correspondence([[]] * 3, 3)
 
     def test_fibre_cap_refuses_n7(self):
         assert reductions.CLIQUE_FIBRE_CAP == 1 << 20
         with pytest.raises(CapExceededError):
             clique_square_correspondence([[(1, 2)]], 7)
-        # 2^21 loopful members over two graphs: refused before the walk
-        with pytest.raises(CapExceededError):
-            clique_square_correspondence([[], [(1,)]], 7, loopful=True)
 
     def test_loopless_rejects_loops(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,6 @@ from setdifflab.universe import (
     _plant_bits,
     _restrict_bits,
     _window_runs,
-    cyclic_interval_bits,
     window_region,
 )
 
@@ -150,6 +149,21 @@ def plant_into_window(
     if window.m != small_mask.shape.n or small_mask.shape.degrees != shape.degrees:
         raise ShapeMismatchError("small mask does not match window size / degrees")
     return SubsetMask(shape, _plant_bits(small_mask.bits, _window_runs(shape, window)))
+
+
+def cyclic_interval_bits(n: int, start: int, length: int) -> int:
+    """Bits of {start, start+1, ..., start+length-1} mod n, elements 1..n,
+    walked one element at a time."""
+    if not 1 <= start <= n:
+        raise ValueError(f"start {start} not in 1..{n}")
+    if not 0 <= length <= n:
+        raise ValueError(f"length {length} not in 0..{n}")
+    bits = 0
+    z = start
+    for _ in range(length):
+        bits |= 1 << (z - 1)
+        z = z % n + 1
+    return bits
 
 
 def ref_is_symmetric(A: SubsetMask) -> bool:
