@@ -507,14 +507,16 @@ class TestReduce:
                                   "--bundles", str(path)], capsys)
         assert code == 3 and out == "" and f"duplicate bundle {line}" in err
 
-    def test_retired_loopful_flag_is_usage_error(self, tmp_path, capsys):
-        # a degree-2 part line states no loop, so there is no diagonal to read
+    @pytest.mark.parametrize("line", ["1", "1,1"])
+    def test_loopful_reads_no_loop(self, line, tmp_path, capsys):
+        # a degree-2 part line takes two-vertex edges only, so a loop line
+        # is refused and every diagonal cell stays empty
         path = tmp_path / "graph.txt"
-        path.write_text("n=2 degrees=2\n1,2\n")
-        with pytest.raises(SystemExit) as err:
-            cli.main(["reduce", "--mode", "clique", "--loopful", "--bundles", str(path)])
-        assert err.value.code == 2
-        assert "unrecognized arguments: --loopful" in capsys.readouterr().err
+        path.write_text(f"n=2 degrees=2\n{line}\n")
+        code, out, err = run_cli(["reduce", "--mode", "clique",
+                                  "--bundles", str(path)], capsys)
+        assert code == 3 and out == ""
+        assert "hyperedge [1] does not have 2 vertices" in err
 
     @pytest.mark.parametrize("mode,header", [
         ("beta-inverse", "n=0 degrees=1"), ("beta-inverse", "n=2 degrees=0"),
@@ -577,6 +579,19 @@ class TestReduce:
                 cli.main(["reduce", "--mode", mode, *self.READS[mode], flag, *values])
             assert err.value.code == 2
             assert f"--mode {mode} does not read {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", sorted(READS))
+    def test_retired_loopful_flag_is_usage_error(self, mode, tmp_path, capsys):
+        # a degree-2 part line states no loop, so no mode has a diagonal
+        # to read; the flag is refused by the parser in every mode
+        path = tmp_path / "graph.txt"
+        path.write_text("n=2 degrees=2\n1,2\n")
+        files = {"f.txt": str(path), "b.txt": str(path)}
+        argv = [files.get(arg, arg) for arg in self.READS[mode]]
+        with pytest.raises(SystemExit) as err:
+            cli.main(["reduce", "--mode", mode, *argv, "--loopful"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --loopful" in capsys.readouterr().err
 
 
 class TestReportBytes:

@@ -264,12 +264,12 @@ def test_demo_interval_set_is_the_witness_predicate():
                     interval_mod_n_witness(a, b, n) is not None)
 
 
-def test_demo_rows_match_per_element_walk():
+@pytest.mark.parametrize("n", range(1, 14))
+def test_demo_rows_match_per_element_walk(n):
     # each rotated run of ones is the interval walked element by element
-    for n in range(1, 14):
-        assert _demo_rows(n) == tuple(
-            tuple(cyclic_interval_bits(n, y, length) for length in range(n))
-            for y in range(1, n + 1))
+    assert _demo_rows(n) == tuple(
+        tuple(cyclic_interval_bits(n, y, length) for length in range(n))
+        for y in range(1, n + 1))
 
 
 def test_demo_cells_and_density_match_per_cell_loops():
