@@ -45,6 +45,9 @@ CASES = {
     # all 3^7 = 2187 forms in 1094 classes, each lifted to the 49 cells of
     # [7]^2
     "exhaustive-d2-n7": (biased_family(2, 7, 150, seed=2), 3, 3 ** 7),
+    # the pool at p=3 over the 100 cells of [10]^2: 1 + 10*2 + 45*4 = 201
+    # forms in 101 classes over 2000 members
+    "pool-d2-n10": (biased_family(2, 10, 2000, seed=4), 3, 0),
 }
 
 
@@ -61,8 +64,9 @@ def test_find_distinguishing_form(benchmark, case):
     assert report is not None and report.gap >= threshold(p)
 
 
-def test_increment_step(benchmark):
-    fam, p, budget = CASES["pool-d1-n14"]
+@pytest.mark.parametrize("case", ["pool-d1-n14", "pool-d2-n10"])
+def test_increment_step(benchmark, case):
+    fam, p, budget = CASES[case]
     report = find_distinguishing_form(fam, p, threshold(p), search_budget=budget)
     step = benchmark(increment_step, fam, report,
                      default_m_schedule(fam.shape.n, p))

@@ -32,6 +32,29 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+# the most digits a rational flag's decimal exponent may have: Fraction
+# spells out 10^exponent, and at 1e-30000000 that runs for well over 20 s
+_EXPONENT_DIGITS = 4
+
+
+def _rational(text: str) -> Fraction:
+    """The type of ``--eta``, ``--epsilon`` and ``--delta``: a ``Fraction``
+    (``1/4``, ``0.25``, ``25e-2``).  A zero denominator, or an exponent of
+    more than ``_EXPONENT_DIGITS`` digits, is a usage error (exit 2); the
+    exponent is refused before any power of 10 is formed."""
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and len(digits) > _EXPONENT_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"the exponent of {text!r} has more than {_EXPONENT_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         from .universe import _frac
@@ -267,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--pattern-family", required=True, metavar="FILE",
                    help="family file over the window shape [m]")
-    p.add_argument("--epsilon", type=Fraction)
-    p.add_argument("--delta", type=Fraction)
+    p.add_argument("--epsilon", type=_rational)
+    p.add_argument("--delta", type=_rational)
     p.set_defaults(func=cmd_scan, parser=p)
 
     p = sub.add_parser("phidist", parents=[common],
@@ -282,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="density-increment loop on a family file")
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--p", required=True, type=int)
-    p.add_argument("--eta", required=True, type=Fraction)
+    p.add_argument("--eta", required=True, type=_rational)
     p.add_argument("--pool", choices=("small", "exhaustive"), default="small",
                    help="form search pool: weight-<=2 vectors or all p^n vectors")
     p.add_argument("--forms", metavar="FILE",

@@ -7,6 +7,8 @@ of [n]^d, the cell (i_1, ..., i_d) carrying the coefficient
 ``a_{i_1} * ... * a_{i_d}``.  A form's only table is the cell bitmask of each
 nonzero coefficient value; exact output distributions over uniformly random
 subsets count subsets from its class sizes, where enumeration is hopeless.
+A family is counted on its member bit-planes, one member bitset per cell,
+so that its projection onto a few cells splits a few big ints.
 
 The block-partition construction splits [n] into rows of m pairwise disjoint
 blocks on which the form vanishes, plus a remainder.  On any cell that is
@@ -28,6 +30,7 @@ from .universe import (
     Record,
     SubsetMask,
     UniverseShape,
+    _bit_indices,
     _cell_count,
     _content_lines,
     _cross_bits,
@@ -114,20 +117,23 @@ def support_size(form: InducedForm) -> int:
     return len(support(form.base)) ** form.degree
 
 
-def coefficient_class_masks(form: InducedForm) -> tuple[tuple[int, int], ...]:
-    """(value, cell bitmask) per nonzero coefficient value, values ascending.
+def coefficient_class_masks(p: int, coeffs: Sequence[int],
+                            degree: int) -> tuple[tuple[int, int], ...]:
+    """(value, cell bitmask over [n]^degree) per nonzero coefficient value of
+    the degree-``degree`` lift of the form with these coefficients mod p,
+    values ascending.
 
     The classes are folded out of the base form's without visiting cells:
     on [n]^(k+1) the class a*w holds the products {x : a_x = a} x M_w of a
     base class and a class of [n]^k.
     """
-    n, p = form.n, form.p
+    n = len(coeffs)
     first: dict[int, int] = {}
-    for x, a in enumerate(form.base.coeffs):
+    for x, a in enumerate(coeffs):
         if a:
             first[a] = first.get(a, 0) | 1 << x
     masks = first
-    for k in range(1, form.degree):
+    for k in range(1, degree):
         folded: dict[int, int] = {}
         for a, row in first.items():
             spread = _cross_bits(n, row, 1, k)  # X x {first cell}; mask * spread is X x M
@@ -149,6 +155,63 @@ def value_counts(p: int, classes: Sequence[tuple[int, int]],
         for value, mask in classes:
             total += value * (bits & mask).bit_count()
         counts[total % p] += weight
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# Member bit-planes
+
+# _BIT_DIGITS[b] maps a byte to the digit "1" when its bit b is set, else "0"
+_BIT_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
+
+
+def member_planes(members: Sequence[int], cells: int) -> list[int]:
+    """The members transposed: entry c has bit j set when ``members[j]``
+    holds cell c.
+
+    The members are written once as little-endian bytes, last member first.
+    Cell c's byte of every member is then one strided slice, which
+    ``bytes.translate`` turns into base-2 digits of the cell's bit and
+    ``int`` reads with the first member lowest, so the planes take about as
+    much memory as the members.  The bytes are joined 256 members at a time:
+    a join holds a list and an 80-byte buffer view of every piece, about
+    ten times the bytes it joins.
+    """
+    width = cells + 7 >> 3
+    layout, pending = bytearray(), reversed(members)
+    while piece := b"".join(bits.to_bytes(width, "little")
+                            for bits in itertools.islice(pending, 256)):
+        layout += piece
+    return [int(layout[c >> 3::width].translate(_BIT_DIGITS[c & 7]) or b"0", 2)
+            for c in range(cells)]
+
+
+def projection_counts(members: Sequence[int], planes: Sequence[int],
+                      support: int) -> dict[int, int]:
+    """{projection: number of members} of the ``member & support`` of every
+    member, read from the members' ``member_planes``.
+
+    The member set is split cell by cell of the support into parts, each one
+    member bitset, whose members agree on the cells so far; a part's
+    projection is then that of any of its members.  A part of one member is
+    closed at once, so a support that tells the members apart splits into no
+    more parts than there are members.
+    """
+    counts: dict[int, int] = {}
+    parts = [(1 << len(members)) - 1]
+    for c in _bit_indices(support):
+        plane = planes[c]
+        split = []
+        for part in parts:
+            inside = part & plane
+            for sub in (inside, part ^ inside):
+                if sub & (sub - 1):
+                    split.append(sub)
+                elif sub:
+                    counts[members[sub.bit_length() - 1] & support] = 1
+        parts = split
+    for part in parts:
+        counts[members[part.bit_length() - 1] & support] = part.bit_count()
     return counts
 
 
@@ -233,8 +296,9 @@ def distribution(form: InducedForm) -> DistributionTable:
     """
     p = form.p
     zsize = support_size(form)
+    classes = coefficient_class_masks(p, form.base.coeffs, form.degree)
     return DistributionTable(
-        p=p, masses=_convolved_masses(p, coefficient_class_masks(form)),
+        p=p, masses=_convolved_masses(p, classes),
         support_size=zsize, uniformity_bound=uniformity_bound(p, zsize))
 
 

@@ -12,6 +12,12 @@ shares one gap.  Classes are walked grouped by support; each representative
 is counted over the family's projections onto that support, weighted by how
 many members share each projection, against the global distribution read
 from a per-search memo keyed by the class-size signature.
+
+Neither the search nor the step loops over the members per form or per row.
+The search transposes the family once into member bit-planes (one member
+bitset per cell) and splits each support's projections out of them; the
+step counts each row's cells with one ``Counter`` over the members constant
+on the row's block products, and lifts only the densest cell's members.
 """
 
 from __future__ import annotations
@@ -33,10 +39,12 @@ from .fpforms import (
     build_block_partition,
     coefficient_class_masks,
     lift_bits,
+    member_planes,
+    projection_counts,
     value_counts,
 )
 from .patterns import PolynomialDifference, find_pattern_pair
-from .universe import Family, Record, SubsetMask, _frac, single_part_degree
+from .universe import Family, Record, SubsetMask, _bit_indices, _frac, single_part_degree
 
 DEFAULT_FORM_BUDGET = 1 << 20
 
@@ -97,49 +105,54 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     the residues: c*phi takes c^d * y wherever phi takes y.  So the search
     counts one representative per class {c*phi} (first nonzero coefficient
     1), walking the classes grouped by support so that the projection of
-    the family onto a support is built once.  The winner is the largest
-    gap, then the earliest position in the search order, then the smallest
-    y.  Exhaustive order reads a form as the base-p number sum a_z p^z,
-    first coordinate fastest, so a class's earliest member is the multiple
-    whose last nonzero coefficient is 1.  The pool lists a support's forms
-    by ascending first coefficient, so there the representative comes first
-    and the walk visits classes in order; user forms follow the pool in the
-    order given, each counted as itself.  Gaps are compared exactly, as
-    integers over |F| * 2^cells.
+    the family onto a support is built once.  The family is transposed once
+    into member bit-planes, and each projection is split out of the planes
+    of the support's cells (``projection_counts``).  Candidates are walked
+    as coefficient tuples; only the winner becomes a ``LinearFormP``.
+
+    The winner is the largest gap, then the earliest position in the search
+    order, then the smallest y.  Exhaustive order reads a form as the base-p
+    number sum a_z p^z, first coordinate fastest, so a class's earliest
+    member is the multiple whose last nonzero coefficient is 1.  The pool
+    lists a support's forms by ascending first coefficient, so there the
+    representative comes first and the walk visits classes in order; user
+    forms follow the pool in the order given, each counted as itself.  Gaps
+    are compared exactly, as integers over |F| * 2^cells.
     """
     if not fam.members:
         raise ValueError("family is empty")
     eta = Fraction(eta)
     degree = single_part_degree(fam.shape)
     n = fam.shape.n
+    LinearFormP(p=p, coeffs=(0,) * n)  # refuses an over-cap or composite p
     exhaustive = True  # all p^n forms, when they fit the budget
     try:
         capped_count("forms", search_budget, p, n)
     except CapExceededError:
         exhaustive = False
     scope = "exhaustive" if exhaustive else "pool"
-    # The first representative is the zero form, whose LinearFormP refuses a
-    # composite p before any class is counted.
-    candidates: Iterable[LinearFormP] = (
-        LinearFormP(p=p, coeffs=coeffs)
-        for coeffs in _representatives(p, n, n if exhaustive else 2))
+    candidates: Iterable[tuple[int, ...]] = _representatives(
+        p, n, n if exhaustive else 2)
     if not exhaustive:
-        candidates = itertools.chain(candidates, extra_forms)
-    size = len(fam.members)
+        for form in extra_forms:
+            if form.p != p or form.n != n:
+                raise ShapeMismatchError(
+                    f"candidate form {form} does not fit p={p}, n={n}")
+        candidates = itertools.chain(candidates, (f.coeffs for f in extra_forms))
+    members = list(fam.members)
+    planes = member_planes(members, fam.shape.cells)
+    size = len(members)
     support = projection = None
     global_memo: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    best = None  # (num, cells, position, y, form) of the largest gap num / (size * 2^cells)
-    for index, form in enumerate(candidates):
-        if form.p != p or form.n != n:
-            raise ShapeMismatchError(f"candidate form {form} does not fit p={p}, n={n}")
-        induced = form.induced(degree)
-        classes = coefficient_class_masks(induced)
+    best = None  # (num, cells, position, y, coeffs) of the largest gap num / (size * 2^cells)
+    for index, coeffs in enumerate(candidates):
+        classes = coefficient_class_masks(p, coeffs, degree)
         union = 0
         for _, mask in classes:
             union |= mask
         if union != support:
             support, cells = union, union.bit_count()
-            projection = Counter(map(support.__and__, fam.members))
+            projection = projection_counts(members, planes, support)
         counts = value_counts(p, classes, projection.items())
         signature = tuple((value, mask.bit_count()) for value, mask in classes)
         subsets = global_memo.get(signature)
@@ -153,19 +166,20 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
                 continue
         scale, position = 1, index  # the pool walk runs in search order
         if exhaustive:
-            scale = pow(next((a for a in reversed(form.coeffs) if a), 1), -1, p)
-            position = sum(scale * a % p * p ** z for z, a in enumerate(form.coeffs))
+            scale = pow(next((a for a in reversed(coeffs) if a), 1), -1, p)
+            position = sum(scale * a % p * p ** z for z, a in enumerate(coeffs))
         if best is None or above > below or position < best[2]:
             power = pow(scale, degree, p)
             y = min(power * r % p for r, num in enumerate(nums) if num == top)
             if scale != 1:
-                form = LinearFormP(p=p, coeffs=tuple(scale * a % p for a in form.coeffs))
-            best = (top, cells, position, y, form)
-    num, cells, _, y, form = best
+                coeffs = tuple(scale * a % p for a in coeffs)
+            best = (top, cells, position, y, coeffs)
+    num, cells, _, y, coeffs = best
     gap = Fraction(num, size << cells)
     if gap < eta:
         return None
-    return DistinguishingReport(form=form, y=y, gap=gap, scope=scope)
+    return DistinguishingReport(form=LinearFormP(p=p, coeffs=coeffs), y=y,
+                                gap=gap, scope=scope)
 
 
 class IncrementStep(Record):
@@ -182,6 +196,15 @@ class IncrementStep(Record):
 def increment_step(fam: Family, report: DistinguishingReport, m: int) -> IncrementStep:
     """Scan the form's block cells for the densest one and pull back into it.
 
+    A member lies in a row's cell when it is constant on each block product
+    of the row; the cell is the background it keeps off the row region.  So
+    each row is counted with one ``Counter`` of backgrounds over the members
+    kept for it: every member when the products are single cells (blocks
+    of size 1), else the members constant on every product, read from the
+    member bit-planes.  A row's densest cell (then its smallest background)
+    replaces the best so far only when strictly denser, and only the
+    winning cell's members are lifted.
+
     The returned family lives over [m]^d.  The step is flagged guaranteed
     when the relative density reaches the previous density times
     ``1 + gap/3`` (the increment the theory promises once its size
@@ -197,24 +220,38 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
         raise UniverseTooSmallError(
             f"block partition of [{shape.n}] at m={m} produced no rows")
 
-    # Each member is lifted once per row; only one row's cells are held, and
-    # a row's densest cell replaces the best so far only when strictly denser.
-    row, background, members = 1, 0, []
+    members, planes = fam.members, None
+    if partition.sigma > 1:  # blocks of several elements: products of several cells
+        members = list(members)
+        planes = member_planes(members, shape.cells)
+    row, background, count, winners = 1, 0, 0, ()
     for r in range(1, partition.t + 1):
         table = _product_table(partition, r, degree)
-        region = sum(table)
-        cells: dict[int, list[int]] = {}
-        for bits in fam.members:
-            chosen = lift_bits(table, bits & region)
-            if chosen is not None:
-                cells.setdefault(bits & ~region, []).append(chosen)
-        densest = max(cells, key=lambda b: (len(cells[b]), -b), default=0)
-        if len(cells.get(densest, ())) > len(members):
-            row, background, members = r, densest, cells[densest]
+        kept = members
+        if planes is not None:
+            constant = (1 << len(members)) - 1  # member bits, constant so far
+            for product in table:
+                ones = zeros = constant
+                for c in _bit_indices(product):
+                    ones &= planes[c]
+                    zeros &= ~planes[c]
+                constant &= ones | zeros
+            # the members whose bits are set, read from the lowest binary digit up
+            kept = list(itertools.compress(members, map(int, bin(constant)[:1:-1])))
+        cells = Counter(map((~sum(table)).__and__, kept))
+        top = max(cells.values(), default=0)
+        if top > count:
+            row, count, winners = r, top, kept
+            background = min(b for b, k in cells.items() if k == top)
+        del cells  # freed before the next row is counted, which halves the peak
     cell = BlockCell(partition=partition, row=row,
                      background=SubsetMask(shape, background))
-    density = Fraction(len(members), len(cell))
-    lifted = Family(cell.small_shape(), frozenset(members))
+    table = _product_table(partition, row, degree)
+    region = sum(table)
+    lifted = Family(cell.small_shape(), frozenset(
+        lift_bits(table, bits & region) for bits in winners
+        if bits & ~region == background))
+    density = Fraction(count, len(cell))
     ratio = 1 + Fraction(report.gap) / 3
     return IncrementStep(
         cell=cell, family=lifted, density=density, previous_density=previous,

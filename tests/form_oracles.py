@@ -22,10 +22,15 @@ from setdifflab.fpforms import (
 from setdifflab.universe import Record, SubsetMask
 
 
+def class_masks(form: InducedForm):
+    """``coefficient_class_masks`` of an induced form."""
+    return coefficient_class_masks(form.p, form.base.coeffs, form.degree)
+
+
 def eval_on_bits(form, bits: int) -> int:
     """The form's value on one subset, given as a bitmask over its universe."""
     total = 0
-    for value, mask in coefficient_class_masks(form):
+    for value, mask in class_masks(form):
         total += value * (bits & mask).bit_count()
     return total % form.p
 
@@ -87,7 +92,7 @@ def cell_value_report(form: InducedForm, partition: BlockPartition) -> CellValue
     if partition.t == 0:
         raise UniverseTooSmallError("partition has no rows to average over")
     p = form.p
-    classes = coefficient_class_masks(form)
+    classes = class_masks(form)
     acc = [Fraction(0)] * p
     for row in range(1, partition.t + 1):
         region = sum(_product_table(partition, row, form.degree))

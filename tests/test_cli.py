@@ -627,6 +627,8 @@ class TestReportBytes:
             "075972f3d58f4612fdb2d1521429871ddcd1cd40da1234ba65c3e97813a9fcde",
         "quasi-exhaustive-d2":
             "9c55ca8ff9b1131b6fa970e55387e843968ec496255bf8807cc87606213de311",
+        "quasi-forms-blocks":
+            "ad36cfa6b5a95f6e204801780d05d493713bf5096967bc080eb9b6214fa7de4d",
     }
 
     @staticmethod
@@ -663,6 +665,21 @@ class TestReportBytes:
                 members.add(bits)
             return members
 
+        even_rng = random.Random(4)
+
+        def mostly_even(n, size):
+            """Random members, about 90% of them of even size, so that only
+            the all-ones form of a file pool tells them apart at p=2."""
+            members = set()
+            while len(members) < size:
+                bits = even_rng.getrandbits(n)
+                if bits.bit_count() % 2 and even_rng.random() < 0.8:
+                    bits ^= 1 << even_rng.randrange(n)
+                members.add(bits)
+            return members
+
+        ones = tmp_path / "ones.txt"
+        ones.write_text("p=2\n" + " ".join(["1"] * 12) + "\n")
         forms = tmp_path / "forms.txt"
         forms.write_text("p=5\n1 2 0 4 3\n2 2 2 1 0\n")
         graphs = tmp_path / "graphs.txt"
@@ -706,6 +723,12 @@ class TestReportBytes:
             "quasi-exhaustive-d2": ["quasirandomize", "--p", "3", "--eta", "1/4",
                                     "--pool", "exhaustive",
                                     "--family", fam("q2x.fam", (2,), 5, biased(2, 5, 60))],
+            # the all-ones form wins, and its step keeps the members constant
+            # on the 2-element blocks [[1, 2], [3, 4]]
+            "quasi-forms-blocks": ["quasirandomize", "--p", "2", "--eta", "1/4",
+                                   "--forms", str(ones),
+                                   "--family", fam("qf.fam", (1,), 12,
+                                                   mostly_even(12, 200))],
         }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -713,6 +736,49 @@ class TestReportBytes:
         doc = run_json(self.jobs(tmp_path)[name], capsys)
         text = json.dumps(doc["report"], sort_keys=True, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]
+
+
+class TestRationalFlags:
+    """``--eta``, ``--epsilon`` and ``--delta`` take Fraction syntax; a value
+    Fraction cannot read, or could read only by spelling out a huge power of
+    10, is a usage error (exit 2) before any work."""
+
+    @pytest.fixture
+    def prefix(self, halfspace4, full_pattern2):
+        scan = ["scan", "--family", halfspace4, "--m", "2",
+                "--pattern-family", full_pattern2]
+        return {
+            "--eta": ["quasirandomize", "--family", halfspace4, "--p", "3", "--eta"],
+            "--epsilon": scan + ["--delta", "1/2", "--epsilon"],
+            "--delta": scan + ["--epsilon", "1/4", "--delta"],
+        }
+
+    @pytest.mark.parametrize("flag", ["--eta", "--epsilon", "--delta"])
+    @pytest.mark.parametrize("value, message", [
+        ("1/0", "'1/0' has a zero denominator"),
+        ("3/00", "'3/00' has a zero denominator"),
+        ("1e-30000000", "the exponent of '1e-30000000' has more than 4 digits"),
+        ("2.5E+1_000_000", "has more than 4 digits"),
+        ("1e-99999x", "'1e-99999x' is not a rational"),
+        ("one half", "'one half' is not a rational"),
+    ])
+    def test_refused_as_usage_error(self, prefix, flag, value, message, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            cli.main(prefix[flag] + [value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err and message in captured.err
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("flag", ["--eta", "--epsilon", "--delta"])
+    @pytest.mark.parametrize("value", ["1/4", " 1/4 ", "0.25", "25e-2", "2.5E-0_001",
+                                       "0.0025e+0002", "1e-0000000000000"])
+    def test_fraction_syntax(self, prefix, flag, value):
+        args = cli.build_parser().parse_args(prefix[flag] + [value])
+        expected = Fraction(1) if value.startswith("1e") else Fraction(1, 4)
+        assert getattr(args, flag[2:]) == expected
 
 
 class TestPlumbing:

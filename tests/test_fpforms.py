@@ -13,7 +13,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
@@ -31,7 +31,9 @@ from setdifflab.fpforms import (
     distribution,
     forms_from_text,
     lift_bits,
+    member_planes,
     phi_eval,
+    projection_counts,
     support,
     support_size,
     uniformity_bound,
@@ -40,7 +42,8 @@ from setdifflab.fpforms import (
 from setdifflab.increment import iteration_cap
 from setdifflab.universe import SubsetMask, UniverseShape, _bit_indices
 
-from form_oracles import Phi_eval, cell_form_value, cell_value_report, eval_on_bits
+from form_oracles import (Phi_eval, cell_form_value, cell_value_report, class_masks,
+                          eval_on_bits)
 from witness_oracles import from_points
 
 
@@ -71,7 +74,7 @@ def oracle_masses(form):
 def enumerated_masses(form):
     """The same masses from ``value_counts`` walking every subset once."""
     cells = form_shape(form).cells
-    counts = value_counts(form.p, coefficient_class_masks(form),
+    counts = value_counts(form.p, class_masks(form),
                           zip(range(2**cells), itertools.repeat(1)))
     return tuple(Fraction(c, 1 << cells) for c in counts)
 
@@ -149,7 +152,44 @@ def test_weighted_value_counts_match_expanded_multiset(data):
     for bits, weight in weighted:
         for _ in range(weight):
             expected[eval_on_bits(form, bits)] += 1
-    assert value_counts(p, coefficient_class_masks(form), weighted) == expected
+    assert value_counts(p, class_masks(form), weighted) == expected
+
+
+def ref_planes(members, cells):
+    """Member bit-planes by one bit test per member and cell."""
+    return [sum(1 << j for j, bits in enumerate(members) if bits >> c & 1)
+            for c in range(cells)]
+
+
+@st.composite
+def plane_cases(draw):
+    """(members, cells, support): up to 70 members over up to 40 cells, the
+    empty and the full member likely among them, and a support of no cell,
+    one cell, every cell or any cells."""
+    cells = draw(st.integers(1, 40))
+    full = (1 << cells) - 1
+    member = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    members = draw(st.lists(member, min_size=1, max_size=70, unique=True))
+    support = draw(st.one_of(st.just(0), st.just(full),
+                             st.integers(0, cells - 1).map(lambda c: 1 << c),
+                             st.integers(0, full)))
+    return members, cells, support
+
+
+# member and cell counts on either side of a byte boundary
+@example(case=([0], 1, 1))
+@example(case=([255], 8, 1 << 7))
+@example(case=([0, 511, *range(1, 512, 73)], 9, 1 << 8))
+@example(case=([*range(0, 1 << 17, 7717), (1 << 17) - 1], 17, (1 << 17) - 1))
+@example(case=(list(range(8)), 3, 0b101))
+@settings(max_examples=300, deadline=None)
+@given(case=plane_cases())
+def test_projection_counts_match_counter(case):
+    members, cells, support = case
+    planes = member_planes(members, cells)
+    assert planes == ref_planes(members, cells)
+    assert projection_counts(members, planes, support) == \
+        Counter(map(support.__and__, members))
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +576,14 @@ def test_class_masks_match_cell_products(form):
     for idx, c in enumerate(cell_products(form)):
         if c:
             expected[c] = expected.get(c, 0) | 1 << idx
-    assert coefficient_class_masks(form) == tuple(sorted(expected.items()))
+    classes = coefficient_class_masks(form.p, form.base.coeffs, form.degree)
+    assert classes == tuple(sorted(expected.items()))
     if form.degree == 1:  # the classes are the base form's coordinate sets
         by_value: dict[int, int] = {}
         for x, a in enumerate(form.base.coeffs):
             if a:
                 by_value[a] = by_value.get(a, 0) | 1 << x
-        assert coefficient_class_masks(form) == tuple(sorted(by_value.items()))
+        assert classes == tuple(sorted(by_value.items()))
 
 
 @settings(max_examples=60, deadline=None)

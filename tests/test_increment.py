@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setdifflab.errors import (
+    CapExceededError,
     ShapeMismatchError,
     UniverseTooSmallError,
 )
@@ -17,7 +18,6 @@ from setdifflab.fpforms import (
     LinearFormP,
     _product_table,
     build_block_partition,
-    coefficient_class_masks,
     distribution,
     value_counts,
 )
@@ -33,7 +33,7 @@ from setdifflab.increment import (
 from setdifflab.patterns import PolynomialDifference
 from setdifflab.universe import Family, SubsetMask, UniverseShape, _bit_indices
 
-from form_oracles import eval_on_bits
+from form_oracles import class_masks, eval_on_bits
 from witness_oracles import find_witness, from_points
 
 F = Fraction
@@ -49,7 +49,7 @@ def halfspace(shape: UniverseShape, element: int = 1) -> Family:
 
 def member_masses(fam: Family, form) -> tuple[Fraction, ...]:
     """Distribution of the (induced) form over the family's members."""
-    counts = value_counts(form.p, coefficient_class_masks(form),
+    counts = value_counts(form.p, class_masks(form),
                           zip(fam.members, itertools.repeat(1)))
     return tuple(Fraction(c, len(fam.members)) for c in counts)
 
@@ -164,6 +164,22 @@ class TestFindDistinguishingForm:
             find_distinguishing_form(
                 even_family(), 2, F(1, 4), search_budget=4,
                 extra_forms=(LinearFormP(p=2, coeffs=(1,)),))
+
+    def test_extra_form_of_another_modulus_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="does not fit p=2, n=3"):
+            find_distinguishing_form(
+                even_family(), 2, F(1, 4), search_budget=4,
+                extra_forms=(LinearFormP(p=3, coeffs=(1, 1, 1)),))
+
+    @pytest.mark.parametrize("p, error, message", [
+        (4, ValueError, "modulus 4 is not prime"),
+        (257, CapExceededError, "the cap 256"),
+    ])
+    def test_bad_modulus_refused_before_counting(self, monkeypatch, p, error, message):
+        import setdifflab.increment as increment
+        monkeypatch.delattr(increment, "member_planes")
+        with pytest.raises(error, match=message):
+            find_distinguishing_form(halfspace(LINE6), p, F(1, 4), search_budget=0)
 
     def test_multi_part_universe_rejected(self):
         fam = Family(UniverseShape(degrees=(1, 2), n=2), range(64))
