@@ -13,7 +13,9 @@ from random import Random
 
 import pytest
 
+from setdifflab.fpforms import LinearFormP
 from setdifflab.increment import (
+    DistinguishingReport,
     default_m_schedule,
     find_distinguishing_form,
     increment_step,
@@ -70,4 +72,20 @@ def test_increment_step(benchmark, case):
     report = find_distinguishing_form(fam, p, threshold(p), search_budget=budget)
     step = benchmark(increment_step, fam, report,
                      default_m_schedule(fam.shape.n, p))
+    assert step.density > step.previous_density
+
+
+# the all-ones form at p=3 over [14], stepped at m=1: three rows of one
+# zero-sum 3-element block each, so every row's members are read from the
+# member bit-planes; the cases above and every workload job step on
+# singleton blocks
+BLOCKS = (biased_family(1, 14, 2000, seed=5),
+          DistinguishingReport(form=LinearFormP(p=3, coeffs=(1,) * 14), y=0,
+                               gap=threshold(3), scope="pool"))
+
+
+def test_increment_step_blocks(benchmark):
+    fam, report = BLOCKS
+    step = benchmark(increment_step, fam, report, 1)
+    assert step.cell.partition.sigma == 3
     assert step.density > step.previous_density

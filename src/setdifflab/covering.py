@@ -3,13 +3,13 @@
 The canonical window system of size m is the t = floor(n/m) pairwise-disjoint
 intervals [(r-1)m+1 .. rm] of [n]; a subset A "hits" window r when its
 restriction-and-relabel into [m] lands in a pattern family over [m].  The
-dense-cell scan takes the window size m and the pattern family, as ``scan``
-does.  Everything here is exact: the scan reports exact relative densities
-and an average that double counting turns into one ratio of incidence
-counts, and the cyclic-shift demo realizes the abstract covering conditions
-over Z_2^{Z_n}.  The hit-count moments E[N] = t p(P), Var[N] = t p(P)(1-p(P))
-and the proof chain behind the scan's guarantee are checked by the tests
-from raw enumeration.
+dense-cell scan takes m and the pattern family, as ``scan`` does, and hands
+each window's hitting members to ``universe._densest_cell``, as the increment
+step hands its rows.  Everything is exact: the scan's relative densities, its
+average (double counting makes it one ratio of incidence counts), and the
+cyclic-shift demo of the abstract covering conditions over Z_2^{Z_n}.  The
+tests check the hit-count moments E[N] = t p(P), Var[N] = t p(P)(1-p(P)) and
+the proof chain behind the scan's guarantee from raw enumeration.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .universe import (
     SubsetMask,
     UniverseShape,
     _cell_count,
+    _densest_cell,
     _restrict_bits,
     _window_runs,
     window_region,
@@ -87,27 +88,16 @@ def scan_for_dense_cell(
     shape = fam.shape
     windows = _canonical_windows(shape, m, pattern_family)
     pf = pattern_family.members
-    # cell (r, U) is counted under the one int r 2^cells + U, which orders
-    # cells by r, then by U, and spares a key tuple per cell
-    counters: dict[int, int] = {}
-    maps = [(r << shape.cells, _window_runs(shape, w), ~window_region(shape, w).bits)
-            for r, w in enumerate(windows)]
-    for b in fam.members:
-        for tag, runs, off in maps:
-            if _restrict_bits(b, runs) in pf:
-                key = tag | b & off
-                counters[key] = counters.get(key, 0) + 1
-    cell_size = len(pattern_family)
-    off_cells = shape.cells - pattern_family.shape.cells
-    total_cells = len(windows) * (1 << off_cells)
-    incidences = sum(counters.values())
-    average = Fraction(incidences, total_cells * cell_size)
-    # max count first; among equals prefer smaller r then smaller U
-    best_key = max(counters, key=lambda k: (counters[k], -k), default=0)
-    best_count = counters.get(best_key, 0)
-    r, ubits = best_key >> shape.cells, best_key & shape.full_bits
-    cell = CoveringCell(windows[r], SubsetMask(shape, ubits), pattern_family)
-    return cell, Fraction(best_count, cell_size), average
+    def hits(window: OrderedWindow):  # a row: the members in its cells, the mask off them
+        runs = _window_runs(shape, window)
+        return ((b for b in fam.members if _restrict_bits(b, runs) in pf),
+                ~window_region(shape, window).bits)
+
+    r, background, count, incidences = _densest_cell(map(hits, windows))
+    size = len(pattern_family)
+    average = Fraction(incidences, len(windows) * size << shape.cells - pattern_family.shape.cells)
+    cell = CoveringCell(windows[r], SubsetMask(shape, background), pattern_family)
+    return cell, Fraction(count, size), average
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,14 @@ from a per-search memo keyed by the class-size signature.
 Neither the search nor the step loops over the members per form or per row.
 The search transposes the family once into member bit-planes (one member
 bitset per cell) and splits each support's projections out of them; the
-step counts each row's cells with one ``Counter`` over the members constant
-on the row's block products, and lifts only the densest cell's members.
+step hands each row's members constant on its block products to
+``universe._densest_cell``, the scan's count, and lifts only the winner's.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -44,9 +43,11 @@ from .fpforms import (
     value_counts,
 )
 from .patterns import PolynomialDifference, find_pattern_pair
-from .universe import Family, Record, SubsetMask, _bit_indices, _frac, single_part_degree
+from .universe import (Family, Record, SubsetMask, _bit_indices, _densest_cell, _frac,
+                       single_part_degree)
 
 DEFAULT_FORM_BUDGET = 1 << 20
+POWER_BITS_CAP = 1 << 20  # the bits of ratio^q at iteration_cap's bound on q
 
 Numeric = Union[int, Fraction]
 
@@ -72,20 +73,19 @@ class DistinguishingReport(Record):
         }
 
 
-def _representatives(p: int, n: int, weight: int) -> Iterator[tuple[int, ...]]:
+def _representatives(p: int, n: int, weight: int, last: bool) -> Iterator[tuple[int, ...]]:
     """One coefficient vector per projective class {c*a : c != 0} of weight
     at most ``weight``: the zero vector, then each support (by size, then in
-    combinations order) with its vectors whose first nonzero coefficient is 1.
-
-    Up to weight 2 this lists the classes in the order of their first
-    members in the weight-<=2 pool, which are these representatives.
+    combinations order) with its vectors whose first nonzero coefficient (the
+    last one if ``last``) is 1.  Up to weight 2 and first, this lists the
+    classes in the order of their first members in the weight-<=2 pool.
     """
     yield (0,) * n
     for k in range(1, weight + 1):
         for zs in itertools.combinations(range(n), k):
             for rest in itertools.product(range(1, p), repeat=k - 1):
                 coeffs = [0] * n
-                for z, a in zip(zs, (1, *rest)):
+                for z, a in zip(zs, (*rest, 1) if last else (1, *rest)):
                     coeffs[z] = a
                 yield tuple(coeffs)
 
@@ -103,21 +103,21 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
 
     Scaling a form by c != 0 scales its degree-d lift by c^d, which permutes
     the residues: c*phi takes c^d * y wherever phi takes y.  So the search
-    counts one representative per class {c*phi} (first nonzero coefficient
-    1), walking the classes grouped by support so that the projection of
-    the family onto a support is built once.  The family is transposed once
-    into member bit-planes, and each projection is split out of the planes
-    of the support's cells (``projection_counts``).  Candidates are walked
-    as coefficient tuples; only the winner becomes a ``LinearFormP``.
+    counts one representative per class {c*phi}, its member that comes first
+    in the search order, walking the classes grouped by support so that the
+    projection of the family onto a support is built once.  The family is
+    transposed once into member bit-planes, and each projection is split out
+    of the planes of the support's cells (``projection_counts``).  Only the
+    winning coefficient tuple becomes a ``LinearFormP``.
 
     The winner is the largest gap, then the earliest position in the search
     order, then the smallest y.  Exhaustive order reads a form as the base-p
-    number sum a_z p^z, first coordinate fastest, so a class's earliest
-    member is the multiple whose last nonzero coefficient is 1.  The pool
-    lists a support's forms by ascending first coefficient, so there the
-    representative comes first and the walk visits classes in order; user
-    forms follow the pool in the order given, each counted as itself.  Gaps
-    are compared exactly, as integers over |F| * 2^cells.
+    number sum a_z p^z, first coordinate fastest, so a representative ends
+    in coefficient 1.  The pool lists a support's forms by ascending first
+    coefficient, so a representative starts with 1 and the walk visits
+    classes in order; user forms follow the pool in the order given, each
+    counted as itself.  Gaps are compared exactly, as integers over
+    |F| * 2^cells.
     """
     if not fam.members:
         raise ValueError("family is empty")
@@ -132,7 +132,7 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
         exhaustive = False
     scope = "exhaustive" if exhaustive else "pool"
     candidates: Iterable[tuple[int, ...]] = _representatives(
-        p, n, n if exhaustive else 2)
+        p, n, n if exhaustive else 2, last=exhaustive)
     if not exhaustive:
         for form in extra_forms:
             if form.p != p or form.n != n:
@@ -164,16 +164,11 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
             above, below = top << best[1], best[0] << cells
             if above < below:
                 continue
-        scale, position = 1, index  # the pool walk runs in search order
+        position = index  # the pool walk runs in search order
         if exhaustive:
-            scale = pow(next((a for a in reversed(coeffs) if a), 1), -1, p)
-            position = sum(scale * a % p * p ** z for z, a in enumerate(coeffs))
+            position = sum(a * p ** z for z, a in enumerate(coeffs))
         if best is None or above > below or position < best[2]:
-            power = pow(scale, degree, p)
-            y = min(power * r % p for r, num in enumerate(nums) if num == top)
-            if scale != 1:
-                coeffs = tuple(scale * a % p for a in coeffs)
-            best = (top, cells, position, y, coeffs)
+            best = (top, cells, position, nums.index(top), coeffs)
     num, cells, _, y, coeffs = best
     gap = Fraction(num, size << cells)
     if gap < eta:
@@ -198,12 +193,10 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
 
     A member lies in a row's cell when it is constant on each block product
     of the row; the cell is the background it keeps off the row region.  So
-    each row is counted with one ``Counter`` of backgrounds over the members
-    kept for it: every member when the products are single cells (blocks
-    of size 1), else the members constant on every product, read from the
-    member bit-planes.  A row's densest cell (then its smallest background)
-    replaces the best so far only when strictly denser, and only the
-    winning cell's members are lifted.
+    each row hands ``universe._densest_cell`` the members it keeps: every
+    member when the products are single cells (blocks of size 1), else the
+    members constant on every product, read from the member bit-planes.
+    Only the densest cell's members are lifted.
 
     The returned family lives over [m]^d.  The step is flagged guaranteed
     when the relative density reaches the previous density times
@@ -224,9 +217,8 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
     if partition.sigma > 1:  # blocks of several elements: products of several cells
         members = list(members)
         planes = member_planes(members, shape.cells)
-    row, background, count, winners = 1, 0, 0, ()
-    for r in range(1, partition.t + 1):
-        table = _product_table(partition, r, degree)
+    def row_cells(index: int):  # row index + 1: the members in its cells, the mask off them
+        table = _product_table(partition, index + 1, degree)
         kept = members
         if planes is not None:
             constant = (1 << len(members)) - 1  # member bits, constant so far
@@ -237,20 +229,15 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
                     zeros &= ~planes[c]
                 constant &= ones | zeros
             # the members whose bits are set, read from the lowest binary digit up
-            kept = list(itertools.compress(members, map(int, bin(constant)[:1:-1])))
-        cells = Counter(map((~sum(table)).__and__, kept))
-        top = max(cells.values(), default=0)
-        if top > count:
-            row, count, winners = r, top, kept
-            background = min(b for b, k in cells.items() if k == top)
-        del cells  # freed before the next row is counted, which halves the peak
-    cell = BlockCell(partition=partition, row=row,
-                     background=SubsetMask(shape, background))
-    table = _product_table(partition, row, degree)
+            kept = itertools.compress(members, map(int, bin(constant)[:1:-1]))
+        return kept, ~sum(table)
+    index, background, count, _ = _densest_cell(map(row_cells, range(partition.t)))
+    cell = BlockCell(partition=partition, row=index + 1, background=SubsetMask(shape, background))
+    table = _product_table(partition, cell.row, degree)
     region = sum(table)
-    lifted = Family(cell.small_shape(), frozenset(
-        lift_bits(table, bits & region) for bits in winners
-        if bits & ~region == background))
+    lifted = Family(cell.small_shape(), frozenset(  # None marks a member cut by a block
+        lift_bits(table, bits & region) for bits in members
+        if bits & ~region == background) - {None})
     density = Fraction(count, len(cell))
     ratio = 1 + Fraction(report.gap) / 3
     return IncrementStep(
@@ -265,6 +252,7 @@ def iteration_cap(delta: Numeric, eta: Numeric, p: int) -> int:
     This equals ceil(log(1/delta) / log(1 + eta/3p)) away from boundary
     cases, but avoids floating logs entirely.  With delta = a/b and the ratio
     A/B it compares a A^q with b B^q on integers, doubling q, then bisecting.
+    At an upper bound on q, ratio^q past POWER_BITS_CAP bits is refused first.
     """
     delta = Fraction(delta)
     eta = Fraction(eta)
@@ -278,6 +266,8 @@ def iteration_cap(delta: Numeric, eta: Numeric, p: int) -> int:
         return 0
     ratio = 1 + eta / (3 * p)
     a, b, A, B = delta.numerator, delta.denominator, ratio.numerator, ratio.denominator
+    bound = -(-(b.bit_length() - a.bit_length() + 1) * A // (A - B))  # >= q: ln(1+x) >= x/(1+x)
+    capped_count("the bits of (1 + eta/3p)^q", POWER_BITS_CAP, bound * A.bit_length())
     step = 1  # doubled until delta * ratio^step >= 1
     while a * A ** step < b * B ** step:
         step *= 2

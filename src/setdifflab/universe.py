@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -244,6 +245,25 @@ class Family(Record):
 
     def density(self) -> Fraction:
         return Fraction(len(self.members), 1 << self.shape.cells)
+
+
+def _densest_cell(rows: Iterable[tuple[Iterable[int], int]]) -> tuple[int, int, int, int]:
+    """(row index, background, count, incidences) of the densest cell over
+    rows of (kept members, mask off the row region); a cell is one background.
+
+    Ties go to the first row reaching the top count, then its smallest
+    background; no kept member gives (0, 0, 0, 0).  Incidences count the kept
+    members of all rows.  A row's count is dropped before the next is read.
+    """
+    best, incidences = (0, 0, 0), 0
+    for r, (kept, off) in enumerate(rows):
+        cells = Counter(map(off.__and__, kept))
+        incidences += cells.total()
+        top = max(cells.values(), default=0)
+        if top > best[2]:
+            best = (r, min(b for b, k in cells.items() if k == top), top)
+        del cells
+    return (*best, incidences)
 
 
 class OrderedWindow(Record):

@@ -326,6 +326,23 @@ class TestQuasirandomize:
         run_refused(["quasirandomize", "--family", halfspace6, "--p", p,
                      "--eta", "1/4"], capsys, cap="modulus")
 
+    @pytest.mark.parametrize("shape, size, eta", [
+        # one member over 65536 cells: the cap q is about 1.7 million
+        (UniverseShape((2,), 256), 1, "1/4"),
+        # 2000 members over 100 cells: a step ratio of 1 + 1/9000000
+        (UniverseShape((2,), 10), 2000, "1e-6"),
+    ], ids=["sparse", "tiny-eta"])
+    def test_iteration_cap_refused_at_once(self, tmp_path, capsys, shape, size, eta):
+        # the comparisons of iteration_cap would take minutes or never end
+        path = tmp_path / "fam.txt"
+        rng = random.Random(25)
+        fam = Family(shape, {rng.getrandbits(shape.cells) for _ in range(size)})
+        path.write_text(family_to_text(fam))
+        start = time.perf_counter()
+        run_refused(["quasirandomize", "--family", str(path), "--p", "3",
+                     "--eta", eta], capsys, cap="(1 + eta/3p)^q")
+        assert time.perf_counter() - start < 1
+
     def test_exhaustive_pool_budget(self, tmp_path, capsys):
         # 3^13 forms exceed the 2^20 form budget
         path = tmp_path / "fam13.txt"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setdifflab import cli, covering
 from setdifflab.covering import (
@@ -77,6 +79,77 @@ def brute_scan(fam, m, pattern_family):
                 best = (key, r, ub, dens)
     avg = Fraction(hit_sum, n_cells * len(pattern_family))
     return best[1], best[2], best[3], avg
+
+
+def one_dict_scan(fam, m, pattern_family):
+    """The scan as it ran before the densest-cell count moved into
+    ``universe``: every (r, U) cell of every window counted in one dict under
+    the int r 2^cells + U, the winner the largest (count, -key)."""
+    shape = fam.shape
+    windows = _canonical_windows(shape, m, pattern_family)
+    pf = pattern_family.members
+    counters = {}
+    maps = [(r << shape.cells, _window_runs(shape, w), ~window_region(shape, w).bits)
+            for r, w in enumerate(windows)]
+    for b in fam.members:
+        for tag, runs, off in maps:
+            if _restrict_bits(b, runs) in pf:
+                key = tag | b & off
+                counters[key] = counters.get(key, 0) + 1
+    cell_size = len(pattern_family)
+    total_cells = len(windows) * (1 << shape.cells - pattern_family.shape.cells)
+    average = Fraction(sum(counters.values()), total_cells * cell_size)
+    best_key = max(counters, key=lambda k: (counters[k], -k), default=0)
+    r, ubits = best_key >> shape.cells, best_key & shape.full_bits
+    cell = CoveringCell(windows[r], SubsetMask(shape, ubits), pattern_family)
+    return cell, Fraction(counters.get(best_key, 0), cell_size), average
+
+
+@st.composite
+def scan_cases(draw):
+    """(family, m, pattern family) over one or two parts.  Members are random
+    or planted into a random window's cell with one of a few backgrounds, so
+    counts are small and ties between windows and backgrounds are common."""
+    degrees = draw(st.sampled_from([(1,), (2,), (1, 2)]))
+    m = draw(st.integers(1, 2))
+    shape = UniverseShape(degrees, draw(st.integers(m, 5 if degrees == (1,) else 3)))
+    small = UniverseShape(degrees, m)
+    pattern = draw(st.sets(st.integers(0, small.full_bits), min_size=1, max_size=4))
+    any_bits = st.integers(0, shape.full_bits)
+    backgrounds = draw(st.lists(any_bits, min_size=1, max_size=3))
+    members = set(draw(st.lists(any_bits, max_size=3)))
+    for _ in range(draw(st.integers(0, 10))):
+        w = OrderedWindow.interval(draw(st.integers(0, shape.n // m - 1)) * m + 1, m)
+        off = ~window_region(shape, w).bits
+        planted = _plant_bits(draw(st.sampled_from(sorted(pattern))), _window_runs(shape, w))
+        members.add(planted | draw(st.sampled_from(backgrounds)) & off)
+    return Family(shape, members), m, Family(small, pattern)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_scan_matches_one_dict_scan(case):
+    assert scan_for_dense_cell(*case) == one_dict_scan(*case)
+
+
+@pytest.mark.parametrize("degrees, n, m", [((1,), 6, 2), ((1, 2), 3, 1)])
+def test_scan_ties_go_to_the_first_window_and_background(degrees, n, m):
+    # every cell of the full power set is full, so all of them tie
+    shape = UniverseShape(degrees, n)
+    cell, best, average = scan_for_dense_cell(
+        Family(shape, range(1 << shape.cells)), m, nonempty(UniverseShape(degrees, m)))
+    assert (cell.window, cell.background.bits) == (OrderedWindow.interval(1, m), 0)
+    assert best == average == 1
+
+
+def test_scan_without_incidences():
+    # no member restricts into the pattern family on any window
+    fam = Family(UniverseShape((1, 2), 4), {0, 1 << 19})
+    pattern = Family(UniverseShape((1, 2), 2), {1})
+    cell, best, average = scan_for_dense_cell(fam, 2, pattern)
+    assert (cell.window, cell.background.bits) == (OrderedWindow.interval(1, 2), 0)
+    assert best == average == 0
+    assert one_dict_scan(fam, 2, pattern) == (cell, best, average)
 
 
 def test_window_system_validation():

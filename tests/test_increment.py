@@ -244,14 +244,17 @@ class TestFindDistinguishingForm:
     @pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 3), (7, 2)])
     def test_representatives_cover_each_class_once(self, p, n):
         # every nonzero multiple of the representatives, listed once each,
-        # is the whole search space in either scope
-        for weight, space in ((n, _vector_forms(p, n)), (2, _pool_forms(p, n))):
-            reps = list(_representatives(p, n, weight))
+        # is the whole search space in either scope; the exhaustive ones end,
+        # the pool ones start, with coefficient 1
+        for weight, last, space in ((n, True, _vector_forms(p, n)),
+                                    (2, False, _pool_forms(p, n))):
+            reps = list(_representatives(p, n, weight, last))
             assert reps[0] == (0,) * n
             multiples = [reps[0]] + [tuple(c * a % p for a in rep)
                                      for rep in reps[1:] for c in range(1, p)]
             assert sorted(multiples) == sorted(f.coeffs for f in space)
-            assert all(next(a for a in rep if a) == 1 for rep in reps[1:])
+            ends = [[a for a in rep if a][-1 if last else 0] for rep in reps[1:]]
+            assert ends == [1] * len(ends)
 
 
 def _vector_forms(p, n):
@@ -568,6 +571,26 @@ class TestIterationCap:
     def test_matches_stepwise_loop(self, a, b, eta, p):
         delta = F(a, a + b)
         assert iteration_cap(delta, eta, p) == stepwise_iteration_cap(delta, eta, p)
+
+    @pytest.mark.parametrize("size, cells, p, cap", [
+        (2000, 14, 3, 77), (1000, 12, 5, 86), (150, 49, 3, 1057), (2000, 100, 3, 2253),
+    ])
+    def test_workload_caps_stay_admitted(self, size, cells, p, cap):
+        # the densities of the benchmark's quasirandomize jobs at eta = 1/4
+        assert iteration_cap(F(size, 2 ** cells), F(1, 4), p) == cap
+
+    @pytest.mark.parametrize("delta, eta, p", [
+        (F(1, 2 ** 65536), F(1, 4), 3),
+        (F(1, 2 ** 3000), F(1, 4), 251),
+        (F(2000, 2 ** 100), F(1, 10 ** 30), 3),
+        (F(1, 2), F(1, 10 ** 300), 2),
+    ])
+    def test_unfinishable_powers_refused(self, delta, eta, p):
+        # q <= (bits of b - bits of a + 1) A / (A - B) for delta = a/b and the
+        # ratio A/B; A^q past POWER_BITS_CAP bits at that bound is refused
+        # before any power is formed (each case ran for minutes or forever)
+        with pytest.raises(CapExceededError, match="eta/3p"):
+            iteration_cap(delta, eta, p)
 
     def test_full_density_needs_no_steps(self):
         assert iteration_cap(F(1), F(1, 2), 2) == 0
