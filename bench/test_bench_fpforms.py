@@ -1,5 +1,6 @@
 """Microbenchmarks of the fpforms layer: the exact distribution table of an
-induced form, and its JSON printing, at the three file-batch phidist sizes.
+induced form, and its JSON printing, at the three file-batch phidist sizes,
+and the block partition of a large-support form.
 
 Kept out of the tier-1 ``testpaths``; run from the repository root with
 
@@ -12,7 +13,7 @@ from random import Random
 
 import pytest
 
-from setdifflab.fpforms import LinearFormP, distribution
+from setdifflab.fpforms import LinearFormP, build_block_partition, distribution
 
 
 def dense_form(p, n, seed):
@@ -54,3 +55,14 @@ def test_to_json(benchmark, case, unlimited_int_printing):
     table = distribution(form.induced(degree))
     report = benchmark(table.to_json)
     assert report["within_bound"] and len(report["masses"]) == form.p
+
+
+# every coefficient nonzero over [200] at p=5, m=2: the support prefix of 50
+# gives equal-coefficient rows while it holds 35, the rest of the 18 rows are
+# zero-sum blocks from everything left
+PARTITION_FORM = dense_form(5, 200, seed=4)
+
+
+def test_build_block_partition(benchmark):
+    partition = benchmark(build_block_partition, PARTITION_FORM, 2)
+    assert partition.sigma == 5 and partition.t == partition.required_rows == 18

@@ -225,10 +225,11 @@ def cmd_demo_interval(args) -> None:
 
 
 def cmd_reduce(args) -> None:
-    from .reductions import (beta_bijection, beta_inverse, bundles_from_text,
-                             bundles_to_text, clique_square_correspondence, multiplex)
-    from .universe import (Family, SubsetMask, embed_lower_degree,
-                           family_from_text, family_to_text)
+    from .reductions import (BUNDLE_PARTS_CAP, beta_bijection, beta_inverse,
+                             bundles_from_text, bundles_to_text,
+                             clique_square_correspondence, multiplex)
+    from .universe import (Family, SubsetMask, embed_lower_degree, family_from_text,
+                           family_to_text, single_part_degree)
     mode = args.mode
     # the flags each mode reads, all required
     flags = ("bundles",) if mode in ("beta-inverse", "clique") else ("family",)
@@ -242,7 +243,10 @@ def cmd_reduce(args) -> None:
     text = _read(getattr(args, flags[0]))
 
     if mode == "beta":
-        bundles = [beta_bijection(mask) for mask in family_from_text(text).masks()]
+        fam = family_from_text(text)
+        capped_count(f"the parts of {len(fam)} bundles", BUNDLE_PARTS_CAP, 2,
+                     single_part_degree(fam.shape) - 1, len(fam))
+        bundles = [beta_bijection(mask) for mask in fam.masks()]
         _emit(args, {"mode": mode, "count": len(bundles),
                      "bundles_text": bundles_to_text(bundles)})
         return

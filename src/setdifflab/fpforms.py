@@ -12,8 +12,8 @@ so that its projection onto a few cells splits a few big ints.
 
 The block-partition construction splits [n] into rows of m pairwise disjoint
 blocks on which the form vanishes, plus a remainder.  On any cell that is
-block-constant over a row, the induced form then takes a single value -- the
-fact the density-increment step lives on.
+block-constant over a row the induced form takes a single value -- the fact
+the density-increment step lives on, which also decides a cell's members.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import FormatError, ShapeMismatchError, UniverseTooSmallError, capped_count
 from .universe import (
@@ -393,41 +393,42 @@ def build_block_partition(form: LinearFormP, m: int) -> BlockPartition:
 
 def _large_support_partition(form: LinearFormP, m: int) -> BlockPartition:
     n, p = form.n, form.p
-    coeffs = form.coeffs
-    prefix = set(sorted(support(form))[:math.ceil(n / 4)])
+    prefix = sorted(support(form))[:math.ceil(n / 4)]
     rows: list[tuple[frozenset[int], ...]] = []
 
-    # Equal-coefficient rows from the prefix while it stays thick enough
-    # that a whole row of m blocks is guaranteed to come out.
-    pool = sorted(prefix)
+    # Rows from the prefix while it stays thick enough that a whole row of m
+    # blocks is guaranteed to come out: at least p^2 + p elements in at most
+    # p - 1 nonzero classes, so one class has p and each block is one class.
+    pool = prefix
     while len(pool) >= p * p + m * p:
-        row = []
-        for _ in range(m):
-            # at least p^2 + p elements in at most p - 1 nonzero classes: one has p
-            block = _equal_coefficient_block(_coefficient_classes(pool, coeffs), p)
-            row.append(block)
-            pool = [z for z in pool if z not in block]
-        rows.append(tuple(row))
+        row, pool = _block_row(pool, form.coeffs, p, m)
+        rows.append(row)
 
     # Top up with zero-sum blocks drawn from everything still unused until
     # the row bound holds.  While rows are missing the leftover pool keeps at
     # least 2p elements per block extraction, so a zero-sum p-subset always
-    # exists and the exhaustive profile search below finds one.
-    required = _required_rows(n, p, m)
-    pool = sorted((set(range(1, n + 1)) - prefix) | set(pool))
-    while len(rows) < required:
-        row = []
-        for _ in range(m):
-            block = _zero_sum_block(_coefficient_classes(pool, coeffs), p)
-            if block is None:
-                raise UniverseTooSmallError(
-                    f"cannot reach {required} rows of {m} zero-sum "
-                    f"{p}-blocks inside [{n}]")
-            row.append(block)
-            pool = [z for z in pool if z not in block]
-        rows.append(tuple(row))
+    # exists and the exhaustive profile search finds one.
+    pool = sorted(set(range(1, n + 1)).difference(prefix).union(pool))
+    while len(rows) < _required_rows(n, p, m):
+        row, pool = _block_row(pool, form.coeffs, p, m)
+        rows.append(row)
     return BlockPartition(n=n, p=p, m=m, sigma=p, rows=tuple(rows),
                           remainder=frozenset(pool))
+
+
+def _block_row(pool: list[int], coeffs: Sequence[int], p: int,
+               m: int) -> tuple[tuple[frozenset[int], ...], list[int]]:
+    """A row of m blocks, each the ``_zero_sum_block`` of the pool the blocks
+    before it left, and the pool the row leaves."""
+    row = []
+    for _ in range(m):
+        block = _zero_sum_block(_coefficient_classes(pool, coeffs), p)
+        if block is None:
+            raise UniverseTooSmallError(
+                f"no zero-sum {p}-block is left among {len(pool)} elements")
+        row.append(block)
+        pool = [z for z in pool if z not in block]
+    return tuple(row), pool
 
 
 def _coefficient_classes(pool, coeffs) -> dict[int, list[int]]:
@@ -438,28 +439,19 @@ def _coefficient_classes(pool, coeffs) -> dict[int, list[int]]:
     return classes
 
 
-def _equal_coefficient_block(classes, p):
-    """The p smallest elements of the first thick equal-coefficient class."""
-    for value in sorted(classes):
-        elems = classes[value]
-        if len(elems) >= p:
-            return frozenset(elems[:p])
-    return None
-
-
 def _zero_sum_block(classes, p):
     """A p-element subset of the pool whose coefficients sum to 0 mod p,
     given the pool's ``_coefficient_classes``.
 
-    Prefers a whole equal-coefficient class; otherwise takes the first
-    per-class count profile (classes by ascending value, profiles in
-    lexicographic order) with total p and weighted sum 0, using the smallest
-    elements of each class.
+    Prefers the p smallest elements of the first class with p; otherwise
+    takes the first per-class count profile (classes by ascending value,
+    profiles in lexicographic order) with total p and weighted sum 0, using
+    the smallest elements of each class.
     """
-    block = _equal_coefficient_block(classes, p)
-    if block is not None:
-        return block
     values = sorted(classes)
+    for v in values:
+        if len(classes[v]) >= p:
+            return frozenset(classes[v][:p])
     ranges = [range(min(len(classes[v]), p) + 1) for v in values]
     for profile in itertools.product(*ranges):
         if sum(profile) != p:
@@ -489,20 +481,13 @@ def _product_table(partition: BlockPartition, row: int, degree: int) -> tuple[in
     return tuple(table)
 
 
-def lift_bits(table: Sequence[int], inside: int) -> Optional[int]:
-    """Small-universe bits of the block products that tile ``inside``, or
-    None when it is not block-constant.
-
-    ``table`` is a row's ``_product_table``; its products partition the row
-    region, which must contain ``inside``.
-    """
+def lift_bits(table: Sequence[int], member: int) -> int:
+    """Small-universe bits of the products of a row's ``_product_table``
+    that ``member`` holds whole: the lift of a member of the row's cell."""
     chosen = 0
     for idx, product in enumerate(table):
-        hit = product & inside
-        if hit == product:
+        if member & product == product:
             chosen |= 1 << idx
-        elif hit:
-            return None
     return chosen
 
 
@@ -512,8 +497,9 @@ class BlockCell(Record):
 
     The cell is the bijective image of P([m]^d): a member is the background
     plus a union of complete block products, one product per chosen cell of
-    the small universe.  The row's ``_product_table`` lists those products,
-    and ``lift_bits`` reads a member's chosen cells back.
+    the small universe.  The row's ``_product_table`` lists those products;
+    ``increment_step`` decides the cell's members, and ``lift_bits`` reads
+    back the chosen cells of each.
     """
 
     partition: BlockPartition

@@ -15,9 +15,10 @@ from a per-search memo keyed by the class-size signature.
 
 Neither the search nor the step loops over the members per form or per row.
 The search transposes the family once into member bit-planes (one member
-bitset per cell) and splits each support's projections out of them; the
-step hands each row's members constant on its block products to
-``universe._densest_cell``, the scan's count, and lifts only the winner's.
+bitset per cell) and splits each support's projections out of them.  The
+step's row count, ``universe._densest_cell`` over each row's members constant
+on its block products, is its one block-constancy test: only the members the
+winning row kept are lifted.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     in coefficient 1.  The pool lists a support's forms by ascending first
     coefficient, so a representative starts with 1 and the walk visits
     classes in order; user forms follow the pool in the order given, each
-    counted as itself.  Gaps are compared exactly, as integers over
-    |F| * 2^cells.
+    counted as itself.  Gaps are compared exactly, as integers over one
+    denominator |F| * 2^(universe cells).
     """
     if not fam.members:
         raise ValueError("family is empty")
@@ -141,10 +142,10 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
         candidates = itertools.chain(candidates, (f.coeffs for f in extra_forms))
     members = list(fam.members)
     planes = member_planes(members, fam.shape.cells)
-    size = len(members)
+    size, total = len(members), fam.shape.cells
     support = projection = None
     global_memo: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    best = None  # (num, cells, position, y, coeffs) of the largest gap num / (size * 2^cells)
+    best = (-1, 0, 0, ())  # (num, position, y, coeffs) of the largest gap num / (size << total)
     for index, coeffs in enumerate(candidates):
         classes = coefficient_class_masks(p, coeffs, degree)
         union = 0
@@ -160,17 +161,16 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
             subsets = global_memo[signature] = _subset_counts(p, signature)
         nums = [abs((c << cells) - s * size) for c, s in zip(counts, subsets)]
         top = max(nums)
-        if best is not None:
-            above, below = top << best[1], best[0] << cells
-            if above < below:
-                continue
+        num = top << total - cells
+        if num < best[0]:
+            continue
         position = index  # the pool walk runs in search order
         if exhaustive:
             position = sum(a * p ** z for z, a in enumerate(coeffs))
-        if best is None or above > below or position < best[2]:
-            best = (top, cells, position, nums.index(top), coeffs)
-    num, cells, _, y, coeffs = best
-    gap = Fraction(num, size << cells)
+        if num > best[0] or position < best[1]:
+            best = (num, position, nums.index(top), coeffs)
+    num, _, y, coeffs = best
+    gap = Fraction(num, size << total)
     if gap < eta:
         return None
     return DistinguishingReport(form=LinearFormP(p=p, coeffs=coeffs), y=y,
@@ -196,7 +196,7 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
     each row hands ``universe._densest_cell`` the members it keeps: every
     member when the products are single cells (blocks of size 1), else the
     members constant on every product, read from the member bit-planes.
-    Only the densest cell's members are lifted.
+    The winning row is read again, and only the members it kept are lifted.
 
     The returned family lives over [m]^d.  The step is flagged guaranteed
     when the relative density reaches the previous density times
@@ -234,10 +234,9 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
     index, background, count, _ = _densest_cell(map(row_cells, range(partition.t)))
     cell = BlockCell(partition=partition, row=index + 1, background=SubsetMask(shape, background))
     table = _product_table(partition, cell.row, degree)
-    region = sum(table)
-    lifted = Family(cell.small_shape(), frozenset(  # None marks a member cut by a block
-        lift_bits(table, bits & region) for bits in members
-        if bits & ~region == background) - {None})
+    kept, off = row_cells(index)
+    lifted = Family(cell.small_shape(), frozenset(
+        lift_bits(table, bits) for bits in kept if bits & off == background))
     density = Fraction(count, len(cell))
     ratio = 1 + Fraction(report.gap) / 3
     return IncrementStep(
@@ -324,7 +323,7 @@ def default_m_schedule(n: int, p: int) -> int:
 
 
 def quasirandomize(fam: Family, p: int, eta: Numeric,
-                   m_schedule: Optional[Sequence[int]] = None,
+                   m_schedule: Optional[Iterable[int]] = None,
                    search_budget: int = DEFAULT_FORM_BUDGET,
                    extra_forms: Sequence[LinearFormP] = (),
                    max_steps: Optional[int] = None):
@@ -348,7 +347,7 @@ def quasirandomize(fam: Family, p: int, eta: Numeric,
     steps: list[tuple[DistinguishingReport, IncrementStep]] = []
     status = "uniform"
     pair = None
-    schedule = list(m_schedule) if m_schedule is not None else None
+    schedule = iter(m_schedule) if m_schedule is not None else None
 
     while True:
         report = find_distinguishing_form(fam, p, threshold,
@@ -361,13 +360,8 @@ def quasirandomize(fam: Family, p: int, eta: Numeric,
         if len(steps) >= max_steps:
             status = "inconclusive:max-steps"
             break
-        if schedule is not None:
-            if not schedule:
-                status = "inconclusive:m-schedule"
-                break
-            m = schedule.pop(0)
-        else:
-            m = default_m_schedule(fam.shape.n, p)
+        m = (next(schedule, 0) if schedule is not None  # an exhausted schedule reads 0
+             else default_m_schedule(fam.shape.n, p))
         if m < 1:
             status = "inconclusive:m-schedule"
             break

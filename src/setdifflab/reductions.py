@@ -31,6 +31,8 @@ Hyperedge = frozenset[int]
 
 # most masks clique_square_correspondence walks over all its fibres
 CLIQUE_FIBRE_CAP = 1 << 20
+# most parts the beta bundles of one family store: 2^(d-1) per member
+BUNDLE_PARTS_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,15 @@ class TestReduce:
         run_refused(["reduce", "--mode", "beta", "--family", str(path)],
                     capsys, cap="parts")
 
+    def test_parts_cap_refuses_beta_bundles(self, tmp_path, capsys):
+        # [1]^19 fits every other cap, but two bundles would store 2^19 parts
+        path = tmp_path / "fam.txt"
+        path.write_text("shape s=1 d=19 n=1\n0\n1\n")
+        start = time.perf_counter()
+        run_refused(["reduce", "--mode", "beta", "--family", str(path)],
+                    capsys, cap="parts of 2 bundles")
+        assert time.perf_counter() - start < 1
+
     def test_catalog_cap_refuses_beta_inverse(self, tmp_path, capsys):
         path = tmp_path / "bundles.txt"
         path.write_text("n=1 degrees=1,40\n-\n-\n")

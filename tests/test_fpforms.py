@@ -373,6 +373,114 @@ def test_check_block_partition_rejects_corruption():
         build_block_partition(form, m=0)
 
 
+def corrupted(part, **changes):
+    fields = dict(n=part.n, p=part.p, m=part.m, sigma=part.sigma, rows=part.rows,
+                  remainder=part.remainder)
+    return BlockPartition(**{**fields, **changes})
+
+
+# a valid p-block partition of the all-ones form over F_2 at n=16, m=2, broken
+# in each way check_block_partition refuses once the shapes match
+ALL_ONES_16 = LinearFormP(p=2, coeffs=(1,) * 16)
+PARTITION_CORRUPTIONS = {
+    "sigma": (dict(sigma=3), "block size 3 not in"),
+    "row width": (dict(m=3), "row width differs from m"),
+    "block size": (dict(sigma=1), "block size differs from sigma"),
+    "overlap": (dict(rows=((frozenset({1, 2}), frozenset({3, 4})),
+                           (frozenset({3, 4}), frozenset({7, 8})))),
+                "not pairwise disjoint"),
+    "remainder overlap": (dict(remainder=frozenset(range(8, 17))), "remainder overlaps"),
+    "cover": (dict(remainder=frozenset(range(9, 16))), "do not cover"),
+    "rows": (dict(rows=((frozenset({1, 2}), frozenset({3, 4})),),
+                  remainder=frozenset(range(5, 17))), "only 1 rows, need 2"),
+}
+
+
+@pytest.mark.parametrize("name", PARTITION_CORRUPTIONS)
+def test_check_block_partition_rejects_each_corruption(name):
+    part = build_block_partition(ALL_ONES_16, m=2)
+    check_block_partition(part, ALL_ONES_16)
+    changes, message = PARTITION_CORRUPTIONS[name]
+    with pytest.raises(ValueError, match=message):
+        check_block_partition(corrupted(part, **changes), ALL_ONES_16)
+
+
+def two_phase_partition(form, m):
+    """The large-support construction as first written: equal-coefficient
+    rows from the support prefix while it stays thick, then rows of zero-sum
+    blocks from everything left, each phase with a loop of its own."""
+    n, p, coeffs = form.n, form.p, form.coeffs
+
+    def classes_of(pool):
+        classes = {}
+        for z in pool:
+            classes.setdefault(coeffs[z - 1], []).append(z)
+        return classes
+
+    def equal_block(classes):
+        for value in sorted(classes):
+            if len(classes[value]) >= p:
+                return frozenset(classes[value][:p])
+        return None
+
+    def zero_sum_block(classes):
+        block = equal_block(classes)
+        if block is not None:
+            return block
+        values = sorted(classes)
+        for profile in itertools.product(
+                *[range(min(len(classes[v]), p) + 1) for v in values]):
+            if sum(profile) == p and not sum(v * k for v, k in zip(values, profile)) % p:
+                return frozenset(itertools.chain.from_iterable(
+                    classes[v][:k] for v, k in zip(values, profile)))
+        return None
+
+    prefix = set(sorted(support(form))[:math.ceil(n / 4)])
+    rows = []
+    pool = sorted(prefix)
+    while len(pool) >= p * p + m * p:
+        row = []
+        for _ in range(m):
+            block = equal_block(classes_of(pool))
+            row.append(block)
+            pool = [z for z in pool if z not in block]
+        rows.append(tuple(row))
+    required = max(math.ceil(n / (p * m)) - 2, 0)
+    pool = sorted((set(range(1, n + 1)) - prefix) | set(pool))
+    while len(rows) < required:
+        row = []
+        for _ in range(m):
+            block = zero_sum_block(classes_of(pool))
+            if block is None:
+                raise AssertionError("the two-phase construction ran out of blocks")
+            row.append(block)
+            pool = [z for z in pool if z not in block]
+        rows.append(tuple(row))
+    return tuple(rows), frozenset(pool)
+
+
+@st.composite
+def large_support_forms(draw):
+    """A form with more than n/2 nonzero coefficients, about a fifth zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 60))
+    zeros = draw(st.sets(st.integers(0, n - 1), max_size=min(n // 5, (n - 1) // 2)))
+    coeffs = [0 if z in zeros else draw(st.integers(1, p - 1)) for z in range(n)]
+    return LinearFormP(p=p, coeffs=tuple(coeffs)), draw(st.integers(1, 4))
+
+
+@example(case=(LinearFormP(p=2, coeffs=(1,) * 60), 1))  # both phases
+@example(case=(LinearFormP(p=3, coeffs=(1, 2) * 30), 2))
+@example(case=(LinearFormP(p=5, coeffs=(0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4)), 1))
+@settings(max_examples=300, deadline=None)
+@given(case=large_support_forms())
+def test_large_support_partition_matches_two_phase_oracle(case):
+    form, m = case
+    part = build_block_partition(form, m)  # refuses nothing
+    assert part.sigma == form.p
+    assert (part.rows, part.remainder) == two_phase_partition(form, m)
+
+
 # ---------------------------------------------------------------------------
 # Block-constant cells
 
@@ -393,7 +501,7 @@ def test_cell_plant_lift_roundtrip():
     members = []
     for small in range(16):  # plant each subset of the small universe
         member = background | sum(table[i] for i in _bit_indices(small))
-        assert lift_bits(table, member & region) == small
+        assert lift_bits(table, member) == small
         assert member & ~region == background
         members.append(member)
     assert len(set(members)) == 16 and members[0] == background
@@ -418,14 +526,6 @@ def test_cell_rejects_multi_part_background():
     with pytest.raises(ShapeMismatchError):
         BlockCell(partition=small_partition(), row=1,
                   background=SubsetMask(two_parts, 0))
-
-
-def test_lift_rejects_partial_blocks_at_sigma_p():
-    form = LinearFormP(p=2, coeffs=(1,) * 16)
-    part = build_block_partition(form, m=2)
-    table = _product_table(part, 1, 1)
-    assert lift_bits(table, 0b01) is None  # half of the block {1, 2}
-    assert lift_bits(table, 0b11) == 0b1  # the whole block is small cell (1,)
 
 
 def test_cell_form_value_constancy():
@@ -618,35 +718,3 @@ def test_cell_value_report_matches_brute_force(form):
     assert report.cell_masses == tuple(acc)
     assert report.global_masses == oracle_masses(form)
     assert report.gaps == tuple(abs(a - b) for a, b in zip(acc, report.global_masses))
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_lift_bits_matches_pointwise_block_constancy(data):
-    # all-nonzero forms partition into zero-sum p-blocks, so a region can
-    # hold partial blocks
-    p = data.draw(st.sampled_from([2, 3]))
-    m = data.draw(st.sampled_from([1, 2]))
-    n = data.draw(st.integers(2 * p * m + 1, 14))
-    d = data.draw(st.sampled_from([1, 2, 3]))
-    coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
-    partition = build_block_partition(LinearFormP(p=p, coeffs=tuple(coeffs)), m)
-    row = data.draw(st.integers(1, partition.t))
-    shape = UniverseShape(degrees=(d,), n=n)
-    products = [
-        sum(1 << shape.index_of(1, cell) for cell in itertools.product(*combo))
-        for combo in itertools.product(
-            [sorted(b) for b in partition.rows[row - 1]], repeat=d)]
-    region = sum(products)
-    small = data.draw(st.integers(0, (1 << len(products)) - 1))
-    inside = sum(q for k, q in enumerate(products) if small >> k & 1)
-    if data.draw(st.booleans()):
-        inside ^= data.draw(st.integers(0, (1 << shape.cells) - 1)) & region
-    expected = 0
-    for k, q in enumerate(products):
-        if inside & q == q:
-            expected |= 1 << k
-        elif inside & q:
-            expected = None
-            break
-    assert lift_bits(_product_table(partition, row, d), inside) == expected

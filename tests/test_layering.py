@@ -274,3 +274,16 @@ def test_bench_modules_import(path):
     # retired name it still uses into a tier-1 failure
     spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_bench_cases_run_once():
+    # each bench case runs once, untimed, so a case that fails when it runs
+    # (not only when it is imported) fails tier-1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench", "--benchmark-disable", "-q",
+         "-p", "no:cacheprovider"],
+        cwd=BENCH.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

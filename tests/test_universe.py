@@ -314,6 +314,11 @@ def test_family_text_errors():
         family_from_text("shape s=2 d=1 n=3\n0\n")
     with pytest.raises(FormatError):
         family_from_text("not a header\n0\n")
+    for header, error in [("shape s=1 d=0 n=3", "degrees must be positive"),
+                          ("shape s=2 d=1,,2 n=3", "bad degree list '1,,2'"),
+                          ("shape s=1 d=1 n=0", "side n must be a positive")]:
+        with pytest.raises(FormatError, match=error):
+            family_from_text(header + "\n")
     with pytest.raises(FormatError):
         family_from_text("shape s=1 d=1 n=3\nzz\n")
     with pytest.raises(FormatError):
