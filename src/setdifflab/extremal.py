@@ -83,7 +83,7 @@ def _oriented_successors(shape: UniverseShape, spec: PatternSpec,
     with the same key share one successor set.
     """
     mask = pattern_index(shape, spec)[0]
-    table = pattern_table(shape, spec)
+    table = pattern_table(shape, mask)
     # Bit f for each free subset f; shifted by key | P it holds key | P | f.
     # Distinct P give disjoint shifted copies, so summing them ORs them.
     free = sum(1 << f for f in range(vertices) if not f & mask)

@@ -22,7 +22,6 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import FormatError, ShapeMismatchError, UniverseTooSmallError, capped_count
@@ -469,7 +468,6 @@ def _zero_sum_block(classes, p):
 # Block-constant cells
 
 
-@lru_cache(maxsize=256)
 def _product_table(partition: BlockPartition, row: int, degree: int) -> tuple[int, ...]:
     """Bitmask over [n]^degree of each complete block product of a row,
     indexed by the row-major cell index of the small universe [m]^degree.

@@ -196,7 +196,8 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
     each row hands ``universe._densest_cell`` the members it keeps: every
     member when the products are single cells (blocks of size 1), else the
     members constant on every product, read from the member bit-planes.
-    The winning row is read again, and only the members it kept are lifted.
+    Those are kept per row as one |F|-bit mask, and only the members the
+    winning row kept are lifted, through its products.
 
     The returned family lives over [m]^d.  The step is flagged guaranteed
     when the relative density reaches the previous density times
@@ -217,26 +218,29 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
     if partition.sigma > 1:  # blocks of several elements: products of several cells
         members = list(members)
         planes = member_planes(members, shape.cells)
+    constants = []  # per row, the member bits constant on its products
+    def kept(constant: int):  # the members whose bits are set, lowest binary digit first
+        return itertools.compress(members, map(int, bin(constant)[:1:-1]))
     def row_cells(index: int):  # row index + 1: the members in its cells, the mask off them
         table = _product_table(partition, index + 1, degree)
-        kept = members
-        if planes is not None:
-            constant = (1 << len(members)) - 1  # member bits, constant so far
-            for product in table:
-                ones = zeros = constant
-                for c in _bit_indices(product):
-                    ones &= planes[c]
-                    zeros &= ~planes[c]
-                constant &= ones | zeros
-            # the members whose bits are set, read from the lowest binary digit up
-            kept = itertools.compress(members, map(int, bin(constant)[:1:-1]))
-        return kept, ~sum(table)
+        if planes is None:
+            return members, ~sum(table)
+        constant = (1 << len(members)) - 1  # member bits, constant so far
+        for product in table:
+            ones = zeros = constant
+            for c in _bit_indices(product):
+                ones &= planes[c]
+                zeros &= ~planes[c]
+            constant &= ones | zeros
+        constants.append(constant)
+        return kept(constant), ~sum(table)
     index, background, count, _ = _densest_cell(map(row_cells, range(partition.t)))
     cell = BlockCell(partition=partition, row=index + 1, background=SubsetMask(shape, background))
     table = _product_table(partition, cell.row, degree)
-    kept, off = row_cells(index)
+    off = ~sum(table)
+    winners = members if planes is None else kept(constants[index])
     lifted = Family(cell.small_shape(), frozenset(
-        lift_bits(table, bits) for bits in kept if bits & off == background))
+        lift_bits(table, bits) for bits in winners if bits & off == background))
     density = Fraction(count, len(cell))
     ratio = 1 + Fraction(report.gap) / 3
     return IncrementStep(

@@ -11,7 +11,6 @@ their independent checker in ``tests/witness_oracles.py``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import ShapeMismatchError, capped_count
@@ -127,7 +126,6 @@ def distance2_witness(A: SubsetMask, B: SubsetMask) -> Optional[Distance2Witness
 # power and clique witnesses: one check on raw ints
 
 
-@lru_cache(maxsize=16)
 def pattern_index(
     shape: UniverseShape, spec: PatternSpec
 ) -> tuple[int, tuple[int, ...], type]:
@@ -172,14 +170,12 @@ def _witness_set(shape: UniverseShape, index, ka: int, kb: int) -> int:
     return s if s and _power_bits(shape, s) & mask == P else 0
 
 
-@lru_cache(maxsize=16)
-def pattern_table(shape: UniverseShape, spec: PatternSpec) -> dict[int, int]:
-    """P(S) -> bitmask of S for every S with nonzero P(S), in ascending S.
+def pattern_table(shape: UniverseShape, mask: int) -> dict[int, int]:
+    """P(S) & mask -> bitmask of S for every S where it is nonzero, S ascending.
 
     Enumerates all 2^n sets S, so only callers that already spend 2^n steps
-    build it.  The table is shared; do not mutate it.
+    build it.
     """
-    mask = pattern_index(shape, spec)[0]
     table = {}
     for s in range(1, 1 << shape.n):
         P = _power_bits(shape, s) & mask
@@ -189,14 +185,13 @@ def pattern_table(shape: UniverseShape, spec: PatternSpec) -> dict[int, int]:
 
 
 def _first_indexed_pair(
-    shape: UniverseShape, spec: PatternSpec, members: list[int]
+    shape: UniverseShape, index, members: list[int]
 ) -> Optional[tuple[int, int, int]]:
     """First (a, b, S bits) in ascending (a, b) order; members ascending.
 
-    A family with fewer than 2^n members checks its ordered pairs; a larger
-    one does one lookup per ``pattern_table`` entry and member.
+    Under the spec's ``pattern_index``, a family with fewer than 2^n members
+    checks its ordered pairs; a larger one builds the ``pattern_table``.
     """
-    index = pattern_index(shape, spec)
     mask = index[0]
     if len(members) < 1 << shape.n:
         keyed = [(b, b & mask) for b in members]
@@ -207,7 +202,7 @@ def _first_indexed_pair(
                     if s:
                         return a, b, s
         return None
-    table = pattern_table(shape, spec)
+    table = pattern_table(shape, mask)
     smallest: dict[int, int] = {}
     for b in members:
         smallest.setdefault(b & mask, b)
@@ -231,9 +226,9 @@ def find_pattern_pair(
     through the spec's ``pattern_index``.
     """
     shape = fam.shape
-    hit = _first_indexed_pair(shape, spec, sorted(fam.members))
+    index = pattern_index(shape, spec)
+    hit = _first_indexed_pair(shape, index, sorted(fam.members))
     if hit is None:
         return None
     a, b, s = hit
-    witness = pattern_index(shape, spec)[2]
-    return SubsetMask(shape, a), SubsetMask(shape, b), witness(set_from_bits(s))
+    return SubsetMask(shape, a), SubsetMask(shape, b), index[2](set_from_bits(s))

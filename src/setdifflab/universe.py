@@ -294,7 +294,6 @@ class OrderedWindow(Record):
         return cls(tuple(range(start, start + size)))
 
 
-@lru_cache(maxsize=4096)
 def _window_runs(
     shape: UniverseShape, window: OrderedWindow
 ) -> tuple[tuple[int, int, int], ...]:
@@ -303,7 +302,8 @@ def _window_runs(
     Cells of the relabeled m-shape, taken in order, map to source cells; each
     run is (source index, small index, run mask) for a stretch where both
     indices step by one.  An interval window gives m^(d-1) runs of m bits
-    per degree-d part.  The window maps below read this table.
+    per degree-d part.  The window maps below read this table; a caller
+    builds it once per window and keeps it.
     """
     w = window.elements
     if max(w) > shape.n:
@@ -330,11 +330,6 @@ def _plant_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
     window power region of the big universe (other cells empty), given its
     window runs; all ones plant the whole region."""
     return sum((bits >> dst & run) << src for src, dst, run in runs)
-
-
-def window_region(shape: UniverseShape, window: OrderedWindow) -> SubsetMask:
-    """The region X^{d_1} u ... u X^{d_s} as a mask over the big shape."""
-    return SubsetMask(shape, _plant_bits(-1, _window_runs(shape, window)))
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,13 @@ from setdifflab.reductions import (
     beta_inverse,
     clique_square_correspondence,
 )
-from setdifflab.universe import Family, SubsetMask, UniverseShape, _bit_indices, window_region
+from setdifflab.universe import Family, SubsetMask, UniverseShape, _bit_indices
 
 from form_oracles import Phi_eval, cell_form_value, eval_on_bits
 from witness_oracles import (bundle_mask, find_witness, hyperedges_of,
                              interval_mod_n_witness, proof_chain, ref_is_symmetric,
-                             ref_symmetric_region, restrict_and_relabel, window_hits)
+                             ref_symmetric_region, restrict_and_relabel, window_hits,
+                             window_region)
 
 SEED = 20260823
 

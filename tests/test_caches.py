@@ -1,4 +1,4 @@
-"""Every memo table in the package has a finite size."""
+"""The package keeps three memo tables, each with a finite size."""
 
 import importlib
 import pkgutil
@@ -20,13 +20,13 @@ def lru_caches():
                     yield f"{prefix}.{name}", obj.cache_parameters()["maxsize"]
 
 
-def test_every_lru_cache_is_bounded():
+def test_memo_tables_are_exactly_the_per_member_ones_and_bounded():
+    # each is re-read once per member by one command: embed_lower_degree by
+    # `reduce --mode embed`, beta_bijection by `reduce --mode beta`; a table
+    # only its builder reads back is built per call instead
     caches = dict(lru_caches())
-    assert "setdifflab.fpforms._product_table" in caches
-    assert "setdifflab.patterns.pattern_table" in caches
-    for table in ("universe._window_runs", "universe._embed_table",
-                  "covering._demo_rows",
-                  "reductions._orbits", "reductions._compositions"):
-        assert f"setdifflab.{table}" in caches
+    assert set(caches) == {"setdifflab.universe._embed_table",
+                           "setdifflab.reductions._orbits",
+                           "setdifflab.reductions._compositions"}
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert unbounded == []

@@ -220,11 +220,12 @@ class TestPhidist:
         assert err.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
-    def test_bad_form_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("header", ["q=2", "p=0", "p=1"])
+    def test_bad_form_file(self, tmp_path, capsys, header):
         path = tmp_path / "forms.txt"
-        path.write_text("q=2\n1 0\n")
-        code, _, _ = run_cli(["phidist", "--forms", str(path)], capsys)
-        assert code == 3
+        path.write_text(f"{header}\n1 0\n")
+        code, out, _ = run_cli(["phidist", "--forms", str(path)], capsys)
+        assert code == 3 and out == ""
 
 
 class TestQuasirandomize:
@@ -265,12 +266,13 @@ class TestQuasirandomize:
         assert "--forms cannot be combined with --pool exhaustive" in \
             capsys.readouterr().err
 
-    def test_composite_modulus(self, halfspace6, capsys):
-        code, _, err = run_cli(["quasirandomize", "--family", halfspace6,
-                                "--p", "4", "--eta", "1/4",
-                                "--pool", "exhaustive"], capsys)
-        assert code == 4
-        assert "modulus 4 is not prime" in err
+    @pytest.mark.parametrize("p", ["4", "1"])
+    def test_composite_modulus(self, halfspace6, capsys, p):
+        code, out, err = run_cli(["quasirandomize", "--family", halfspace6,
+                                  "--p", p, "--eta", "1/4",
+                                  "--pool", "exhaustive"], capsys)
+        assert code == 4 and out == ""
+        assert f"modulus {p} is not prime" in err
 
     def test_file_pool_forms_only_in_first_search(self, tmp_path, capsys):
         # the first step leaves a family over [1] with no pattern pair, so a
@@ -413,10 +415,12 @@ class TestExtremal:
 
 
 class TestVerifyFramework:
-    @pytest.mark.parametrize("n", ["14", "40", "1000000000"])
-    def test_cell_cap_refuses_before_building(self, capsys, n):
+    @pytest.mark.parametrize("n, message", [
+        ("14", "cells"), ("40", "cells"), ("1000000000", "cells"),
+        ("0", "n must be positive"), ("-3", "n must be positive")])
+    def test_out_of_range_n_is_refused_before_building(self, capsys, n, message):
         code, out, err = run_cli(["verify-framework", "--n", n], capsys)
-        assert code == 4 and out == "" and "cells" in err
+        assert code == 4 and out == "" and message in err
 
     def test_n3_accounting(self, capsys):
         doc = run_json(["verify-framework", "--n", "3"], capsys)
@@ -444,6 +448,14 @@ class TestReduce:
         back = run_json(["reduce", "--mode", "beta-inverse",
                          "--bundles", str(bundles_path)], capsys)
         assert back["report"]["family_text"] == open(symmetric22).read()
+
+    def test_beta_of_a_header_only_family_is_refused(self, tmp_path, capsys):
+        # a bundle file cannot hold zero bundles: bundles_from_text refuses
+        # a header-only file, so there is no report to round-trip
+        path = tmp_path / "fam.txt"
+        path.write_text("shape s=1 d=2 n=2\n")
+        code, out, err = run_cli(["reduce", "--mode", "beta", "--family", str(path)], capsys)
+        assert code == 4 and out == "" and "nothing to serialize" in err
 
     def test_multiplex(self, symmetric22, capsys):
         doc = run_json(["reduce", "--mode", "multiplex",

@@ -31,10 +31,9 @@ from setdifflab.universe import (
     _restrict_bits,
     _window_runs,
     family_to_text,
-    window_region,
 )
 
-from witness_oracles import plant_into_window, proof_chain, window_hits
+from witness_oracles import plant_into_window, proof_chain, window_hits, window_region
 
 
 def nonempty(small):

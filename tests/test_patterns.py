@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setdifflab import patterns
 from setdifflab.errors import CapExceededError, ShapeMismatchError
 from setdifflab.patterns import (
     DISTANCE2_CAP,
@@ -308,6 +309,8 @@ def test_distance2_worked_examples():
 
     with pytest.raises(ValueError):
         distance2_witness(A, A)
+    with pytest.raises(ShapeMismatchError):
+        distance2_witness(A, SubsetMask(UniverseShape((2,), 3), 0))
 
 
 def test_distance2_takes_no_spec():
@@ -630,15 +633,22 @@ def test_indexed_pattern_pair_matches_pairwise_scan(shape, spec, data):
     (UniverseShape((1,), 40), PolynomialDifference((1,)), {3, 17, 40}),
     (UniverseShape((2,), 12), CliqueDifference((2,)), {2, 5, 12}),
 ], ids=["power-n40", "clique-n12"])
-def test_small_family_over_large_universe_builds_no_table(shape, spec, S):
-    pattern_table.cache_clear()
+def test_small_family_over_large_universe_builds_no_table(shape, spec, S, monkeypatch):
+    built = []
+    def counting_table(*args):
+        built.append(args)
+        return pattern_table(*args)
+    monkeypatch.setattr(patterns, "pattern_table", counting_table)
     a = SubsetMask(shape, (1 << 7) | (1 << 38 % shape.cells))
     b = SubsetMask(shape, a.bits | pattern_bits(shape, spec, S))
     c = SubsetMask(shape, (1 << 20) | 1)  # no pattern to or from a or b
     fam = Family(shape, frozenset({a.bits, b.bits, c.bits}))
     A, B, w = find_pattern_pair(fam, spec)
     assert (A, B, w.S) == (a, b, frozenset(S))
-    assert pattern_table.cache_info().currsize == 0
+    assert built == []
+    # 2^n members over [3] go through the table, so the stub is on the path
+    find_pattern_pair(Family(UniverseShape(shape.degrees, 3), frozenset(range(8))), spec)
+    assert len(built) == 1
 
 
 def test_indexed_pattern_pair_rejects_mismatched_spec():

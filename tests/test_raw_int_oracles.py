@@ -37,12 +37,11 @@ from setdifflab.universe import (
     UniverseShape,
     _window_runs,
     embed_lower_degree,
-    window_region,
 )
 
 from witness_oracles import (cyclic_interval_bits, from_points, interval_mod_n_witness,
                              plant_into_window, points_of, ref_is_symmetric,
-                             ref_symmetric_region, restrict_and_relabel)
+                             ref_symmetric_region, restrict_and_relabel, window_region)
 
 
 # ---------------------------------------------------------------------------

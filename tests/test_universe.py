@@ -28,7 +28,6 @@ from setdifflab.universe import (
     mask_from_hex,
     mask_to_hex,
     single_part_degree,
-    window_region,
 )
 
 from witness_oracles import (
@@ -40,6 +39,7 @@ from witness_oracles import (
     plant_into_window,
     points_of,
     restrict_and_relabel,
+    window_region,
 )
 
 SMALL_SHAPES = [
@@ -64,6 +64,9 @@ def test_multi_part_offsets():
     assert sh.cells == 6
     assert sh.index_of(2, (1, 2)) == 3
     assert sh.index_of(2, (2, 1)) == 4
+    for part in (0, 3):
+        with pytest.raises(ValueError):
+            sh.part_offset(part)
 
 
 def test_cached_sizes_leave_equality_hash_and_pickle_alone():
@@ -174,8 +177,9 @@ def test_plant_is_right_inverse():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        OrderedWindow((1, 1))
+    for elements in ((1, 1), (), (0, 1)):
+        with pytest.raises(ValueError):
+            OrderedWindow(elements)
     with pytest.raises(ValueError):
         restrict_and_relabel(
             SubsetMask(UniverseShape((1,), 2), 0), OrderedWindow((1, 3))
@@ -281,6 +285,11 @@ def test_family_density_and_membership():
     assert fam.density() == Fraction(3, 16)
     assert [m.bits for m in fam.masks()] == [0, 1, 5]
     assert Family(sh, range(1 << sh.cells)).density() == 1
+    assert Family.from_masks(fam.masks()) == fam
+    with pytest.raises(ValueError):
+        Family.from_masks([])  # no mask to take the shape from
+    with pytest.raises(ShapeMismatchError):
+        Family.from_masks([SubsetMask(sh, 1), SubsetMask(UniverseShape((1,), 5), 1)])
 
 
 def test_hex_orientation_most_significant_cell_last():

@@ -39,7 +39,6 @@ from setdifflab.universe import (
     _plant_bits,
     _restrict_bits,
     _window_runs,
-    window_region,
 )
 
 SAME_WINDOW = "same-window"
@@ -149,6 +148,11 @@ def plant_into_window(
     if window.m != small_mask.shape.n or small_mask.shape.degrees != shape.degrees:
         raise ShapeMismatchError("small mask does not match window size / degrees")
     return SubsetMask(shape, _plant_bits(small_mask.bits, _window_runs(shape, window)))
+
+
+def window_region(shape: UniverseShape, window: OrderedWindow) -> SubsetMask:
+    """The region X^{d_1} u ... u X^{d_s} as a mask over the big shape."""
+    return SubsetMask(shape, _plant_bits(-1, _window_runs(shape, window)))
 
 
 def cyclic_interval_bits(n: int, start: int, length: int) -> int:
