@@ -1,6 +1,7 @@
 """Microbenchmarks of the universe layer: the raw-int window maps
 ``_restrict_bits`` and ``_plant_bits`` that the dense-cell scan and the
-window checks run on every member.
+window checks run on every member, and ``embed_lower_degree``, which
+``reduce --mode embed`` runs on every member.
 
 Kept out of the tier-1 ``testpaths``; run from the repository root with
 
@@ -12,8 +13,8 @@ from random import Random
 
 import pytest
 
-from setdifflab.universe import (OrderedWindow, UniverseShape, _plant_bits,
-                                 _restrict_bits, _window_runs)
+from setdifflab.universe import (OrderedWindow, SubsetMask, UniverseShape, _plant_bits,
+                                 _restrict_bits, _window_runs, embed_lower_degree)
 
 # (shape, window) pairs: the file-batch scan-d1-n16 shape with its first
 # size-4 interval window, and a two-part shape whose window relabels
@@ -45,3 +46,11 @@ def test_plant_bits(benchmark, case):
     small = range(1 << UniverseShape(shape.degrees, window.m).cells)
     planted = benchmark(lambda: [_plant_bits(bits, runs) for bits in small])
     assert [_restrict_bits(bits, runs) for bits in planted] == list(small)
+
+
+def test_embed_lower_degree(benchmark):
+    # the file-batch reduce-embed job: 1500 members over (1,2), n=5, into (2,3)
+    shape = UniverseShape(degrees=(1, 2), n=5)
+    masks = [SubsetMask(shape, bits) for bits in members(shape, 1500, seed=1)]
+    images = benchmark(lambda: [embed_lower_degree(mask, (2, 3)) for mask in masks])
+    assert [image.bits.bit_count() for image in images] == [m.bits.bit_count() for m in masks]

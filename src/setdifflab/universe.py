@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CapExceededError, FormatError, ShapeMismatchError, capped_count
 
 Point = tuple[int, tuple[int, ...]]  # (part, coordinates), both 1-based
+Runs = tuple[tuple[int, int, int], ...]  # (source index, image index, run mask)
 
 # the most cells a universe may have, e.g. [64]^3 or [512]^2: a larger one is
 # refused before any of its masks or tables is built
@@ -204,9 +205,6 @@ class SubsetMask(Record):
         if not 0 <= self.bits <= self.shape.full_bits:
             raise ValueError("bits outside the universe")
 
-    def indices(self) -> Iterator[int]:
-        return _bit_indices(self.bits)
-
     def to_hex(self) -> str:
         return mask_to_hex(self.bits, self.shape.cells)
 
@@ -294,38 +292,45 @@ class OrderedWindow(Record):
         return cls(tuple(range(start, start + size)))
 
 
-def _window_runs(
-    shape: UniverseShape, window: OrderedWindow
-) -> tuple[tuple[int, int, int], ...]:
-    """The window map as maximal runs of consecutive source cells.
-
-    Cells of the relabeled m-shape, taken in order, map to source cells; each
-    run is (source index, small index, run mask) for a stretch where both
-    indices step by one.  An interval window gives m^(d-1) runs of m bits
-    per degree-d part.  The window maps below read this table; a caller
-    builds it once per window and keeps it.
-    """
-    w = window.elements
-    if max(w) > shape.n:
-        raise ValueError(f"window {w} exceeds side n={shape.n}")
+def _runs(pairs: Iterable[tuple[int, int]]) -> Runs:
+    """A cell map as maximal runs of its (source, image) index pairs, taken
+    in order, over which both indices step by one.  Every cell relabelling
+    of this module is one such table, applied with a shift-and-mask per run."""
     runs: list[list[int]] = []
-    for dst, (part, coords) in enumerate(UniverseShape(shape.degrees, window.m).points()):
-        src = shape.index_of(part, tuple(w[c - 1] for c in coords))
-        if runs and src == runs[-1][0] + runs[-1][2]:
+    for src, dst in pairs:
+        if runs and src - runs[-1][0] == dst - runs[-1][1] == runs[-1][2]:
             runs[-1][2] += 1
         else:
             runs.append([src, dst, 1])
     return tuple((src, dst, (1 << length) - 1) for src, dst, length in runs)
 
 
-def _restrict_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
-    """Keep the cells with all coordinates in the window and relabel them
-    into [m] (the k-th window element becomes label k), on a raw member int
-    given its window runs."""
+def _window_runs(shape: UniverseShape, window: OrderedWindow) -> Runs:
+    """The window map as a run table from source cells to the cells of the
+    relabeled m-shape, which are taken in order.
+
+    An interval window gives m^(d-1) runs of m bits per degree-d part.  The
+    window maps below read this table; a caller builds it once per window
+    and keeps it.
+    """
+    w = window.elements
+    if max(w) > shape.n:
+        raise ValueError(f"window {w} exceeds side n={shape.n}")
+    return _runs(
+        (shape.index_of(part, tuple(w[c - 1] for c in coords)), dst)
+        for dst, (part, coords) in enumerate(UniverseShape(shape.degrees, window.m).points()))
+
+
+def _restrict_bits(bits: int, runs: Runs) -> int:
+    """Apply a run table forward to a raw member int: each run's cells are
+    read at its source index and written at its image index.  Window runs
+    keep the cells with all coordinates in the window and relabel them into
+    [m] (the k-th window element becomes label k); the embedding's runs move
+    a lower-degree member into the higher-degree shape."""
     return sum((bits >> src & run) << dst for src, dst, run in runs)
 
 
-def _plant_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
+def _plant_bits(bits: int, runs: Runs) -> int:
     """Right inverse of _restrict_bits: place a raw small-shape int into the
     window power region of the big universe (other cells empty), given its
     window runs; all ones plant the whole region."""
@@ -336,27 +341,23 @@ def _plant_bits(bits: int, runs: tuple[tuple[int, int, int], ...]) -> int:
 # degree embedding
 
 
-def _embed_point(coords: tuple[int, ...], d_target: int) -> tuple[int, ...]:
-    reps = d_target - len(coords) + 1
-    return (coords[0],) * reps + coords[1:]
-
-
 @lru_cache(maxsize=64)
-def _embed_table(source: UniverseShape, target: UniverseShape) -> tuple[int, ...]:
-    """Per source cell, the bit of its image cell."""
-    return tuple(
-        1 << target.index_of(part, _embed_point(coords, target.degrees[part - 1]))
-        for part, coords in source.points())
-
-
-def embed_lower_degree(
-    mask: SubsetMask, target_degrees: Sequence[int]
-) -> SubsetMask:
-    """Pointwise image of a lower-degree subset inside a higher-degree shape.
+def _embed_runs(source: UniverseShape, target: UniverseShape) -> Runs:
+    """The degree embedding as a run table from source cells to target cells.
 
     Per part, (x_1, ..., x_{d'}) maps to (x_1, ..., x_1, x_2, ..., x_{d'})
-    with the first coordinate repeated d - d' + 1 times.
+    with the first coordinate repeated d - d' + 1 times, so the n^(d'-1)
+    cells sharing a first coordinate form one run when d > d'.
     """
+    return _runs(
+        (src, target.index_of(part, coords[:1] * (target.degrees[part - 1] - len(coords))
+                              + coords))
+        for src, (part, coords) in enumerate(source.points()))
+
+
+def embed_lower_degree(mask: SubsetMask, target_degrees: Sequence[int]) -> SubsetMask:
+    """Pointwise image of a lower-degree subset inside a higher-degree shape,
+    through the cached run table of _embed_runs."""
     src = mask.shape
     tdeg = tuple(target_degrees)
     if len(tdeg) != src.s:
@@ -364,8 +365,7 @@ def embed_lower_degree(
     if any(t < d for t, d in zip(tdeg, src.degrees)):
         raise ValueError(f"target degrees {tdeg} below source {src.degrees}")
     target = UniverseShape(tdeg, src.n)
-    table = _embed_table(src, target)
-    return SubsetMask(target, sum(table[i] for i in mask.indices()))
+    return SubsetMask(target, _restrict_bits(mask.bits, _embed_runs(src, target)))
 
 
 # ---------------------------------------------------------------------------

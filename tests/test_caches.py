@@ -25,7 +25,7 @@ def test_memo_tables_are_exactly_the_per_member_ones_and_bounded():
     # `reduce --mode embed`, beta_bijection by `reduce --mode beta`; a table
     # only its builder reads back is built per call instead
     caches = dict(lru_caches())
-    assert set(caches) == {"setdifflab.universe._embed_table",
+    assert set(caches) == {"setdifflab.universe._embed_runs",
                            "setdifflab.reductions._orbits",
                            "setdifflab.reductions._compositions"}
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]

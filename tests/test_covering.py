@@ -254,6 +254,9 @@ def test_guarantee_threshold_value():
     assert guarantee_threshold(1, (1,), Fraction(1, 2)) == 16
     assert guarantee_threshold(2, (2,), Fraction(1, 2)) == 2**4 * 8 * 2
     assert guarantee_threshold(1, (1, 2), Fraction(1, 1)) == 4
+    for epsilon in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            guarantee_threshold(2, (1,), epsilon)
 
 
 def test_guarantee_threshold_cell_cap():

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError
+from setdifflab.errors import (CapExceededError, FormatError, ShapeMismatchError,
+                               UniverseTooSmallError)
 from setdifflab.fpforms import (
     MODULUS_CAP,
     BlockCell,
@@ -24,6 +25,7 @@ from setdifflab.fpforms import (
     DistributionTable,
     InducedForm,
     LinearFormP,
+    _block_row,
     _product_table,
     build_block_partition,
     check_block_partition,
@@ -334,6 +336,9 @@ def test_mixed_class_zero_sum_block():
     assert part.remainder == {1, 2, 3, 4, 5, 9}
     assert phi_eval(form, {6, 7, 8, 10, 11}) == 0
     check_block_partition(part, form)
+    # two elements hold no zero-sum 3-block, so the row is refused
+    with pytest.raises(UniverseTooSmallError):
+        _block_row([1, 2], (1, 1), 3, 1)
 
 
 def test_partition_vacuous_bound_may_leave_no_rows():
@@ -515,6 +520,8 @@ def test_cell_rejects_bad_backgrounds_and_masks():
         BlockCell(partition=part, row=1, background=inside)
     with pytest.raises(ValueError):
         BlockCell(partition=part, row=3, background=SubsetMask(shape, 0))
+    with pytest.raises(ShapeMismatchError):  # a background over [5], a partition of [6]
+        BlockCell(partition=part, row=1, background=SubsetMask(UniverseShape((2,), 5), 0))
     cell = BlockCell(partition=part, row=1, background=SubsetMask(shape, 0))
     stranger = from_points(shape, [(1, (1, 2))])
     # off the row region the stranger differs from the background

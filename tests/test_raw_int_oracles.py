@@ -35,6 +35,7 @@ from setdifflab.universe import (
     OrderedWindow,
     SubsetMask,
     UniverseShape,
+    _embed_runs,
     _window_runs,
     embed_lower_degree,
 )
@@ -210,6 +211,18 @@ def test_interval_window_runs_are_rows_of_m_bits():
         runs = _window_runs(shape, OrderedWindow.interval(2, 3))
         assert len(runs) == 3 ** (d - 1)
         assert {run for _, _, run in runs} == {0b111}
+
+
+def test_embed_runs_are_rows_of_the_source_part():
+    # degree d' into d > d': one run of n^(d'-1) cells per first coordinate,
+    # so a degree-1 part gives n runs of one cell
+    for d_source, d_target in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
+        source, target = UniverseShape((d_source,), 4), UniverseShape((d_target,), 4)
+        runs = _embed_runs(source, target)
+        assert len(runs) == 4
+        assert {run for _, _, run in runs} == {(1 << 4 ** (d_source - 1)) - 1}
+    # equal degrees embed as the identity: one run over the whole part
+    assert _embed_runs(UniverseShape((2,), 4), UniverseShape((2,), 4)) == ((0, 0, (1 << 16) - 1),)
 
 
 def test_permuted_window_breaks_runs():

@@ -368,6 +368,10 @@ class TestCliqueSquareCorrespondence:
             assert len(fam) == len(chosen) * 2 ** 6
             assert fam.density() == Fraction(len(chosen), 8)
 
+    def test_nonpositive_n_is_refused(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            clique_square_correspondence([], 0)
+
     def test_fibre_cap(self, monkeypatch):
         # n = 3 has 2^6 free cells per graph
         monkeypatch.setattr(reductions, "CLIQUE_FIBRE_CAP", 128)

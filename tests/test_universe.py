@@ -288,6 +288,9 @@ def test_family_density_and_membership():
     assert Family.from_masks(fam.masks()) == fam
     with pytest.raises(ValueError):
         Family.from_masks([])  # no mask to take the shape from
+    for outside in (4, -1):  # the subsets of [2] are the ints 0..3
+        with pytest.raises(ValueError, match="outside the universe"):
+            Family(UniverseShape((1,), 2), [outside])
     with pytest.raises(ShapeMismatchError):
         Family.from_masks([SubsetMask(sh, 1), SubsetMask(UniverseShape((1,), 5), 1)])
 

@@ -36,6 +36,7 @@ from setdifflab.universe import (
     Record,
     SubsetMask,
     UniverseShape,
+    _bit_indices,
     _plant_bits,
     _restrict_bits,
     _window_runs,
@@ -125,7 +126,7 @@ def from_points(shape: UniverseShape, points) -> SubsetMask:
 def points_of(mask: SubsetMask) -> list:
     """The (part, coords) points of the mask's cells, in cell order."""
     cells = list(mask.shape.points())
-    return [cells[i] for i in mask.indices()]
+    return [cells[i] for i in _bit_indices(mask.bits)]
 
 
 def is_interval(window: OrderedWindow) -> bool:
