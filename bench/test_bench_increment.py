@@ -87,5 +87,5 @@ BLOCKS = (biased_family(1, 14, 2000, seed=5),
 def test_increment_step_blocks(benchmark):
     fam, report = BLOCKS
     step = benchmark(increment_step, fam, report, 1)
-    assert step.cell.partition.sigma == 3
+    assert step.partition.sigma == 3
     assert step.density > step.previous_density

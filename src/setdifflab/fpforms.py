@@ -11,9 +11,10 @@ A family is counted on its member bit-planes, one member bitset per cell,
 so that its projection onto a few cells splits a few big ints.
 
 The block-partition construction splits [n] into rows of m pairwise disjoint
-blocks on which the form vanishes, plus a remainder.  On any cell that is
-block-constant over a row the induced form takes a single value -- the fact
-the density-increment step lives on, which also decides a cell's members.
+blocks on which the form vanishes, plus a remainder.  A row's block products
+tile its region X_i^d, and on subsets block-constant over the row the induced
+form takes a single value -- the fact the density-increment step lives on;
+``lift_bits`` reads back the products a member holds.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from typing import Iterable, Sequence
 from .errors import FormatError, ShapeMismatchError, UniverseTooSmallError, capped_count
 from .universe import (
     Record,
-    SubsetMask,
-    UniverseShape,
     _bit_indices,
     _cell_count,
     _content_lines,
     _cross_bits,
     _frac,
-    single_part_degree,
 )
 
 # the largest modulus a form may have: a larger one is refused before the
@@ -465,7 +463,7 @@ def _zero_sum_block(classes, p):
 
 
 # ---------------------------------------------------------------------------
-# Block-constant cells
+# Block products of a row
 
 
 def _product_table(partition: BlockPartition, row: int, degree: int) -> tuple[int, ...]:
@@ -487,47 +485,6 @@ def lift_bits(table: Sequence[int], member: int) -> int:
         if member & product == product:
             chosen |= 1 << idx
     return chosen
-
-
-class BlockCell(Record):
-    """Subsets of [n]^d pinned to a background off a row's region X_i^d and
-    block-constant on it.
-
-    The cell is the bijective image of P([m]^d): a member is the background
-    plus a union of complete block products, one product per chosen cell of
-    the small universe.  The row's ``_product_table`` lists those products;
-    ``increment_step`` decides the cell's members, and ``lift_bits`` reads
-    back the chosen cells of each.
-    """
-
-    partition: BlockPartition
-    row: int
-    background: SubsetMask
-
-    def __post_init__(self):
-        shape = self.background.shape
-        single_part_degree(shape)
-        if shape.n != self.partition.n:
-            raise ShapeMismatchError(
-                "background side length differs from the partition's")
-        if not 1 <= self.row <= self.partition.t:
-            raise ValueError(f"row {self.row} outside [1, {self.partition.t}]")
-        if self.background.bits & self.region_bits():
-            raise ValueError("background must be disjoint from the row region")
-
-    @property
-    def degree(self) -> int:
-        return self.background.shape.degrees[0]
-
-    def small_shape(self) -> UniverseShape:
-        return UniverseShape(degrees=(self.degree,), n=self.partition.m)
-
-    def region_bits(self) -> int:
-        """The row region X_i^d."""
-        return sum(_product_table(self.partition, self.row, self.degree))
-
-    def __len__(self) -> int:
-        return 1 << (self.partition.m ** self.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (CapExceededError, ContractViolationError, ShapeMismatchErro
                      UniverseTooSmallError, capped_count)
 from .fpforms import (
     MODULUS_CAP,
-    BlockCell,
+    BlockPartition,
     LinearFormP,
     _product_table,
     _subset_counts,
@@ -44,8 +44,8 @@ from .fpforms import (
     value_counts,
 )
 from .patterns import PolynomialDifference, find_pattern_pair
-from .universe import (Family, Record, SubsetMask, _bit_indices, _densest_cell, _frac,
-                       single_part_degree)
+from .universe import (Family, Record, SubsetMask, UniverseShape, _bit_indices, _densest_cell,
+                       _frac, single_part_degree)
 
 DEFAULT_FORM_BUDGET = 1 << 20
 POWER_BITS_CAP = 1 << 20  # the bits of ratio^q at iteration_cap's bound on q
@@ -178,9 +178,17 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
 
 
 class IncrementStep(Record):
-    """Result of one increment: the chosen cell and the pulled-back family."""
+    """Result of one increment: the chosen cell and the pulled-back family.
 
-    cell: BlockCell
+    The cell is the subsets of [n]^d that keep ``background`` off the region
+    X_i^d of the partition's row ``row`` and are block-constant on it: the
+    bijective image of P([m]^d), a member being the background plus one
+    complete block product per chosen cell of [m]^d.
+    """
+
+    partition: BlockPartition
+    row: int
+    background: SubsetMask
     family: Family
     density: Fraction
     previous_density: Fraction
@@ -235,16 +243,16 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
         constants.append(constant)
         return kept(constant), ~sum(table)
     index, background, count, _ = _densest_cell(map(row_cells, range(partition.t)))
-    cell = BlockCell(partition=partition, row=index + 1, background=SubsetMask(shape, background))
-    table = _product_table(partition, cell.row, degree)
+    table = _product_table(partition, index + 1, degree)
     off = ~sum(table)
     winners = members if planes is None else kept(constants[index])
-    lifted = Family(cell.small_shape(), frozenset(
+    lifted = Family(UniverseShape((degree,), m), frozenset(
         lift_bits(table, bits) for bits in winners if bits & off == background))
-    density = Fraction(count, len(cell))
+    density = Fraction(count, 1 << len(table))
     ratio = 1 + Fraction(report.gap) / 3
     return IncrementStep(
-        cell=cell, family=lifted, density=density, previous_density=previous,
+        partition=partition, row=index + 1, background=SubsetMask(shape, background),
+        family=lifted, density=density, previous_density=previous,
         guarantee_ratio=ratio,
         guaranteed=report.gap > 0 and density >= previous * ratio)
 
@@ -298,13 +306,12 @@ class IncrementTrace(Record):
     def to_json(self) -> dict:
         steps = []
         for report, step in self.steps:
-            cell = step.cell
             steps.append({
-                "n": cell.background.shape.n,
-                "m": cell.partition.m,
-                "row": cell.row,
-                "blocks": [sorted(b) for b in cell.partition.rows[cell.row - 1]],
-                "background": cell.background.to_hex(),
+                "n": step.partition.n,
+                "m": step.partition.m,
+                "row": step.row,
+                "blocks": [sorted(b) for b in step.partition.rows[step.row - 1]],
+                "background": step.background.to_hex(),
                 "density_before": _frac(step.previous_density),
                 "density_after": _frac(step.density),
                 "guarantee_ratio": _frac(step.guarantee_ratio),

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from setdifflab.errors import ShapeMismatchError, UniverseTooSmallError
 from setdifflab.fpforms import (
-    BlockCell,
     BlockPartition,
     InducedForm,
     _convolved_masses,
@@ -64,7 +63,8 @@ def cell_form_value(form: InducedForm, partition: BlockPartition, row: int,
     """
     if form.n != partition.n or form.p != partition.p:
         raise ShapeMismatchError("form and partition disagree on n or p")
-    BlockCell(partition=partition, row=row, background=background)
+    if background.bits & sum(_product_table(partition, row, form.degree)):
+        raise ValueError("background must be disjoint from the row region")
     return Phi_eval(form, background)
 
 

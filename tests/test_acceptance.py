@@ -23,7 +23,6 @@ from setdifflab.covering import (
 )
 from setdifflab.extremal import build_forbidden_graph, max_avoiding_family
 from setdifflab.fpforms import (
-    BlockCell,
     LinearFormP,
     _product_table,
     build_block_partition,
@@ -387,17 +386,13 @@ def test_criterion_07_fp_machinery():
                     continue
                 induced = form.induced(2)
                 for row in range(1, partition.t + 1):
-                    probe = BlockCell(partition=partition, row=row,
-                                      background=SubsetMask(big, 0))
-                    off = offbits & ~probe.region_bits()
                     table = _product_table(partition, row, 2)
+                    off = offbits & ~sum(table)
                     bgs = {0, off}
                     bgs.update(rng.getrandbits(big.cells) & off
                                for _ in range(4))
                     for bg in sorted(bgs):
                         background = SubsetMask(big, bg)
-                        cell = BlockCell(partition=partition, row=row,
-                                         background=background)
                         values = {eval_on_bits(induced, bg | sum(
                                       table[i] for i in _bit_indices(small)))
                                   for small in range(1 << len(table))}

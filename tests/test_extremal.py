@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setdifflab import extremal
-from setdifflab.errors import CapExceededError
+from setdifflab.errors import CapExceededError, ContractViolationError
 from setdifflab.extremal import (
     _bit_indices,
     _greedy_clique_cover_bound,
@@ -254,6 +254,12 @@ class TestMaxAvoidingFamily:
             record = max_avoiding_family(shape, spec)
             assert find_pattern_pair(record.witness_family, spec) is None
             assert len(record.witness_family) == record.max_size
+
+    def test_invalid_solver_record_is_refused(self, monkeypatch):
+        # two members claimed over [1], where the one pair {Ø, {1}} differs by 1^1
+        monkeypatch.setattr(extremal, "_solve_mis", lambda adj, deadline: (2, 0b11, True))
+        with pytest.raises(ContractViolationError, match="solver produced an invalid record"):
+            max_avoiding_family(LINE(1), PolynomialDifference((1,)))
 
     def test_expired_time_limit_flags_nonoptimal(self):
         record = max_avoiding_family(LINE(3), PolynomialDifference((1,)),

@@ -20,7 +20,6 @@ from setdifflab.errors import (CapExceededError, FormatError, ShapeMismatchError
                                UniverseTooSmallError)
 from setdifflab.fpforms import (
     MODULUS_CAP,
-    BlockCell,
     BlockPartition,
     DistributionTable,
     InducedForm,
@@ -498,11 +497,14 @@ def test_cell_plant_lift_roundtrip():
     part = small_partition()
     shape = UniverseShape(degrees=(2,), n=6)
     background = 1 << shape.index_of(1, (1, 1))
-    cell = BlockCell(partition=part, row=1, background=SubsetMask(shape, background))
-    assert len(cell) == 16
     table = _product_table(part, 1, 2)
-    region = cell.region_bits()
-    assert len(table) == cell.small_shape().cells and sum(table) == region
+    region = sum(table)  # the row region X_1^2, tiled by the 2^2 block products
+    assert len(table) == 4 and region == from_points(
+        shape, [(1, (i, j)) for i in (3, 4) for j in (3, 4)]).bits
+    assert background & region == 0
+    assert from_points(shape, [(1, (3, 4))]).bits & region  # inside the region
+    # off the row region a stranger differs from the empty background
+    assert from_points(shape, [(1, (1, 2))]).bits & ~region != 0
     members = []
     for small in range(16):  # plant each subset of the small universe
         member = background | sum(table[i] for i in _bit_indices(small))
@@ -510,29 +512,6 @@ def test_cell_plant_lift_roundtrip():
         assert member & ~region == background
         members.append(member)
     assert len(set(members)) == 16 and members[0] == background
-
-
-def test_cell_rejects_bad_backgrounds_and_masks():
-    part = small_partition()
-    shape = UniverseShape(degrees=(2,), n=6)
-    inside = from_points(shape, [(1, (3, 4))])
-    with pytest.raises(ValueError):
-        BlockCell(partition=part, row=1, background=inside)
-    with pytest.raises(ValueError):
-        BlockCell(partition=part, row=3, background=SubsetMask(shape, 0))
-    with pytest.raises(ShapeMismatchError):  # a background over [5], a partition of [6]
-        BlockCell(partition=part, row=1, background=SubsetMask(UniverseShape((2,), 5), 0))
-    cell = BlockCell(partition=part, row=1, background=SubsetMask(shape, 0))
-    stranger = from_points(shape, [(1, (1, 2))])
-    # off the row region the stranger differs from the background
-    assert stranger.bits & ~cell.region_bits() != cell.background.bits
-
-
-def test_cell_rejects_multi_part_background():
-    two_parts = UniverseShape(degrees=(1, 2), n=6)
-    with pytest.raises(ShapeMismatchError):
-        BlockCell(partition=small_partition(), row=1,
-                  background=SubsetMask(two_parts, 0))
 
 
 def test_cell_form_value_constancy():

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from setdifflab.errors import (
     CapExceededError,
+    ContractViolationError,
     ShapeMismatchError,
     UniverseTooSmallError,
 )
 from setdifflab.fpforms import (
-    BlockCell,
     LinearFormP,
     _product_table,
     build_block_partition,
@@ -372,9 +372,9 @@ class TestIncrementStep:
         step = increment_step(fam, report, 1)
         # every (row, background) cell holds exactly 2 members; ties resolve
         # to the first row and the smallest background, which is {1}.
-        assert step.cell.row == 1
-        assert step.cell.background.bits == 1
-        assert step.cell.partition.rows[0] == (frozenset({2}),)
+        assert step.row == 1
+        assert step.background.bits == 1
+        assert step.partition.rows[0] == (frozenset({2}),)
         assert step.previous_density == F(1, 2)
         assert step.density == 1
         assert step.guarantee_ratio == F(7, 6)
@@ -385,11 +385,11 @@ class TestIncrementStep:
         fam = halfspace(LINE6)
         report = find_distinguishing_form(fam, 2, F(1, 4))
         step = increment_step(fam, report, 2)
-        assert step.cell.partition.rows == (
+        assert step.partition.rows == (
             (frozenset({2}), frozenset({3})),
             (frozenset({4}), frozenset({5})),
         )
-        assert (step.cell.row, step.cell.background.bits) == (1, 1)
+        assert (step.row, step.background.bits) == (1, 1)
         assert step.density == 1
         assert step.family == Family(UniverseShape(degrees=(1,), n=2), range(4))
 
@@ -430,24 +430,49 @@ class TestIncrementStep:
             form=LinearFormP(p=2, coeffs=(1,) * 16), y=0, gap=F(1, 2),
             scope="pool")
         step = increment_step(fam, report, 2)
-        assert (step.cell.row, step.cell.background.bits) == (1, 0)
+        assert (step.row, step.background.bits) == (1, 0)
         assert step.density == 0
         assert len(step.family) == 0
         assert not step.guaranteed
 
-    def test_report_shape_mismatch(self):
+    @pytest.mark.parametrize("fam", [
+        halfspace(LINE6),  # a family over [6], a form over [5]
+        Family(UniverseShape(degrees=(1, 2), n=5), {0}),  # a family of two parts
+    ])
+    def test_report_shape_mismatch(self, fam):
         report = DistinguishingReport(
             form=LinearFormP(p=2, coeffs=(1, 0, 0, 0, 0)), y=0, gap=F(1, 2),
             scope="exhaustive")
         with pytest.raises(ShapeMismatchError):
-            increment_step(halfspace(LINE6), report, 1)
+            increment_step(fam, report, 1)
+
+    @pytest.mark.parametrize("fam, form, m, sigma", [
+        (halfspace(LINE6), LinearFormP(p=2, coeffs=(1, 0, 0, 0, 0, 0)), 2, 1),
+        (Family(UniverseShape(degrees=(1,), n=8), range(16)),
+         LinearFormP(p=2, coeffs=(1,) * 8), 1, 2),
+    ])
+    def test_winning_row_is_folded_once(self, monkeypatch, fam, form, m, sigma):
+        # one fold per row for the count, then one for the winner's lift
+        import setdifflab.fpforms as fpforms
+        import setdifflab.increment as increment
+        folds = []
+        def counting(partition, row, degree):
+            folds.append(row)
+            return _product_table(partition, row, degree)
+        monkeypatch.setattr(fpforms, "_product_table", counting)
+        monkeypatch.setattr(increment, "_product_table", counting)
+        report = DistinguishingReport(form=form, y=0, gap=F(1, 2), scope="pool")
+        step = increment_step(fam, report, m)
+        assert step.partition.sigma == sigma and step.partition.t >= 2
+        assert folds == [*range(1, step.partition.t + 1), step.row]
 
 
 def two_pass_increment(fam, report, m):
     """The increment scan as first written, with its cell lift inlined over
     pointwise block products: a first pass counts every
     (row, background) cell a member lies in, a second lifts the densest
-    cell's members.  Returns (cell, density, lifted family)."""
+    cell's members.  Returns (partition, row, background, density, lifted
+    family)."""
     shape = fam.shape
     partition = build_block_partition(report.form, m)
     if partition.t == 0:
@@ -481,12 +506,12 @@ def two_pass_increment(fam, report, m):
         count = counters[(row, background)]
     else:
         row, background, count = 1, 0, 0
-    cell = BlockCell(partition=partition, row=row,
-                     background=SubsetMask(shape, background))
+    small_shape = UniverseShape(degrees=shape.degrees, n=m)
     lifts = [lift(row, bits) for bits in fam.members]
-    lifted = Family(cell.small_shape(), frozenset(
+    lifted = Family(small_shape, frozenset(
         small for back, small in filter(None, lifts) if back == background))
-    return cell, F(count, len(cell)), lifted
+    return (partition, row, SubsetMask(shape, background),
+            F(count, 1 << small_shape.cells), lifted)
 
 
 @st.composite
@@ -538,7 +563,8 @@ def test_increment_step_matches_two_pass_loop(blocks, data):
             increment_step(fam, report, m)
         return
     step = increment_step(fam, report, m)
-    assert (step.cell, step.density, step.family) == expected
+    assert (step.partition, step.row, step.background, step.density,
+            step.family) == expected
 
 
 def stepwise_iteration_cap(delta, eta, p) -> int:
@@ -650,6 +676,13 @@ class TestQuasirandomize:
         assert final == Family(UniverseShape(degrees=(1,), n=2), range(4))
         assert pair[0].bits == 0 and pair[1].bits == 1
 
+    def test_guaranteed_steps_past_the_cap_are_refused(self, monkeypatch):
+        import setdifflab.increment as increment
+        monkeypatch.setattr(increment, "iteration_cap", lambda delta, eta, p: 0)
+        with pytest.raises(ContractViolationError,
+                           match="1 guaranteed steps exceed the cap 0"):
+            quasirandomize(halfspace(LINE6), 2, F(1, 4), max_steps=1)
+
     def test_full_power_set_already_uniform(self):
         fam = Family(UniverseShape(degrees=(1,), n=2), range(4))
         final, trace, pair = quasirandomize(fam, 2, F(1, 2))
@@ -735,13 +768,16 @@ class TestQuasirandomize:
 class TestPlantedPatternConservation:
     """Power pairs survive the cell isomorphism in both directions."""
 
-    def check_cell(self, cell: BlockCell, blocks):
-        small_shape, shape = cell.small_shape(), cell.background.shape
-        table = _product_table(cell.partition, cell.row, cell.degree)
+    def check_cell(self, partition, row, background: SubsetMask):
+        shape = background.shape
+        small_shape = UniverseShape(degrees=shape.degrees, n=partition.m)
+        table = _product_table(partition, row, shape.degrees[0])
+        assert background.bits & sum(table) == 0
+        blocks = partition.rows[row - 1]
         masks = [SubsetMask(small_shape, b) for b in range(1 << small_shape.cells)]
-        planted = [SubsetMask(shape, cell.background.bits | sum(
+        planted = [SubsetMask(shape, background.bits | sum(
             table[i] for i in _bit_indices(b))) for b in range(len(masks))]
-        spec = PolynomialDifference((cell.degree,))
+        spec = PolynomialDifference(shape.degrees)
         for a, b in itertools.product(range(len(masks)), repeat=2):
             small_w = find_witness(masks[a], masks[b], spec)
             big_w = find_witness(planted[a], planted[b], spec)
@@ -764,14 +800,11 @@ class TestPlantedPatternConservation:
             SubsetMask(shape, 0),
             from_points(shape, [(1, (1, 2)), (1, (5, 5))]),
         ):
-            cell = BlockCell(partition=partition, row=1, background=background)
-            self.check_cell(cell, partition.rows[0])
+            self.check_cell(partition, 1, background)
 
     def test_paired_blocks_degree_two(self):
         form = LinearFormP(p=2, coeffs=(1,) * 16)
         partition = build_block_partition(form, 2)
         assert partition.rows[0] == (frozenset({1, 2}), frozenset({3, 4}))
         shape = UniverseShape(degrees=(2,), n=16)
-        cell = BlockCell(partition=partition, row=1,
-                         background=SubsetMask(shape, 0))
-        self.check_cell(cell, partition.rows[0])
+        self.check_cell(partition, 1, SubsetMask(shape, 0))
