@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from setdifflab.fpforms import LinearFormP, build_block_partition, distribution
+from setdifflab.fpforms import LinearFormP, _required_rows, build_block_partition, distribution
 
 
 def dense_form(p, n, seed):
@@ -65,4 +65,4 @@ PARTITION_FORM = dense_form(5, 200, seed=4)
 
 def test_build_block_partition(benchmark):
     partition = benchmark(build_block_partition, PARTITION_FORM, 2)
-    assert partition.sigma == 5 and partition.t == partition.required_rows == 18
+    assert partition.sigma == 5 and partition.t == _required_rows(200, 5, 2) == 18

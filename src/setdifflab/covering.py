@@ -70,7 +70,6 @@ class CoveringCell(Record):
 
     window: OrderedWindow
     background: SubsetMask
-    pattern_family: Family
 
 
 def scan_for_dense_cell(
@@ -95,7 +94,7 @@ def scan_for_dense_cell(
     r, background, count, incidences = _densest_cell(map(hits, windows))
     size = len(pattern_family)
     average = Fraction(incidences, len(windows) * size << shape.cells - pattern_family.shape.cells)
-    cell = CoveringCell(windows[r], SubsetMask(shape, background), pattern_family)
+    cell = CoveringCell(windows[r], SubsetMask(shape, background))
     return cell, Fraction(count, size), average
 
 

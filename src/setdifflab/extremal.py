@@ -14,7 +14,6 @@ emits; the tests replay a regression table of solved instances,
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import ContractViolationError, capped_count
@@ -62,7 +61,7 @@ class ForbiddenPairGraph(Record):
         of them.  It reproduces the two-sided witness relation checked by
         ``distance2_witness``, which the tests confirm pair by pair.
         """
-        up = _oriented_successors(self.shape, self.spec, self.vertex_count)
+        up = _oriented_successors(self.shape, self.spec)
         adj = [0] * self.vertex_count
         for u, successors in enumerate(up):
             reach = successors | 1 << u
@@ -73,10 +72,9 @@ class ForbiddenPairGraph(Record):
             adj=tuple(bits & ~(1 << v) for v, bits in enumerate(adj)))
 
 
-def _oriented_successors(shape: UniverseShape, spec: PatternSpec,
-                         vertices: int) -> list[int]:
-    """For each vertex A, the bitmask of every B such that (A, B) admits a
-    witness.
+def _oriented_successors(shape: UniverseShape, spec: PatternSpec) -> list[int]:
+    """For each vertex A of the 2^cells subsets, the bitmask of every B such
+    that (A, B) admits a witness.
 
     The successors of A are key(A) | P | f for each pattern-table entry P
     disjoint from key(A) and each subset f of the free cells, so vertices
@@ -84,6 +82,7 @@ def _oriented_successors(shape: UniverseShape, spec: PatternSpec,
     """
     mask = pattern_index(shape, spec)[0]
     table = pattern_table(shape, mask)
+    vertices = 1 << shape.cells
     # Bit f for each free subset f; shifted by key | P it holds key | P | f.
     # Distinct P give disjoint shifted copies, so summing them ORs them.
     free = sum(1 << f for f in range(vertices) if not f & mask)
@@ -103,9 +102,8 @@ def build_forbidden_graph(shape: UniverseShape,
 
     Each vertex's successors come from the pattern table.  Refused first
     when the 2^cells vertices exceed VERTEX_CAP."""
-    vertices = capped_count("the vertices of the forbidden-pair graph",
-                            VERTEX_CAP, 2, shape.cells)
-    up = _oriented_successors(shape, spec, vertices)
+    capped_count("the vertices of the forbidden-pair graph", VERTEX_CAP, 2, shape.cells)
+    up = _oriented_successors(shape, spec)
     adj = list(up)
     for a, successors in enumerate(up):
         for b in _bit_indices(successors):
@@ -208,8 +206,8 @@ def _components(adj: Sequence[int]) -> Iterator[int]:
         yield component
 
 
-def _solve_mis(adj: Sequence[int], deadline: Optional[float]) -> tuple[int, int, bool]:
-    """Exact MIS one component at a time; returns (size, member bits, optimal).
+def _solve_mis(adj: Sequence[int], deadline: Optional[float]) -> tuple[int, bool]:
+    """Exact MIS one component at a time; returns (member bits, optimal).
 
     Isolated vertices are taken outright.  Every other component is solved
     in vertex-rank order and the answer mapped back by rank, so components
@@ -221,7 +219,7 @@ def _solve_mis(adj: Sequence[int], deadline: Optional[float]) -> tuple[int, int,
     so far; a deadline already passed returns the empty set.
     """
     if deadline is not None and time.monotonic() > deadline:
-        return 0, 0, False
+        return 0, False
     chosen, optimal = 0, True
     memo: dict[tuple[int, ...], int] = {}
     for component in _components(adj):
@@ -240,7 +238,7 @@ def _solve_mis(adj: Sequence[int], deadline: Optional[float]) -> tuple[int, int,
             else:
                 optimal = False
         chosen |= sum(1 << vertices[i] for i in _bit_indices(bits))
-    return chosen.bit_count(), chosen, optimal
+    return chosen, optimal
 
 
 class ExtremalRecord(Record):
@@ -250,17 +248,13 @@ class ExtremalRecord(Record):
     witness_family: Family
     optimal: bool = True
 
-    @property
-    def max_density(self) -> Fraction:
-        return Fraction(self.max_size, 1 << self.shape.cells)
-
     def to_json(self) -> dict:
         return {
             "degrees": list(self.shape.degrees),
             "n": self.shape.n,
             "pattern": pattern_name(self.spec),
             "max_size": self.max_size,
-            "max_density": _frac(self.max_density),
+            "max_density": _frac(self.witness_family.density()),
             "witness_family": [m.to_hex() for m in self.witness_family.masks()],
             "optimal": self.optimal,
         }
@@ -275,9 +269,9 @@ def max_avoiding_family(shape: UniverseShape, spec: PatternSpec,
     """
     adj = build_forbidden_graph(shape, spec).adj
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    size, chosen, optimal = _solve_mis(adj, deadline)
+    chosen, optimal = _solve_mis(adj, deadline)
     family = Family(shape, frozenset(_bit_indices(chosen)))
-    if len(family) != size or find_pattern_pair(family, spec) is not None:
+    if find_pattern_pair(family, spec) is not None:
         raise ContractViolationError("solver produced an invalid record")
-    return ExtremalRecord(shape=shape, spec=spec, max_size=size,
+    return ExtremalRecord(shape=shape, spec=spec, max_size=len(family),
                           witness_family=family, optimal=optimal)

@@ -10,11 +10,11 @@ subsets count subsets from its class sizes, where enumeration is hopeless.
 A family is counted on its member bit-planes, one member bitset per cell,
 so that its projection onto a few cells splits a few big ints.
 
-The block-partition construction splits [n] into rows of m pairwise disjoint
-blocks on which the form vanishes, plus a remainder.  A row's block products
-tile its region X_i^d, and on subsets block-constant over the row the induced
-form takes a single value -- the fact the density-increment step lives on;
-``lift_bits`` reads back the products a member holds.
+The block-partition construction picks rows of m pairwise disjoint blocks
+of [n] on which the form vanishes; the rest of [n] is left over.  A row's
+block products tile its region X_i^d, and on subsets block-constant over the
+row the induced form takes a single value -- the fact the density-increment
+step lives on; ``lift_bits`` reads back the products a member holds.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ class InducedForm(Record):
     def p(self) -> int:
         return self.base.p
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
 
 def phi_eval(form: LinearFormP, S: Iterable[int]) -> int:
     """Sum of the coefficients over a subset of [n], mod p."""
@@ -106,12 +102,6 @@ def phi_eval(form: LinearFormP, S: Iterable[int]) -> int:
 def support(form: LinearFormP) -> frozenset[int]:
     """The coordinates carrying a nonzero coefficient."""
     return frozenset(z for z, a in enumerate(form.coeffs, start=1) if a)
-
-
-def support_size(form: InducedForm) -> int:
-    """Number of universe cells with nonzero coefficient: |Z|^d, since a
-    product of field elements vanishes exactly when some factor does."""
-    return len(support(form.base)) ** form.degree
 
 
 def coefficient_class_masks(p: int, coeffs: Sequence[int],
@@ -277,25 +267,19 @@ def _subset_counts(p: int, sizes) -> list[int]:
     return counts
 
 
-def _convolved_masses(p: int, classes) -> tuple[Fraction, ...]:
-    """Value distribution of a uniform subset of the cells in ``classes``,
-    given as (value, cell mask) pairs."""
-    sizes = [(value, mask.bit_count()) for value, mask in classes]
-    cells = sum(k for _, k in sizes)
-    return tuple(Fraction(c, 1 << cells) for c in _subset_counts(p, sizes))
-
-
 def distribution(form: InducedForm) -> DistributionTable:
     """Exact distribution table of the form's value over uniform random
-    subsets, counted per residue from the coefficient class sizes (no size
-    limit; the tests check it against a walk over every subset).  A linear
-    form is evaluated as its degree-1 lift ``form.induced(1)``.
+    subsets, counted per residue from the coefficient class sizes, which sum
+    to the support size |Z|^d (no size limit; the tests check it against a
+    walk over every subset).  A linear form is evaluated as its degree-1
+    lift ``form.induced(1)``.
     """
     p = form.p
-    zsize = support_size(form)
-    classes = coefficient_class_masks(p, form.base.coeffs, form.degree)
+    sizes = [(value, mask.bit_count())
+             for value, mask in coefficient_class_masks(p, form.base.coeffs, form.degree)]
+    zsize = sum(k for _, k in sizes)
     return DistributionTable(
-        p=p, masses=_convolved_masses(p, classes),
+        p=p, masses=tuple(Fraction(c, 1 << zsize) for c in _subset_counts(p, sizes)),
         support_size=zsize, uniformity_bound=uniformity_bound(p, zsize))
 
 
@@ -304,11 +288,11 @@ def distribution(form: InducedForm) -> DistributionTable:
 
 
 class BlockPartition(Record):
-    """t rows of m pairwise disjoint form-null blocks plus a remainder.
+    """t rows of m pairwise disjoint form-null blocks of [n].
 
     Every block has the common size sigma (1 in the small-support case, p
-    otherwise) and sums to zero under the owning linear form; the blocks
-    together with the remainder partition [n].
+    otherwise) and sums to zero under the owning linear form.  A partition
+    is its rows: the elements of [n] that no block holds are left over.
     """
 
     n: int
@@ -316,15 +300,10 @@ class BlockPartition(Record):
     m: int
     sigma: int
     rows: tuple[tuple[frozenset[int], ...], ...]
-    remainder: frozenset[int]
 
     @property
     def t(self) -> int:
         return len(self.rows)
-
-    @property
-    def required_rows(self) -> int:
-        return _required_rows(self.n, self.p, self.m)
 
 
 def _required_rows(n: int, p: int, m: int) -> int:
@@ -350,13 +329,9 @@ def check_block_partition(partition: BlockPartition, form: LinearFormP) -> None:
             seen |= block
             if phi_eval(form, block) != 0:
                 raise ValueError(f"block {sorted(block)} has nonzero form value")
-    if seen & partition.remainder:
-        raise ValueError("remainder overlaps a block")
-    if seen | partition.remainder != set(range(1, partition.n + 1)):
-        raise ValueError("blocks and remainder do not cover [n]")
-    if partition.t < partition.required_rows:
-        raise ValueError(
-            f"only {partition.t} rows, need {partition.required_rows}")
+    required = _required_rows(partition.n, partition.p, partition.m)
+    if partition.t < required:
+        raise ValueError(f"only {partition.t} rows, need {required}")
 
 
 def build_block_partition(form: LinearFormP, m: int) -> BlockPartition:
@@ -379,9 +354,7 @@ def build_block_partition(form: LinearFormP, m: int) -> BlockPartition:
         rows = tuple(
             tuple(frozenset((free[i * m + j],)) for j in range(m))
             for i in range(t))
-        partition = BlockPartition(
-            n=n, p=form.p, m=m, sigma=1, rows=rows,
-            remainder=frozenset(Z | set(free[t * m:])))
+        partition = BlockPartition(n=n, p=form.p, m=m, sigma=1, rows=rows)
     else:
         partition = _large_support_partition(form, m)
     check_block_partition(partition, form)
@@ -409,8 +382,7 @@ def _large_support_partition(form: LinearFormP, m: int) -> BlockPartition:
     while len(rows) < _required_rows(n, p, m):
         row, pool = _block_row(pool, form.coeffs, p, m)
         rows.append(row)
-    return BlockPartition(n=n, p=p, m=m, sigma=p, rows=tuple(rows),
-                          remainder=frozenset(pool))
+    return BlockPartition(n=n, p=p, m=m, sigma=p, rows=tuple(rows))
 
 
 def _block_row(pool: list[int], coeffs: Sequence[int], p: int,

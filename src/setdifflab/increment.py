@@ -74,19 +74,20 @@ class DistinguishingReport(Record):
         }
 
 
-def _representatives(p: int, n: int, weight: int, last: bool) -> Iterator[tuple[int, ...]]:
-    """One coefficient vector per projective class {c*a : c != 0} of weight
-    at most ``weight``: the zero vector, then each support (by size, then in
-    combinations order) with its vectors whose first nonzero coefficient (the
-    last one if ``last``) is 1.  Up to weight 2 and first, this lists the
-    classes in the order of their first members in the weight-<=2 pool.
+def _representatives(p: int, n: int, exhaustive: bool) -> Iterator[tuple[int, ...]]:
+    """One coefficient vector per projective class {c*a : c != 0}: the zero
+    vector, then each support (by size, then in combinations order) with its
+    vectors whose first nonzero coefficient is 1.  If ``exhaustive``, every
+    support is walked and the last nonzero coefficient is the 1 instead;
+    otherwise the supports stop at weight 2, and the classes come in the
+    order of their first members in the weight-<=2 pool.
     """
     yield (0,) * n
-    for k in range(1, weight + 1):
+    for k in range(1, (n if exhaustive else 2) + 1):
         for zs in itertools.combinations(range(n), k):
             for rest in itertools.product(range(1, p), repeat=k - 1):
                 coeffs = [0] * n
-                for z, a in zip(zs, (*rest, 1) if last else (1, *rest)):
+                for z, a in zip(zs, (*rest, 1) if exhaustive else (1, *rest)):
                     coeffs[z] = a
                 yield tuple(coeffs)
 
@@ -132,8 +133,7 @@ def find_distinguishing_form(fam: Family, p: int, eta: Numeric,
     except CapExceededError:
         exhaustive = False
     scope = "exhaustive" if exhaustive else "pool"
-    candidates: Iterable[tuple[int, ...]] = _representatives(
-        p, n, n if exhaustive else 2, last=exhaustive)
+    candidates: Iterable[tuple[int, ...]] = _representatives(p, n, exhaustive)
     if not exhaustive:
         for form in extra_forms:
             if form.p != p or form.n != n:
@@ -242,13 +242,13 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
             constant &= ones | zeros
         constants.append(constant)
         return kept(constant), ~sum(table)
-    index, background, count, _ = _densest_cell(map(row_cells, range(partition.t)))
+    index, background, _, _ = _densest_cell(map(row_cells, range(partition.t)))
     table = _product_table(partition, index + 1, degree)
     off = ~sum(table)
     winners = members if planes is None else kept(constants[index])
     lifted = Family(UniverseShape((degree,), m), frozenset(
         lift_bits(table, bits) for bits in winners if bits & off == background))
-    density = Fraction(count, 1 << len(table))
+    density = lifted.density()
     ratio = 1 + Fraction(report.gap) / 3
     return IncrementStep(
         partition=partition, row=index + 1, background=SubsetMask(shape, background),
@@ -356,7 +356,6 @@ def quasirandomize(fam: Family, p: int, eta: Numeric,
     threshold = eta / p
 
     steps: list[tuple[DistinguishingReport, IncrementStep]] = []
-    status = "uniform"
     pair = None
     schedule = iter(m_schedule) if m_schedule is not None else None
 

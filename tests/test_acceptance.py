@@ -50,7 +50,7 @@ from setdifflab.reductions import (
 )
 from setdifflab.universe import Family, SubsetMask, UniverseShape, _bit_indices
 
-from form_oracles import Phi_eval, cell_form_value, eval_on_bits
+from form_oracles import Phi_eval, cell_form_value, eval_on_bits, leftover
 from witness_oracles import (bundle_mask, find_witness, hyperedges_of,
                              interval_mod_n_witness, proof_chain, ref_is_symmetric,
                              ref_symmetric_region, restrict_and_relabel, window_hits,
@@ -421,8 +421,8 @@ def test_criterion_08_partition_contract():
                 assert not block & seen
                 seen |= block
                 assert sum(coeffs[z - 1] for z in block) % p == 0
-        assert not seen & partition.remainder
-        assert seen | partition.remainder == set(range(1, n + 1))
+        assert not seen & leftover(partition)
+        assert seen | leftover(partition) == set(range(1, n + 1))
         assert partition.t >= -(-n // (2 * p)) - 2
     _pass(8, "100 random block partitions satisfy the full contract")
 

@@ -100,7 +100,7 @@ def one_dict_scan(fam, m, pattern_family):
     average = Fraction(sum(counters.values()), total_cells * cell_size)
     best_key = max(counters, key=lambda k: (counters[k], -k), default=0)
     r, ubits = best_key >> shape.cells, best_key & shape.full_bits
-    cell = CoveringCell(windows[r], SubsetMask(shape, ubits), pattern_family)
+    cell = CoveringCell(windows[r], SubsetMask(shape, ubits))
     return cell, Fraction(counters.get(best_key, 0), cell_size), average
 
 
@@ -278,7 +278,6 @@ def test_scan_worked_example():
     assert avg == Fraction(1, 2)
     assert cell.window.elements == (3, 4)
     assert cell.background.bits == 0b0001  # {1}
-    assert len(cell.pattern_family) == 4
     assert all((plant_into_window(f, cell.window, sh).bits | 0b0001) in fam.members
                for f in pattern.masks())
 
@@ -328,16 +327,16 @@ def test_scan_cell_membership_protocol():
     # window; the scan tests membership by the off-window bits and the restriction
     sh = UniverseShape((1,), 4)
     pattern = Family(UniverseShape((1,), 2), frozenset([0b01, 0b11]))
-    cell = CoveringCell(OrderedWindow((3, 4)), SubsetMask(sh, 0b0001), pattern)
+    cell = CoveringCell(OrderedWindow((3, 4)), SubsetMask(sh, 0b0001))
     runs = _window_runs(sh, cell.window)
     off = ~window_region(sh, cell.window).bits
     members = [_plant_bits(f, runs) | cell.background.bits
-               for f in sorted(cell.pattern_family.members)]
+               for f in sorted(pattern.members)]
     assert members == [0b0101, 0b1101]
 
     def in_cell(bits):
         return (bits & off == cell.background.bits
-                and _restrict_bits(bits, runs) in cell.pattern_family.members)
+                and _restrict_bits(bits, runs) in pattern.members)
 
     assert all(in_cell(b) for b in members)
     assert in_cell(0b0101)

@@ -26,6 +26,7 @@ from setdifflab.fpforms import (
     LinearFormP,
     _block_row,
     _product_table,
+    _required_rows,
     build_block_partition,
     check_block_partition,
     coefficient_class_masks,
@@ -36,7 +37,6 @@ from setdifflab.fpforms import (
     phi_eval,
     projection_counts,
     support,
-    support_size,
     uniformity_bound,
     value_counts,
 )
@@ -44,7 +44,7 @@ from setdifflab.increment import iteration_cap
 from setdifflab.universe import SubsetMask, UniverseShape, _bit_indices
 
 from form_oracles import (Phi_eval, cell_form_value, cell_value_report, class_masks,
-                          eval_on_bits)
+                          eval_on_bits, leftover)
 from witness_oracles import from_points
 
 
@@ -53,7 +53,7 @@ from witness_oracles import from_points
 
 
 def form_shape(form):
-    return UniverseShape(degrees=(form.degree,), n=form.n)
+    return UniverseShape(degrees=(form.degree,), n=form.base.n)
 
 
 def oracle_masses(form):
@@ -124,7 +124,8 @@ def test_support_examples():
     assert support(LinearFormP(p=3, coeffs=(1, 0, 2))) == {1, 3}
     assert support(LinearFormP(p=2, coeffs=(0, 0))) == frozenset()
     assert support(LinearFormP(p=2, coeffs=(1,) * 5)) == set(range(1, 6))
-    assert support_size(LinearFormP(p=2, coeffs=(1, 1, 0)).induced(3)) == 8
+    form = LinearFormP(p=2, coeffs=(1, 1, 0))
+    assert distribution(form.induced(3)).support_size == len(support(form)) ** 3 == 8
 
 
 def test_eval_on_bits_matches_pointwise():
@@ -297,8 +298,8 @@ def test_singleton_partition_worked_example():
         (frozenset({7}), frozenset({8})),
         (frozenset({9}), frozenset({10})),
     )
-    assert part.remainder == {1, 2}
-    assert part.required_rows == 1
+    assert leftover(part) == {1, 2}
+    assert _required_rows(part.n, part.p, part.m) == 1
     check_block_partition(part, form)
 
 
@@ -306,7 +307,7 @@ def test_zero_form_partition():
     form = LinearFormP(p=2, coeffs=(0,) * 7)
     part = build_block_partition(form, m=3)
     assert part.sigma == 1 and part.t == 2
-    assert part.remainder == {7}
+    assert leftover(part) == {7}
     assert frozenset().union(*part.rows[0]) == {1, 2, 3}
     check_block_partition(part, form)
 
@@ -314,12 +315,12 @@ def test_zero_form_partition():
 def test_large_support_partition_worked_example():
     form = LinearFormP(p=2, coeffs=(1,) * 16)
     part = build_block_partition(form, m=2)
-    assert part.sigma == 2 and part.t == 2 == part.required_rows
+    assert part.sigma == 2 and part.t == 2 == _required_rows(part.n, part.p, part.m)
     assert part.rows == (
         (frozenset({1, 2}), frozenset({3, 4})),
         (frozenset({5, 6}), frozenset({7, 8})),
     )
-    assert part.remainder == set(range(9, 17))
+    assert leftover(part) == set(range(9, 17))
     for block in itertools.chain.from_iterable(part.rows):
         assert phi_eval(form, block) == 0
     check_block_partition(part, form)
@@ -330,9 +331,9 @@ def test_mixed_class_zero_sum_block():
     # must fire; the first lexicographic profile is (0,0,2,1,2).
     form = LinearFormP(p=5, coeffs=(0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4))
     part = build_block_partition(form, m=1)
-    assert part.sigma == 5 and part.t == 1 == part.required_rows
+    assert part.sigma == 5 and part.t == 1 == _required_rows(part.n, part.p, part.m)
     assert part.rows == ((frozenset({6, 7, 8, 10, 11}),),)
-    assert part.remainder == {1, 2, 3, 4, 5, 9}
+    assert leftover(part) == {1, 2, 3, 4, 5, 9}
     assert phi_eval(form, {6, 7, 8, 10, 11}) == 0
     check_block_partition(part, form)
     # two elements hold no zero-sum 3-block, so the row is refused
@@ -345,8 +346,8 @@ def test_partition_vacuous_bound_may_leave_no_rows():
     # and no p-block fits the construction, so an empty partition is legal.
     form = LinearFormP(p=5, coeffs=(1, 2, 3, 4, 1, 2, 3, 0))
     part = build_block_partition(form, m=2)
-    assert part.t == 0 and part.required_rows == 0
-    assert part.remainder == set(range(1, 9))
+    assert part.t == 0 and _required_rows(part.n, part.p, part.m) == 0
+    assert leftover(part) == set(range(1, 9))
     check_block_partition(part, form)
 
 
@@ -360,15 +361,14 @@ def test_partition_random_sweep():
         check_block_partition(part, form)
         expected_sigma = 1 if 2 * len(support(form)) <= n else p
         assert part.sigma == expected_sigma
-        assert part.t >= part.required_rows
+        assert part.t >= _required_rows(n, p, 2)
 
 
 def test_check_block_partition_rejects_corruption():
     form = LinearFormP(p=2, coeffs=(1, 1, 0, 0, 0, 0))
     part = build_block_partition(form, m=2)
     bad = BlockPartition(n=6, p=2, m=2, sigma=1,
-                         rows=((frozenset({3}), frozenset({1})),),
-                         remainder=frozenset({2, 4, 5, 6}))
+                         rows=((frozenset({3}), frozenset({1})),))
     with pytest.raises(ValueError):
         check_block_partition(bad, form)  # block {1} has form value 1
     with pytest.raises(ValueError):
@@ -378,8 +378,7 @@ def test_check_block_partition_rejects_corruption():
 
 
 def corrupted(part, **changes):
-    fields = dict(n=part.n, p=part.p, m=part.m, sigma=part.sigma, rows=part.rows,
-                  remainder=part.remainder)
+    fields = dict(n=part.n, p=part.p, m=part.m, sigma=part.sigma, rows=part.rows)
     return BlockPartition(**{**fields, **changes})
 
 
@@ -393,10 +392,10 @@ PARTITION_CORRUPTIONS = {
     "overlap": (dict(rows=((frozenset({1, 2}), frozenset({3, 4})),
                            (frozenset({3, 4}), frozenset({7, 8})))),
                 "not pairwise disjoint"),
-    "remainder overlap": (dict(remainder=frozenset(range(8, 17))), "remainder overlaps"),
-    "cover": (dict(remainder=frozenset(range(9, 16))), "do not cover"),
-    "rows": (dict(rows=((frozenset({1, 2}), frozenset({3, 4})),),
-                  remainder=frozenset(range(5, 17))), "only 1 rows, need 2"),
+    "range": (dict(rows=((frozenset({1, 2}), frozenset({3, 4})),
+                         (frozenset({5, 6}), frozenset({16, 17})))),
+              r"element 17 outside \[1, 16\]"),
+    "rows": (dict(rows=((frozenset({1, 2}), frozenset({3, 4})),)), "only 1 rows, need 2"),
 }
 
 
@@ -482,7 +481,7 @@ def test_large_support_partition_matches_two_phase_oracle(case):
     form, m = case
     part = build_block_partition(form, m)  # refuses nothing
     assert part.sigma == form.p
-    assert (part.rows, part.remainder) == two_phase_partition(form, m)
+    assert (part.rows, leftover(part)) == two_phase_partition(form, m)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +680,9 @@ def test_exact_distribution_matches_pointwise_oracle(form):
 @settings(max_examples=80, deadline=None)
 @given(form=induced_forms())
 def test_exact_distribution_matches_binomial_fold(form):
-    assert distribution(form).masses == binomial_fold(form.p, cell_products(form))
+    table = distribution(form)
+    assert table.masses == binomial_fold(form.p, cell_products(form))
+    assert table.support_size == len(support(form.base)) ** form.degree
 
 
 @settings(max_examples=40, deadline=None)

@@ -246,14 +246,14 @@ class TestFindDistinguishingForm:
         # every nonzero multiple of the representatives, listed once each,
         # is the whole search space in either scope; the exhaustive ones end,
         # the pool ones start, with coefficient 1
-        for weight, last, space in ((n, True, _vector_forms(p, n)),
-                                    (2, False, _pool_forms(p, n))):
-            reps = list(_representatives(p, n, weight, last))
+        for exhaustive, space in ((True, _vector_forms(p, n)),
+                                  (False, _pool_forms(p, n))):
+            reps = list(_representatives(p, n, exhaustive))
             assert reps[0] == (0,) * n
             multiples = [reps[0]] + [tuple(c * a % p for a in rep)
                                      for rep in reps[1:] for c in range(1, p)]
             assert sorted(multiples) == sorted(f.coeffs for f in space)
-            ends = [[a for a in rep if a][-1 if last else 0] for rep in reps[1:]]
+            ends = [[a for a in rep if a][-1 if exhaustive else 0] for rep in reps[1:]]
             assert ends == [1] * len(ends)
 
 

@@ -287,3 +287,16 @@ def test_bench_cases_run_once():
          "-p", "no:cacheprovider"],
         cwd=BENCH.parent, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+
+
+def test_benchmark_references_compute():
+    # the benchmark computes its reference answers through library calls
+    # that no tier-1 test makes; a signature they rely on fails here
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "e2ebench/test_e2ebench.py",
+         "-k", "shipped_references or every_seed", "-q", "-p", "no:cacheprovider"],
+        cwd=BENCH.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from setdifflab import universe
 from setdifflab.errors import CapExceededError, FormatError, ShapeMismatchError, capped_count
-from setdifflab.fpforms import DistributionTable, LinearFormP, forms_from_text, support_size
+from setdifflab.fpforms import (DistributionTable, LinearFormP, distribution, forms_from_text,
+                                support)
 from setdifflab.patterns import CliqueDifference, PolynomialDifference
 from setdifflab.reductions import bundles_from_text, multiplex
 from setdifflab.universe import (
@@ -227,7 +228,8 @@ def test_cell_cap_boundary(monkeypatch):
         with pytest.raises(CapExceededError):
             UniverseShape(degrees, n)
     form = LinearFormP(p=2, coeffs=(1, 1))
-    assert support_size(form.induced(6)) == 64  # every one of the 2^6 cells
+    # every one of the 2^6 cells
+    assert distribution(form.induced(6)).support_size == len(support(form)) ** 6 == 64
     for degree in (7, 10 ** 9):
         with pytest.raises(CapExceededError):
             form.induced(degree)
