@@ -1,9 +1,9 @@
 """setdiff: batch experiment runner emitting exact JSON reports.
 
 Every subcommand writes a single JSON document (stdout, or --out) with the
-envelope {tool, version, config, seed, report}.  Rationals appear as
-"num/den" strings throughout so reports stay exact, and serialization sorts
-keys, making repeated runs byte-identical for a fixed config.
+envelope {tool, version, config, seed, report}.  One json hook, ``_frac``,
+writes every exact ``Fraction`` as "num/den", and serialization sorts keys,
+making repeated runs byte-identical for a fixed config.
 
 Every job is a fresh process, so start-up is paid once per report: this
 module imports only the standard library and ``errors`` at module level, and
@@ -55,22 +55,15 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        from .universe import _frac
-        return _frac(value)
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
+def _frac(q) -> str:
+    """``_emit``'s json hook: an exact rational as the string "num/den"."""
+    q = Fraction(q)
+    return f"{q.numerator}/{q.denominator}"
 
 
 def _config(args) -> dict:
     skip = {"func", "parser", "out"}
-    return {
-        key: _jsonable(value)
-        for key, value in vars(args).items()
-        if key not in skip
-    }
+    return {key: value for key, value in vars(args).items() if key not in skip}
 
 
 def _emit(args, report: dict) -> None:
@@ -81,7 +74,7 @@ def _emit(args, report: dict) -> None:
         "seed": None,  # no subcommand draws at random; kept for stable bytes
         "report": report,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_frac) + "\n"
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -107,7 +100,7 @@ def _family_json(fam) -> dict:
 
 def cmd_scan(args) -> None:
     from .covering import guarantee_threshold, scan_for_dense_cell
-    from .universe import _frac, family_from_text
+    from .universe import family_from_text
     fam = family_from_text(_read(args.family))
     pattern_family = family_from_text(_read(args.pattern_family))
     if (args.epsilon is None) != (args.delta is None):
@@ -123,17 +116,17 @@ def cmd_scan(args) -> None:
     report = {
         "shape": {"degrees": list(fam.shape.degrees), "n": fam.shape.n},
         "family_size": len(fam),
-        "family_density": _frac(fam.density()),
+        "family_density": fam.density(),
         "cell": {
             "window": list(cell.window.elements),
             "background": cell.background.to_hex(),
         },
-        "max_density": _frac(best),
-        "average_density": _frac(average),
+        "max_density": best,
+        "average_density": average,
         "guarantee_met": None,
     }
     if threshold is not None:
-        report["guarantee_threshold"] = _frac(threshold)
+        report["guarantee_threshold"] = threshold
         report["guarantee_met"] = bool(
             fam.density() >= args.delta and fam.shape.n >= threshold)
     _emit(args, report)
@@ -209,7 +202,7 @@ def cmd_verify_framework(args) -> None:
 
 def cmd_demo_interval(args) -> None:
     from .covering import demo_average_density
-    from .universe import _frac, family_from_text
+    from .universe import family_from_text
     fam = family_from_text(_read(args.family))
     if fam.shape.degrees != (1,) or fam.shape.n != args.n:
         raise ShapeMismatchError(
@@ -219,7 +212,7 @@ def cmd_demo_interval(args) -> None:
     report = {
         "n": args.n,
         "family_size": len(fam),
-        "average_density": _frac(average),
+        "average_density": average,
     }
     _emit(args, report)
 

@@ -24,7 +24,7 @@ from .patterns import (
     pattern_index,
     pattern_table,
 )
-from .universe import Family, Record, UniverseShape, _bit_indices, _frac
+from .universe import Family, Record, UniverseShape, _bit_indices
 
 VERTEX_CAP = 1 << 16
 
@@ -254,7 +254,7 @@ class ExtremalRecord(Record):
             "n": self.shape.n,
             "pattern": pattern_name(self.spec),
             "max_size": self.max_size,
-            "max_density": _frac(self.witness_family.density()),
+            "max_density": self.witness_family.density(),
             "witness_family": [m.to_hex() for m in self.witness_family.masks()],
             "optimal": self.optimal,
         }

@@ -32,7 +32,6 @@ from .universe import (
     _cell_count,
     _content_lines,
     _cross_bits,
-    _frac,
 )
 
 # the largest modulus a form may have: a larger one is refused before the
@@ -237,10 +236,10 @@ class DistributionTable(Record):
     def to_json(self) -> dict:
         return {
             "p": self.p,
-            "masses": [_frac(q) for q in self.masses],
+            "masses": list(self.masses),
             "support_size": self.support_size,
-            "uniformity_bound": _frac(self.uniformity_bound),
-            "deviation": _frac(self.deviation),
+            "uniformity_bound": self.uniformity_bound,
+            "deviation": self.deviation,
             "within_bound": self.within_bound,
         }
 

@@ -45,7 +45,7 @@ from .fpforms import (
 )
 from .patterns import PolynomialDifference, find_pattern_pair
 from .universe import (Family, Record, SubsetMask, UniverseShape, _bit_indices, _densest_cell,
-                       _frac, single_part_degree)
+                       single_part_degree)
 
 DEFAULT_FORM_BUDGET = 1 << 20
 POWER_BITS_CAP = 1 << 20  # the bits of ratio^q at iteration_cap's bound on q
@@ -69,7 +69,7 @@ class DistinguishingReport(Record):
         return {
             "form": {"p": self.form.p, "coeffs": list(self.form.coeffs)},
             "y": self.y,
-            "gap": _frac(self.gap),
+            "gap": self.gap,
             "scope": self.scope,
         }
 
@@ -312,9 +312,9 @@ class IncrementTrace(Record):
                 "row": step.row,
                 "blocks": [sorted(b) for b in step.partition.rows[step.row - 1]],
                 "background": step.background.to_hex(),
-                "density_before": _frac(step.previous_density),
-                "density_after": _frac(step.density),
-                "guarantee_ratio": _frac(step.guarantee_ratio),
+                "density_before": step.previous_density,
+                "density_after": step.density,
+                "guarantee_ratio": step.guarantee_ratio,
                 "guaranteed": step.guaranteed,
                 "report": report.to_json(),
             })
@@ -323,8 +323,8 @@ class IncrementTrace(Record):
             "iterations": self.iterations,
             "cap": self.cap,
             "status": self.status,
-            "initial_density": _frac(self.initial_density),
-            "final_density": _frac(self.final_density),
+            "initial_density": self.initial_density,
+            "final_density": self.final_density,
         }
 
 
@@ -350,7 +350,7 @@ def quasirandomize(fam: Family, p: int, eta: Numeric,
     eta = Fraction(eta)
     pattern = PolynomialDifference((single_part_degree(fam.shape),))
     initial_density = fam.density()
-    cap = iteration_cap(initial_density, eta, p) if initial_density > 0 else 0
+    cap = iteration_cap(initial_density, eta, p)
     if max_steps is None:
         max_steps = cap
     threshold = eta / p

@@ -227,16 +227,16 @@ def clique_square_correspondence(graphs: Iterable[Iterable[Iterable[int]]],
         raise ValueError("n must be positive")
     shape = UniverseShape(degrees=(2,), n=n)
     # an orbit's lowest cell is its sorted point; an edge sits at x < y
-    read = sum(o & -o for (_, edge), o in _orbits(shape).items() if len(edge) == 2)
-    free = shape.full_bits & ~read
+    cells = {frozenset(edge): o & -o for (_, edge), o in _orbits(shape).items()
+             if len(edge) == 2}
+    free = shape.full_bits & ~sum(cells.values())
     graphs = list(graphs)
     capped_count(f"the fibre masks of {len(graphs)} graphs", CLIQUE_FIBRE_CAP,
                  2, free.bit_count(), factor=len(graphs))
     subs = [0]  # every subset of the free cells, ascending: one fibre's offsets
     while sub := (subs[-1] - free) & free:
         subs.append(sub)
-    bases = (sum(1 << shape.index_of(1, (min(e), max(e))) for e in _normalize_graph(graph, n))
-             for graph in graphs)
+    bases = (sum(cells[e] for e in _normalize_graph(graph, n)) for graph in graphs)
     # staged in a dict: frozenset() sizes its table to a dict's length, but
     # grows it fourfold at a time from a generator and keeps the slack
     return Family(shape, frozenset(dict.fromkeys(base | sub for base in bases for sub in subs)))

@@ -384,12 +384,6 @@ _HEADER_RE = re.compile(
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
-def _frac(q) -> str:
-    """An exact rational as the report string "num/den"."""
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
 # the runs between the line boundaries of str.splitlines
 _LINE_RE = re.compile(r"[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]+")
 

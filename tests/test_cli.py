@@ -192,7 +192,8 @@ class TestPhidist:
         path = tmp_path / "forms.txt"
         path.write_text("p=5\n1 2 0 4\n3 3 3 3\n")
         doc = run_json(["phidist", "--forms", str(path), "--degree", "1"], capsys)
-        expected = [distribution(form.induced(1)).to_json()
+        expected = [json.loads(json.dumps(distribution(form.induced(1)).to_json(),
+                                          default=cli._frac))
                     for form in forms_from_text(path.read_text())]
         assert [{k: v for k, v in t.items() if k != "form"}
                 for t in doc["report"]["tables"]] == expected
@@ -362,6 +363,15 @@ class TestQuasirandomize:
                                 "--p", "-3", "--eta", "1/2"], capsys)
         assert code == 4
         assert "p must be positive" in err
+
+    @pytest.mark.parametrize("p", ["0", "3"])
+    def test_header_only_family_is_a_domain_error(self, tmp_path, capsys, p):
+        # --p 0 used to divide eta by p before the empty family was refused
+        path = tmp_path / "empty.txt"
+        path.write_text("shape s=1 d=1 n=4\n")
+        code, out, err = run_cli(["quasirandomize", "--family", str(path),
+                                  "--p", p, "--eta", "1/4"], capsys)
+        assert code == 4 and out == "" and "density" in err
 
 
 class TestExtremal:

@@ -307,7 +307,7 @@ class TestMaxAvoidingFamily:
             "n": 2,
             "pattern": "power-difference",
             "max_size": 2,
-            "max_density": "1/2",
+            "max_density": Fraction(1, 2),
             "witness_family": ["1", "2"],
             "optimal": True,
         }

@@ -112,7 +112,7 @@ class TestDistinguishingReport:
         assert report.to_json() == {
             "form": {"p": 2, "coeffs": [1, 0]},
             "y": 1,
-            "gap": "1/4",
+            "gap": F(1, 4),
             "scope": "pool",
         }
 
@@ -746,22 +746,22 @@ class TestQuasirandomize:
                 "row": 1,
                 "blocks": [[2]],
                 "background": "10",
-                "density_before": "1/2",
-                "density_after": "1/1",
-                "guarantee_ratio": "7/6",
+                "density_before": F(1, 2),
+                "density_after": F(1, 1),
+                "guarantee_ratio": F(7, 6),
                 "guaranteed": True,
                 "report": {
                     "form": {"p": 2, "coeffs": [1, 0, 0, 0, 0, 0]},
                     "y": 0,
-                    "gap": "1/2",
+                    "gap": F(1, 2),
                     "scope": "exhaustive",
                 },
             }],
             "iterations": 1,
             "cap": 9,
             "status": "pattern-found",
-            "initial_density": "1/2",
-            "final_density": "1/1",
+            "initial_density": F(1, 2),
+            "final_density": F(1, 1),
         }
 
 

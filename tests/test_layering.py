@@ -97,6 +97,28 @@ def test_cli_defers_every_layer_to_its_subcommand():
     assert package == {".", ".errors"}  # ``.`` is ``from . import __version__``
 
 
+def test_only_the_cli_writes_rationals():
+    # one report encoder: cli's json hook writes every Fraction as "num/den",
+    # so no other module spells a rational out or reaches for the hook
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        spelled = {attr.attr for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                   for attr in ast.walk(node) if isinstance(attr, ast.Attribute)}
+        if path.stem == "cli":
+            assert "_frac" in defined and "_frac" not in imported
+            hooks = [node for node in ast.walk(tree) if isinstance(node, ast.keyword)
+                     and isinstance(node.value, ast.Name) and node.value.id == "_frac"]
+            uses = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id == "_frac"]
+            assert [k.arg for k in hooks] == ["default"] and len(uses) == 1
+            continue
+        assert "_frac" not in defined | imported, path.name
+        assert not spelled & {"numerator", "denominator"}, path.name
+
+
 def loaded_modules(argv: list[str]) -> set[str]:
     """The ``setdifflab.*`` modules a fresh interpreter holds after running
     ``cli.main(argv)``, beyond the package, ``cli`` and ``errors``."""
