@@ -76,9 +76,8 @@ def test_increment_step(benchmark, case):
 
 
 # the all-ones form at p=3 over [14], stepped at m=1: three rows of one
-# zero-sum 3-element block each, so every row's members are read from the
-# member bit-planes; the cases above and every workload job step on
-# singleton blocks
+# zero-sum 3-element block each, where the cases above and every workload
+# job step on singleton blocks; every case reads the member bit-planes
 BLOCKS = (biased_family(1, 14, 2000, seed=5),
           DistinguishingReport(form=LinearFormP(p=3, coeffs=(1,) * 14), y=0,
                                gap=threshold(3), scope="pool"))

@@ -167,12 +167,12 @@ def verify_framework_conditions(n: int) -> FrameworkReport:
     """
     cells = interval_demo_cells(n)
     intervals = _cyclic_intervals(n)
-    sizes = {len(c) for c in cells}
+    sizes = {len(set(c)) for c in cells}  # a cell's size counts its distinct members
     equal_size = len(sizes) == 1
     K = sizes.pop() if equal_size else None
     counts = [0] * (1 << n)
     for c in cells:
-        for mbr in c:
+        for mbr in set(c):
             counts[mbr] += 1
     membership_values = set(counts)
     equal_membership = len(membership_values) == 1

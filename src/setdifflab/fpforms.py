@@ -14,7 +14,7 @@ The block-partition construction picks rows of m pairwise disjoint blocks
 of [n] on which the form vanishes; the rest of [n] is left over.  A row's
 block products tile its region X_i^d, and on subsets block-constant over the
 row the induced form takes a single value -- the fact the density-increment
-step lives on; ``lift_bits`` reads back the products a member holds.
+step lives on.
 """
 
 from __future__ import annotations
@@ -446,16 +446,6 @@ def _product_table(partition: BlockPartition, row: int, degree: int) -> tuple[in
     for k in range(1, degree):
         table = [_cross_bits(partition.n, b, t, k) for b in blocks for t in table]
     return tuple(table)
-
-
-def lift_bits(table: Sequence[int], member: int) -> int:
-    """Small-universe bits of the products of a row's ``_product_table``
-    that ``member`` holds whole: the lift of a member of the row's cell."""
-    chosen = 0
-    for idx, product in enumerate(table):
-        if member & product == product:
-            chosen |= 1 << idx
-    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ many members share each projection, against the global distribution read
 from a per-search memo keyed by the class-size signature.
 
 Neither the search nor the step loops over the members per form or per row.
-The search transposes the family once into member bit-planes (one member
-bitset per cell) and splits each support's projections out of them.  The
+Each transposes the family once into member bit-planes (one member bitset
+per cell); the search splits each support's projections out of them.  The
 step's row count, ``universe._densest_cell`` over each row's members constant
 on its block products, is its one block-constancy test: only the members the
 winning row kept are lifted.
@@ -38,14 +38,13 @@ from .fpforms import (
     _subset_counts,
     build_block_partition,
     coefficient_class_masks,
-    lift_bits,
     member_planes,
     projection_counts,
     value_counts,
 )
 from .patterns import PolynomialDifference, find_pattern_pair
 from .universe import (Family, Record, SubsetMask, UniverseShape, _bit_indices, _densest_cell,
-                       single_part_degree)
+                       _restrict_bits, _runs, single_part_degree)
 
 DEFAULT_FORM_BUDGET = 1 << 20
 POWER_BITS_CAP = 1 << 20  # the bits of ratio^q at iteration_cap's bound on q
@@ -201,11 +200,10 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
 
     A member lies in a row's cell when it is constant on each block product
     of the row; the cell is the background it keeps off the row region.  So
-    each row hands ``universe._densest_cell`` the members it keeps: every
-    member when the products are single cells (blocks of size 1), else the
-    members constant on every product, read from the member bit-planes.
-    Those are kept per row as one |F|-bit mask, and only the members the
-    winning row kept are lifted, through its products.
+    each row hands ``universe._densest_cell`` the members constant on every
+    product, read from the member bit-planes.  Only the members the winning
+    row keeps are lifted: each holds a product whole or not at all, so the
+    lift reads each product's lowest cell through one run table.
 
     The returned family lives over [m]^d.  The step is flagged guaranteed
     when the relative density reaches the previous density times
@@ -222,17 +220,9 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
         raise UniverseTooSmallError(
             f"block partition of [{shape.n}] at m={m} produced no rows")
 
-    members, planes = fam.members, None
-    if partition.sigma > 1:  # blocks of several elements: products of several cells
-        members = list(members)
-        planes = member_planes(members, shape.cells)
-    constants = []  # per row, the member bits constant on its products
-    def kept(constant: int):  # the members whose bits are set, lowest binary digit first
-        return itertools.compress(members, map(int, bin(constant)[:1:-1]))
-    def row_cells(index: int):  # row index + 1: the members in its cells, the mask off them
-        table = _product_table(partition, index + 1, degree)
-        if planes is None:
-            return members, ~sum(table)
+    members = list(fam.members)
+    planes = member_planes(members, shape.cells)
+    def kept(table: Sequence[int]):  # the members constant on every product, in member order
         constant = (1 << len(members)) - 1  # member bits, constant so far
         for product in table:
             ones = zeros = constant
@@ -240,14 +230,17 @@ def increment_step(fam: Family, report: DistinguishingReport, m: int) -> Increme
                 ones &= planes[c]
                 zeros &= ~planes[c]
             constant &= ones | zeros
-        constants.append(constant)
-        return kept(constant), ~sum(table)
+        selector = bin(constant)[:1:-1].encode()  # lowest member first
+        return itertools.compress(members, selector.translate(bytes.maketrans(b"01", b"\0\1")))
+    def row_cells(index: int):  # row index + 1: the members in its cells, the mask off them
+        table = _product_table(partition, index + 1, degree)
+        return kept(table), ~sum(table)
     index, background, _, _ = _densest_cell(map(row_cells, range(partition.t)))
     table = _product_table(partition, index + 1, degree)
     off = ~sum(table)
-    winners = members if planes is None else kept(constants[index])
+    runs = _runs(((product & -product).bit_length() - 1, j) for j, product in enumerate(table))
     lifted = Family(UniverseShape((degree,), m), frozenset(
-        lift_bits(table, bits) for bits in winners if bits & off == background))
+        _restrict_bits(bits, runs) for bits in kept(table) if bits & off == background))
     density = lifted.density()
     ratio = 1 + Fraction(report.gap) / 3
     return IncrementStep(

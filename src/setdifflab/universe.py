@@ -115,13 +115,13 @@ class UniverseShape(Record):
             raise ValueError(f"degrees must be positive ints, got {self.degrees}")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"side n must be a positive int, got {self.n}")
-        _cell_count(self.n, self.degrees)  # refuses a universe past CELL_CAP
+        object.__setattr__(self, "cells", _cell_count(self.n, self.degrees))  # refuses > CELL_CAP
 
     @property
     def s(self) -> int:
         return len(self.degrees)
 
-    # cached in the instance __dict__; fields alone decide eq, hash and pickle
+    # __post_init__ or first use caches it in __dict__; fields alone decide eq, hash and pickle
     @cached_property
     def cells(self) -> int:
         return _cell_count(self.n, self.degrees)

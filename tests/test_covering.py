@@ -450,3 +450,19 @@ def test_framework_report_flags_violations(monkeypatch):
     rep3 = check(4, [(a, a ^ 0b0101) for a in range(16)])
     assert (rep3.K, rep3.L, rep3.accounting_ok) == (2, 2, True)
     assert rep3.pattern_ok is False
+
+
+def test_framework_report_counts_distinct_members(monkeypatch):
+    # at n = 3 the first demo row lists the empty interval twice, in place
+    # of {1}: its cells {C, C ^ 0b011} hold two distinct members and the
+    # others three, and each subset lies in 2 + 3 + 3 cells
+    rows = covering._demo_rows
+    def repeating(n):
+        first, *rest = rows(n)
+        return (first[:1] * 2 + first[2:], *rest)
+    monkeypatch.setattr(covering, "_demo_rows", repeating)
+    rep = verify_framework_conditions(3)
+    assert rep.num_cells == 24
+    assert not rep.equal_cell_size and rep.K is None
+    assert rep.equal_membership and rep.L == 8
+    assert rep.accounting_ok is None

@@ -32,7 +32,6 @@ from setdifflab.fpforms import (
     coefficient_class_masks,
     distribution,
     forms_from_text,
-    lift_bits,
     member_planes,
     phi_eval,
     projection_counts,
@@ -41,7 +40,7 @@ from setdifflab.fpforms import (
     value_counts,
 )
 from setdifflab.increment import iteration_cap
-from setdifflab.universe import SubsetMask, UniverseShape, _bit_indices
+from setdifflab.universe import SubsetMask, UniverseShape, _bit_indices, _restrict_bits, _runs
 
 from form_oracles import (Phi_eval, cell_form_value, cell_value_report, class_masks,
                           eval_on_bits, leftover)
@@ -504,10 +503,12 @@ def test_cell_plant_lift_roundtrip():
     assert from_points(shape, [(1, (3, 4))]).bits & region  # inside the region
     # off the row region a stranger differs from the empty background
     assert from_points(shape, [(1, (1, 2))]).bits & ~region != 0
+    # the lift reads each product's lowest cell, as increment_step does
+    lowest = _runs(((product & -product).bit_length() - 1, j) for j, product in enumerate(table))
     members = []
     for small in range(16):  # plant each subset of the small universe
         member = background | sum(table[i] for i in _bit_indices(small))
-        assert lift_bits(table, member) == small
+        assert _restrict_bits(member, lowest) == small
         assert member & ~region == background
         members.append(member)
     assert len(set(members)) == 16 and members[0] == background

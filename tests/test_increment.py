@@ -19,6 +19,7 @@ from setdifflab.fpforms import (
     _product_table,
     build_block_partition,
     distribution,
+    member_planes,
     value_counts,
 )
 from setdifflab.increment import (
@@ -465,6 +466,24 @@ class TestIncrementStep:
         step = increment_step(fam, report, m)
         assert step.partition.sigma == sigma and step.partition.t >= 2
         assert folds == [*range(1, step.partition.t + 1), step.row]
+
+    @pytest.mark.parametrize("fam, form, m, sigma", [
+        (halfspace(LINE6), LinearFormP(p=2, coeffs=(1, 0, 0, 0, 0, 0)), 2, 1),
+        (Family(UniverseShape(degrees=(1,), n=8), range(16)),
+         LinearFormP(p=2, coeffs=(1,) * 8), 1, 2),
+    ])
+    def test_step_transposes_the_family_once(self, monkeypatch, fam, form, m, sigma):
+        # singleton blocks read the member bit-planes too, one transpose a step
+        import setdifflab.increment as increment
+        calls = []
+        def counting(members, cells):
+            calls.append(cells)
+            return member_planes(members, cells)
+        monkeypatch.setattr(increment, "member_planes", counting)
+        report = DistinguishingReport(form=form, y=0, gap=F(1, 2), scope="pool")
+        step = increment_step(fam, report, m)
+        assert step.partition.sigma == sigma
+        assert calls == [fam.shape.cells]
 
 
 def two_pass_increment(fam, report, m):
